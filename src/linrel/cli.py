@@ -3,7 +3,7 @@
 Exit-code contract: 0 on success (and for solvable factorizations), 2 when a
 factorization is unsolvable, a verification fails, or a suite reports
 failures, 1 on input errors (parse problems, dimension mismatches, unknown
-suites).
+suites, bad counts) and on sampler failures in the generators.
 """
 
 from __future__ import annotations
@@ -146,6 +146,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_check(args) -> int:
+    if args.cases is not None and args.cases < 1:
+        raise ValueError(f"--cases must be at least 1, got {args.cases}")
     if args.suite == "full":
         names = list_suites()
     else:
@@ -232,7 +234,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -1,10 +1,14 @@
-"""Exact rational matrices and the elimination primitives everything else uses.
+"""Exact rational matrices and the one elimination kernel everything else uses.
 
-Scalars are ``fractions.Fraction`` values throughout, so echelon forms, ranks
-and solvability decisions are exact.  Pivoting is deterministic (first nonzero
-entry in column order), which makes every canonical form reproducible byte for
-byte; subspace equality downstream is therefore a genuine decision procedure,
-not a tolerance check.
+Matrix entries and every returned value are ``fractions.Fraction`` values (or
+ints), so echelon forms, ranks and solvability decisions are exact.
+Elimination itself runs on primitive integer rows: each row is scaled by the
+lcm of its denominators, then kept divided by the gcd of its entries, and
+``Fraction``s are built only for the entries a caller gets back.  Pivoting is
+deterministic (first nonzero entry in column order) and the reduced row
+echelon form is unique, which makes every canonical form reproducible byte
+for byte; subspace equality downstream is therefore a genuine decision
+procedure, not a tolerance check.
 """
 
 from __future__ import annotations
@@ -12,13 +16,15 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 Rational = Fraction
 Scalar = Union[int, str, Fraction]
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+# One shared object for each small integer value the kernel hands back.
+_SMALL = tuple(Fraction(q) for q in range(-16, 17))
+_ZERO, _ONE = _SMALL[16], _SMALL[17]
 
 _RATIONAL_RE = re.compile(r"([+-]?\d+)(?:/([+-]?\d+))?\Z")
 
@@ -39,8 +45,19 @@ def format_rational(value: Fraction) -> str:
     return str(value)
 
 
+def _exact(value: Scalar) -> Fraction:
+    if type(value) is int and -16 <= value <= 16:
+        return _SMALL[value + 16]
+    if isinstance(value, (int, str)):
+        return Fraction(value)
+    raise TypeError(f"{value!r} is not an exact scalar (int, str or Fraction)")
+
+
 def vector(values: Iterable[Scalar]) -> tuple[Fraction, ...]:
-    return tuple(v if isinstance(v, Fraction) else Fraction(v) for v in values)
+    return tuple(v if isinstance(v, Fraction) else _exact(v) for v in values)
+
+
+_ENTRY_TYPES = frozenset({Fraction, int})
 
 
 @dataclass(frozen=True)
@@ -58,6 +75,9 @@ class Matrix:
             raise ValueError(
                 f"expected {self.rows * self.cols} entries, got {len(self.entries)}"
             )
+        if not _ENTRY_TYPES.issuperset(map(type, self.entries)):
+            bad = next(x for x in self.entries if type(x) not in _ENTRY_TYPES)
+            raise TypeError(f"matrix entry {bad!r} is not a Fraction or int")
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[Scalar]], cols: Optional[int] = None) -> "Matrix":
@@ -110,9 +130,6 @@ class Matrix:
 
     def col(self, j: int) -> tuple[Fraction, ...]:
         return self.entries[j :: self.cols] if self.cols else ()
-
-    def row_lists(self) -> list[list[Fraction]]:
-        return [list(self.row(i)) for i in range(self.rows)]
 
     def column_tuples(self) -> list[tuple[Fraction, ...]]:
         return [self.col(j) for j in range(self.cols)]
@@ -181,11 +198,48 @@ class EchelonForm(NamedTuple):
     pivot_cols: tuple[int, ...]
 
 
-def _rref_inplace(data: list[list[Fraction]], cols: int) -> tuple[int, list[int]]:
-    """Reduce ``data`` to RREF in place; returns (rank, pivot columns).
+def _integer_rows(rows: Iterable[Sequence[Fraction]]) -> list[list[int]]:
+    """Each row scaled by the lcm of its denominators and divided by the gcd
+    of the result: the same line through the origin, as primitive integers."""
+    out = []
+    for row in rows:
+        ratios = [x.as_integer_ratio() for x in row]
+        scale = lcm(*[d for _, d in ratios])
+        if scale == 1:
+            ints = [n for n, _ in ratios]
+        else:
+            ints = [n * (scale // d) for n, d in ratios]
+        g = gcd(*ints)
+        if g > 1:
+            ints = [x // g for x in ints]
+        out.append(ints)
+    return out
 
-    Pivot choice is the first row with a nonzero entry in column order, so the
-    result is deterministic for equal input.
+
+def _cancel(row: list[int], prow: list[int], col: int) -> list[int]:
+    """``(p/g)·row − (f/g)·prow`` divided by the gcd of its entries, where p
+    and f are the entries of ``prow`` and ``row`` in column ``col`` and
+    ``g = gcd(p, f)``: zero in ``col``, primitive, and scaled no more than
+    it must be."""
+    p, f = prow[col], row[col]
+    g = gcd(p, f)
+    a, b = p // g, f // g
+    out = [a * x - b * y for x, y in zip(row, prow)]
+    g = gcd(*out)
+    if g > 1:
+        out = [x // g for x in out]
+    return out
+
+
+def _eliminate(data: list[list[int]], cols: int, reduce: bool) -> list[int]:
+    """Row-reduce primitive integer rows in place; returns the pivot columns.
+
+    Forward elimination clears each pivot column below its pivot; pivot
+    choice is the first row with a nonzero entry in column order, so equal
+    input gives equal output.  The rank is the number of pivots.  With
+    ``reduce``, back substitution then clears every pivot column above its
+    pivot too, and row r divided by its pivot entry is row r of the reduced
+    row echelon form.
     """
     rank = 0
     pivots: list[int] = []
@@ -201,39 +255,54 @@ def _rref_inplace(data: list[list[Fraction]], cols: int) -> tuple[int, list[int]
         if pivot_row != rank:
             data[rank], data[pivot_row] = data[pivot_row], data[rank]
         prow = data[rank]
-        lead = prow[col]
-        if lead != 1:
-            for j in range(col, cols):
-                if prow[j]:
-                    prow[j] /= lead
-        for r in range(nrows):
-            if r == rank:
-                continue
-            row = data[r]
-            f = row[col]
-            if f:
-                row[col] = _ZERO
-                for j in range(col + 1, cols):
-                    p = prow[j]
-                    if p:
-                        row[j] = row[j] - f * p
+        for r in range(rank + 1, nrows):
+            if data[r][col]:
+                data[r] = _cancel(data[r], prow, col)
         pivots.append(col)
         rank += 1
         if rank == nrows:
             break
-    return rank, pivots
+    if reduce:
+        for i in range(rank - 1, 0, -1):
+            prow, col = data[i], pivots[i]
+            for r in range(i):
+                if data[r][col]:
+                    data[r] = _cancel(data[r], prow, col)
+    return pivots
+
+
+def _quotient(n: int, d: int) -> Fraction:
+    """``n/d`` as a Fraction; small integer quotients share one object each."""
+    q, r = divmod(n, d)
+    if r:
+        return Fraction(n, d)
+    return _SMALL[q + 16] if -16 <= q <= 16 else Fraction(q)
+
+
+def echelon_rows(
+    rows: Iterable[Sequence[Fraction]], cols: int
+) -> tuple[list[tuple[Fraction, ...]], list[int]]:
+    """Nonzero rows of the reduced row echelon form of ``rows``, and their
+    pivot columns.  Each row has ``cols`` entries."""
+    data = _integer_rows(rows)
+    pivots = _eliminate(data, cols, reduce=True)
+    reduced = []
+    for row, p in zip(data, pivots):
+        lead = row[p]
+        reduced.append(tuple(_quotient(x, lead) if x else _ZERO for x in row))
+    return reduced, pivots
 
 
 def canonical_echelon(m: Matrix) -> EchelonForm:
     """Reduced row echelon form of ``m``, with rank and pivot columns."""
-    data = m.row_lists()
-    rank, pivots = _rref_inplace(data, m.cols)
-    reduced = Matrix(m.rows, m.cols, tuple(x for row in data for x in row))
-    return EchelonForm(reduced, rank, tuple(pivots))
+    reduced, pivots = echelon_rows(map(m.row, range(m.rows)), m.cols)
+    flat = [x for row in reduced for x in row]
+    flat += [_ZERO] * ((m.rows - len(reduced)) * m.cols)
+    return EchelonForm(Matrix(m.rows, m.cols, tuple(flat)), len(pivots), tuple(pivots))
 
 
 def rank(m: Matrix) -> int:
-    return canonical_echelon(m).rank
+    return len(_eliminate(_integer_rows(map(m.row, range(m.rows))), m.cols, reduce=False))
 
 
 def nullspace(m: Matrix) -> Matrix:
@@ -244,18 +313,18 @@ def nullspace(m: Matrix) -> Matrix:
     position f, the negated reduced entries in the pivot positions, and zeros
     elsewhere.  Column count is always ``cols - rank``.
     """
-    reduced, nrank, pivots = canonical_echelon(m)
+    data = _integer_rows(map(m.row, range(m.rows)))
+    pivots = _eliminate(data, m.cols, reduce=True)
     pivot_set = set(pivots)
-    cols = []
-    for f in range(m.cols):
-        if f in pivot_set:
-            continue
-        v = [_ZERO] * m.cols
-        v[f] = _ONE
-        for r, p in enumerate(pivots):
-            v[p] = -reduced[r, f]
-        cols.append(v)
-    return Matrix.from_cols(cols, rows=m.cols)
+    free = [f for f in range(m.cols) if f not in pivot_set]
+    width = len(free)
+    flat = [_ZERO] * (m.cols * width)
+    for k, f in enumerate(free):
+        flat[f * width + k] = _ONE
+        for row, p in zip(data, pivots):
+            if row[f]:
+                flat[p * width + k] = _quotient(-row[f], row[p])
+    return Matrix(m.cols, width, tuple(flat))
 
 
 def solve_linear(m: Matrix, b: Sequence[Scalar]) -> Optional[tuple[Fraction, ...]]:
@@ -266,11 +335,14 @@ def solve_linear(m: Matrix, b: Sequence[Scalar]) -> Optional[tuple[Fraction, ...
     rhs = vector(b)
     if len(rhs) != m.rows:
         raise ValueError(f"right-hand side length {len(rhs)} does not match {m.rows} rows")
-    data = [list(m.row(i)) + [rhs[i]] for i in range(m.rows)]
-    _, pivots = _rref_inplace(data, m.cols + 1)
+    data = _integer_rows(m.row(i) + (rhs[i],) for i in range(m.rows))
+    pivots = _eliminate(data, m.cols + 1, reduce=False)
     if pivots and pivots[-1] == m.cols:
         return None
+    # The rows are in echelon form now: this pass only back-substitutes.
+    _eliminate(data, m.cols, reduce=True)
     x = [_ZERO] * m.cols
-    for r, p in enumerate(pivots):
-        x[p] = data[r][m.cols]
+    for row, p in zip(data, pivots):
+        if row[m.cols]:
+            x[p] = _quotient(row[m.cols], row[p])
     return tuple(x)

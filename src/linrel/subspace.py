@@ -11,9 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from typing import Sequence
 
-from .exact import Matrix, Scalar, canonical_echelon, nullspace, solve_linear, vector
+from .exact import Matrix, Scalar, echelon_rows, nullspace, rank, solve_linear, vector
 
 
 @dataclass(frozen=True)
@@ -40,13 +41,13 @@ class Subspace:
             raise ValueError(
                 f"generators have {generators.rows} rows, ambient dimension is {ambient_dim}"
             )
-        reduced, rk, _ = canonical_echelon(generators.transpose())
-        basis = Matrix.from_cols([reduced.row(i) for i in range(rk)], rows=ambient_dim)
-        return cls(ambient_dim, basis)
+        reduced, _ = echelon_rows(generators.column_tuples(), ambient_dim)
+        flat = tuple(chain.from_iterable(zip(*reduced)))
+        return cls(ambient_dim, Matrix(ambient_dim, len(reduced), flat))
 
     @classmethod
     def from_vectors(cls, ambient_dim: int, vectors: Sequence[Sequence[Scalar]]) -> "Subspace":
-        return cls.span(ambient_dim, Matrix.from_cols([vector(v) for v in vectors], rows=ambient_dim))
+        return cls.span(ambient_dim, Matrix.from_cols(vectors, rows=ambient_dim))
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
@@ -84,7 +85,7 @@ class Subspace:
         self._check_ambient(other)
         if other.dim > self.dim:
             return False
-        return canonical_echelon(self.basis.hstack(other.basis)).rank == self.dim
+        return rank(self.basis.hstack(other.basis)) == self.dim
 
     def contains_vector(self, v: Sequence[Scalar]) -> bool:
         x = vector(v)

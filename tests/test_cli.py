@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from linrel import parse_relation_text, serialize_relation
+from linrel import harness, parse_relation_text, serialize_relation
 from linrel.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -197,6 +197,24 @@ class TestCheck:
         code, _, err = run(capsys, "check", "--suite", "bogus", "--cases", "1")
         assert code == 1
         assert "unknown suite" in err
+
+    @pytest.mark.parametrize("cases", ["0", "-5"])
+    def test_cases_below_one_exits_one(self, capsys, cases):
+        code, out, err = run(capsys, "check", "--suite", "determinism", "--cases", cases)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "--cases" in err
+
+    def test_sampler_failure_exits_one(self, capsys, monkeypatch):
+        def give_up(*args, **kwargs):
+            raise RuntimeError("failed to sample a full-rank matrix")
+
+        monkeypatch.setattr(harness, "random_full_rank", give_up)
+        code, out, err = run(capsys, "gen", "--dim-x", "2", "--dim-y", "2", "--dom", "1",
+                             "--mul", "0", "--ker", "0")
+        assert code == 1
+        assert out == ""
+        assert err == "error: failed to sample a full-rank matrix\n"
 
     def test_json_output(self, capsys):
         code, out, _ = run(capsys, "check", "--suite", "determinism", "--cases", "5", "--json")

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from linrel import (
     parse_rational,
     rank,
     solve_linear,
+    vector,
 )
 
 from strategies import matrices
@@ -157,3 +159,15 @@ class TestMatrixBasics:
             Matrix(2, 2, (F(1),))
         with pytest.raises(ValueError):
             Matrix.from_rows([[1, 2], [3]])
+
+    def test_rejects_float_entry(self):
+        with pytest.raises(TypeError, match="0.1"):
+            Matrix(1, 1, (0.1,))
+
+    @pytest.mark.parametrize("value", [0.1, None, 1j])
+    def test_vector_rejects_non_exact_scalar(self, value):
+        with pytest.raises(TypeError, match=re.escape(repr(value))):
+            vector([1, value])
+
+    def test_vector_accepts_exact_scalars(self):
+        assert vector([2, "-3/4", F(5)]) == (F(2), Fraction(-3, 4), F(5))

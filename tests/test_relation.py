@@ -55,6 +55,11 @@ class TestGraphOfMatrix:
         assert profile(rel).is_operator
 
 
+def test_from_generators_rejects_float():
+    with pytest.raises(TypeError, match="0.1"):
+        LinearRelation.from_generators(1, 1, [[0.1, 1]])
+
+
 class TestProfile:
     def test_purely_multivalued(self):
         rel = zero_times(0, Subspace.full(3))
