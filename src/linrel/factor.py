@@ -108,6 +108,30 @@ def _require_square_pair(a: LinearRelation, b: LinearRelation) -> None:
         raise ValueError(f"space dimensions differ: {a.dim_x} vs {b.dim_x}")
 
 
+def _right_operator_witness(a: LinearRelation, b: LinearRelation) -> tuple[LinearRelation, bool]:
+    """The witness of ``solve_right_operator`` and whether it verifies:
+    single-valued, dom(T) = dom(A) and B∘T = A exactly."""
+    selection = b.inverse().reduce_operator_part()
+    witness = compose(selection, a.reduce_operator_part())
+    pw = profile(witness)
+    return witness, pw.is_operator and pw.dom == profile(a).dom and compose(b, witness) == a
+
+
+def _left_operator_witness(a: LinearRelation, b: LinearRelation) -> tuple[LinearRelation, bool]:
+    """The witness of ``solve_left_operator`` and whether it verifies: a
+    direct sum, single-valued and T∘B = A exactly.  Needs
+    dim mul(A) <= dim mul(B)."""
+    pa, pb = profile(a), profile(b)
+    p, m = b.dim_y, a.dim_y
+    window = pb.mul.ortho_complement().product(pa.mul.ortho_complement())
+    base = compose(a, b.inverse())
+    core = LinearRelation(p, m, base.graph.intersect(window))
+    bridge_gens = [pb.mul.basis.col(i) + pa.mul.basis.col(i) for i in range(pa.mul.dim)]
+    bridge = LinearRelation.from_generators(p, m, bridge_gens)
+    witness, direct = cw_sum(core, bridge)
+    return witness, direct and profile(witness).is_operator and compose(witness, b) == a
+
+
 def solve_right_relation(a: LinearRelation, b: LinearRelation) -> FactorizationReport:
     """Decide whether C = B⁻¹∘A solves A = B∘X among relations."""
     _require_shared_target(a, b)
@@ -148,13 +172,7 @@ def solve_right_operator(a: LinearRelation, b: LinearRelation) -> FactorizationR
                   {"dim_mul_A": pa.mul.dim, "dim_mul_B": pb.mul.dim}),
     )
     solvable = all(c.held for c in conditions)
-    witness = None
-    verified = False
-    if solvable:
-        selection = b.inverse().reduce_operator_part()
-        witness = compose(selection, a.reduce_operator_part())
-        pw = profile(witness)
-        verified = pw.is_operator and pw.dom == pa.dom and compose(b, witness) == a
+    witness, verified = _right_operator_witness(a, b) if solvable else (None, False)
     joint = compose(b.inverse(), a)
     joint_is_operator = profile(joint).is_operator
     joint_is_operator_solution = solvable and pb.ker.dim == 0
@@ -217,20 +235,7 @@ def solve_left_operator(a: LinearRelation, b: LinearRelation) -> FactorizationRe
                   {"dim_mul_A": pa.mul.dim, "dim_mul_B": pb.mul.dim}),
     )
     solvable = all(c.held for c in conditions)
-    witness = None
-    verified = False
-    if solvable:
-        p, m = b.dim_y, a.dim_y
-        window = pb.mul.ortho_complement().product(pa.mul.ortho_complement())
-        base = compose(a, b.inverse())
-        core = LinearRelation(p, m, base.graph.intersect(window))
-        bridge_gens = [
-            tuple(pb.mul.basis.col(i)) + tuple(pa.mul.basis.col(i))
-            for i in range(pa.mul.dim)
-        ]
-        bridge = LinearRelation.from_generators(p, m, bridge_gens)
-        witness, direct = cw_sum(core, bridge)
-        verified = direct and profile(witness).is_operator and compose(witness, b) == a
+    witness, verified = _left_operator_witness(a, b) if solvable else (None, False)
     joint_is_operator_solution = solvable and pa.mul.dim == 0
     notes = (
         "a surjection from a subspace of mul(B) onto mul(A) exists iff "
@@ -265,12 +270,9 @@ def solve_adjoint_right(a: LinearRelation, b: LinearRelation) -> FactorizationRe
                   {"dim_dom_A": pa.dom.dim, "dim_dom_B": pb.dom.dim}),
     )
     solvable = all(c.held for c in conditions)
-    witness = None
-    verified = False
-    if solvable:
-        inner = solve_right_operator(a.adjoint(), b.adjoint())
-        witness = inner.witness
-        verified = inner.solvable and inner.verified
+    witness, verified = (
+        _right_operator_witness(a.adjoint(), b.adjoint()) if solvable else (None, False)
+    )
     notes = (
         "conditions on the adjoint pair: ran(A*) within ran(B*) is ker(B) within ker(A); "
         "mul(A*)=mul(B*) is dom(A)=dom(B); closures are identities in finite dimension"
@@ -306,12 +308,9 @@ def solve_adjoint_left(a: LinearRelation, b: LinearRelation) -> FactorizationRep
                   {"dim_dom_perp_A": d - pa.dom.dim, "dim_dom_perp_B": d - pb.dom.dim}),
     )
     solvable = all(c.held for c in conditions)
-    witness = None
-    verified = False
-    if solvable:
-        inner = solve_left_operator(a.adjoint(), b.adjoint())
-        witness = inner.witness
-        verified = inner.solvable and inner.verified
+    witness, verified = (
+        _left_operator_witness(a.adjoint(), b.adjoint()) if solvable else (None, False)
+    )
     notes = (
         "conditions on the adjoint pair: dom(A*) within dom(B*) is mul(B) within mul(A); "
         "ker(B*) within ker(A*) is ran(A) within ran(B); dim mul(A*) <= dim mul(B*) is "

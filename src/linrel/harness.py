@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, product as iter_product
+from itertools import chain, combinations, product as iter_product
 from typing import Callable, Optional
 
 from . import factor
@@ -207,12 +207,12 @@ def oracle_product_membership(
     n, m, k = inner.dim_x, inner.dim_y, outer.dim_y
     rows = []
     for i in range(n):
-        rows.append(tuple(ga.row(i)) + (0,) * gb.cols)
+        rows.append(ga.row(i) + (0,) * gb.cols)
     for i in range(m):
-        rows.append(tuple(ga.row(n + i)) + tuple(-v for v in gb.row(i)))
+        rows.append(ga.row(n + i) + tuple(-v for v in gb.row(i)))
     for i in range(k):
-        rows.append((0,) * ga.cols + tuple(gb.row(m + i)))
-    system = Matrix.from_rows(rows, cols=ga.cols + gb.cols)
+        rows.append((0,) * ga.cols + gb.row(m + i))
+    system = Matrix(len(rows), ga.cols + gb.cols, tuple(chain.from_iterable(rows)))
     rhs = xv + (Fraction(0),) * m + zv
     return solve_linear(system, rhs) is not None
 
@@ -795,6 +795,8 @@ def run_suite(name: str, cases: Optional[int] = None, seed: int = 0) -> SuiteRes
         raise ValueError(f"unknown suite {name!r} (known: {', '.join(sorted(SUITES))})")
     fn, default = SUITES[name]
     total = default if cases is None else cases
+    if total < 1:
+        raise ValueError(f"cases must be at least 1, got {total}")
     passed = failed = 0
     counterexample = None
     for index in range(total):

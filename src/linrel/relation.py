@@ -10,10 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from itertools import chain
+from typing import Iterable, Sequence
 
 from .exact import Matrix, Scalar, nullspace, solve_linear, vector
-from .subspace import Subspace, annihilator_rows
+from .subspace import Subspace
 
 
 @dataclass(frozen=True)
@@ -32,17 +33,10 @@ class LinearRelation:
 
     @classmethod
     def from_generators(
-        cls, dim_x: int, dim_y: int, generators: Sequence[Sequence[Scalar]]
+        cls, dim_x: int, dim_y: int, generators: Iterable[Sequence[Scalar]]
     ) -> "LinearRelation":
         """Relation spanned by (x; y)-generator vectors of length dim_x + dim_y."""
-        cols = [vector(g) for g in generators]
-        for g in cols:
-            if len(g) != dim_x + dim_y:
-                raise ValueError(
-                    f"generator length {len(g)} does not match dim_x + dim_y = {dim_x + dim_y}"
-                )
-        gens = Matrix.from_cols(cols, rows=dim_x + dim_y)
-        return cls(dim_x, dim_y, Subspace.span(dim_x + dim_y, gens))
+        return cls(dim_x, dim_y, Subspace.from_vectors(dim_x + dim_y, generators))
 
     @classmethod
     def graph_of_matrix(cls, m: Matrix) -> "LinearRelation":
@@ -68,10 +62,8 @@ class LinearRelation:
     def inverse(self) -> "LinearRelation":
         """Coordinate swap of the graph; always exists."""
         n, m = self.dim_x, self.dim_y
-        basis = self.graph.basis
-        rows = [basis.row(n + i) for i in range(m)] + [basis.row(i) for i in range(n)]
-        gens = Matrix.from_rows(rows, cols=basis.cols)
-        return LinearRelation(m, n, Subspace.span(m + n, gens))
+        cols = [c[n:] + c[:n] for c in self.graph.basis.column_tuples()]
+        return LinearRelation(m, n, Subspace.from_vectors(m + n, cols))
 
     def reduce_operator_part(self) -> "LinearRelation":
         """The single-valued summand A ∩ (Q^n × mul(A)^⊥); dom is preserved."""
@@ -88,10 +80,8 @@ class LinearRelation:
         if self.dim_x != self.dim_y:
             raise ValueError("adjoint requires dim_x == dim_y")
         n = self.dim_x
-        flipped = [
-            tuple(-x for x in c[n:]) + tuple(c[:n]) for c in self.graph.basis.column_tuples()
-        ]
-        turned = Subspace.span(2 * n, Matrix.from_cols(flipped, rows=2 * n))
+        flipped = [tuple(-x for x in c[n:]) + c[:n] for c in self.graph.basis.column_tuples()]
+        turned = Subspace.from_vectors(2 * n, flipped)
         return LinearRelation(n, n, turned.ortho_complement())
 
     def is_selfadjoint(self) -> bool:
@@ -124,20 +114,13 @@ class RelationProfile:
     is_surjective: bool
 
 
-def _split_blocks(rel: LinearRelation) -> tuple[Matrix, Matrix]:
-    basis = rel.graph.basis
-    x_rows = [basis.row(i) for i in range(rel.dim_x)]
-    y_rows = [basis.row(rel.dim_x + i) for i in range(rel.dim_y)]
-    return (
-        Matrix.from_rows(x_rows, cols=basis.cols),
-        Matrix.from_rows(y_rows, cols=basis.cols),
-    )
-
-
 @lru_cache(maxsize=None)
 def _profile(rel: LinearRelation) -> RelationProfile:
     n, m = rel.dim_x, rel.dim_y
-    gx, gy = _split_blocks(rel)
+    basis = rel.graph.basis
+    split = n * basis.cols
+    gx = Matrix(n, basis.cols, basis.entries[:split])
+    gy = Matrix(m, basis.cols, basis.entries[split:])
     dom = rel.graph.block_project(0, n)
     ran = rel.graph.block_project(n, n + m)
     # (x, 0) in the graph <=> x = gx·c for some c with gy·c = 0, and dually
@@ -173,27 +156,27 @@ def compose(outer: LinearRelation, inner: LinearRelation) -> LinearRelation:
             f"outer is defined on Q^{outer.dim_x}"
         )
     n, m, k = inner.dim_x, inner.dim_y, outer.dim_y
-    e_inner = annihilator_rows(inner.graph)
-    e_outer = annihilator_rows(outer.graph)
-    rows = [tuple(e_inner.row(i)) + (0,) * k for i in range(e_inner.rows)]
-    rows += [(0,) * n + tuple(e_outer.row(i)) for i in range(e_outer.rows)]
-    pullback = nullspace(Matrix.from_rows(rows, cols=n + m + k))
-    keep = list(range(n)) + list(range(n + m, n + m + k))
-    gens = Matrix.from_rows([pullback.row(i) for i in keep], cols=pullback.cols)
-    return LinearRelation(n, k, Subspace.span(n + k, gens))
+    # the rows of each annihilator are the basis columns of the orthocomplement
+    pad_n, pad_k = (0,) * n, (0,) * k
+    rows = [c + pad_k for c in inner.graph.ortho_complement().basis.column_tuples()]
+    rows += [pad_n + c for c in outer.graph.ortho_complement().basis.column_tuples()]
+    pullback = nullspace(Matrix(len(rows), n + m + k, tuple(chain.from_iterable(rows))))
+    gens = [c[:n] + c[n + m :] for c in pullback.column_tuples()]
+    return LinearRelation(n, k, Subspace.from_vectors(n + k, gens))
 
 
 def cw_sum(a1: LinearRelation, a2: LinearRelation) -> tuple[LinearRelation, bool]:
     """Componentwise sum of relations; the flag reports directness.
 
-    The sum is direct exactly when the two graphs intersect only in (0, 0).
+    The sum is direct exactly when the two graphs intersect only in (0, 0),
+    that is, when the dimension of the sum is the sum of the dimensions.
     """
     if a1.dim_x != a2.dim_x or a1.dim_y != a2.dim_y:
         raise ValueError(
             f"dimension mismatch: ({a1.dim_x}, {a1.dim_y}) vs ({a2.dim_x}, {a2.dim_y})"
         )
     total = LinearRelation(a1.dim_x, a1.dim_y, a1.graph.sum(a2.graph))
-    return total, a1.graph.direct_sum_check(a2.graph)
+    return total, total.graph.dim == a1.graph.dim + a2.graph.dim
 
 
 def graph_projection(rel: LinearRelation) -> LinearRelation:
@@ -203,9 +186,8 @@ def graph_projection(rel: LinearRelation) -> LinearRelation:
     kernel {0} × mul(rel).
     """
     n = rel.dim_x
-    cols = [tuple(c) + tuple(c[:n]) for c in rel.graph.basis.column_tuples()]
-    ambient = rel.dim_x + rel.dim_y + n
-    graph = Subspace.span(ambient, Matrix.from_cols(cols, rows=ambient))
+    cols = [c + c[:n] for c in rel.graph.basis.column_tuples()]
+    graph = Subspace.from_vectors(rel.dim_x + rel.dim_y + n, cols)
     return LinearRelation(rel.dim_x + rel.dim_y, n, graph)
 
 
@@ -215,21 +197,21 @@ def graph_section(rel: LinearRelation) -> LinearRelation:
     dom(rel)."""
     n = rel.dim_x
     reduced = rel.reduce_operator_part()
-    cols = [tuple(c[:n]) + tuple(c) for c in reduced.graph.basis.column_tuples()]
-    ambient = n + rel.dim_x + rel.dim_y
-    graph = Subspace.span(ambient, Matrix.from_cols(cols, rows=ambient))
+    cols = [c[:n] + c for c in reduced.graph.basis.column_tuples()]
+    graph = Subspace.from_vectors(n + rel.dim_x + rel.dim_y, cols)
     return LinearRelation(n, rel.dim_x + rel.dim_y, graph)
 
 
 def identity_on(sub: Subspace) -> LinearRelation:
     """The relation {(x, x) : x ∈ sub} on the ambient space of ``sub``."""
     d = sub.ambient_dim
-    cols = [tuple(c) + tuple(c) for c in sub.basis.column_tuples()]
-    return LinearRelation(d, d, Subspace.span(2 * d, Matrix.from_cols(cols, rows=2 * d)))
+    cols = [c + c for c in sub.basis.column_tuples()]
+    return LinearRelation(d, d, Subspace.from_vectors(2 * d, cols))
 
 
 def zero_times(dim_x: int, values: Subspace) -> LinearRelation:
     """The purely multivalued relation {0} × values inside Q^dim_x × ambient."""
     m = values.ambient_dim
-    cols = [(0,) * dim_x + tuple(c) for c in values.basis.column_tuples()]
-    return LinearRelation(dim_x, m, Subspace.span(dim_x + m, Matrix.from_cols(cols, rows=dim_x + m)))
+    pad = (0,) * dim_x
+    cols = [pad + c for c in values.basis.column_tuples()]
+    return LinearRelation(dim_x, m, Subspace.from_vectors(dim_x + m, cols))

@@ -5,6 +5,10 @@ A subspace is stored as the reduced column echelon basis of its generators
 rows are zeroed in all other columns).  Two subspaces are equal as sets if and
 only if their basis matrices are identical entrywise, so dataclass equality is
 set equality.
+
+``Subspace.from_vectors`` is the one constructor that runs the elimination
+kernel: every operation here and in ``relation`` slices and concatenates the
+column tuples it holds and hands them to it as generators.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .exact import Matrix, Scalar, echelon_rows, nullspace, rank, solve_linear, vector
 
@@ -41,13 +45,20 @@ class Subspace:
             raise ValueError(
                 f"generators have {generators.rows} rows, ambient dimension is {ambient_dim}"
             )
-        reduced, _ = echelon_rows(generators.column_tuples(), ambient_dim)
-        flat = tuple(chain.from_iterable(zip(*reduced)))
-        return cls(ambient_dim, Matrix(ambient_dim, len(reduced), flat))
+        return cls.from_vectors(ambient_dim, generators.column_tuples())
 
     @classmethod
-    def from_vectors(cls, ambient_dim: int, vectors: Sequence[Sequence[Scalar]]) -> "Subspace":
-        return cls.span(ambient_dim, Matrix.from_cols(vectors, rows=ambient_dim))
+    def from_vectors(cls, ambient_dim: int, vectors: Iterable[Sequence[Scalar]]) -> "Subspace":
+        """Canonical subspace spanned by ``vectors``, each of length ``ambient_dim``."""
+        gens = [vector(v) for v in vectors]
+        for g in gens:
+            if len(g) != ambient_dim:
+                raise ValueError(
+                    f"generator length {len(g)} does not match ambient dimension {ambient_dim}"
+                )
+        reduced, _ = echelon_rows(gens, ambient_dim)
+        flat = tuple(chain.from_iterable(zip(*reduced)))
+        return cls(ambient_dim, Matrix(ambient_dim, len(reduced), flat))
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
@@ -65,16 +76,17 @@ class Subspace:
 
     def sum(self, other: "Subspace") -> "Subspace":
         self._check_ambient(other)
-        return Subspace.span(self.ambient_dim, self.basis.hstack(other.basis))
+        return Subspace.from_vectors(
+            self.ambient_dim, self.basis.column_tuples() + other.basis.column_tuples()
+        )
 
     def intersect(self, other: "Subspace") -> "Subspace":
         """U ∩ V via the stacked generator system x = U·a = V·b."""
         self._check_ambient(other)
         if self.dim == 0 or other.dim == 0:
             return Subspace.zero(self.ambient_dim)
-        stacked = self.basis.hstack(-other.basis)
-        coeffs = nullspace(stacked)
-        top = Matrix.from_rows([coeffs.row(i) for i in range(self.dim)], cols=coeffs.cols)
+        coeffs = nullspace(self.basis.hstack(-other.basis))
+        top = Matrix(self.dim, coeffs.cols, coeffs.entries[: self.dim * coeffs.cols])
         return Subspace.span(self.ambient_dim, self.basis @ top)
 
     def ortho_complement(self) -> "Subspace":
@@ -99,19 +111,20 @@ class Subspace:
             raise ValueError(
                 f"block [{start}, {stop}) not within ambient dimension {self.ambient_dim}"
             )
-        rows = [self.basis.row(i) for i in range(start, stop)]
-        return Subspace.span(stop - start, Matrix.from_rows(rows, cols=self.dim))
+        return Subspace.from_vectors(
+            stop - start, [c[start:stop] for c in self.basis.column_tuples()]
+        )
 
     def direct_sum_check(self, other: "Subspace") -> bool:
-        self._check_ambient(other)
-        return self.intersect(other).dim == 0
+        """Whether U ∩ V = 0, read off dim(U + V) = dim U + dim V."""
+        return self.sum(other).dim == self.dim + other.dim
 
     def product(self, other: "Subspace") -> "Subspace":
         """U × V inside Q^(dU + dV), coordinates of U first."""
-        d = self.ambient_dim + other.ambient_dim
-        cols = [tuple(c) + (0,) * other.ambient_dim for c in self.basis.column_tuples()]
-        cols += [(0,) * self.ambient_dim + tuple(c) for c in other.basis.column_tuples()]
-        return Subspace.span(d, Matrix.from_cols(cols, rows=d))
+        pad_u, pad_v = (0,) * self.ambient_dim, (0,) * other.ambient_dim
+        cols = [c + pad_v for c in self.basis.column_tuples()]
+        cols += [pad_u + c for c in other.basis.column_tuples()]
+        return Subspace.from_vectors(self.ambient_dim + other.ambient_dim, cols)
 
     def __repr__(self) -> str:
         cols = ["(" + " ".join(str(x) for x in c) + ")" for c in self.basis.column_tuples()]
@@ -121,9 +134,3 @@ class Subspace:
 @lru_cache(maxsize=None)
 def _ortho_complement(sub: Subspace) -> Subspace:
     return Subspace.span(sub.ambient_dim, nullspace(sub.basis.transpose()))
-
-
-@lru_cache(maxsize=None)
-def annihilator_rows(sub: Subspace) -> Matrix:
-    """Matrix E with E·x = 0 exactly on ``sub``; rows = ambient - dim."""
-    return _ortho_complement(sub).basis.transpose()

@@ -186,6 +186,11 @@ class TestRunSuite:
         with pytest.raises(ValueError):
             run_suite("no_such_suite", 1, 0)
 
+    @pytest.mark.parametrize("cases", [0, -5])
+    def test_cases_below_one_rejected(self, cases):
+        with pytest.raises(ValueError, match="cases"):
+            run_suite("determinism", cases)
+
     def test_deterministic_and_green(self):
         first = run_suite("relation_algebra", 25, seed=1)
         second = run_suite("relation_algebra", 25, seed=1)

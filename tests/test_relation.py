@@ -11,6 +11,7 @@ from linrel import (
     graph_projection,
     graph_section,
     identity_on,
+    nullspace,
     profile,
     zero_times,
 )
@@ -310,6 +311,48 @@ class TestMembership:
         via_solve = rel.membership(point[:n], point[n:])
         via_span = rel.graph.contains(Subspace.from_vectors(n + m, [point]))
         assert via_solve == via_span
+
+
+def old_route(d, cols):
+    """A subspace built the way graph operations once built theirs: the
+    generators packed into a Matrix, then spanned."""
+    return Subspace.span(d, Matrix.from_cols(cols, rows=d))
+
+
+class TestOneConstructor:
+    @given(composable_pairs(), square_relations())
+    def test_operations_match_the_matrix_route(self, pair, sq):
+        outer, inner = pair
+        n, m, k = inner.dim_x, inner.dim_y, outer.dim_y
+        cols = inner.graph.basis.column_tuples()
+        assert inner.inverse() == LinearRelation(m, n, old_route(m + n, [c[n:] + c[:n] for c in cols]))
+        assert graph_projection(inner).graph == old_route(2 * n + m, [c + c[:n] for c in cols])
+        reduced = inner.reduce_operator_part().graph.basis.column_tuples()
+        assert graph_section(inner).graph == old_route(2 * n + m, [c[:n] + c for c in reduced])
+        dom, mul = profile(inner).dom, profile(inner).mul
+        assert identity_on(dom).graph == old_route(2 * n, [c + c for c in dom.basis.column_tuples()])
+        assert zero_times(n, mul).graph == old_route(
+            n + m, [(0,) * n + c for c in mul.basis.column_tuples()]
+        )
+        assert inner.graph.product(outer.graph) == old_route(
+            n + 2 * m + k,
+            [c + (0,) * (m + k) for c in cols]
+            + [(0,) * (n + m) + c for c in outer.graph.basis.column_tuples()],
+        )
+
+        # compose through the annihilator matrices and a row-stacked system
+        e_inner = inner.graph.ortho_complement().basis.transpose()
+        e_outer = outer.graph.ortho_complement().basis.transpose()
+        rows = [e_inner.row(i) + (0,) * k for i in range(e_inner.rows)]
+        rows += [(0,) * n + e_outer.row(i) for i in range(e_outer.rows)]
+        pullback = nullspace(Matrix.from_rows(rows, cols=n + m + k))
+        keep = list(range(n)) + list(range(n + m, n + m + k))
+        gens = Matrix.from_rows([pullback.row(i) for i in keep], cols=pullback.cols)
+        assert compose(outer, inner).graph == Subspace.span(n + k, gens)
+
+        d = sq.dim_x
+        flipped = [tuple(-x for x in c[d:]) + c[:d] for c in sq.graph.basis.column_tuples()]
+        assert sq.adjoint().graph == old_route(2 * d, flipped).ortho_complement()
 
 
 class TestConstructors:

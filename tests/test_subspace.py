@@ -22,6 +22,7 @@ class TestSpan:
     def test_no_generators(self):
         assert sp(3).dim == 0
         assert sp(3) == Subspace.zero(3)
+        assert Subspace.from_vectors(3, iter(())) == Subspace.zero(3)
 
     def test_full_space(self):
         assert sp(2, (1, 0), (0, 1)) == Subspace.full(2)
@@ -41,6 +42,26 @@ class TestSpan:
         if scaled:
             scaled.append([sum(c) for c in zip(*scaled)])
         assert Subspace.from_vectors(u.ambient_dim, scaled) == u
+
+
+class TestFromVectors:
+    def test_length_mismatch(self):
+        with pytest.raises(ValueError, match="generator length 2"):
+            Subspace.from_vectors(3, [(1, 0, 0), (1, 0)])
+
+    def test_float_entry_rejected(self):
+        with pytest.raises(TypeError, match="0.5"):
+            Subspace.from_vectors(2, [(1, 0.5)])
+
+    def test_str_entries_equal_fraction_entries(self):
+        assert sp(3, ("1/2", "-3", "0"), ("2", "2/3", "1")) == sp(
+            3, (Fraction(1, 2), Fraction(-3), Fraction(0)), (Fraction(2), Fraction(2, 3), Fraction(1))
+        )
+
+    def test_iterator_input(self):
+        gens = [(1, 2, 0), (2, 4, 0), (0, 0, 5)]
+        lazy = (iter(g) for g in gens)
+        assert Subspace.from_vectors(3, lazy) == sp(3, *gens)
 
 
 class TestSum:

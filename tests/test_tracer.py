@@ -1,0 +1,40 @@
+"""The benchmark's tracer must still install over the package.
+
+``perfbench/tracer.py`` wraps linrel's public functions and methods by name,
+so a refactor that removes or renames one breaks ``perfbench/run.py
+--trace 1``.  This test installs the tracer in a fresh interpreter, so that
+the wrappers do not leak into the other tests.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+SCRIPT = """
+import tracer
+from linrel import LinearRelation, relation
+
+t = tracer.Tracer()
+t.install()
+a = LinearRelation.from_generators(2, 2, [(1, 0, 1, 2), (0, 1, 0, 1)])
+b = LinearRelation.from_generators(2, 1, [(1, 1, 3), (0, 0, 1)])
+relation.compose(b, a)
+relation.profile(a)
+m = t.metrics()
+assert m["relation.compose_calls"] >= 1, m
+assert m["subspace.calls"] >= 1, m
+print("ok")
+"""
+
+
+def test_tracer_installs_and_counts():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src"), str(ROOT / "perfbench")])
+    proc = subprocess.run(
+        [sys.executable, "-c", SCRIPT], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "ok"
