@@ -1,7 +1,9 @@
 #!/usr/bin/env python3
 """Run every invariant suite at its default case count and print a summary.
 
-Equivalent to ``linrel check --suite full`` but with per-suite timing.
+Equivalent to ``linrel check --suite full`` but with per-suite timing.  Exit
+codes follow the CLI: 0 when every suite passes, 2 when one fails, 1 with an
+``error: …`` line on stderr for a bad case count or a sampler failure.
 """
 
 import argparse
@@ -21,7 +23,11 @@ def main() -> int:
     grand_start = time.perf_counter()
     for name in SUITES:
         start = time.perf_counter()
-        result = run_suite(name, args.cases, args.seed)
+        try:
+            result = run_suite(name, args.cases, args.seed)
+        except (ValueError, RuntimeError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
         elapsed = time.perf_counter() - start
         status = "ok" if result.ok else "FAILED"
         print(f"{name:28s} cases={result.cases:4d} failed={result.failed:3d} "

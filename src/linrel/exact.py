@@ -152,9 +152,6 @@ class Matrix:
             raise ValueError("vstack requires matching column counts")
         return Matrix(self.rows + other.rows, self.cols, self.entries + other.entries)
 
-    def __neg__(self) -> "Matrix":
-        return Matrix(self.rows, self.cols, tuple(-x for x in self.entries))
-
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise ValueError(f"cannot multiply {self.shape} by {other.shape}")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, combinations, product as iter_product
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 from . import factor
 from .exact import Matrix, rank, solve_linear, vector
@@ -446,6 +446,14 @@ def _show_pair(a: LinearRelation, b: LinearRelation) -> str:
     return f"A:\n{serialize_relation(a)}B:\n{serialize_relation(b)}"
 
 
+def _first_failure(checks: Iterable[tuple[str, bool]], rel: LinearRelation) -> Optional[str]:
+    """The first failed check's label over the text of ``rel``, or None."""
+    for label, ok in checks:
+        if not ok:
+            return f"{label}:\n{serialize_relation(rel)}"
+    return None
+
+
 def _suite_relation_algebra(rng: random.Random) -> Optional[str]:
     n = rng.randint(0, 6)
     m = rng.randint(0, 6)
@@ -466,10 +474,7 @@ def _suite_relation_algebra(rng: random.Random) -> Optional[str]:
         ("reduced part is single-valued", profile(reduced).is_operator),
         ("reduced part keeps dom", profile(reduced).dom == p.dom),
     )
-    for label, ok in checks:
-        if not ok:
-            return f"{label}:\n{serialize_relation(rel)}"
-    return None
+    return _first_failure(checks, rel)
 
 
 def _suite_compose_oracle(rng: random.Random) -> Optional[str]:
@@ -535,9 +540,9 @@ def _suite_adjoint_identities(rng: random.Random) -> Optional[str]:
         ("kernel of adjoint is ran-perp", q.ker == p.ran.ortho_complement()),
         ("double adjoint", adj.adjoint() == rel),
     )
-    for label, ok in checks:
-        if not ok:
-            return f"{label}:\n{serialize_relation(rel)}"
+    failure = _first_failure(checks, rel)
+    if failure is not None:
+        return failure
     m = random_matrix(rng, d, d, 3)
     if LinearRelation.graph_of_matrix(m).adjoint() != LinearRelation.graph_of_matrix(m.transpose()):
         return f"adjoint of a matrix graph is not the transpose graph: {m!r}"
@@ -562,10 +567,7 @@ def _suite_graph_maps(rng: random.Random) -> Optional[str]:
         ("section dom is dom", ps.dom == p.dom),
         ("projection after section is identity on dom", compose(proj, section) == identity_on(p.dom)),
     )
-    for label, ok in checks:
-        if not ok:
-            return f"{label}:\n{serialize_relation(rel)}"
-    return None
+    return _first_failure(checks, rel)
 
 
 def _suite_membership(rng: random.Random) -> Optional[str]:

@@ -10,10 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
 from typing import Iterable, Sequence
 
-from .exact import Matrix, Scalar, nullspace, solve_linear, vector
+from .exact import Matrix, Scalar, solve_linear, vector
 from .subspace import Subspace
 
 
@@ -117,15 +116,9 @@ class RelationProfile:
 @lru_cache(maxsize=None)
 def _profile(rel: LinearRelation) -> RelationProfile:
     n, m = rel.dim_x, rel.dim_y
-    basis = rel.graph.basis
-    split = n * basis.cols
-    gx = Matrix(n, basis.cols, basis.entries[:split])
-    gy = Matrix(m, basis.cols, basis.entries[split:])
-    dom = rel.graph.block_project(0, n)
-    ran = rel.graph.block_project(n, n + m)
-    # (x, 0) in the graph <=> x = gx·c for some c with gy·c = 0, and dually
-    ker = Subspace.span(n, gx @ nullspace(gy))
-    mul = Subspace.span(m, gy @ nullspace(gx))
+    # dom and {y : (0, y) ∈ graph}; on the inverse, ran and {x : (x, 0) ∈ graph}
+    dom, mul = rel.graph.split(n)
+    ran, ker = rel.inverse().graph.split(m)
     return RelationProfile(
         dom=dom,
         ran=ran,
@@ -144,11 +137,10 @@ def profile(rel: LinearRelation) -> RelationProfile:
 def compose(outer: LinearRelation, inner: LinearRelation) -> LinearRelation:
     """Relation product outer∘inner = {(x, z) : ∃y, (x,y) ∈ inner, (y,z) ∈ outer}.
 
-    Computed as a subspace intersection followed by a coordinate projection:
-    the pullback {(x, y, z)} in Q^(n+m+k) is cut out by the annihilator
-    equations of the two graphs, then the y-block is projected away.  No
-    single-valuedness is assumed anywhere, so genuinely multivalued inputs
-    compose correctly.
+    In (y, x, z) coordinates, the points (0, x, z) of the span of (y, x, 0)
+    over inner and (-y', 0, z) over outer are exactly those with y = y', so
+    ``split`` reads the product off.  No single-valuedness is assumed, so
+    genuinely multivalued inputs compose correctly.
     """
     if inner.dim_y != outer.dim_x:
         raise ValueError(
@@ -156,13 +148,9 @@ def compose(outer: LinearRelation, inner: LinearRelation) -> LinearRelation:
             f"outer is defined on Q^{outer.dim_x}"
         )
     n, m, k = inner.dim_x, inner.dim_y, outer.dim_y
-    # the rows of each annihilator are the basis columns of the orthocomplement
-    pad_n, pad_k = (0,) * n, (0,) * k
-    rows = [c + pad_k for c in inner.graph.ortho_complement().basis.column_tuples()]
-    rows += [pad_n + c for c in outer.graph.ortho_complement().basis.column_tuples()]
-    pullback = nullspace(Matrix(len(rows), n + m + k, tuple(chain.from_iterable(rows))))
-    gens = [c[:n] + c[n + m :] for c in pullback.column_tuples()]
-    return LinearRelation(n, k, Subspace.from_vectors(n + k, gens))
+    cols = [c[n:] + c[:n] + (0,) * k for c in inner.graph.basis.column_tuples()]
+    cols += [tuple(-y for y in c[:m]) + (0,) * n + c[m:] for c in outer.graph.basis.column_tuples()]
+    return LinearRelation(n, k, Subspace.from_vectors(m + n + k, cols).split(m)[1])
 
 
 def cw_sum(a1: LinearRelation, a2: LinearRelation) -> tuple[LinearRelation, bool]:

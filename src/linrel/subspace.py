@@ -8,13 +8,14 @@ set equality.
 
 ``Subspace.from_vectors`` is the one constructor that runs the elimination
 kernel: every operation here and in ``relation`` slices and concatenates the
-column tuples it holds and hands them to it as generators.
+column tuples it holds and hands them to it as generators.  ``Subspace.split``
+reads a projection and a slice off the canonical basis, so intersections,
+relation products and profiles are each one elimination and a split.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import chain
 from typing import Iterable, Sequence
 
@@ -81,17 +82,16 @@ class Subspace:
         )
 
     def intersect(self, other: "Subspace") -> "Subspace":
-        """U ∩ V via the stacked generator system x = U·a = V·b."""
+        """U ∩ V = {w : (0, w) ∈ span{(u, u), (v, 0)}}, as w = u = -v there."""
         self._check_ambient(other)
-        if self.dim == 0 or other.dim == 0:
-            return Subspace.zero(self.ambient_dim)
-        coeffs = nullspace(self.basis.hstack(-other.basis))
-        top = Matrix(self.dim, coeffs.cols, coeffs.entries[: self.dim * coeffs.cols])
-        return Subspace.span(self.ambient_dim, self.basis @ top)
+        d = self.ambient_dim
+        cols = [c + c for c in self.basis.column_tuples()]
+        cols += [c + (0,) * d for c in other.basis.column_tuples()]
+        return Subspace.from_vectors(2 * d, cols).split(d)[1]
 
     def ortho_complement(self) -> "Subspace":
         """Orthogonal complement for the standard dot product on Q^d."""
-        return _ortho_complement(self)
+        return Subspace.span(self.ambient_dim, nullspace(self.basis.transpose()))
 
     def contains(self, other: "Subspace") -> bool:
         self._check_ambient(other)
@@ -115,6 +115,23 @@ class Subspace:
             stop - start, [c[start:stop] for c in self.basis.column_tuples()]
         )
 
+    def split(self, n: int) -> tuple["Subspace", "Subspace"]:
+        """(P, K): P projects U onto the first ``n`` coordinates, K = {w : (0, w) ∈ U}.
+
+        Columns are ordered by their leading 1: the p columns that lead in the
+        first ``n`` rows come first, and the rest are zero there.  So the
+        top-left n×p block of the basis is P's canonical basis and the
+        bottom-right block is K's, read off without elimination.
+        """
+        d, r = self.ambient_dim, self.dim
+        if not 0 <= n <= d:
+            raise ValueError(f"split at {n} not within ambient dimension {d}")
+        flat = self.basis.entries
+        p = sum(1 for j in range(r) if any(flat[j : n * r : r]))
+        top = tuple(chain.from_iterable(flat[i * r : i * r + p] for i in range(n)))
+        bottom = tuple(chain.from_iterable(flat[i * r + p : (i + 1) * r] for i in range(n, d)))
+        return Subspace(n, Matrix(n, p, top)), Subspace(d - n, Matrix(d - n, r - p, bottom))
+
     def direct_sum_check(self, other: "Subspace") -> bool:
         """Whether U ∩ V = 0, read off dim(U + V) = dim U + dim V."""
         return self.sum(other).dim == self.dim + other.dim
@@ -129,8 +146,3 @@ class Subspace:
     def __repr__(self) -> str:
         cols = ["(" + " ".join(str(x) for x in c) + ")" for c in self.basis.column_tuples()]
         return f"Subspace(Q^{self.ambient_dim}: {', '.join(cols) if cols else '0'})"
-
-
-@lru_cache(maxsize=None)
-def _ortho_complement(sub: Subspace) -> Subspace:
-    return Subspace.span(sub.ambient_dim, nullspace(sub.basis.transpose()))

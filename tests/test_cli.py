@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -222,3 +225,21 @@ class TestCheck:
         payload = json.loads(out)
         assert payload["suite"] == "determinism"
         assert payload["failed"] == 0
+
+
+class TestRunAllSuitesScript:
+    @pytest.mark.parametrize("cases", ["0", "-5"])
+    def test_cases_below_one_exits_one(self, cases):
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, str(root / "scripts" / "run_all_suites.py"), "--cases", cases],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert done.returncode == 1
+        assert done.stdout == ""
+        assert done.stderr == f"error: cases must be at least 1, got {cases}\n"

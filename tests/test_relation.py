@@ -22,6 +22,7 @@ from strategies import (
     relations,
     square_matrices,
     square_relations,
+    subspaces,
 )
 
 
@@ -319,9 +320,33 @@ def old_route(d, cols):
     return Subspace.span(d, Matrix.from_cols(cols, rows=d))
 
 
+def basis_blocks(u, n):
+    """The basis of ``u`` cut into its first ``n`` rows and the rest."""
+    b = u.basis
+    return (
+        Matrix(n, b.cols, b.entries[: n * b.cols]),
+        Matrix(b.rows - n, b.cols, b.entries[n * b.cols :]),
+    )
+
+
+def old_slice(u, n):
+    """{w : (0, w) ∈ u} the way profiles were once built: the second block
+    of the basis times the nullspace of the first."""
+    top, bottom = basis_blocks(u, n)
+    return Subspace.span(u.ambient_dim - n, bottom @ nullspace(top))
+
+
+def old_intersect(u, v):
+    """U ∩ V through the nullspace of the stacked system U·a = V·b."""
+    neg_v = Matrix(v.basis.rows, v.basis.cols, tuple(-x for x in v.basis.entries))
+    coeffs = nullspace(u.basis.hstack(neg_v))
+    top = Matrix(u.dim, coeffs.cols, coeffs.entries[: u.dim * coeffs.cols])
+    return Subspace.span(u.ambient_dim, u.basis @ top)
+
+
 class TestOneConstructor:
-    @given(composable_pairs(), square_relations())
-    def test_operations_match_the_matrix_route(self, pair, sq):
+    @given(composable_pairs(), square_relations(), st.data())
+    def test_operations_match_the_matrix_route(self, pair, sq, data):
         outer, inner = pair
         n, m, k = inner.dim_x, inner.dim_y, outer.dim_y
         cols = inner.graph.basis.column_tuples()
@@ -353,6 +378,30 @@ class TestOneConstructor:
         d = sq.dim_x
         flipped = [tuple(-x for x in c[d:]) + c[:d] for c in sq.graph.basis.column_tuples()]
         assert sq.adjoint().graph == old_route(2 * d, flipped).ortho_complement()
+
+        # profile through block projections and nullspace products
+        p = profile(inner)
+        top, bottom = basis_blocks(inner.graph, n)
+        assert p.dom == inner.graph.block_project(0, n)
+        assert p.ran == inner.graph.block_project(n, n + m)
+        assert p.ker == Subspace.span(n, top @ nullspace(bottom))
+        assert p.mul == old_slice(inner.graph, n)
+
+        other = data.draw(subspaces(ambient=n + m))
+        assert inner.graph.intersect(other) == old_intersect(inner.graph, other)
+        assert other.intersect(inner.graph) == old_intersect(other, inner.graph)
+
+        # split against a projection and the nullspace route, on any cut
+        u = data.draw(subspaces(max_dim=6))
+        cut = data.draw(st.integers(0, u.ambient_dim))
+        head, tail = u.split(cut)
+        assert head == u.block_project(0, cut)
+        assert tail == old_slice(u, cut)
+        assert head == Subspace.from_vectors(cut, head.basis.column_tuples())
+        assert tail == Subspace.from_vectors(u.ambient_dim - cut, tail.basis.column_tuples())
+        for bad in (-1, u.ambient_dim + 1):
+            with pytest.raises(ValueError):
+                u.split(bad)
 
 
 class TestConstructors:
