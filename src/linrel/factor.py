@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .files import generator_rows
-from .relation import LinearRelation, compose, cw_sum, profile
+from .relation import LinearRelation, RelationProfile, compose, cw_sum, profile
 
 RAN_SUBSET = "ran_subset"
 MUL_SUBSET = "mul_subset"
@@ -108,20 +108,24 @@ def _require_square_pair(a: LinearRelation, b: LinearRelation) -> None:
         raise ValueError(f"space dimensions differ: {a.dim_x} vs {b.dim_x}")
 
 
-def _right_operator_witness(a: LinearRelation, b: LinearRelation) -> tuple[LinearRelation, bool]:
+def _right_operator_witness(
+    a: LinearRelation, b: LinearRelation, pa: RelationProfile
+) -> tuple[LinearRelation, bool]:
     """The witness of ``solve_right_operator`` and whether it verifies:
-    single-valued, dom(T) = dom(A) and B∘T = A exactly."""
+    single-valued, dom(T) = dom(A) and B∘T = A exactly.  ``pa`` is A's
+    profile."""
     selection = b.inverse().reduce_operator_part()
     witness = compose(selection, a.reduce_operator_part())
     pw = profile(witness)
-    return witness, pw.is_operator and pw.dom == profile(a).dom and compose(b, witness) == a
+    return witness, pw.is_operator and pw.dom == pa.dom and compose(b, witness) == a
 
 
-def _left_operator_witness(a: LinearRelation, b: LinearRelation) -> tuple[LinearRelation, bool]:
+def _left_operator_witness(
+    a: LinearRelation, b: LinearRelation, pa: RelationProfile, pb: RelationProfile
+) -> tuple[LinearRelation, bool]:
     """The witness of ``solve_left_operator`` and whether it verifies: a
-    direct sum, single-valued and T∘B = A exactly.  Needs
-    dim mul(A) <= dim mul(B)."""
-    pa, pb = profile(a), profile(b)
+    direct sum, single-valued and T∘B = A exactly.  ``pa`` and ``pb`` are
+    the profiles of A and B; needs dim mul(A) <= dim mul(B)."""
     p, m = b.dim_y, a.dim_y
     window = pb.mul.ortho_complement().product(pa.mul.ortho_complement())
     base = compose(a, b.inverse())
@@ -172,7 +176,7 @@ def solve_right_operator(a: LinearRelation, b: LinearRelation) -> FactorizationR
                   {"dim_mul_A": pa.mul.dim, "dim_mul_B": pb.mul.dim}),
     )
     solvable = all(c.held for c in conditions)
-    witness, verified = _right_operator_witness(a, b) if solvable else (None, False)
+    witness, verified = _right_operator_witness(a, b, pa) if solvable else (None, False)
     joint = compose(b.inverse(), a)
     joint_is_operator = profile(joint).is_operator
     joint_is_operator_solution = solvable and pb.ker.dim == 0
@@ -235,7 +239,7 @@ def solve_left_operator(a: LinearRelation, b: LinearRelation) -> FactorizationRe
                   {"dim_mul_A": pa.mul.dim, "dim_mul_B": pb.mul.dim}),
     )
     solvable = all(c.held for c in conditions)
-    witness, verified = _left_operator_witness(a, b) if solvable else (None, False)
+    witness, verified = _left_operator_witness(a, b, pa, pb) if solvable else (None, False)
     joint_is_operator_solution = solvable and pa.mul.dim == 0
     notes = (
         "a surjection from a subspace of mul(B) onto mul(A) exists iff "
@@ -270,9 +274,10 @@ def solve_adjoint_right(a: LinearRelation, b: LinearRelation) -> FactorizationRe
                   {"dim_dom_A": pa.dom.dim, "dim_dom_B": pb.dom.dim}),
     )
     solvable = all(c.held for c in conditions)
-    witness, verified = (
-        _right_operator_witness(a.adjoint(), b.adjoint()) if solvable else (None, False)
-    )
+    witness, verified = None, False
+    if solvable:
+        a_adj = a.adjoint()
+        witness, verified = _right_operator_witness(a_adj, b.adjoint(), profile(a_adj))
     notes = (
         "conditions on the adjoint pair: ran(A*) within ran(B*) is ker(B) within ker(A); "
         "mul(A*)=mul(B*) is dom(A)=dom(B); closures are identities in finite dimension"
@@ -308,9 +313,10 @@ def solve_adjoint_left(a: LinearRelation, b: LinearRelation) -> FactorizationRep
                   {"dim_dom_perp_A": d - pa.dom.dim, "dim_dom_perp_B": d - pb.dom.dim}),
     )
     solvable = all(c.held for c in conditions)
-    witness, verified = (
-        _left_operator_witness(a.adjoint(), b.adjoint()) if solvable else (None, False)
-    )
+    witness, verified = None, False
+    if solvable:
+        a_adj, b_adj = a.adjoint(), b.adjoint()
+        witness, verified = _left_operator_witness(a_adj, b_adj, profile(a_adj), profile(b_adj))
     notes = (
         "conditions on the adjoint pair: dom(A*) within dom(B*) is mul(B) within mul(A); "
         "ker(B*) within ker(A*) is ran(A) within ran(B); dim mul(A*) <= dim mul(B*) is "

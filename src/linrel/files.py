@@ -4,13 +4,19 @@ Two header lines ``dim_x=<n>`` and ``dim_y=<m>``, then one generator per line
 as space-separated rationals of length n + m.  Input generators need not be
 independent or canonical; the parser canonicalizes.  Output is the canonical
 basis, so serialization is deterministic: equal relations produce
-byte-identical files.
+byte-identical files.  The header may declare at most ``MAX_AMBIENT_DIM``
+coordinates in all, which bounds the time and memory a small file can ask for.
 """
 
 from __future__ import annotations
 
 from .exact import format_rational, parse_rational
 from .relation import LinearRelation
+
+# dim_x + dim_y above this is rejected, so that a header of a few bytes cannot
+# ask for minutes of work: `linrel info` on an empty 512 + 512 relation
+# already takes about a second.
+MAX_AMBIENT_DIM = 1024
 
 
 def parse_relation_text(text: str, source: str = "<input>") -> LinearRelation:
@@ -32,6 +38,11 @@ def parse_relation_text(text: str, source: str = "<input>") -> LinearRelation:
             raise ValueError(f"{source}:{body_start + 1}: bad count {value.strip()!r}") from None
         if dims[expected] < 0:
             raise ValueError(f"{source}:{body_start + 1}: negative dimension {dims[expected]}")
+        if sum(dims.values()) > MAX_AMBIENT_DIM:
+            raise ValueError(
+                f"{source}:{body_start + 1}: dimension {dims[expected]} makes dim_x + dim_y "
+                f"exceed the limit {MAX_AMBIENT_DIM}"
+            )
         body_start += 1
     width = dims["dim_x"] + dims["dim_y"]
     generators = []

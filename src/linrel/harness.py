@@ -5,6 +5,12 @@ abundant condition-violating pairs, which uniform sampling rarely produces.
 Determinism is per-implementation: the PRNG is Python's Mersenne Twister
 (``random.Random``) with documented sub-seed derivation, so equal (spec, seed)
 always reproduce identical canonical relations within this implementation.
+
+The brute-force witness search is definitional as well: it decides each
+grid candidate T on ``oracle_product_membership``'s stacked feasibility
+system, with B's block of it eliminated once per pair and all of A's basis
+vectors as right-hand sides, and re-verifies the one witness it returns with
+``compose``.
 """
 
 from __future__ import annotations
@@ -14,10 +20,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, combinations, product as iter_product
-from typing import Callable, Iterable, Optional
+from operator import mul
+from typing import Callable, Iterable, Optional, Sequence
 
 from . import factor
-from .exact import Matrix, rank, solve_linear, vector
+from .exact import Matrix, _eliminate, _integer_rows, nullspace, rank, solve_linear, vector
 from .files import serialize_relation
 from .relation import (
     LinearRelation,
@@ -220,14 +227,16 @@ def oracle_product_membership(
 # ---------------------------------------------------------------------------
 # Brute-force witness search over small coefficient grids (dims <= 2).
 
-@lru_cache(maxsize=None)
-def operator_graph_candidates(dim_x: int, dim_y: int, bound: int = 2) -> tuple[LinearRelation, ...]:
-    """Every single-valued relation Q^dim_x -> Q^dim_y whose graph is spanned
-    by generators with entries in [-bound, bound], deduplicated canonically.
+_Generators = tuple[tuple[int, ...], ...]
 
-    Graph dimension of an operator is at most dim_x, so spans of up to dim_x
-    grid vectors cover all candidates.  Gated to dim_x <= 2.
-    """
+
+@lru_cache(maxsize=None)
+def _candidate_grid(
+    dim_x: int, dim_y: int, bound: int
+) -> tuple[tuple[LinearRelation, _Generators], ...]:
+    """``operator_graph_candidates``, each with its graph basis as primitive
+    integer vectors: the reduced echelon rows, scaled to integers with a
+    positive leading entry, which are the same for equal spans."""
     if dim_x > 2:
         raise ValueError("brute-force enumeration is gated to dim_x <= 2")
     ambient = dim_x + dim_y
@@ -238,57 +247,148 @@ def operator_graph_candidates(dim_x: int, dim_y: int, bound: int = 2) -> tuple[L
         vec = [Fraction(e) for e in entries]
         lead = next(v for v in vec if v)
         lines.add(tuple(v / lead for v in vec))
-    line_reps = sorted(lines)
-    seen: dict[tuple, Subspace] = {}
-    zero = Subspace.zero(ambient)
-    seen[(0, zero.basis.entries)] = zero
+    line_reps = _integer_rows(sorted(lines))
+    spans: list[list[list[int]]] = [[]]
     if dim_x >= 1:
-        for rep in line_reps:
-            s = Subspace.from_vectors(ambient, [rep])
-            seen.setdefault((s.dim, s.basis.entries), s)
+        spans += ([rep] for rep in line_reps)
     if dim_x >= 2:
-        for r1, r2 in combinations(line_reps, 2):
-            s = Subspace.from_vectors(ambient, [r1, r2])
-            if s.dim == 2:
-                seen.setdefault((s.dim, s.basis.entries), s)
-    out = []
-    for sub in seen.values():
-        rel = LinearRelation(dim_x, dim_y, sub)
-        if profile(rel).is_operator:
-            out.append(rel)
-    return tuple(out)
+        spans += (list(pair) for pair in combinations(line_reps, 2))
+    seen: dict[_Generators, bool] = {}
+    for rows in spans:
+        pivots = _eliminate(rows, ambient, reduce=True)
+        gens = tuple(
+            tuple(row) if row[p] > 0 else tuple(-v for v in row) for row, p in zip(rows, pivots)
+        )
+        # single-valued: no basis vector (0, y), so every pivot lies in the x-block
+        seen.setdefault(gens, not pivots or pivots[-1] < dim_x)
+    return tuple(
+        (LinearRelation(dim_x, dim_y, Subspace.from_vectors(ambient, gens)), gens)
+        for gens, single_valued in seen.items()
+        if single_valued
+    )
+
+
+def operator_graph_candidates(dim_x: int, dim_y: int, bound: int = 2) -> tuple[LinearRelation, ...]:
+    """Every single-valued relation Q^dim_x -> Q^dim_y whose graph is spanned
+    by generators with entries in [-bound, bound], deduplicated canonically.
+
+    Graph dimension of an operator is at most dim_x, so spans of up to dim_x
+    grid vectors cover all candidates.  Spans are told apart and tested for
+    single-valuedness on their integer echelon form, and only the operators
+    become relations.  Gated to dim_x <= 2.
+    """
+    return tuple(t for t, _ in _candidate_grid(dim_x, dim_y, bound))
+
+
+def _dot(u: Sequence[int], v: Sequence[int]) -> int:
+    return sum(map(mul, u, v))
+
+
+def _product_test(a: LinearRelation, b: LinearRelation, side: str) -> Callable[[_Generators], bool]:
+    """The brute-force search's decision for one pair: a function of a
+    candidate T, given by its graph basis as integer vectors, that tells
+    whether B∘T = A (``right``) or T∘B = A (``left``).
+
+    Everything that depends only on (A, B) is eliminated here, once:
+
+    * A ⊆ the product: ``oracle_product_membership``'s stacked system, with
+      columns for the inner and the outer generators and rows for x, the
+      interface y and z, has a solution for the probe (x, z) exactly when
+      W·(T's columns)·α = W·(x, 0, z) does, where the rows W span the left
+      nullspace of B's column block.  All of A's basis vectors go in as
+      right-hand sides; they all lie in the product exactly when no pivot of
+      one forward elimination lands in a probe column.
+    * the product ⊆ A: the product is (inner_x α, outer_z β) over the
+      coefficients with inner_y α = outer_x β.  It lies in A exactly when every
+      row h of A^⊥, pulled back to (α, β), is in the row space of those
+      interface equations: with the equations' columns first and one column
+      per h, no pivot lands in an h column.  B's rows of that matrix are
+      brought to echelon form here, so a candidate adds only its own rows.
+
+    Each check is one elimination of ``exact._eliminate`` per candidate.
+    """
+    n, k = a.dim_x, a.dim_y
+    b_gens = _integer_rows(b.graph.basis.column_tuples())
+    probes = _integer_rows(a.graph.basis.column_tuples())
+    perp = _integer_rows(a.graph.ortho_complement().basis.column_tuples())
+    if side == "right":  # T inner Q^n -> Q^m, B outer Q^m -> Q^k
+        m = b.dim_x
+        b_block = [[0] * n + [-v for v in g[:m]] + g[m:] for g in b_gens]
+    else:  # B inner Q^n -> Q^m, T outer Q^m -> Q^k
+        m = b.dim_y
+        b_block = [g + [0] * k for g in b_gens]
+    size = n + m + k
+    annihilator = nullspace(Matrix(len(b_block), size, tuple(chain.from_iterable(b_block))))
+    w_rows = _integer_rows(annihilator.column_tuples())
+    rhs = [[_dot(w[:n], g[:n]) + _dot(w[n + m :], g[n:]) for g in probes] for w in w_rows]
+    # The pivot columns of W·(probes) span all of them: only those go in.
+    basic = _eliminate([row[:] for row in rhs], len(probes), reduce=False)
+    rhs = [[row[j] for j in basic] for row in rhs]
+    # Each entry of a candidate's rows is one dot product with a column t of
+    # T's graph basis: ``pull_*`` hold the vectors it is taken with.
+    unit = [[int(i == j) for j in range(m)] for i in range(m)]
+    if side == "right":  # T's column (t, 0) in the stacked system; interface row t_y
+        pull_in = [w[: n + m] for w in w_rows]
+        pull_out = [[0] * n + e for e in unit] + [h[:n] + [0] * m for h in perp]
+        b_rows = [[-v for v in g[:m]] + [_dot(h[n:], g[m:]) for h in perp] for g in b_gens]
+    else:  # T's column (0, -t_x, t_y) in the stacked system; interface row -t_x
+        pull_in = [[-v for v in w[n : n + m]] + w[n + m :] for w in w_rows]
+        pull_out = [[-v for v in e] + [0] * k for e in unit] + [[0] * m + h[n:] for h in perp]
+        b_rows = [g[n:] + [_dot(h[:n], g[:n]) for h in perp] for g in b_gens]
+    width = m + len(perp)
+    b_echelon = b_rows[: len(_eliminate(b_rows, width, reduce=False))]
+
+    def admits(gens: _Generators) -> bool:
+        r = len(gens)
+        if r < len(basic):  # r columns cannot span more independent right-hand sides
+            return False
+        rows = [[sum(map(mul, p, t)) for t in gens] + row for p, row in zip(pull_in, rhs)]
+        pivots = _eliminate(rows, r + len(basic), reduce=False)
+        if pivots and pivots[-1] >= r:
+            return False
+        rows = b_echelon + [[sum(map(mul, p, t)) for p in pull_out] for t in gens]
+        pivots = _eliminate(rows, width, reduce=False)
+        return not pivots or pivots[-1] < m
+
+    return admits
+
+
+def _search(
+    a: LinearRelation, b: LinearRelation, side: str, dims: tuple[int, int], bound: int
+) -> Optional[LinearRelation]:
+    admits = _product_test(a, b, side)
+    for t, gens in _candidate_grid(*dims, bound):
+        if admits(gens):
+            if (compose(b, t) if side == "right" else compose(t, b)) != a:
+                raise RuntimeError(f"{side} brute-force witness passes elimination but not compose")
+            return t
+    return None
 
 
 def brute_force_right_witness(
     a: LinearRelation, b: LinearRelation, bound: int = 2
 ) -> Optional[LinearRelation]:
-    """Search the candidate grid for a single-valued T with B∘T = A."""
+    """The first candidate of the grid that is a single-valued T with B∘T = A.
+
+    Definitional: each candidate is decided by block elimination of the
+    stacked feasibility system (see ``_product_test``), and the one returned
+    is re-verified by ``compose``.
+    """
     if a.dim_y != b.dim_y:
         raise ValueError("target dimensions differ")
-    probes = [
-        (g[: a.dim_x], g[a.dim_x :]) for g in a.graph.basis.column_tuples()
-    ]
-    for t in operator_graph_candidates(a.dim_x, b.dim_x, bound):
-        if all(oracle_product_membership(t, b, x, z) for x, z in probes):
-            if compose(b, t) == a:
-                return t
-    return None
+    return _search(a, b, "right", (a.dim_x, b.dim_x), bound)
 
 
 def brute_force_left_witness(
     a: LinearRelation, b: LinearRelation, bound: int = 2
 ) -> Optional[LinearRelation]:
-    """Search the candidate grid for a single-valued T with T∘B = A."""
+    """The first candidate of the grid that is a single-valued T with T∘B = A.
+
+    Decided and re-verified as in ``brute_force_right_witness``.
+    """
     if a.dim_x != b.dim_x:
         raise ValueError("source dimensions differ")
-    probes = [
-        (g[: a.dim_x], g[a.dim_x :]) for g in a.graph.basis.column_tuples()
-    ]
-    for t in operator_graph_candidates(b.dim_y, a.dim_y, bound):
-        if all(oracle_product_membership(b, t, x, y) for x, y in probes):
-            if compose(t, b) == a:
-                return t
-    return None
+    return _search(a, b, "left", (b.dim_y, a.dim_y), bound)
 
 
 # ---------------------------------------------------------------------------

@@ -116,7 +116,13 @@ def _operator_iff_sweep(side):
     return buckets
 
 
+# Wall-clock budget of one brute-force sweep: each takes 4-5.5 s on a 2-core
+# VM with CPython 3.11, the (2, 2) candidate grid build included.
+BRUTE_FORCE_SWEEP_BUDGET_S = 25
+
+
 def _brute_force_sweep(side, violating_kinds, base_seed):
+    start = time.monotonic()
     confirmed = 0
     index = 0
     while confirmed < 50:
@@ -143,6 +149,8 @@ def _brute_force_sweep(side, violating_kinds, base_seed):
             )
         confirmed += 1
     assert confirmed == 50
+    elapsed = time.monotonic() - start
+    assert elapsed < BRUTE_FORCE_SWEEP_BUDGET_S, f"{side} brute-force sweep took {elapsed:.1f}s"
 
 
 def test_criterion_4_right_operator_factorization():

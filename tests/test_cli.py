@@ -2,12 +2,14 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 from linrel import harness, parse_relation_text, serialize_relation
 from linrel.cli import main
+from linrel.files import MAX_AMBIENT_DIM
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -77,6 +79,24 @@ class TestInfo:
         code, _, err = run(capsys, "info", path)
         assert code == 1
         assert ":3:" in err and "field 3" in err
+
+    def test_oversized_header_is_rejected_quickly(self, tmp_path, capsys):
+        # 22 bytes that used to keep `info` busy for more than 20 s
+        path = tmp_path / "huge.rel"
+        path.write_text("dim_x=3000\ndim_y=3000\n")
+        assert path.stat().st_size == 22
+        start = time.monotonic()
+        code, out, err = run(capsys, "info", path)
+        assert time.monotonic() - start < 5
+        assert code == 1 and out == ""
+        assert f"{path}:1:" in err and str(MAX_AMBIENT_DIM) in err
+
+    def test_dimension_limit_is_on_the_sum(self):
+        limit = MAX_AMBIENT_DIM
+        rel = parse_relation_text(f"dim_x={limit // 2}\ndim_y={limit - limit // 2}\n")
+        assert (rel.dim_x, rel.dim_y) == (limit // 2, limit - limit // 2)
+        with pytest.raises(ValueError, match=r"^f\.rel:2: .*limit"):
+            parse_relation_text(f"dim_x={limit // 2}\ndim_y={limit - limit // 2 + 1}\n", "f.rel")
 
 
 class TestSolve:

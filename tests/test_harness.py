@@ -7,6 +7,7 @@ from linrel import (
     Matrix,
     RelationSpec,
     Subspace,
+    brute_force_left_witness,
     brute_force_right_witness,
     compose,
     oracle_product_membership,
@@ -179,6 +180,117 @@ class TestBruteForce:
         witness = brute_force_right_witness(a, b, 2)
         assert witness is not None
         assert compose(b, witness) == a
+
+
+def reference_witness(a, b, side, bound=2):
+    """The brute-force search as first written: every probe through
+    ``oracle_product_membership``, then ``compose`` on each survivor."""
+    probes = [(g[: a.dim_x], g[a.dim_x :]) for g in a.graph.basis.column_tuples()]
+    if side == "right":
+        for t in operator_graph_candidates(a.dim_x, b.dim_x, bound):
+            if all(oracle_product_membership(t, b, x, z) for x, z in probes):
+                if compose(b, t) == a:
+                    return t
+    else:
+        for t in operator_graph_candidates(b.dim_y, a.dim_y, bound):
+            if all(oracle_product_membership(b, t, x, y) for x, y in probes):
+                if compose(t, b) == a:
+                    return t
+    return None
+
+
+def search(a, b, side):
+    if side == "right":
+        return brute_force_right_witness(a, b, 2)
+    return brute_force_left_witness(a, b, 2)
+
+
+def grid_shape(a, b, side):
+    return (a.dim_x, b.dim_x) if side == "right" else (b.dim_y, a.dim_y)
+
+
+def seeded_pairs(side, seed, count_per_kind, shapes=((1, 1), (1, 2), (2, 1))):
+    """Pairs of every kind whose unknown T has one of ``shapes``."""
+    if side == "right":
+        kinds, pair_fn = RIGHT_KINDS, targeted_right_pair
+    else:
+        kinds, pair_fn = LEFT_KINDS, targeted_left_pair
+    rng = random.Random(seed)
+    pairs = []
+    for kind in kinds:
+        found = 0
+        while found < count_per_kind:
+            a, b = pair_fn(rng, kind, max_dim=2, bound=2)
+            if grid_shape(a, b, side) in shapes:
+                pairs.append((kind, a, b))
+                found += 1
+    return pairs
+
+
+def edge_pairs(side):
+    """A and B each zero, full or random, on spaces that include dimension 0."""
+    rng = random.Random(29)
+    out = []
+    for n, m, k in ((0, 1, 1), (1, 0, 1), (1, 1, 0), (2, 1, 0), (0, 0, 0), (1, 2, 1), (2, 1, 2)):
+        # right: A from Q^n to Q^k, B from Q^m to Q^k; left: A from Q^n to Q^m, B from Q^n to Q^k
+        a_dims, b_dims = ((n, k), (m, k)) if side == "right" else ((n, m), (n, k))
+        a_choices = (
+            LinearRelation.zero_relation(*a_dims),
+            LinearRelation.full_relation(*a_dims),
+            harness.random_mixed_relation(rng, *a_dims, 2),
+        )
+        b_choices = (
+            LinearRelation.zero_relation(*b_dims),
+            LinearRelation.full_relation(*b_dims),
+            harness.random_mixed_relation(rng, *b_dims, 2),
+        )
+        out += [(a, b) for a in a_choices for b in b_choices]
+    return out
+
+
+class TestBruteForceAgainstReference:
+    @pytest.mark.parametrize("side", ["right", "left"])
+    def test_seeded_pairs_of_every_kind(self, side):
+        solvable = 0
+        for kind, a, b in seeded_pairs(side, 61 if side == "right" else 62, 8):
+            expected = reference_witness(a, b, side)
+            shown = (kind, serialize_relation(a), serialize_relation(b))
+            assert search(a, b, side) == expected, shown
+            solvable += expected is not None
+        assert solvable >= 5
+
+    @pytest.mark.parametrize("side", ["right", "left"])
+    def test_edge_cases(self, side):
+        pairs = edge_pairs(side)
+        assert any(a.graph.dim == 0 for a, _ in pairs)
+        for a, b in pairs:
+            assert search(a, b, side) == reference_witness(a, b, side), (
+                serialize_relation(a),
+                serialize_relation(b),
+            )
+
+    def test_finds_a_witness_on_the_largest_grid(self):
+        a = graph([[2, 0], [0, 0]])
+        b = graph([[1, 0], [0, 1]])
+        assert brute_force_right_witness(a, b, 2) == a
+        assert brute_force_left_witness(a, b, 2) == a
+
+    @pytest.mark.parametrize("side", ["right", "left"])
+    def test_every_candidate_decision_matches_compose(self, side):
+        # Both inclusions must be decided: candidates with A strictly inside
+        # the product, and with the product strictly inside A, both occur.
+        a_inside = product_inside = 0
+        for shape in ((1, 1), (1, 2), (2, 1)):
+            for _, a, b in seeded_pairs(side, 71, 1, shapes=(shape,)):
+                admits = harness._product_test(a, b, side)
+                for t, gens in harness._candidate_grid(*shape, 2):
+                    product = compose(b, t) if side == "right" else compose(t, b)
+                    shown = (serialize_relation(t), serialize_relation(a))
+                    assert admits(gens) == (product == a), shown
+                    if product != a:
+                        a_inside += product.graph.contains(a.graph)
+                        product_inside += a.graph.contains(product.graph)
+        assert a_inside > 0 and product_inside > 0
 
 
 class TestRunSuite:
