@@ -1,24 +1,21 @@
 """Factorization solvers: decide A = B∘T and A = T∘B and build witnesses.
 
-Each solver evaluates a named set of necessary-and-sufficient conditions,
-constructs an explicit witness when they hold, and re-verifies the witness by
-exact composition.  Reports never claim witness uniqueness; ``verify`` is the
-contract.
+Each solver evaluates a named set of necessary-and-sufficient conditions on
+the profiles of A and B.  Only when every condition holds does ``_report``
+build an explicit witness and re-verify it by exact composition; an
+unsolvable answer composes nothing.  Reports never claim witness uniqueness;
+``verify`` is the contract.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 from .files import generator_rows
 from .relation import LinearRelation, RelationProfile, compose, cw_sum, profile
 
-RAN_SUBSET = "ran_subset"
-MUL_SUBSET = "mul_subset"
 MUL_EQUAL = "mul_equal"
-DOM_SUBSET = "dom_subset"
-KER_SUBSET = "ker_subset"
 MUL_DIM_LE = "mul_dim_le"
 DOM_PERP_DIM_LE = "dom_perp_dim_le"
 
@@ -108,6 +105,38 @@ def _require_square_pair(a: LinearRelation, b: LinearRelation) -> None:
         raise ValueError(f"space dimensions differ: {a.dim_x} vs {b.dim_x}")
 
 
+def _report(side: str, level: str, conditions: tuple[Condition, ...],
+            build: Callable[[], tuple[LinearRelation, bool]], notes: str) -> FactorizationReport:
+    """The one report path: ``build`` (a witness and its exact check) runs
+    only when every condition holds.  ``{verified}`` in ``notes`` is
+    replaced by the check's yes/no."""
+    solvable = all(c.held for c in conditions)
+    witness, verified = build() if solvable else (None, False)
+    return FactorizationReport(side, level, conditions, solvable, witness, verified,
+                               notes.format(verified=_yn(verified)))
+
+
+def _dims(part: str, pa: RelationProfile, pb: RelationProfile) -> dict[str, int]:
+    return {f"dim_{part}_A": getattr(pa, part).dim, f"dim_{part}_B": getattr(pb, part).dim}
+
+
+def _subset(part: str, pa: RelationProfile, pb: RelationProfile, *, a_inside_b: bool) -> Condition:
+    """``part``_subset: part(A) ⊆ part(B) if ``a_inside_b``, else part(B) ⊆ part(A)."""
+    sa, sb = getattr(pa, part), getattr(pb, part)
+    held = sb.contains(sa) if a_inside_b else sa.contains(sb)
+    return Condition(f"{part}_subset", held, _dims(part, pa, pb))
+
+
+def _right_relation_witness(a: LinearRelation, b: LinearRelation) -> tuple[LinearRelation, bool]:
+    candidate = compose(b.inverse(), a)
+    return candidate, compose(b, candidate) == a
+
+
+def _left_relation_witness(a: LinearRelation, b: LinearRelation) -> tuple[LinearRelation, bool]:
+    candidate = compose(a, b.inverse())
+    return candidate, compose(candidate, b) == a
+
+
 def _right_operator_witness(
     a: LinearRelation, b: LinearRelation, pa: RelationProfile
 ) -> tuple[LinearRelation, bool]:
@@ -141,24 +170,11 @@ def solve_right_relation(a: LinearRelation, b: LinearRelation) -> FactorizationR
     _require_shared_target(a, b)
     pa, pb = profile(a), profile(b)
     conditions = (
-        Condition(RAN_SUBSET, pb.ran.contains(pa.ran),
-                  {"dim_ran_A": pa.ran.dim, "dim_ran_B": pb.ran.dim}),
-        Condition(MUL_SUBSET, pa.mul.contains(pb.mul),
-                  {"dim_mul_A": pa.mul.dim, "dim_mul_B": pb.mul.dim}),
+        _subset("ran", pa, pb, a_inside_b=True),
+        _subset("mul", pa, pb, a_inside_b=False),
     )
-    candidate = compose(b.inverse(), a)
-    closes = compose(b, candidate) == a
-    solvable = all(c.held for c in conditions)
-    notes = f"candidate C=B^-1*A; B*C equals A: {_yn(closes)}"
-    return FactorizationReport(
-        side="right",
-        level="relation",
-        conditions=conditions,
-        solvable=solvable,
-        witness=candidate if solvable else None,
-        verified=closes if solvable else False,
-        notes=notes,
-    )
+    return _report("right", "relation", conditions, lambda: _right_relation_witness(a, b),
+                   "candidate C=B^-1*A; B*C equals A: {verified}")
 
 
 def solve_right_operator(a: LinearRelation, b: LinearRelation) -> FactorizationReport:
@@ -170,30 +186,19 @@ def solve_right_operator(a: LinearRelation, b: LinearRelation) -> FactorizationR
     _require_shared_target(a, b)
     pa, pb = profile(a), profile(b)
     conditions = (
-        Condition(RAN_SUBSET, pb.ran.contains(pa.ran),
-                  {"dim_ran_A": pa.ran.dim, "dim_ran_B": pb.ran.dim}),
-        Condition(MUL_EQUAL, pa.mul == pb.mul,
-                  {"dim_mul_A": pa.mul.dim, "dim_mul_B": pb.mul.dim}),
+        _subset("ran", pa, pb, a_inside_b=True),
+        Condition(MUL_EQUAL, pa.mul == pb.mul, _dims("mul", pa, pb)),
     )
-    solvable = all(c.held for c in conditions)
-    witness, verified = _right_operator_witness(a, b, pa) if solvable else (None, False)
-    joint = compose(b.inverse(), a)
-    joint_is_operator = profile(joint).is_operator
-    joint_is_operator_solution = solvable and pb.ker.dim == 0
+    # mul(B⁻¹∘A) = {w : (w, y) ∈ B for some y ∈ mul(A)}, which is {0} iff
+    # ker(B) = 0 and mul(A) ∩ ran(B) ⊆ mul(B)
+    joint_is_operator = pb.ker.dim == 0 and pb.mul.contains(pa.mul.intersect(pb.ran))
+    joint_is_operator_solution = all(c.held for c in conditions) and pb.ker.dim == 0
     notes = (
         f"B^-1*A is itself an operator: {_yn(joint_is_operator)}; "
         f"it is the operator solution iff additionally ker(B)=0 "
         f"(dim ker(B)={pb.ker.dim}): {_yn(joint_is_operator_solution)}"
     )
-    return FactorizationReport(
-        side="right",
-        level="operator",
-        conditions=conditions,
-        solvable=solvable,
-        witness=witness,
-        verified=verified,
-        notes=notes,
-    )
+    return _report("right", "operator", conditions, lambda: _right_operator_witness(a, b, pa), notes)
 
 
 def solve_left_relation(a: LinearRelation, b: LinearRelation) -> FactorizationReport:
@@ -201,24 +206,11 @@ def solve_left_relation(a: LinearRelation, b: LinearRelation) -> FactorizationRe
     _require_shared_source(a, b)
     pa, pb = profile(a), profile(b)
     conditions = (
-        Condition(DOM_SUBSET, pb.dom.contains(pa.dom),
-                  {"dim_dom_A": pa.dom.dim, "dim_dom_B": pb.dom.dim}),
-        Condition(KER_SUBSET, pa.ker.contains(pb.ker),
-                  {"dim_ker_A": pa.ker.dim, "dim_ker_B": pb.ker.dim}),
+        _subset("dom", pa, pb, a_inside_b=True),
+        _subset("ker", pa, pb, a_inside_b=False),
     )
-    candidate = compose(a, b.inverse())
-    closes = compose(candidate, b) == a
-    solvable = all(c.held for c in conditions)
-    notes = f"candidate C=A*B^-1; C*B equals A: {_yn(closes)}"
-    return FactorizationReport(
-        side="left",
-        level="relation",
-        conditions=conditions,
-        solvable=solvable,
-        witness=candidate if solvable else None,
-        verified=closes if solvable else False,
-        notes=notes,
-    )
+    return _report("left", "relation", conditions, lambda: _left_relation_witness(a, b),
+                   "candidate C=A*B^-1; C*B equals A: {verified}")
 
 
 def solve_left_operator(a: LinearRelation, b: LinearRelation) -> FactorizationReport:
@@ -231,30 +223,17 @@ def solve_left_operator(a: LinearRelation, b: LinearRelation) -> FactorizationRe
     _require_shared_source(a, b)
     pa, pb = profile(a), profile(b)
     conditions = (
-        Condition(DOM_SUBSET, pb.dom.contains(pa.dom),
-                  {"dim_dom_A": pa.dom.dim, "dim_dom_B": pb.dom.dim}),
-        Condition(KER_SUBSET, pa.ker.contains(pb.ker),
-                  {"dim_ker_A": pa.ker.dim, "dim_ker_B": pb.ker.dim}),
-        Condition(MUL_DIM_LE, pa.mul.dim <= pb.mul.dim,
-                  {"dim_mul_A": pa.mul.dim, "dim_mul_B": pb.mul.dim}),
+        _subset("dom", pa, pb, a_inside_b=True),
+        _subset("ker", pa, pb, a_inside_b=False),
+        Condition(MUL_DIM_LE, pa.mul.dim <= pb.mul.dim, _dims("mul", pa, pb)),
     )
-    solvable = all(c.held for c in conditions)
-    witness, verified = _left_operator_witness(a, b, pa, pb) if solvable else (None, False)
-    joint_is_operator_solution = solvable and pa.mul.dim == 0
+    joint_is_operator_solution = all(c.held for c in conditions) and pa.mul.dim == 0
     notes = (
         "a surjection from a subspace of mul(B) onto mul(A) exists iff "
         f"dim mul(A) <= dim mul(B); A*B^-1 is itself the operator witness iff "
         f"additionally mul(A)=0 (dim mul(A)={pa.mul.dim}): {_yn(joint_is_operator_solution)}"
     )
-    return FactorizationReport(
-        side="left",
-        level="operator",
-        conditions=conditions,
-        solvable=solvable,
-        witness=witness,
-        verified=verified,
-        notes=notes,
-    )
+    return _report("left", "operator", conditions, lambda: _left_operator_witness(a, b, pa, pb), notes)
 
 
 def solve_adjoint_right(a: LinearRelation, b: LinearRelation) -> FactorizationReport:
@@ -268,29 +247,18 @@ def solve_adjoint_right(a: LinearRelation, b: LinearRelation) -> FactorizationRe
     _require_square_pair(a, b)
     pa, pb = profile(a), profile(b)
     conditions = (
-        Condition(KER_SUBSET, pa.ker.contains(pb.ker),
-                  {"dim_ker_A": pa.ker.dim, "dim_ker_B": pb.ker.dim}),
-        Condition(MUL_EQUAL, pa.dom == pb.dom,
-                  {"dim_dom_A": pa.dom.dim, "dim_dom_B": pb.dom.dim}),
+        _subset("ker", pa, pb, a_inside_b=False),
+        Condition(MUL_EQUAL, pa.dom == pb.dom, _dims("dom", pa, pb)),
     )
-    solvable = all(c.held for c in conditions)
-    witness, verified = None, False
-    if solvable:
+
+    def build() -> tuple[LinearRelation, bool]:
         a_adj = a.adjoint()
-        witness, verified = _right_operator_witness(a_adj, b.adjoint(), profile(a_adj))
-    notes = (
+        return _right_operator_witness(a_adj, b.adjoint(), profile(a_adj))
+
+    return _report("right", "adjoint", conditions, build, (
         "conditions on the adjoint pair: ran(A*) within ran(B*) is ker(B) within ker(A); "
         "mul(A*)=mul(B*) is dom(A)=dom(B); closures are identities in finite dimension"
-    )
-    return FactorizationReport(
-        side="right",
-        level="adjoint",
-        conditions=conditions,
-        solvable=solvable,
-        witness=witness,
-        verified=verified,
-        notes=notes,
-    )
+    ))
 
 
 def solve_adjoint_left(a: LinearRelation, b: LinearRelation) -> FactorizationReport:
@@ -305,32 +273,21 @@ def solve_adjoint_left(a: LinearRelation, b: LinearRelation) -> FactorizationRep
     d = a.dim_x
     pa, pb = profile(a), profile(b)
     conditions = (
-        Condition(MUL_SUBSET, pa.mul.contains(pb.mul),
-                  {"dim_mul_A": pa.mul.dim, "dim_mul_B": pb.mul.dim}),
-        Condition(RAN_SUBSET, pb.ran.contains(pa.ran),
-                  {"dim_ran_A": pa.ran.dim, "dim_ran_B": pb.ran.dim}),
+        _subset("mul", pa, pb, a_inside_b=False),
+        _subset("ran", pa, pb, a_inside_b=True),
         Condition(DOM_PERP_DIM_LE, d - pa.dom.dim <= d - pb.dom.dim,
                   {"dim_dom_perp_A": d - pa.dom.dim, "dim_dom_perp_B": d - pb.dom.dim}),
     )
-    solvable = all(c.held for c in conditions)
-    witness, verified = None, False
-    if solvable:
+
+    def build() -> tuple[LinearRelation, bool]:
         a_adj, b_adj = a.adjoint(), b.adjoint()
-        witness, verified = _left_operator_witness(a_adj, b_adj, profile(a_adj), profile(b_adj))
-    notes = (
+        return _left_operator_witness(a_adj, b_adj, profile(a_adj), profile(b_adj))
+
+    return _report("left", "adjoint", conditions, build, (
         "conditions on the adjoint pair: dom(A*) within dom(B*) is mul(B) within mul(A); "
         "ker(B*) within ker(A*) is ran(A) within ran(B); dim mul(A*) <= dim mul(B*) is "
         "dim dom(A)-perp <= dim dom(B)-perp; closures are identities in finite dimension"
-    )
-    return FactorizationReport(
-        side="left",
-        level="adjoint",
-        conditions=conditions,
-        solvable=solvable,
-        witness=witness,
-        verified=verified,
-        notes=notes,
-    )
+    ))
 
 
 def verify(a: LinearRelation, b: LinearRelation, t: LinearRelation, side: str) -> bool:

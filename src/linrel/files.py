@@ -18,6 +18,15 @@ from .relation import LinearRelation
 # already takes about a second.
 MAX_AMBIENT_DIM = 1024
 
+# error messages quote at most this many characters of an offending field
+_ECHO_CHARS = 40
+
+
+def _echo(field: str) -> str:
+    if len(field) <= _ECHO_CHARS:
+        return repr(field)
+    return f"{field[:_ECHO_CHARS]!r}... ({len(field)} characters)"
+
 
 def parse_relation_text(text: str, source: str = "<input>") -> LinearRelation:
     lines = text.splitlines()
@@ -59,7 +68,9 @@ def parse_relation_text(text: str, source: str = "<input>") -> LinearRelation:
             try:
                 row.append(parse_rational(field))
             except ValueError:
-                raise ValueError(f"{source}:{offset}: field {j + 1}: bad rational {field!r}") from None
+                raise ValueError(
+                    f"{source}:{offset}: field {j + 1}: bad rational {_echo(field)}"
+                ) from None
         generators.append(row)
     return LinearRelation.from_generators(dims["dim_x"], dims["dim_y"], generators)
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .exact import Matrix, Scalar, solve_linear, vector
+from .exact import Matrix, Scalar, vector
 from .subspace import Subspace
 
 
@@ -87,13 +87,13 @@ class LinearRelation:
         return self == self.adjoint()
 
     def membership(self, x: Sequence[Scalar], y: Sequence[Scalar]) -> bool:
-        """Whether (x; y) lies in the graph, decided by an exact solve."""
+        """Whether (x; y) lies in the graph (``Subspace.contains_vector``)."""
         xv, yv = vector(x), vector(y)
         if len(xv) != self.dim_x or len(yv) != self.dim_y:
             raise ValueError(
                 f"point lengths ({len(xv)}, {len(yv)}) do not match dims ({self.dim_x}, {self.dim_y})"
             )
-        return solve_linear(self.graph.basis, xv + yv) is not None
+        return self.graph.contains_vector(xv + yv)
 
     def __matmul__(self, other: "LinearRelation") -> "LinearRelation":
         return compose(self, other)

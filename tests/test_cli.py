@@ -91,6 +91,15 @@ class TestInfo:
         assert code == 1 and out == ""
         assert f"{path}:1:" in err and str(MAX_AMBIENT_DIM) in err
 
+    def test_long_bad_literal_is_echoed_short(self, tmp_path, capsys):
+        # over CPython's 4 300-digit int limit; the whole field used to be echoed
+        path = tmp_path / "long.rel"
+        path.write_text("dim_x=1\ndim_y=1\n1 " + "7" * 5000 + "\n")
+        code, out, err = run(capsys, "info", path)
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1 and len(err) < 200
+        assert err.startswith(f"error: {path}:3: field 2: bad rational '777") and "5000" in err
+
     def test_dimension_limit_is_on_the_sum(self):
         limit = MAX_AMBIENT_DIM
         rel = parse_relation_text(f"dim_x={limit // 2}\ndim_y={limit - limit // 2}\n")
@@ -200,6 +209,18 @@ class TestGen:
         code, out, _ = run(capsys, "info", path)
         assert code == 0
         assert "dom=2 ran=2 ker=1 mul=1 operator=no" in out
+
+    def test_gen_obeys_the_dimension_limit(self):
+        # used to start a 1 200-wide elimination and write a file `info` rejects
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-m", "linrel", "gen", "--dim-x", "600", "--dim-y", "600"],
+            capture_output=True, text=True, env=env, timeout=10,
+        )
+        assert done.returncode == 1 and done.stdout == ""
+        assert done.stderr.startswith("error:") and str(MAX_AMBIENT_DIM) in done.stderr
 
     def test_inconsistent_request(self, capsys):
         code, _, err = run(capsys, "gen", "--dim-x", "1", "--dim-y", "1", "--dom", "1",

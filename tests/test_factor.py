@@ -1,13 +1,17 @@
 import json
+import random
+from unittest import mock
 
+import hypothesis.strategies as st
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 
 from linrel import (
     LinearRelation,
     Matrix,
     Subspace,
     compose,
+    cw_sum,
     profile,
     solve_adjoint_left,
     solve_adjoint_right,
@@ -18,9 +22,10 @@ from linrel import (
     verify,
     zero_times,
 )
+from linrel import factor, harness
 from linrel.factor import Condition, FactorizationReport
 
-from strategies import square_relation_pairs
+from strategies import relations, square_relation_pairs, subspaces
 
 
 def graph(rows):
@@ -236,3 +241,79 @@ class TestAdjointConsistency:
         assert right.solvable == solve_right_operator(a.adjoint(), b.adjoint()).solvable
         left = solve_adjoint_left(a, b)
         assert left.solvable == solve_left_operator(a.adjoint(), b.adjoint()).solvable
+
+
+@st.composite
+def right_pairs(draw, max_dim=3):
+    """(A, B) with a shared target: A free, A = B∘C (so ran(A) ⊆ ran(B)), or
+    B∘C with a multivalued part {0} × V added, which may leave ran(B)."""
+    nx, ny, nz = (draw(st.integers(0, max_dim)) for _ in range(3))
+    b = draw(relations(dim_x=ny, dim_y=nz))
+    flavor = draw(st.integers(0, 2))
+    if flavor == 0:
+        return draw(relations(dim_x=nx, dim_y=nz)), b
+    a = compose(b, draw(relations(dim_x=nx, dim_y=ny)))
+    if flavor == 2:
+        a = cw_sum(a, zero_times(nx, draw(subspaces(ambient=nz))))[0]
+    return a, b
+
+
+class TestRightOperatorNote:
+    @given(right_pairs())
+    @example((SCALED, PROJ))                 # ker(B) != 0: no
+    @example((FULL1, IDENT1))                # mul(A) ∩ ran(B) outside mul(B): no
+    @example((PROJ, IDENT2))                 # yes
+    @example((zero_times(1, Subspace.from_vectors(2, [(0, 1)])), graph([[1], [0]])))  # mul(A) outside ran(B): yes
+    def test_joint_operator_note_matches_composition(self, pair):
+        a, b = pair
+        with mock.patch.object(factor, "compose", wraps=compose) as counted:
+            report = solve_right_operator(a, b)
+        reference = profile(compose(b.inverse(), a)).is_operator
+        assert f"B^-1*A is itself an operator: {'yes' if reference else 'no'};" in report.notes
+        # the note is read off the profiles: only the witness and its check compose
+        assert counted.call_count == (2 if report.solvable else 0)
+
+
+def _unsolvable_cases():
+    """(solver, A, B) for every failing kind of the targeted samplers, and
+    square pairs for the adjoint solvers, kept only where the answer is no."""
+    rng = random.Random(606)
+    kinds = [
+        (harness.targeted_right_pair, kind, (solve_right_relation, solve_right_operator))
+        for kind in harness.RIGHT_KINDS if kind.startswith("violate")
+    ] + [
+        (harness.targeted_left_pair, kind, (solve_left_relation, solve_left_operator))
+        for kind in harness.LEFT_KINDS if kind.startswith("violate")
+    ]
+    for sampler, kind, solvers in kinds:
+        for _ in range(6):
+            a, b = sampler(rng, kind)
+            for solver in solvers:
+                yield solver, a, b
+    for _ in range(30):
+        a, b = harness.random_square_pair(rng)
+        for solver in (solve_adjoint_right, solve_adjoint_left):
+            yield solver, a, b
+
+
+class TestUnsolvableComposesNothing:
+    def test_no_compose_when_a_condition_fails(self):
+        seen = set()
+        for solver, a, b in _unsolvable_cases():
+            with mock.patch.object(factor, "compose", wraps=compose) as counted:
+                report = solver(a, b)
+            if report.solvable:
+                continue
+            seen.add(solver.__name__)
+            assert counted.call_count == 0, solver.__name__
+            assert report.witness is None and not report.verified
+            if solver is solve_right_relation:
+                assert compose(b, compose(b.inverse(), a)) != a
+                assert report.notes.endswith("B*C equals A: no")
+            if solver is solve_left_relation:
+                assert compose(compose(a, b.inverse()), b) != a
+                assert report.notes.endswith("C*B equals A: no")
+        assert seen == {
+            "solve_right_relation", "solve_right_operator", "solve_left_relation",
+            "solve_left_operator", "solve_adjoint_right", "solve_adjoint_left",
+        }

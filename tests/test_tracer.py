@@ -29,12 +29,39 @@ assert m["subspace.calls"] >= 1, m
 print("ok")
 """
 
+SOLVER_SCRIPT = """
+import tracer
+from linrel import LinearRelation, Matrix, factor
 
-def test_tracer_installs_and_counts():
+t = tracer.Tracer()
+t.install()
+a = LinearRelation.graph_of_matrix(Matrix.from_rows([[1, 2], [0, 0]]))
+b = LinearRelation.identity(2)
+for name in tracer.SOLVERS:
+    assert getattr(factor, name)(a, b).solvable, name
+m = t.metrics()
+for name in tracer.SOLVERS:
+    assert m[f"factor.{name}.calls"] == 1, m
+assert m["factor.solvable_frac"] == 1.0, m
+# each solvable answer composes twice: the witness and its check
+assert m["factor.compose_per_solve"] == 2.0, m
+print("ok")
+"""
+
+
+def _run_traced(script):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src"), str(ROOT / "perfbench")])
     proc = subprocess.run(
-        [sys.executable, "-c", SCRIPT], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, "-c", script], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "ok"
+
+
+def test_tracer_installs_and_counts():
+    _run_traced(SCRIPT)
+
+
+def test_tracer_counts_compose_per_solve():
+    _run_traced(SOLVER_SCRIPT)
