@@ -14,6 +14,7 @@ procedure, not a tolerance check.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -260,12 +261,18 @@ def _eliminate(data: list[list[int]], cols: int, reduce: bool) -> list[int]:
         if rank == nrows:
             break
     if reduce:
-        for i in range(rank - 1, 0, -1):
-            prow, col = data[i], pivots[i]
-            for r in range(i):
-                if data[r][col]:
-                    data[r] = _cancel(data[r], prow, col)
+        _back_substitute(data, pivots)
     return pivots
+
+
+def _back_substitute(data: list[list[int]], pivots: Sequence[int]) -> None:
+    """Clear every pivot column above its pivot, in rows that forward
+    elimination left in echelon form with these pivot columns."""
+    for i in range(len(pivots) - 1, 0, -1):
+        prow, col = data[i], pivots[i]
+        for r in range(i):
+            if data[r][col]:
+                data[r] = _cancel(data[r], prow, col)
 
 
 def _quotient(n: int, d: int) -> Fraction:
@@ -283,11 +290,43 @@ def echelon_rows(
     pivot columns.  Each row has ``cols`` entries."""
     data = _integer_rows(rows)
     pivots = _eliminate(data, cols, reduce=True)
+    return _reduced(data, pivots), pivots
+
+
+def split_echelon_rows(
+    rows: Iterable[Sequence[Fraction]], cols: int, cut: int, head: bool = True
+) -> tuple[Optional[list[tuple[Fraction, ...]]], list[tuple[Fraction, ...]]]:
+    """Reduced row echelon forms of the projection of span(``rows``) onto the
+    first ``cut`` coordinates (None unless ``head``), and of the slice
+    {w : (0, w) ∈ span(``rows``)}.
+
+    One forward elimination puts the rows in echelon form.  The rows that
+    pivot before ``cut`` span the projection once cut to their first ``cut``
+    entries, and the others span the slice once cut to the rest; each side
+    is back-substituted among its own rows only, so no row is reduced
+    against a row that the other side keeps.
+    """
+    data = _integer_rows(rows)
+    pivots = _eliminate(data, cols, reduce=False)
+    h = bisect_left(pivots, cut)
+    top = None
+    if head:
+        top = [row[:cut] for row in data[:h]]
+        _back_substitute(top, pivots[:h])
+        top = _reduced(top, pivots[:h])
+    bottom = [row[cut:] for row in data[h : len(pivots)]]
+    shifted = [p - cut for p in pivots[h:]]
+    _back_substitute(bottom, shifted)
+    return top, _reduced(bottom, shifted)
+
+
+def _reduced(data: list[list[int]], pivots: Sequence[int]) -> list[tuple[Fraction, ...]]:
+    """Each reduced echelon row divided by its pivot entry, as Fractions."""
     reduced = []
     for row, p in zip(data, pivots):
         lead = row[p]
         reduced.append(tuple(_quotient(x, lead) if x else _ZERO for x in row))
-    return reduced, pivots
+    return reduced
 
 
 def canonical_echelon(m: Matrix) -> EchelonForm:
@@ -336,8 +375,7 @@ def solve_linear(m: Matrix, b: Sequence[Scalar]) -> Optional[tuple[Fraction, ...
     pivots = _eliminate(data, m.cols + 1, reduce=False)
     if pivots and pivots[-1] == m.cols:
         return None
-    # The rows are in echelon form now: this pass only back-substitutes.
-    _eliminate(data, m.cols, reduce=True)
+    _back_substitute(data, pivots)
     x = [_ZERO] * m.cols
     for row, p in zip(data, pivots):
         if row[m.cols]:

@@ -12,8 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .files import generator_rows
-from .relation import LinearRelation, RelationProfile, compose, cw_sum, profile
+from .relation import LinearRelation, RelationProfile, compose, cw_sum, generator_rows, profile
 
 MUL_EQUAL = "mul_equal"
 MUL_DIM_LE = "mul_dim_le"

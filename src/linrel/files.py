@@ -10,8 +10,8 @@ coordinates in all, which bounds the time and memory a small file can ask for.
 
 from __future__ import annotations
 
-from .exact import format_rational, parse_rational
-from .relation import LinearRelation
+from .exact import parse_rational
+from .relation import LinearRelation, generator_rows
 
 # dim_x + dim_y above this is rejected, so that a header of a few bytes cannot
 # ask for minutes of work: `linrel info` on an empty 512 + 512 relation
@@ -78,11 +78,6 @@ def parse_relation_text(text: str, source: str = "<input>") -> LinearRelation:
 def parse_relation_file(path: str) -> LinearRelation:
     with open(path, "r", encoding="ascii") as handle:
         return parse_relation_text(handle.read(), source=path)
-
-
-def generator_rows(rel: LinearRelation) -> list[list[str]]:
-    """Canonical basis columns of the graph, each as a list of rational strings."""
-    return [[format_rational(x) for x in col] for col in rel.graph.basis.column_tuples()]
 
 
 def serialize_relation(rel: LinearRelation) -> str:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .exact import Matrix, Scalar, vector
+from .exact import Matrix, Scalar, format_rational, vector
 from .subspace import Subspace
 
 
@@ -71,17 +71,19 @@ class LinearRelation:
         return LinearRelation(self.dim_x, self.dim_y, self.graph.intersect(window))
 
     def adjoint(self) -> "LinearRelation":
-        """Orthocomplement of the flip-and-negate image of the graph.
+        """A* = J(A^⊥) with J(u, v) = (−v, u), in one elimination.
 
         Defined for relations on a single space: (x, y) is adjoint-related
-        exactly when ⟨y, u⟩ = ⟨x, v⟩ for every (u, v) in the relation.
+        exactly when ⟨y, u⟩ = ⟨x, v⟩ for every (u, v) in the relation, that
+        is, when (y, −x) ⊥ A.  J maps the generators of A^⊥ that
+        ``Subspace.ortho_generators`` reads off the graph's basis onto
+        generators of A*.
         """
         if self.dim_x != self.dim_y:
             raise ValueError("adjoint requires dim_x == dim_y")
         n = self.dim_x
-        flipped = [tuple(-x for x in c[n:]) + c[:n] for c in self.graph.basis.column_tuples()]
-        turned = Subspace.from_vectors(2 * n, flipped)
-        return LinearRelation(n, n, turned.ortho_complement())
+        turned = [tuple(-x for x in g[n:]) + g[:n] for g in self.graph.ortho_generators()]
+        return LinearRelation(n, n, Subspace.from_vectors(2 * n, turned))
 
     def is_selfadjoint(self) -> bool:
         return self == self.adjoint()
@@ -116,9 +118,11 @@ class RelationProfile:
 @lru_cache(maxsize=None)
 def _profile(rel: LinearRelation) -> RelationProfile:
     n, m = rel.dim_x, rel.dim_y
-    # dom and {y : (0, y) ∈ graph}; on the inverse, ran and {x : (x, 0) ∈ graph}
+    # dom and {y : (0, y) ∈ graph}, read off the basis; then ran and
+    # {x : (x, 0) ∈ graph}, the split of the inverse's graph
     dom, mul = rel.graph.split(n)
-    ran, ker = rel.inverse().graph.split(m)
+    swapped = [c[n:] + c[:n] for c in rel.graph.basis.column_tuples()]
+    ran, ker = Subspace.split_span(m + n, swapped, m)
     return RelationProfile(
         dom=dom,
         ran=ran,
@@ -139,8 +143,8 @@ def compose(outer: LinearRelation, inner: LinearRelation) -> LinearRelation:
 
     In (y, x, z) coordinates, the points (0, x, z) of the span of (y, x, 0)
     over inner and (-y', 0, z) over outer are exactly those with y = y', so
-    ``split`` reads the product off.  No single-valuedness is assumed, so
-    genuinely multivalued inputs compose correctly.
+    the slice that ``split_span`` keeps is the product.  No single-valuedness
+    is assumed, so genuinely multivalued inputs compose correctly.
     """
     if inner.dim_y != outer.dim_x:
         raise ValueError(
@@ -150,7 +154,7 @@ def compose(outer: LinearRelation, inner: LinearRelation) -> LinearRelation:
     n, m, k = inner.dim_x, inner.dim_y, outer.dim_y
     cols = [c[n:] + c[:n] + (0,) * k for c in inner.graph.basis.column_tuples()]
     cols += [tuple(-y for y in c[:m]) + (0,) * n + c[m:] for c in outer.graph.basis.column_tuples()]
-    return LinearRelation(n, k, Subspace.from_vectors(m + n + k, cols).split(m)[1])
+    return LinearRelation(n, k, Subspace.split_span(m + n + k, cols, m, head=False)[1])
 
 
 def cw_sum(a1: LinearRelation, a2: LinearRelation) -> tuple[LinearRelation, bool]:
@@ -195,6 +199,11 @@ def identity_on(sub: Subspace) -> LinearRelation:
     d = sub.ambient_dim
     cols = [c + c for c in sub.basis.column_tuples()]
     return LinearRelation(d, d, Subspace.from_vectors(2 * d, cols))
+
+
+def generator_rows(rel: LinearRelation) -> list[list[str]]:
+    """Canonical basis columns of the graph, each as a list of rational strings."""
+    return [[format_rational(x) for x in col] for col in rel.graph.basis.column_tuples()]
 
 
 def zero_times(dim_x: int, values: Subspace) -> LinearRelation:

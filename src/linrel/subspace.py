@@ -6,20 +6,26 @@ rows are zeroed in all other columns).  Two subspaces are equal as sets if and
 only if their basis matrices are identical entrywise, so dataclass equality is
 set equality.
 
-``Subspace.from_vectors`` is the one constructor that runs the elimination
-kernel: every operation here and in ``relation`` slices and concatenates the
-column tuples it holds and hands them to it as generators.  ``Subspace.split``
-reads a projection and a slice off the canonical basis, so intersections,
-relation products and profiles are each one elimination and a split.
+Every operation here and in ``relation`` slices and concatenates the column
+tuples it holds and hands them as generators to one of two constructors, the
+only paths into the elimination kernel.  ``Subspace.from_vectors`` reduces
+them in full.  ``Subspace.split_span`` is ``from_vectors(...).split(n)``
+without the waste: one forward elimination, then each side it is asked for
+back-substituted among its own rows only, so intersections, relation
+products and the range and kernel of a profile reduce no row they drop.
+``Subspace.split`` reads a projection and a slice off a canonical basis with
+no elimination at all, and ``ortho_generators`` reads a basis of U^⊥ off it,
+so an orthocomplement or an adjoint is a single elimination.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import chain
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
-from .exact import Matrix, Scalar, echelon_rows, nullspace, rank, solve_linear, vector
+from .exact import Matrix, Scalar, echelon_rows, rank, solve_linear, split_echelon_rows, vector
 
 
 @dataclass(frozen=True)
@@ -51,13 +57,25 @@ class Subspace:
     @classmethod
     def from_vectors(cls, ambient_dim: int, vectors: Iterable[Sequence[Scalar]]) -> "Subspace":
         """Canonical subspace spanned by ``vectors``, each of length ``ambient_dim``."""
-        gens = [vector(v) for v in vectors]
-        for g in gens:
-            if len(g) != ambient_dim:
-                raise ValueError(
-                    f"generator length {len(g)} does not match ambient dimension {ambient_dim}"
-                )
-        reduced, _ = echelon_rows(gens, ambient_dim)
+        reduced, _ = echelon_rows(_generators(ambient_dim, vectors), ambient_dim)
+        return cls._from_rows(ambient_dim, reduced)
+
+    @classmethod
+    def split_span(
+        cls, ambient_dim: int, vectors: Iterable[Sequence[Scalar]], n: int, head: bool = True
+    ) -> tuple[Optional["Subspace"], "Subspace"]:
+        """``from_vectors(ambient_dim, vectors).split(n)``, reducing only the
+        rows each side keeps; without ``head`` the projection is skipped and
+        comes back as None."""
+        if not 0 <= n <= ambient_dim:
+            raise ValueError(f"split at {n} not within ambient dimension {ambient_dim}")
+        top, bottom = split_echelon_rows(_generators(ambient_dim, vectors), ambient_dim, n, head)
+        head_space = None if top is None else cls._from_rows(n, top)
+        return head_space, cls._from_rows(ambient_dim - n, bottom)
+
+    @classmethod
+    def _from_rows(cls, ambient_dim: int, reduced: list[tuple[Fraction, ...]]) -> "Subspace":
+        """The subspace whose basis columns are these reduced echelon rows."""
         flat = tuple(chain.from_iterable(zip(*reduced)))
         return cls(ambient_dim, Matrix(ambient_dim, len(reduced), flat))
 
@@ -87,11 +105,40 @@ class Subspace:
         d = self.ambient_dim
         cols = [c + c for c in self.basis.column_tuples()]
         cols += [c + (0,) * d for c in other.basis.column_tuples()]
-        return Subspace.from_vectors(2 * d, cols).split(d)[1]
+        return Subspace.split_span(2 * d, cols, d, head=False)[1]
 
     def ortho_complement(self) -> "Subspace":
-        """Orthogonal complement for the standard dot product on Q^d."""
-        return Subspace.span(self.ambient_dim, nullspace(self.basis.transpose()))
+        """Orthogonal complement for the standard dot product on Q^d,
+        canonicalized from ``ortho_generators`` in one elimination."""
+        return Subspace.from_vectors(self.ambient_dim, self.ortho_generators())
+
+    def ortho_generators(self) -> list[tuple[Scalar, ...]]:
+        """A basis of U^⊥ read off the canonical basis B, not canonical itself.
+
+        Column j of B leads with a 1 in row p_j and is zero in every other
+        leading row, so each coordinate f that leads no column gives the
+        vector e_f − Σ_j B[f, j]·e_{p_j}, orthogonal to every column.  These
+        are d − dim U independent vectors, hence a basis of U^⊥.
+        """
+        d, r = self.ambient_dim, self.dim
+        flat = self.basis.entries
+        # p_j for each j: column j is zero above its leading row, and p_j > p_(j-1)
+        leads: list[int] = []
+        for i in range(d):
+            if len(leads) < r and flat[i * r + len(leads)]:
+                leads.append(i)
+        lead_set = set(leads)
+        gens = []
+        for f in range(d):
+            if f in lead_set:
+                continue
+            g = [0] * d
+            g[f] = 1
+            for p, x in zip(leads, flat[f * r : (f + 1) * r]):
+                if x:
+                    g[p] = -x
+            gens.append(tuple(g))
+        return gens
 
     def contains(self, other: "Subspace") -> bool:
         self._check_ambient(other)
@@ -146,3 +193,15 @@ class Subspace:
     def __repr__(self) -> str:
         cols = ["(" + " ".join(str(x) for x in c) + ")" for c in self.basis.column_tuples()]
         return f"Subspace(Q^{self.ambient_dim}: {', '.join(cols) if cols else '0'})"
+
+
+def _generators(
+    ambient_dim: int, vectors: Iterable[Sequence[Scalar]]
+) -> list[tuple[Fraction, ...]]:
+    gens = [vector(v) for v in vectors]
+    for g in gens:
+        if len(g) != ambient_dim:
+            raise ValueError(
+                f"generator length {len(g)} does not match ambient dimension {ambient_dim}"
+            )
+    return gens

@@ -1,4 +1,5 @@
-"""The exact kernel against an independent reference: ``sympy.Matrix`` over QQ.
+"""The exact kernel, and the orthocomplement read off its canonical bases,
+against an independent reference: ``sympy.Matrix`` over QQ.
 
 Inputs carry rational entries with denominators up to 2^64, rows that are
 linear combinations of earlier rows (so ranks fall short), and zero-extent
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from linrel import Matrix, canonical_echelon, nullspace, rank, solve_linear
+from linrel import Matrix, Subspace, canonical_echelon, nullspace, rank, solve_linear
 
 sympy = pytest.importorskip("sympy")
 
@@ -97,3 +98,18 @@ def test_solve_linear_matches_sympy(m, data):
     assert m.matvec(x) == tuple(b)
     _, pivots = reference.rref()
     assert all(x[j] == 0 for j in range(m.cols) if j not in pivots)
+
+
+@settings(max_examples=200)
+@given(rational_matrices())
+def test_ortho_complement_matches_sympy_nullspace(m):
+    u = Subspace.from_vectors(m.cols, map(m.row, range(m.rows)))
+    complement = u.ortho_complement()
+    basis, found = to_sympy(u.basis), to_sympy(complement.basis)
+    reference = basis.T.nullspace()
+    assert complement.dim == len(reference) == m.cols - to_sympy(m).rank()
+    assert (basis.T * found).is_zero_matrix
+    if reference:
+        # the canonical basis is the RREF of sympy's nullspace vectors, as rows
+        rref, _ = sympy.Matrix.hstack(*reference).T.rref()
+        assert from_sympy(rref) == complement.basis.transpose()

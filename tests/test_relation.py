@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
@@ -15,6 +17,7 @@ from linrel import (
     profile,
     zero_times,
 )
+from linrel.files import serialize_relation
 
 from strategies import (
     composable_pairs,
@@ -344,6 +347,45 @@ def old_intersect(u, v):
     return Subspace.span(u.ambient_dim, u.basis @ top)
 
 
+def old_ortho_complement(u):
+    """U^⊥ as the span of the nullspace of the basis transpose."""
+    return Subspace.span(u.ambient_dim, nullspace(u.basis.transpose()))
+
+
+def old_adjoint(rel):
+    """The orthocomplement of the canonicalized flip-and-negate image of the graph."""
+    d = rel.dim_x
+    flipped = [tuple(-x for x in c[d:]) + c[:d] for c in rel.graph.basis.column_tuples()]
+    return LinearRelation(d, d, old_ortho_complement(old_route(2 * d, flipped)))
+
+
+def full_compose(outer, inner):
+    """outer∘inner as the split of the whole canonicalized (y, x, z) system."""
+    n, m, k = inner.dim_x, inner.dim_y, outer.dim_y
+    cols = [c[n:] + c[:n] + (0,) * k for c in inner.graph.basis.column_tuples()]
+    cols += [tuple(-y for y in c[:m]) + (0,) * n + c[m:] for c in outer.graph.basis.column_tuples()]
+    return LinearRelation(n, k, Subspace.from_vectors(m + n + k, cols).split(m)[1])
+
+
+def full_intersect(u, v):
+    """U ∩ V as the split of the whole canonicalized system {(u, u), (v, 0)}."""
+    d = u.ambient_dim
+    cols = [c + c for c in u.basis.column_tuples()]
+    cols += [c + (0,) * d for c in v.basis.column_tuples()]
+    return Subspace.from_vectors(2 * d, cols).split(d)[1]
+
+
+def check_reference_routes(outer, inner, sq, u, v):
+    """Every read-off and partial back-substitution against the full route."""
+    m = inner.dim_y
+    assert compose(outer, inner) == full_compose(outer, inner)
+    p = profile(inner)
+    assert (p.ran, p.ker) == inner.inverse().graph.split(m)
+    assert sq.adjoint() == old_adjoint(sq)
+    assert u.ortho_complement() == old_ortho_complement(u)
+    assert u.intersect(v) == full_intersect(u, v)
+
+
 class TestOneConstructor:
     @given(composable_pairs(), square_relations(), st.data())
     def test_operations_match_the_matrix_route(self, pair, sq, data):
@@ -375,10 +417,6 @@ class TestOneConstructor:
         gens = Matrix.from_rows([pullback.row(i) for i in keep], cols=pullback.cols)
         assert compose(outer, inner).graph == Subspace.span(n + k, gens)
 
-        d = sq.dim_x
-        flipped = [tuple(-x for x in c[d:]) + c[:d] for c in sq.graph.basis.column_tuples()]
-        assert sq.adjoint().graph == old_route(2 * d, flipped).ortho_complement()
-
         # profile through block projections and nullspace products
         p = profile(inner)
         top, bottom = basis_blocks(inner.graph, n)
@@ -390,11 +428,18 @@ class TestOneConstructor:
         other = data.draw(subspaces(ambient=n + m))
         assert inner.graph.intersect(other) == old_intersect(inner.graph, other)
         assert other.intersect(inner.graph) == old_intersect(other, inner.graph)
+        check_reference_routes(outer, inner, sq, inner.graph, other)
 
         # split against a projection and the nullspace route, on any cut
         u = data.draw(subspaces(max_dim=6))
         cut = data.draw(st.integers(0, u.ambient_dim))
+        assert u.ortho_complement() == old_ortho_complement(u)
         head, tail = u.split(cut)
+        point = st.lists(st.integers(-3, 3), min_size=u.ambient_dim, max_size=u.ambient_dim)
+        gens = data.draw(st.lists(point, max_size=7))
+        whole = Subspace.from_vectors(u.ambient_dim, gens).split(cut)
+        assert Subspace.split_span(u.ambient_dim, gens, cut) == whole
+        assert Subspace.split_span(u.ambient_dim, gens, cut, head=False) == (None, whole[1])
         assert head == u.block_project(0, cut)
         assert tail == old_slice(u, cut)
         assert head == Subspace.from_vectors(cut, head.basis.column_tuples())
@@ -402,6 +447,31 @@ class TestOneConstructor:
         for bad in (-1, u.ambient_dim + 1):
             with pytest.raises(ValueError):
                 u.split(bad)
+            with pytest.raises(ValueError):
+                Subspace.split_span(u.ambient_dim, gens, bad)
+
+
+def wide_relation(rng, d, count):
+    """A d×d relation from ``count`` dense generators with entries in [-3, 3]."""
+    return LinearRelation.from_generators(
+        d, d, [[rng.randint(-3, 3) for _ in range(2 * d)] for _ in range(count)]
+    )
+
+
+@pytest.mark.parametrize("d", [16, 24])
+def test_wide_relations_match_the_reference_routes(d):
+    """At the sizes where canonical entries reach 76-130 bits, which the
+    small hypothesis strategies never produce."""
+    rng = random.Random(3020 + d)
+    for _ in range(2):
+        a, b = wide_relation(rng, d, d), wide_relation(rng, d, d)
+        # more generators than coordinates on one side: ker and mul are not 0
+        tall = wide_relation(rng, d, d + d // 2)
+        c = compose(b, a)
+        check_reference_routes(b, a, c, a.graph, b.graph)
+        check_reference_routes(c, tall, tall, c.graph, tall.graph)
+        assert serialize_relation(c) == serialize_relation(full_compose(b, a))
+        assert serialize_relation(c.adjoint()) == serialize_relation(old_adjoint(c))
 
 
 class TestConstructors:
