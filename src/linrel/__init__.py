@@ -11,7 +11,6 @@ from .exact import (
     Matrix,
     Rational,
     canonical_echelon,
-    format_rational,
     nullspace,
     parse_rational,
     rank,
@@ -76,7 +75,6 @@ __all__ = [
     "canonical_echelon",
     "compose",
     "cw_sum",
-    "format_rational",
     "graph_projection",
     "graph_section",
     "identity_on",

@@ -1,14 +1,14 @@
 """Exact rational matrices and the one elimination kernel everything else uses.
 
-Matrix entries and every returned value are ``fractions.Fraction`` values (or
-ints), so echelon forms, ranks and solvability decisions are exact.
-Elimination itself runs on primitive integer rows: each row is scaled by the
-lcm of its denominators, then kept divided by the gcd of its entries, and
-``Fraction``s are built only for the entries a caller gets back.  Pivoting is
-deterministic (first nonzero entry in column order) and the reduced row
-echelon form is unique, which makes every canonical form reproducible byte
-for byte; subspace equality downstream is therefore a genuine decision
-procedure, not a tolerance check.
+Elimination runs on integer rows.  The kernel's entry points, ``echelon_rows``
+and ``split_echelon_rows``, take integer rows and return canonical rows: the
+rows of the reduced row echelon form, each scaled to the primitive integer
+vector with a positive leading entry.  That form is unique per row space and
+pivoting is deterministic, so subspace equality downstream is a genuine
+decision, and every canonical form is reproducible byte for byte.
+``Matrix`` entries and what ``canonical_echelon``, ``nullspace`` and
+``solve_linear`` return are ``Fraction``s (or ints); ``fraction_rows`` turns
+canonical rows into reduced echelon rows of ``Fraction``s.
 """
 
 from __future__ import annotations
@@ -27,23 +27,24 @@ Scalar = Union[int, str, Fraction]
 _SMALL = tuple(Fraction(q) for q in range(-16, 17))
 _ZERO, _ONE = _SMALL[16], _SMALL[17]
 
-_RATIONAL_RE = re.compile(r"([+-]?\d+)(?:/([+-]?\d+))?\Z")
+# ASCII digits only: ``\d`` and ``int`` would also take other scripts' digits
+_RATIONAL_RE = re.compile(r"([+-]?[0-9]+)(?:/([+-]?[0-9]+))?\Z")
+
+
+def parse_ratio(text: str) -> tuple[int, int]:
+    """``(p, q)`` with q > 0 for ``"p"`` or ``"p/q"``, not reduced."""
+    match = _RATIONAL_RE.match(text.strip(" \t\n\r\v\f"))
+    if match is None:
+        raise ValueError(f"bad rational literal {text!r}")
+    p, q = int(match.group(1)), int(match.group(2) or 1)
+    if q == 0:
+        raise ValueError(f"zero denominator in {text!r}")
+    return (-p, -q) if q < 0 else (p, q)
 
 
 def parse_rational(text: str) -> Fraction:
     """Parse ``"p"`` or ``"p/q"``; the result is reduced and has q > 0."""
-    match = _RATIONAL_RE.match(text.strip())
-    if match is None:
-        raise ValueError(f"bad rational literal {text!r}")
-    denominator = int(match.group(2)) if match.group(2) is not None else 1
-    if denominator == 0:
-        raise ValueError(f"zero denominator in {text!r}")
-    return Fraction(int(match.group(1)), denominator)
-
-
-def format_rational(value: Fraction) -> str:
-    """Render as ``p/q``, omitting the denominator when it is 1."""
-    return str(value)
+    return Fraction(*parse_ratio(text))
 
 
 def _exact(value: Scalar) -> Fraction:
@@ -196,25 +197,34 @@ class EchelonForm(NamedTuple):
     pivot_cols: tuple[int, ...]
 
 
-def _integer_rows(rows: Iterable[Sequence[Fraction]]) -> list[list[int]]:
-    """Each row scaled by the lcm of its denominators and divided by the gcd
-    of the result: the same line through the origin, as primitive integers."""
+_INT_ONLY = frozenset({int})
+
+
+def integer_row(ratios: Sequence[tuple[int, int]]) -> list[int]:
+    """The vector of the ratios n/d (each d > 0) scaled by the lcm of the
+    denominators and divided by the gcd of the result: the same line
+    through the origin, as a primitive integer vector."""
+    scale = lcm(*[d for _, d in ratios])
+    ints = [n for n, _ in ratios] if scale == 1 else [n * (scale // d) for n, d in ratios]
+    g = gcd(*ints)
+    return [x // g for x in ints] if g > 1 else ints
+
+
+def _integer_rows(rows: Iterable[Iterable[Scalar]]) -> list[Sequence[int]]:
+    """Rows of exact scalars as integer rows on the same lines.  A row of
+    ints is taken as it is; any other row goes through ``integer_row``."""
     out = []
-    for row in rows:
-        ratios = [x.as_integer_ratio() for x in row]
-        scale = lcm(*[d for _, d in ratios])
-        if scale == 1:
-            ints = [n for n, _ in ratios]
-        else:
-            ints = [n * (scale // d) for n, d in ratios]
-        g = gcd(*ints)
-        if g > 1:
-            ints = [x // g for x in ints]
-        out.append(ints)
+    for row in map(tuple, rows):
+        types = set(map(type, row))
+        if not _INT_ONLY.issuperset(types):
+            if not _ENTRY_TYPES.issuperset(types):
+                row = vector(row)
+            row = integer_row([x.as_integer_ratio() for x in row])
+        out.append(row)
     return out
 
 
-def _cancel(row: list[int], prow: list[int], col: int) -> list[int]:
+def _cancel(row: Sequence[int], prow: Sequence[int], col: int) -> list[int]:
     """``(p/g)·row − (f/g)·prow`` divided by the gcd of its entries, where p
     and f are the entries of ``prow`` and ``row`` in column ``col`` and
     ``g = gcd(p, f)``: zero in ``col``, primitive, and scaled no more than
@@ -229,15 +239,16 @@ def _cancel(row: list[int], prow: list[int], col: int) -> list[int]:
     return out
 
 
-def _eliminate(data: list[list[int]], cols: int, reduce: bool) -> list[int]:
-    """Row-reduce primitive integer rows in place; returns the pivot columns.
+def _eliminate(data: list[Sequence[int]], cols: int, reduce: bool) -> list[int]:
+    """Row-reduce integer rows in place; returns the pivot columns.
 
     Forward elimination clears each pivot column below its pivot; pivot
     choice is the first row with a nonzero entry in column order, so equal
     input gives equal output.  The rank is the number of pivots.  With
     ``reduce``, back substitution then clears every pivot column above its
     pivot too, and row r divided by its pivot entry is row r of the reduced
-    row echelon form.
+    row echelon form.  Every row that is cancelled against another comes
+    out primitive; the rows are replaced, never mutated.
     """
     rank = 0
     pivots: list[int] = []
@@ -265,7 +276,7 @@ def _eliminate(data: list[list[int]], cols: int, reduce: bool) -> list[int]:
     return pivots
 
 
-def _back_substitute(data: list[list[int]], pivots: Sequence[int]) -> None:
+def _back_substitute(data: list[Sequence[int]], pivots: Sequence[int]) -> None:
     """Clear every pivot column above its pivot, in rows that forward
     elimination left in echelon form with these pivot columns."""
     for i in range(len(pivots) - 1, 0, -1):
@@ -283,22 +294,34 @@ def _quotient(n: int, d: int) -> Fraction:
     return _SMALL[q + 16] if -16 <= q <= 16 else Fraction(q)
 
 
-def echelon_rows(
-    rows: Iterable[Sequence[Fraction]], cols: int
-) -> tuple[list[tuple[Fraction, ...]], list[int]]:
-    """Nonzero rows of the reduced row echelon form of ``rows``, and their
-    pivot columns.  Each row has ``cols`` entries."""
-    data = _integer_rows(rows)
+Rows = tuple[tuple[int, ...], ...]
+
+
+def primitive_rows(data: Sequence[Sequence[int]], pivots: Sequence[int]) -> Rows:
+    """Each row divided by the gcd of its entries, with the sign that makes
+    its entry in its pivot column positive."""
+    out = []
+    for row, p in zip(data, pivots):
+        g = gcd(*row)
+        if row[p] < 0:
+            g = -g
+        out.append(tuple(row) if g == 1 else tuple(x // g for x in row))
+    return tuple(out)
+
+
+def echelon_rows(data: list[Sequence[int]], cols: int) -> tuple[Rows, list[int]]:
+    """Canonical rows of the row space of the integer rows ``data`` (each of
+    ``cols`` entries), and their pivot columns.  ``data`` is consumed."""
     pivots = _eliminate(data, cols, reduce=True)
-    return _reduced(data, pivots), pivots
+    return primitive_rows(data, pivots), pivots
 
 
 def split_echelon_rows(
-    rows: Iterable[Sequence[Fraction]], cols: int, cut: int, head: bool = True
-) -> tuple[Optional[list[tuple[Fraction, ...]]], list[tuple[Fraction, ...]]]:
-    """Reduced row echelon forms of the projection of span(``rows``) onto the
-    first ``cut`` coordinates (None unless ``head``), and of the slice
-    {w : (0, w) ∈ span(``rows``)}.
+    data: list[Sequence[int]], cols: int, cut: int, head: bool = True
+) -> tuple[Optional[Rows], Rows]:
+    """Canonical rows of the projection of the row space of ``data`` onto
+    the first ``cut`` coordinates (None unless ``head``), and of the slice
+    {w : (0, w) in the row space}.  ``data`` is consumed.
 
     One forward elimination puts the rows in echelon form.  The rows that
     pivot before ``cut`` span the projection once cut to their first ``cut``
@@ -306,34 +329,34 @@ def split_echelon_rows(
     is back-substituted among its own rows only, so no row is reduced
     against a row that the other side keeps.
     """
-    data = _integer_rows(rows)
     pivots = _eliminate(data, cols, reduce=False)
     h = bisect_left(pivots, cut)
     top = None
     if head:
         top = [row[:cut] for row in data[:h]]
         _back_substitute(top, pivots[:h])
-        top = _reduced(top, pivots[:h])
+        top = primitive_rows(top, pivots[:h])
     bottom = [row[cut:] for row in data[h : len(pivots)]]
     shifted = [p - cut for p in pivots[h:]]
     _back_substitute(bottom, shifted)
-    return top, _reduced(bottom, shifted)
+    return top, primitive_rows(bottom, shifted)
 
 
-def _reduced(data: list[list[int]], pivots: Sequence[int]) -> list[tuple[Fraction, ...]]:
-    """Each reduced echelon row divided by its pivot entry, as Fractions."""
+def fraction_rows(rows: Iterable[Sequence[int]]) -> list[tuple[Fraction, ...]]:
+    """Canonical rows divided by their leading entries: the rows of the
+    reduced row echelon form, as Fractions."""
     reduced = []
-    for row, p in zip(data, pivots):
-        lead = row[p]
+    for row in rows:
+        lead = next(x for x in row if x)
         reduced.append(tuple(_quotient(x, lead) if x else _ZERO for x in row))
     return reduced
 
 
 def canonical_echelon(m: Matrix) -> EchelonForm:
     """Reduced row echelon form of ``m``, with rank and pivot columns."""
-    reduced, pivots = echelon_rows(map(m.row, range(m.rows)), m.cols)
-    flat = [x for row in reduced for x in row]
-    flat += [_ZERO] * ((m.rows - len(reduced)) * m.cols)
+    rows, pivots = echelon_rows(_integer_rows(map(m.row, range(m.rows))), m.cols)
+    flat = [x for row in fraction_rows(rows) for x in row]
+    flat += [_ZERO] * ((m.rows - len(rows)) * m.cols)
     return EchelonForm(Matrix(m.rows, m.cols, tuple(flat)), len(pivots), tuple(pivots))
 
 

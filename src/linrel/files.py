@@ -2,15 +2,21 @@
 
 Two header lines ``dim_x=<n>`` and ``dim_y=<m>``, then one generator per line
 as space-separated rationals of length n + m.  Input generators need not be
-independent or canonical; the parser canonicalizes.  Output is the canonical
-basis, so serialization is deterministic: equal relations produce
-byte-identical files.  The header may declare at most ``MAX_AMBIENT_DIM``
-coordinates in all, which bounds the time and memory a small file can ask for.
+independent or canonical; the parser reads each line straight into a
+primitive integer row and canonicalizes.  Output is the canonical basis, so
+serialization is deterministic: equal relations produce byte-identical files.
+The header may declare at most ``MAX_AMBIENT_DIM`` coordinates in all, which
+bounds the time and memory a small file can ask for.  Input is ASCII: a file
+is rejected at its first other byte, and text gets the same answers, since
+counts and rationals take only ASCII digits and only ASCII whitespace
+separates fields and lines.
 """
 
 from __future__ import annotations
 
-from .exact import parse_rational
+import re
+
+from .exact import integer_row, parse_ratio
 from .relation import LinearRelation, generator_rows
 
 # dim_x + dim_y above this is rejected, so that a header of a few bytes cannot
@@ -21,6 +27,9 @@ MAX_AMBIENT_DIM = 1024
 # error messages quote at most this many characters of an offending field
 _ECHO_CHARS = 40
 
+_COUNT_RE = re.compile(r"[+-]?[0-9]+\Z")
+_NON_ASCII_RE = re.compile(rb"[\x80-\xff]")
+
 
 def _echo(field: str) -> str:
     if len(field) <= _ECHO_CHARS:
@@ -29,6 +38,11 @@ def _echo(field: str) -> str:
 
 
 def parse_relation_text(text: str, source: str = "<input>") -> LinearRelation:
+    if not text.isascii():  # whitespace outside ASCII would split fields or lines
+        for number, line in enumerate(text.splitlines(keepends=True), start=1):
+            for ch in filter(str.isspace, line):
+                if not ch.isascii():
+                    raise ValueError(f"{source}:{number}: non-ASCII whitespace U+{ord(ch):04X}")
     lines = text.splitlines()
     dims = {}
     body_start = 0
@@ -41,10 +55,13 @@ def parse_relation_text(text: str, source: str = "<input>") -> LinearRelation:
         key, sep, value = line.partition("=")
         if sep != "=" or key.strip() != expected:
             raise ValueError(f"{source}:{body_start + 1}: expected {expected}=<count>, got {line!r}")
+        value = value.strip()
+        if _COUNT_RE.match(value) is None:
+            raise ValueError(f"{source}:{body_start + 1}: bad count {_echo(value)}")
         try:
-            dims[expected] = int(value.strip())
-        except ValueError:
-            raise ValueError(f"{source}:{body_start + 1}: bad count {value.strip()!r}") from None
+            dims[expected] = int(value)
+        except ValueError:  # over CPython's limit on digits
+            raise ValueError(f"{source}:{body_start + 1}: bad count {_echo(value)}") from None
         if dims[expected] < 0:
             raise ValueError(f"{source}:{body_start + 1}: negative dimension {dims[expected]}")
         if sum(dims.values()) > MAX_AMBIENT_DIM:
@@ -63,21 +80,27 @@ def parse_relation_text(text: str, source: str = "<input>") -> LinearRelation:
             raise ValueError(
                 f"{source}:{offset}: generator has {len(fields)} entries, expected {width}"
             )
-        row = []
+        ratios = []
         for j, field in enumerate(fields):
             try:
-                row.append(parse_rational(field))
+                ratios.append(parse_ratio(field))
             except ValueError:
                 raise ValueError(
                     f"{source}:{offset}: field {j + 1}: bad rational {_echo(field)}"
                 ) from None
-        generators.append(row)
+        generators.append(integer_row(ratios))
     return LinearRelation.from_generators(dims["dim_x"], dims["dim_y"], generators)
 
 
 def parse_relation_file(path: str) -> LinearRelation:
-    with open(path, "r", encoding="ascii") as handle:
-        return parse_relation_text(handle.read(), source=path)
+    with open(path, "rb") as handle:
+        data = handle.read()
+    if not data.isascii():
+        at = _NON_ASCII_RE.search(data).start()
+        # the line holding byte ``at``, counted as parse_relation_text counts them
+        line = len((data[:at].decode("ascii") + "x").splitlines())
+        raise ValueError(f"{path}:{line}: non-ASCII byte 0x{data[at]:02x}")
+    return parse_relation_text(data.decode("ascii"), source=path)
 
 
 def serialize_relation(rel: LinearRelation) -> str:

@@ -24,7 +24,7 @@ from operator import mul
 from typing import Callable, Iterable, Optional, Sequence
 
 from . import factor
-from .exact import Matrix, _eliminate, _integer_rows, nullspace, rank, solve_linear, vector
+from .exact import Matrix, Rows, _eliminate, _integer_rows, echelon_rows, rank, solve_linear, vector
 from .files import serialize_relation
 from .relation import (
     LinearRelation,
@@ -89,9 +89,8 @@ class RelationSpec:
 
 
 def random_matrix(rng: random.Random, rows: int, cols: int, bound: int = 3) -> Matrix:
-    return Matrix.from_rows(
-        [[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(rows)], cols=cols
-    )
+    """Entries drawn row by row, kept as ints, which the kernel takes as they are."""
+    return Matrix(rows, cols, tuple(rng.randint(-bound, bound) for _ in range(rows * cols)))
 
 
 def random_full_rank(rng: random.Random, rows: int, cols: int, bound: int = 3) -> Matrix:
@@ -135,8 +134,7 @@ def _targeted_relation(
         x = dom_cols.col(i)
         y = (0,) * dim_y if i < dk else images.col(i - dk)
         gens.append(tuple(x) + tuple(y))
-    for j in range(dm):
-        gens.append((0,) * dim_x + tuple(mul_space.basis.col(j)))
+    gens += [(0,) * dim_x + r for r in mul_space.rows]
     rel = LinearRelation.from_generators(dim_x, dim_y, gens)
     prof = profile(rel)
     if (prof.dom.dim, prof.mul.dim, prof.ker.dim) != (dd, dm, dk):
@@ -191,7 +189,7 @@ def random_selfadjoint(rng: random.Random, dim: int, bound: int = 3) -> LinearRe
     images = p @ Matrix.from_cols(cols, rows=r)
     gens = [tuple(p.col(i)) + tuple(images.col(i)) for i in range(r)]
     comp = dom.ortho_complement()
-    gens += [(0,) * dim + tuple(comp.basis.col(j)) for j in range(comp.dim)]
+    gens += [(0,) * dim + row for row in comp.rows]
     return LinearRelation.from_generators(dim, dim, gens)
 
 
@@ -210,33 +208,29 @@ def oracle_product_membership(
     xv, zv = vector(x), vector(z)
     if len(xv) != inner.dim_x or len(zv) != outer.dim_y:
         raise ValueError("probe lengths do not match the relation dimensions")
-    ga, gb = inner.graph.basis, outer.graph.basis
     n, m, k = inner.dim_x, inner.dim_y, outer.dim_y
-    rows = []
-    for i in range(n):
-        rows.append(ga.row(i) + (0,) * gb.cols)
-    for i in range(m):
-        rows.append(ga.row(n + i) + tuple(-v for v in gb.row(i)))
-    for i in range(k):
-        rows.append((0,) * ga.cols + gb.row(m + i))
-    system = Matrix(len(rows), ga.cols + gb.cols, tuple(chain.from_iterable(rows)))
-    rhs = xv + (Fraction(0),) * m + zv
+    # one column per generator: (x, y, 0) of inner, (0, -y', z) of outer
+    cols = [g + (0,) * k for g in inner.graph.rows]
+    cols += [(0,) * n + tuple(-v for v in g[:m]) + g[m:] for g in outer.graph.rows]
+    system = Matrix(n + m + k, len(cols), tuple(chain.from_iterable(zip(*cols))))
+    rhs = xv + (0,) * m + zv
     return solve_linear(system, rhs) is not None
 
 
 # ---------------------------------------------------------------------------
 # Brute-force witness search over small coefficient grids (dims <= 2).
 
-_Generators = tuple[tuple[int, ...], ...]
-
-
 @lru_cache(maxsize=None)
-def _candidate_grid(
-    dim_x: int, dim_y: int, bound: int
-) -> tuple[tuple[LinearRelation, _Generators], ...]:
-    """``operator_graph_candidates``, each with its graph basis as primitive
-    integer vectors: the reduced echelon rows, scaled to integers with a
-    positive leading entry, which are the same for equal spans."""
+def operator_graph_candidates(dim_x: int, dim_y: int, bound: int = 2) -> tuple[LinearRelation, ...]:
+    """Every single-valued relation Q^dim_x -> Q^dim_y whose graph is spanned
+    by generators with entries in [-bound, bound], deduplicated canonically;
+    built once per shape and bound.
+
+    Graph dimension of an operator is at most dim_x, so spans of up to dim_x
+    grid vectors cover all candidates.  Spans are told apart and tested for
+    single-valuedness on their canonical rows, and only the operators become
+    relations, on those rows as they are.  Gated to dim_x <= 2.
+    """
     if dim_x > 2:
         raise ValueError("brute-force enumeration is gated to dim_x <= 2")
     ambient = dim_x + dim_y
@@ -253,41 +247,26 @@ def _candidate_grid(
         spans += ([rep] for rep in line_reps)
     if dim_x >= 2:
         spans += (list(pair) for pair in combinations(line_reps, 2))
-    seen: dict[_Generators, bool] = {}
+    seen: dict[Rows, bool] = {}
     for rows in spans:
-        pivots = _eliminate(rows, ambient, reduce=True)
-        gens = tuple(
-            tuple(row) if row[p] > 0 else tuple(-v for v in row) for row, p in zip(rows, pivots)
-        )
+        gens, pivots = echelon_rows(rows, ambient)
         # single-valued: no basis vector (0, y), so every pivot lies in the x-block
         seen.setdefault(gens, not pivots or pivots[-1] < dim_x)
     return tuple(
-        (LinearRelation(dim_x, dim_y, Subspace.from_vectors(ambient, gens)), gens)
+        LinearRelation(dim_x, dim_y, Subspace(ambient, gens))
         for gens, single_valued in seen.items()
         if single_valued
     )
-
-
-def operator_graph_candidates(dim_x: int, dim_y: int, bound: int = 2) -> tuple[LinearRelation, ...]:
-    """Every single-valued relation Q^dim_x -> Q^dim_y whose graph is spanned
-    by generators with entries in [-bound, bound], deduplicated canonically.
-
-    Graph dimension of an operator is at most dim_x, so spans of up to dim_x
-    grid vectors cover all candidates.  Spans are told apart and tested for
-    single-valuedness on their integer echelon form, and only the operators
-    become relations.  Gated to dim_x <= 2.
-    """
-    return tuple(t for t, _ in _candidate_grid(dim_x, dim_y, bound))
 
 
 def _dot(u: Sequence[int], v: Sequence[int]) -> int:
     return sum(map(mul, u, v))
 
 
-def _product_test(a: LinearRelation, b: LinearRelation, side: str) -> Callable[[_Generators], bool]:
+def _product_test(a: LinearRelation, b: LinearRelation, side: str) -> Callable[[Rows], bool]:
     """The brute-force search's decision for one pair: a function of a
-    candidate T, given by its graph basis as integer vectors, that tells
-    whether B∘T = A (``right``) or T∘B = A (``left``).
+    candidate T, given by the canonical integer rows of its graph, that
+    tells whether B∘T = A (``right``) or T∘B = A (``left``).
 
     Everything that depends only on (A, B) is eliminated here, once:
 
@@ -295,7 +274,8 @@ def _product_test(a: LinearRelation, b: LinearRelation, side: str) -> Callable[[
       columns for the inner and the outer generators and rows for x, the
       interface y and z, has a solution for the probe (x, z) exactly when
       W·(T's columns)·α = W·(x, 0, z) does, where the rows W span the left
-      nullspace of B's column block.  All of A's basis vectors go in as
+      nullspace of B's column block, read off as the orthocomplement of its
+      span (``Subspace.ortho_generators``).  All of A's basis vectors go in as
       right-hand sides; they all lie in the product exactly when no pivot of
       one forward elimination lands in a probe column.
     * the product ⊆ A: the product is (inner_x α, outer_z β) over the
@@ -308,18 +288,16 @@ def _product_test(a: LinearRelation, b: LinearRelation, side: str) -> Callable[[
     Each check is one elimination of ``exact._eliminate`` per candidate.
     """
     n, k = a.dim_x, a.dim_y
-    b_gens = _integer_rows(b.graph.basis.column_tuples())
-    probes = _integer_rows(a.graph.basis.column_tuples())
-    perp = _integer_rows(a.graph.ortho_complement().basis.column_tuples())
+    b_gens = [list(g) for g in b.graph.rows]
+    probes = a.graph.rows
+    perp = [list(h) for h in a.graph.ortho_generators()]
     if side == "right":  # T inner Q^n -> Q^m, B outer Q^m -> Q^k
         m = b.dim_x
         b_block = [[0] * n + [-v for v in g[:m]] + g[m:] for g in b_gens]
     else:  # B inner Q^n -> Q^m, T outer Q^m -> Q^k
         m = b.dim_y
         b_block = [g + [0] * k for g in b_gens]
-    size = n + m + k
-    annihilator = nullspace(Matrix(len(b_block), size, tuple(chain.from_iterable(b_block))))
-    w_rows = _integer_rows(annihilator.column_tuples())
+    w_rows = [list(w) for w in Subspace.from_vectors(n + m + k, b_block).ortho_generators()]
     rhs = [[_dot(w[:n], g[:n]) + _dot(w[n + m :], g[n:]) for g in probes] for w in w_rows]
     # The pivot columns of W·(probes) span all of them: only those go in.
     basic = _eliminate([row[:] for row in rhs], len(probes), reduce=False)
@@ -338,7 +316,7 @@ def _product_test(a: LinearRelation, b: LinearRelation, side: str) -> Callable[[
     width = m + len(perp)
     b_echelon = b_rows[: len(_eliminate(b_rows, width, reduce=False))]
 
-    def admits(gens: _Generators) -> bool:
+    def admits(gens: Rows) -> bool:
         r = len(gens)
         if r < len(basic):  # r columns cannot span more independent right-hand sides
             return False
@@ -357,8 +335,8 @@ def _search(
     a: LinearRelation, b: LinearRelation, side: str, dims: tuple[int, int], bound: int
 ) -> Optional[LinearRelation]:
     admits = _product_test(a, b, side)
-    for t, gens in _candidate_grid(*dims, bound):
-        if admits(gens):
+    for t in operator_graph_candidates(*dims, bound):
+        if admits(t.graph.rows):
             if (compose(b, t) if side == "right" else compose(t, b)) != a:
                 raise RuntimeError(f"{side} brute-force witness passes elimination but not compose")
             return t

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .exact import Matrix, Scalar, format_rational, vector
+from .exact import Matrix, Scalar, vector
 from .subspace import Subspace
 
 
@@ -61,8 +61,8 @@ class LinearRelation:
     def inverse(self) -> "LinearRelation":
         """Coordinate swap of the graph; always exists."""
         n, m = self.dim_x, self.dim_y
-        cols = [c[n:] + c[:n] for c in self.graph.basis.column_tuples()]
-        return LinearRelation(m, n, Subspace.from_vectors(m + n, cols))
+        rows = [r[n:] + r[:n] for r in self.graph.rows]
+        return LinearRelation(m, n, Subspace.from_vectors(m + n, rows))
 
     def reduce_operator_part(self) -> "LinearRelation":
         """The single-valued summand A ∩ (Q^n × mul(A)^⊥); dom is preserved."""
@@ -76,7 +76,7 @@ class LinearRelation:
         Defined for relations on a single space: (x, y) is adjoint-related
         exactly when ⟨y, u⟩ = ⟨x, v⟩ for every (u, v) in the relation, that
         is, when (y, −x) ⊥ A.  J maps the generators of A^⊥ that
-        ``Subspace.ortho_generators`` reads off the graph's basis onto
+        ``Subspace.ortho_generators`` reads off the graph's rows onto
         generators of A*.
         """
         if self.dim_x != self.dim_y:
@@ -118,10 +118,10 @@ class RelationProfile:
 @lru_cache(maxsize=None)
 def _profile(rel: LinearRelation) -> RelationProfile:
     n, m = rel.dim_x, rel.dim_y
-    # dom and {y : (0, y) ∈ graph}, read off the basis; then ran and
+    # dom and {y : (0, y) ∈ graph}, read off the rows; then ran and
     # {x : (x, 0) ∈ graph}, the split of the inverse's graph
     dom, mul = rel.graph.split(n)
-    swapped = [c[n:] + c[:n] for c in rel.graph.basis.column_tuples()]
+    swapped = [r[n:] + r[:n] for r in rel.graph.rows]
     ran, ker = Subspace.split_span(m + n, swapped, m)
     return RelationProfile(
         dom=dom,
@@ -152,9 +152,9 @@ def compose(outer: LinearRelation, inner: LinearRelation) -> LinearRelation:
             f"outer is defined on Q^{outer.dim_x}"
         )
     n, m, k = inner.dim_x, inner.dim_y, outer.dim_y
-    cols = [c[n:] + c[:n] + (0,) * k for c in inner.graph.basis.column_tuples()]
-    cols += [tuple(-y for y in c[:m]) + (0,) * n + c[m:] for c in outer.graph.basis.column_tuples()]
-    return LinearRelation(n, k, Subspace.split_span(m + n + k, cols, m, head=False)[1])
+    rows = [r[n:] + r[:n] + (0,) * k for r in inner.graph.rows]
+    rows += [tuple(-y for y in r[:m]) + (0,) * n + r[m:] for r in outer.graph.rows]
+    return LinearRelation(n, k, Subspace.split_span(m + n + k, rows, m, head=False)[1])
 
 
 def cw_sum(a1: LinearRelation, a2: LinearRelation) -> tuple[LinearRelation, bool]:
@@ -178,8 +178,8 @@ def graph_projection(rel: LinearRelation) -> LinearRelation:
     kernel {0} × mul(rel).
     """
     n = rel.dim_x
-    cols = [c + c[:n] for c in rel.graph.basis.column_tuples()]
-    graph = Subspace.from_vectors(rel.dim_x + rel.dim_y + n, cols)
+    rows = [r + r[:n] for r in rel.graph.rows]
+    graph = Subspace.from_vectors(rel.dim_x + rel.dim_y + n, rows)
     return LinearRelation(rel.dim_x + rel.dim_y, n, graph)
 
 
@@ -189,26 +189,22 @@ def graph_section(rel: LinearRelation) -> LinearRelation:
     dom(rel)."""
     n = rel.dim_x
     reduced = rel.reduce_operator_part()
-    cols = [c[:n] + c for c in reduced.graph.basis.column_tuples()]
-    graph = Subspace.from_vectors(n + rel.dim_x + rel.dim_y, cols)
+    rows = [r[:n] + r for r in reduced.graph.rows]
+    graph = Subspace.from_vectors(n + rel.dim_x + rel.dim_y, rows)
     return LinearRelation(n, rel.dim_x + rel.dim_y, graph)
 
 
 def identity_on(sub: Subspace) -> LinearRelation:
     """The relation {(x, x) : x ∈ sub} on the ambient space of ``sub``."""
     d = sub.ambient_dim
-    cols = [c + c for c in sub.basis.column_tuples()]
-    return LinearRelation(d, d, Subspace.from_vectors(2 * d, cols))
+    return LinearRelation(d, d, Subspace.from_vectors(2 * d, [r + r for r in sub.rows]))
 
 
 def generator_rows(rel: LinearRelation) -> list[list[str]]:
     """Canonical basis columns of the graph, each as a list of rational strings."""
-    return [[format_rational(x) for x in col] for col in rel.graph.basis.column_tuples()]
+    return [[str(x) for x in col] for col in rel.graph.basis.column_tuples()]
 
 
 def zero_times(dim_x: int, values: Subspace) -> LinearRelation:
     """The purely multivalued relation {0} × values inside Q^dim_x × ambient."""
-    m = values.ambient_dim
-    pad = (0,) * dim_x
-    cols = [pad + c for c in values.basis.column_tuples()]
-    return LinearRelation(dim_x, m, Subspace.from_vectors(dim_x + m, cols))
+    return LinearRelation(dim_x, values.ambient_dim, Subspace.zero(dim_x).product(values))

@@ -1,49 +1,66 @@
 """Canonical subspaces of Q^d: lattice and inner-product operations.
 
-A subspace is stored as the reduced column echelon basis of its generators
-(leading entry of every column is 1, leading rows strictly increase, leading
-rows are zeroed in all other columns).  Two subspaces are equal as sets if and
-only if their basis matrices are identical entrywise, so dataclass equality is
-set equality.
+A subspace is stored once, as its canonical integer rows (see ``exact``):
+row i leads in column p_i, the p_i increase, and every row is zero in the
+other rows' leading columns.  The form is unique per subspace, so dataclass
+equality is set equality and hashing works on ints.  ``basis``, the same
+rows divided by their leading entries as the columns of a ``Fraction``
+matrix, is built on first read, for files, reports and the public API.
 
-Every operation here and in ``relation`` slices and concatenates the column
-tuples it holds and hands them as generators to one of two constructors, the
-only paths into the elimination kernel.  ``Subspace.from_vectors`` reduces
-them in full.  ``Subspace.split_span`` is ``from_vectors(...).split(n)``
-without the waste: one forward elimination, then each side it is asked for
-back-substituted among its own rows only, so intersections, relation
-products and the range and kernel of a profile reduce no row they drop.
-``Subspace.split`` reads a projection and a slice off a canonical basis with
-no elimination at all, and ``ortho_generators`` reads a basis of U^⊥ off it,
-so an orthocomplement or an adjoint is a single elimination.
+Operations here and in ``relation`` slice and concatenate integer rows and
+hand them to one of two constructors, the only paths into the kernel:
+``from_vectors`` reduces in full, and ``split_span`` is
+``from_vectors(...).split(n)`` with one forward elimination and each side
+back-substituted among its own rows only.  ``split``, ``ortho_generators``
+and ``contains`` read their answers off the rows without eliminating.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import chain
+from functools import cached_property
+from itertools import chain, compress, count
+from math import lcm
 from typing import Iterable, Optional, Sequence
 
-from .exact import Matrix, Scalar, echelon_rows, rank, solve_linear, split_echelon_rows, vector
+from .exact import (
+    Matrix,
+    Rows,
+    Scalar,
+    _cancel,
+    _integer_rows,
+    echelon_rows,
+    fraction_rows,
+    primitive_rows,
+    split_echelon_rows,
+)
 
 
 @dataclass(frozen=True)
 class Subspace:
+    """A subspace of Q^ambient_dim given by its canonical integer ``rows``;
+    build one with the constructors below, which guarantee that form."""
+
     ambient_dim: int
-    basis: Matrix
+    rows: Rows
 
     def __post_init__(self) -> None:
         if self.ambient_dim < 0:
             raise ValueError("negative ambient dimension")
-        if self.basis.rows != self.ambient_dim:
-            raise ValueError(
-                f"basis has {self.basis.rows} rows, ambient dimension is {self.ambient_dim}"
-            )
+        if any(len(row) != self.ambient_dim for row in self.rows):
+            raise ValueError(f"a row does not have ambient dimension {self.ambient_dim}")
 
     @property
     def dim(self) -> int:
-        return self.basis.cols
+        return len(self.rows)
+
+    @cached_property
+    def basis(self) -> Matrix:
+        """The reduced column echelon basis: column j is row j divided by its
+        leading entry, so it leads with a 1."""
+        reduced = fraction_rows(self.rows)
+        return Matrix(self.ambient_dim, len(reduced), tuple(chain.from_iterable(zip(*reduced))))
 
     @classmethod
     def span(cls, ambient_dim: int, generators: Matrix) -> "Subspace":
@@ -57,8 +74,8 @@ class Subspace:
     @classmethod
     def from_vectors(cls, ambient_dim: int, vectors: Iterable[Sequence[Scalar]]) -> "Subspace":
         """Canonical subspace spanned by ``vectors``, each of length ``ambient_dim``."""
-        reduced, _ = echelon_rows(_generators(ambient_dim, vectors), ambient_dim)
-        return cls._from_rows(ambient_dim, reduced)
+        rows, _ = echelon_rows(_generators(ambient_dim, vectors), ambient_dim)
+        return cls(ambient_dim, rows)
 
     @classmethod
     def split_span(
@@ -70,22 +87,16 @@ class Subspace:
         if not 0 <= n <= ambient_dim:
             raise ValueError(f"split at {n} not within ambient dimension {ambient_dim}")
         top, bottom = split_echelon_rows(_generators(ambient_dim, vectors), ambient_dim, n, head)
-        head_space = None if top is None else cls._from_rows(n, top)
-        return head_space, cls._from_rows(ambient_dim - n, bottom)
-
-    @classmethod
-    def _from_rows(cls, ambient_dim: int, reduced: list[tuple[Fraction, ...]]) -> "Subspace":
-        """The subspace whose basis columns are these reduced echelon rows."""
-        flat = tuple(chain.from_iterable(zip(*reduced)))
-        return cls(ambient_dim, Matrix(ambient_dim, len(reduced), flat))
+        return None if top is None else cls(n, top), cls(ambient_dim - n, bottom)
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, Matrix.zero(ambient_dim, 0))
+        return cls(ambient_dim, ())
 
     @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, Matrix.identity(ambient_dim))
+        unit = range(ambient_dim)
+        return cls(ambient_dim, tuple(tuple(int(i == j) for j in unit) for i in unit))
 
     def _check_ambient(self, other: "Subspace") -> None:
         if self.ambient_dim != other.ambient_dim:
@@ -93,64 +104,69 @@ class Subspace:
                 f"ambient dimensions differ: {self.ambient_dim} vs {other.ambient_dim}"
             )
 
+    def _leads(self) -> list[int]:
+        """p_i for each row i: the column of its first nonzero entry."""
+        return [next(compress(count(), row)) for row in self.rows]
+
     def sum(self, other: "Subspace") -> "Subspace":
         self._check_ambient(other)
-        return Subspace.from_vectors(
-            self.ambient_dim, self.basis.column_tuples() + other.basis.column_tuples()
-        )
+        return Subspace.from_vectors(self.ambient_dim, self.rows + other.rows)
 
     def intersect(self, other: "Subspace") -> "Subspace":
         """U ∩ V = {w : (0, w) ∈ span{(u, u), (v, 0)}}, as w = u = -v there."""
         self._check_ambient(other)
         d = self.ambient_dim
-        cols = [c + c for c in self.basis.column_tuples()]
-        cols += [c + (0,) * d for c in other.basis.column_tuples()]
-        return Subspace.split_span(2 * d, cols, d, head=False)[1]
+        rows = [r + r for r in self.rows]
+        rows += [r + (0,) * d for r in other.rows]
+        return Subspace.split_span(2 * d, rows, d, head=False)[1]
 
     def ortho_complement(self) -> "Subspace":
         """Orthogonal complement for the standard dot product on Q^d,
         canonicalized from ``ortho_generators`` in one elimination."""
         return Subspace.from_vectors(self.ambient_dim, self.ortho_generators())
 
-    def ortho_generators(self) -> list[tuple[Scalar, ...]]:
-        """A basis of U^⊥ read off the canonical basis B, not canonical itself.
+    def ortho_generators(self) -> list[tuple[int, ...]]:
+        """A basis of U^⊥ read off the canonical rows, not canonical itself.
 
-        Column j of B leads with a 1 in row p_j and is zero in every other
-        leading row, so each coordinate f that leads no column gives the
-        vector e_f − Σ_j B[f, j]·e_{p_j}, orthogonal to every column.  These
-        are d − dim U independent vectors, hence a basis of U^⊥.
+        Row j leads with q_j in column p_j and is zero in every other leading
+        column, so each coordinate f where no row leads gives the vector
+        e_f − Σ_j (row_j[f] / q_j)·e_{p_j}, orthogonal to every row.  These
+        are d − dim U independent vectors, hence a basis of U^⊥; each is
+        scaled to a primitive integer vector.
         """
-        d, r = self.ambient_dim, self.dim
-        flat = self.basis.entries
-        # p_j for each j: column j is zero above its leading row, and p_j > p_(j-1)
-        leads: list[int] = []
-        for i in range(d):
-            if len(leads) < r and flat[i * r + len(leads)]:
-                leads.append(i)
-        lead_set = set(leads)
+        d = self.ambient_dim
+        leads = self._leads()
+        free = sorted(set(range(d)).difference(leads))
         gens = []
-        for f in range(d):
-            if f in lead_set:
-                continue
+        for f in free:
+            terms = [(p, row[f], row[p]) for p, row in zip(leads, self.rows) if row[f]]
+            scale = lcm(*[q for _, _, q in terms])
             g = [0] * d
-            g[f] = 1
-            for p, x in zip(leads, flat[f * r : (f + 1) * r]):
-                if x:
-                    g[p] = -x
-            gens.append(tuple(g))
-        return gens
+            g[f] = scale
+            for p, x, q in terms:
+                g[p] = -x * (scale // q)
+            gens.append(g)
+        return list(primitive_rows(gens, free))
+
+    def _holds(self, v: Sequence[int], leads: Sequence[int]) -> bool:
+        """Whether v ∈ U: clearing each leading column of v leaves zero."""
+        for p, row in zip(leads, self.rows):
+            if v[p]:
+                v = _cancel(v, row, p)
+        return not any(v)
 
     def contains(self, other: "Subspace") -> bool:
         self._check_ambient(other)
         if other.dim > self.dim:
             return False
-        return rank(self.basis.hstack(other.basis)) == self.dim
+        leads = self._leads()
+        return all(self._holds(row, leads) for row in other.rows)
 
     def contains_vector(self, v: Sequence[Scalar]) -> bool:
-        x = vector(v)
+        (x,) = _integer_rows([v])
         if len(x) != self.ambient_dim:
             raise ValueError(f"vector length {len(x)} does not match ambient {self.ambient_dim}")
-        return solve_linear(self.basis, x) is not None
+        return self._holds(x, self._leads())
 
     def block_project(self, start: int, stop: int) -> "Subspace":
         """Image under the coordinate projection onto positions [start, stop)."""
@@ -158,50 +174,46 @@ class Subspace:
             raise ValueError(
                 f"block [{start}, {stop}) not within ambient dimension {self.ambient_dim}"
             )
-        return Subspace.from_vectors(
-            stop - start, [c[start:stop] for c in self.basis.column_tuples()]
-        )
+        return Subspace.from_vectors(stop - start, [r[start:stop] for r in self.rows])
 
     def split(self, n: int) -> tuple["Subspace", "Subspace"]:
         """(P, K): P projects U onto the first ``n`` coordinates, K = {w : (0, w) ∈ U}.
 
-        Columns are ordered by their leading 1: the p columns that lead in the
-        first ``n`` rows come first, and the rest are zero there.  So the
-        top-left n×p block of the basis is P's canonical basis and the
-        bottom-right block is K's, read off without elimination.
+        The p rows that lead in the first ``n`` columns come first, and the
+        rest are zero there.  So the first p rows cut to their first ``n``
+        entries are P's canonical rows once divided by their content, and
+        the other rows cut to the rest are K's, read off without elimination.
         """
-        d, r = self.ambient_dim, self.dim
+        d = self.ambient_dim
         if not 0 <= n <= d:
             raise ValueError(f"split at {n} not within ambient dimension {d}")
-        flat = self.basis.entries
-        p = sum(1 for j in range(r) if any(flat[j : n * r : r]))
-        top = tuple(chain.from_iterable(flat[i * r : i * r + p] for i in range(n)))
-        bottom = tuple(chain.from_iterable(flat[i * r + p : (i + 1) * r] for i in range(n, d)))
-        return Subspace(n, Matrix(n, p, top)), Subspace(d - n, Matrix(d - n, r - p, bottom))
+        leads = self._leads()
+        p = bisect_left(leads, n)
+        head = primitive_rows([row[:n] for row in self.rows[:p]], leads[:p])
+        tail = tuple(row[n:] for row in self.rows[p:])
+        return Subspace(n, head), Subspace(d - n, tail)
 
     def direct_sum_check(self, other: "Subspace") -> bool:
         """Whether U ∩ V = 0, read off dim(U + V) = dim U + dim V."""
         return self.sum(other).dim == self.dim + other.dim
 
     def product(self, other: "Subspace") -> "Subspace":
-        """U × V inside Q^(dU + dV), coordinates of U first."""
+        """U × V inside Q^(dU + dV), coordinates of U first: the rows of U
+        and then those of V, each padded with zeros, are already canonical."""
         pad_u, pad_v = (0,) * self.ambient_dim, (0,) * other.ambient_dim
-        cols = [c + pad_v for c in self.basis.column_tuples()]
-        cols += [pad_u + c for c in other.basis.column_tuples()]
-        return Subspace.from_vectors(self.ambient_dim + other.ambient_dim, cols)
+        rows = tuple(r + pad_v for r in self.rows) + tuple(pad_u + r for r in other.rows)
+        return Subspace(self.ambient_dim + other.ambient_dim, rows)
 
     def __repr__(self) -> str:
         cols = ["(" + " ".join(str(x) for x in c) + ")" for c in self.basis.column_tuples()]
         return f"Subspace(Q^{self.ambient_dim}: {', '.join(cols) if cols else '0'})"
 
 
-def _generators(
-    ambient_dim: int, vectors: Iterable[Sequence[Scalar]]
-) -> list[tuple[Fraction, ...]]:
-    gens = [vector(v) for v in vectors]
-    for g in gens:
-        if len(g) != ambient_dim:
+def _generators(ambient_dim: int, vectors: Iterable[Sequence[Scalar]]) -> list[Sequence[int]]:
+    rows = _integer_rows(vectors)
+    for row in rows:
+        if len(row) != ambient_dim:
             raise ValueError(
-                f"generator length {len(g)} does not match ambient dimension {ambient_dim}"
+                f"generator length {len(row)} does not match ambient dimension {ambient_dim}"
             )
-    return gens
+    return rows

@@ -100,6 +100,40 @@ class TestInfo:
         assert len(err.splitlines()) == 1 and len(err) < 200
         assert err.startswith(f"error: {path}:3: field 2: bad rational '777") and "5000" in err
 
+    @pytest.mark.parametrize("body,line", [("\n1 é\n", 4), ("é 1\n", 3)], ids=["mid-line", "line start"])
+    def test_non_ascii_byte_names_file_and_line(self, tmp_path, capsys, body, line):
+        path = tmp_path / "accent.rel"
+        path.write_bytes(("dim_x=1\ndim_y=1\n" + body).encode("utf-8"))
+        code, out, err = run(capsys, "info", path)
+        assert code == 1 and out == ""
+        assert err == f"error: {path}:{line}: non-ASCII byte 0xc3\n"
+
+    def test_underscored_count_is_rejected(self, tmp_path, capsys):
+        # int() reads "1_0" as 10
+        path = tmp_path / "underscore.rel"
+        path.write_text("dim_x=1_0\ndim_y=1\n")
+        code, out, err = run(capsys, "info", path)
+        assert code == 1 and out == ""
+        assert err == f"error: {path}:1: bad count '1_0'\n"
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("dim_x=1\ndim_y=1\n1 ٣\n", "f.rel:3: field 2: bad rational '٣'"),
+            ("dim_x=1\ndim_y=1\n３/４ 1\n", "f.rel:3: field 1: bad rational '３/４'"),
+            ("dim_x=1_0\ndim_y=1\n", "f.rel:1: bad count '1_0'"),
+            ("dim_x=1\ndim_y=١\n", "f.rel:2: bad count '١'"),
+            ("dim_x=1\ndim_y=1\n1\u00a03\n", "f.rel:3: non-ASCII whitespace U+00A0"),
+            ("dim_x=1\ndim_y=1\u2028\n", "f.rel:2: non-ASCII whitespace U+2028"),
+        ],
+        ids=["arabic-indic digit", "fullwidth digits", "underscore", "count digit", "nbsp", "line separator"],
+    )
+    def test_text_takes_only_what_a_file_can_hold(self, text, message):
+        # each of these used to parse, as if its digits or spaces were ASCII
+        with pytest.raises(ValueError) as caught:
+            parse_relation_text(text, "f.rel")
+        assert str(caught.value) == message
+
     def test_dimension_limit_is_on_the_sum(self):
         limit = MAX_AMBIENT_DIM
         rel = parse_relation_text(f"dim_x={limit // 2}\ndim_y={limit - limit // 2}\n")

@@ -8,7 +8,6 @@ import hypothesis.strategies as st
 from linrel import (
     Matrix,
     canonical_echelon,
-    format_rational,
     nullspace,
     parse_rational,
     rank,
@@ -43,15 +42,16 @@ class TestRationalStrings:
         with pytest.raises(ValueError):
             parse_rational(text)
 
-    def test_format_omits_unit_denominator(self):
-        assert format_rational(Fraction(-3, 2)) == "-3/2"
-        assert format_rational(Fraction(0)) == "0"
-        assert format_rational(Fraction(5)) == "5"
+    @pytest.mark.parametrize("text", ["\uff13/\uff14", "\u0663", "1/\u0664", "1_0", "\u00a07"])
+    def test_parse_takes_only_ascii_digits(self, text):
+        # int() and the regex class \d would read these as 3/4, 3, 1/4, 10 and 7
+        with pytest.raises(ValueError, match="bad rational"):
+            parse_rational(text)
 
     @given(st.integers(-100, 100), st.integers(1, 100))
     def test_round_trip(self, p, q):
         value = Fraction(p, q)
-        assert parse_rational(format_rational(value)) == value
+        assert parse_rational(str(value)) == value
 
 
 class TestCanonicalEchelon:

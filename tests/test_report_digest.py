@@ -1,17 +1,25 @@
-"""Byte-identity guard for the solvers' reports.
+"""Byte-identity guards for the solvers' reports and the canonical forms.
 
 Every refactor of ``linrel.factor`` must leave the text and JSON reports of
-all six solvers unchanged, byte for byte.  This test runs them on a fixed,
-seeded set of pairs and compares a SHA-256 over both renderings with a
-constant.  The pairs are built here from ``from_generators``, ``compose``
+all six solvers unchanged, byte for byte.  The first test runs them on a
+fixed, seeded set of pairs and compares a SHA-256 over both renderings with
+a constant.  The pairs are built here from ``from_generators``, ``compose``
 and ``graph_of_matrix`` alone, whose results are canonical, so only a change
 in what the solvers decide or build can move the digest.
 
-If a change alters report output on purpose, say so where the change is
-recorded and update ``EXPECTED_DIGEST``.
+The second test does the same for the canonical output of the relation
+calculus itself: compose, the four bases of a profile, adjoint, inverse,
+orthocomplement, intersection and ``linrel info``, on small relations and
+on dense pairs at d = 16 and d = 24, whose products have entries of 208
+and 351 bits.
+
+If a change alters this output on purpose, say so where the change is
+recorded and update ``EXPECTED_DIGEST`` or ``EXPECTED_CANONICAL_DIGEST``.
 """
 
+import contextlib
 import hashlib
+import io
 import json
 import random
 from collections import Counter
@@ -19,7 +27,11 @@ from collections import Counter
 from linrel import (
     LinearRelation,
     Matrix,
+    cli,
     compose,
+    parse_relation_text,
+    profile,
+    serialize_relation,
     solve_adjoint_left,
     solve_adjoint_right,
     solve_left_operator,
@@ -29,6 +41,8 @@ from linrel import (
 )
 
 EXPECTED_DIGEST = "376a973f2f9b8fbc032bcf6295ae582188b77384279ba2452797374429693890"
+
+EXPECTED_CANONICAL_DIGEST = "a9b1cfa50d51211eca55f53f7c1bcb94ff012ab2df0a472135a49f7b37feff53"
 
 SEED = 20261018
 ROUNDS = 60
@@ -86,3 +100,58 @@ def test_solver_reports_are_byte_identical():
     for solver in RIGHT + LEFT + ADJOINT:
         assert outcomes[solver.__name__, True] and outcomes[solver.__name__, False], outcomes
     assert digest.hexdigest() == EXPECTED_DIGEST
+
+
+def _generator_text(rng, width):
+    """One generator line with small integers and an occasional fraction."""
+    fields = []
+    for _ in range(width):
+        p = rng.randint(-3, 3)
+        fields.append(f"{p}/{rng.randint(2, 5)}" if p and rng.random() < 0.2 else str(p))
+    return " ".join(fields)
+
+
+def _relation_file(rng, n, m, count):
+    lines = [f"dim_x={n}", f"dim_y={m}"] + [_generator_text(rng, n + m) for _ in range(count)]
+    return "\n".join(lines) + "\n"
+
+
+def _canonical_pairs():
+    """(A text, B text) of square relations: small ones of every rank, and
+    dense ones at d = 16 and d = 24 with more generators than d, so that
+    their graphs meet and their products are multivalued."""
+    rng = random.Random(SEED + 1)
+    for _ in range(40):
+        d = rng.randint(0, 4)
+        yield (_relation_file(rng, d, d, rng.randint(0, 2 * d)),
+               _relation_file(rng, d, d, rng.randint(0, 2 * d)))
+    for d in (16, 24):
+        yield _relation_file(rng, d, d, d + 3), _relation_file(rng, d, d, d + 2)
+
+
+def _basis_text(label, sub):
+    cols = [" ".join(str(x) for x in col) for col in sub.basis.column_tuples()]
+    return f"{label} {sub.ambient_dim} {sub.dim}\n" + "".join(c + "\n" for c in cols)
+
+
+def test_canonical_output_is_byte_identical(tmp_path):
+    digest = hashlib.sha256()
+    for index, (a_text, b_text) in enumerate(_canonical_pairs()):
+        path = tmp_path / f"a{index}.rel"
+        path.write_text(a_text)
+        info = io.StringIO()
+        with contextlib.redirect_stdout(info):
+            assert cli.main(["info", str(path)]) == 0
+        a = parse_relation_text(a_text)
+        b = parse_relation_text(b_text)
+        c = compose(b, a)
+        p = profile(c)
+        parts = [info.getvalue(), serialize_relation(c), serialize_relation(c.adjoint()),
+                 serialize_relation(a.inverse())]
+        parts += [_basis_text(label, getattr(p, label)) for label in ("dom", "ran", "ker", "mul")]
+        parts.append(_basis_text("perp", a.graph.ortho_complement()))
+        parts.append(_basis_text("meet", a.graph.intersect(b.graph)))
+        for part in parts:
+            digest.update(part.encode("ascii"))
+            digest.update(b"\0")
+    assert digest.hexdigest() == EXPECTED_CANONICAL_DIGEST

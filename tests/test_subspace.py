@@ -1,12 +1,13 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from linrel import Matrix, Subspace
+from linrel import Matrix, Subspace, canonical_echelon
 
-from strategies import subspaces
+from strategies import matrices, subspaces
 
 
 def sp(d, *vectors):
@@ -62,6 +63,44 @@ class TestFromVectors:
         gens = [(1, 2, 0), (2, 4, 0), (0, 0, 5)]
         lazy = (iter(g) for g in gens)
         assert Subspace.from_vectors(3, lazy) == sp(3, *gens)
+
+
+class TestRepresentation:
+    """A subspace is stored once, as canonical integer rows."""
+
+    @given(subspaces(max_dim=5))
+    def test_rows_are_canonical(self, u):
+        leads = []
+        for row in u.rows:
+            assert len(row) == u.ambient_dim and all(type(x) is int for x in row)
+            assert gcd(*row) == 1
+            lead = next(j for j, x in enumerate(row) if x)
+            assert row[lead] > 0
+            leads.append(lead)
+        assert leads == sorted(set(leads))
+        for i, row in enumerate(u.rows):
+            assert all(row[p] == 0 for k, p in enumerate(leads) if k != i)
+
+    @given(subspaces(max_dim=5), st.randoms(use_true_random=False))
+    def test_any_generators_give_an_equal_value_and_hash(self, u, rng):
+        spellings = (lambda v: v, str, lambda v: int(v) if v.denominator == 1 else v)
+        gens = []
+        for row in u.rows:
+            scale = Fraction(rng.choice([1, -1, 2, -3]), rng.choice([1, 2, 7]))
+            gens.append([rng.choice(spellings)(x * scale) for x in row])
+        if gens:
+            gens.append([sum(c) for c in zip(*[[Fraction(x) for x in g] for g in gens])])
+        rng.shuffle(gens)
+        w = Subspace.from_vectors(u.ambient_dim, gens)
+        assert w == u and hash(w) == hash(u) and w.rows == u.rows
+
+    @given(matrices(max_rows=5, max_cols=5))
+    def test_basis_is_the_canonical_echelon_form(self, m):
+        u = Subspace.from_vectors(m.cols, [m.row(i) for i in range(m.rows)])
+        reduced, rank, _ = canonical_echelon(m)
+        assert u.dim == rank
+        rows = [reduced.row(i) for i in range(rank)]
+        assert u.basis == Matrix.from_rows(rows, cols=m.cols).transpose()
 
 
 class TestSum:
