@@ -24,8 +24,8 @@ from .factor import (
     verify,
 )
 from .files import MAX_AMBIENT_DIM, parse_relation_file, serialize_relation, write_relation_file
-from .harness import RelationSpec, default_cases, list_suites, random_relation, run_suite
-from .relation import compose, profile
+from .harness import RelationSpec, list_suites, random_relation, run_suite
+from .relation import compose, generator_rows, profile
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -46,12 +46,6 @@ def _emit_relation(rel, out: Optional[str]) -> None:
         write_relation_file(out, rel)
     else:
         sys.stdout.write(serialize_relation(rel))
-
-
-def _basis_lines(label: str, sub) -> list[str]:
-    lines = [f"{label}:"]
-    lines += ["  " + " ".join(str(x) for x in col) for col in sub.basis.column_tuples()]
-    return lines
 
 
 def cmd_info(args) -> int:
@@ -84,8 +78,9 @@ def cmd_info(args) -> int:
         flags += f" selfadjoint={yn(rel.is_selfadjoint())}"
     print(flags)
     for label, sub in (("dom_basis", p.dom), ("ran_basis", p.ran), ("ker_basis", p.ker), ("mul_basis", p.mul)):
-        for line in _basis_lines(label, sub):
-            print(line)
+        print(f"{label}:")
+        for row in generator_rows(sub):
+            print("  " + " ".join(row))
     return EXIT_OK
 
 
@@ -159,8 +154,7 @@ def cmd_check(args) -> int:
         names = (args.suite,)
     all_ok = True
     for name in names:
-        cases = args.cases if args.cases is not None else default_cases(name)
-        result = run_suite(name, cases, args.seed)
+        result = run_suite(name, args.cases, args.seed)
         if args.json:
             print(json.dumps(result.to_json_dict()))
         else:

@@ -239,16 +239,15 @@ def _cancel(row: Sequence[int], prow: Sequence[int], col: int) -> list[int]:
     return out
 
 
-def _eliminate(data: list[Sequence[int]], cols: int, reduce: bool) -> list[int]:
-    """Row-reduce integer rows in place; returns the pivot columns.
+def _eliminate(data: list[Sequence[int]], cols: int) -> list[int]:
+    """Bring integer rows to echelon form in place; returns the pivot columns.
 
     Forward elimination clears each pivot column below its pivot; pivot
     choice is the first row with a nonzero entry in column order, so equal
-    input gives equal output.  The rank is the number of pivots.  With
-    ``reduce``, back substitution then clears every pivot column above its
-    pivot too, and row r divided by its pivot entry is row r of the reduced
-    row echelon form.  Every row that is cancelled against another comes
-    out primitive; the rows are replaced, never mutated.
+    input gives equal output.  The rank is the number of pivots, and
+    ``_back_substitute`` then gives the reduced form.  Every row that is
+    cancelled against another comes out primitive; the rows are replaced,
+    never mutated.
     """
     rank = 0
     pivots: list[int] = []
@@ -271,14 +270,13 @@ def _eliminate(data: list[Sequence[int]], cols: int, reduce: bool) -> list[int]:
         rank += 1
         if rank == nrows:
             break
-    if reduce:
-        _back_substitute(data, pivots)
     return pivots
 
 
 def _back_substitute(data: list[Sequence[int]], pivots: Sequence[int]) -> None:
     """Clear every pivot column above its pivot, in rows that forward
-    elimination left in echelon form with these pivot columns."""
+    elimination left in echelon form with these pivot columns; row r divided
+    by its pivot entry is then row r of the reduced row echelon form."""
     for i in range(len(pivots) - 1, 0, -1):
         prow, col = data[i], pivots[i]
         for r in range(i):
@@ -312,7 +310,8 @@ def primitive_rows(data: Sequence[Sequence[int]], pivots: Sequence[int]) -> Rows
 def echelon_rows(data: list[Sequence[int]], cols: int) -> tuple[Rows, list[int]]:
     """Canonical rows of the row space of the integer rows ``data`` (each of
     ``cols`` entries), and their pivot columns.  ``data`` is consumed."""
-    pivots = _eliminate(data, cols, reduce=True)
+    pivots = _eliminate(data, cols)
+    _back_substitute(data, pivots)
     return primitive_rows(data, pivots), pivots
 
 
@@ -329,7 +328,7 @@ def split_echelon_rows(
     is back-substituted among its own rows only, so no row is reduced
     against a row that the other side keeps.
     """
-    pivots = _eliminate(data, cols, reduce=False)
+    pivots = _eliminate(data, cols)
     h = bisect_left(pivots, cut)
     top = None
     if head:
@@ -361,7 +360,7 @@ def canonical_echelon(m: Matrix) -> EchelonForm:
 
 
 def rank(m: Matrix) -> int:
-    return len(_eliminate(_integer_rows(map(m.row, range(m.rows))), m.cols, reduce=False))
+    return len(_eliminate(_integer_rows(map(m.row, range(m.rows))), m.cols))
 
 
 def nullspace(m: Matrix) -> Matrix:
@@ -373,7 +372,8 @@ def nullspace(m: Matrix) -> Matrix:
     elsewhere.  Column count is always ``cols - rank``.
     """
     data = _integer_rows(map(m.row, range(m.rows)))
-    pivots = _eliminate(data, m.cols, reduce=True)
+    pivots = _eliminate(data, m.cols)
+    _back_substitute(data, pivots)
     pivot_set = set(pivots)
     free = [f for f in range(m.cols) if f not in pivot_set]
     width = len(free)
@@ -395,7 +395,7 @@ def solve_linear(m: Matrix, b: Sequence[Scalar]) -> Optional[tuple[Fraction, ...
     if len(rhs) != m.rows:
         raise ValueError(f"right-hand side length {len(rhs)} does not match {m.rows} rows")
     data = _integer_rows(m.row(i) + (rhs[i],) for i in range(m.rows))
-    pivots = _eliminate(data, m.cols + 1, reduce=False)
+    pivots = _eliminate(data, m.cols + 1)
     if pivots and pivots[-1] == m.cols:
         return None
     _back_substitute(data, pivots)

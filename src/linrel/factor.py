@@ -54,7 +54,7 @@ class FactorizationReport:
             witness = {
                 "dim_x": self.witness.dim_x,
                 "dim_y": self.witness.dim_y,
-                "generators": generator_rows(self.witness),
+                "generators": generator_rows(self.witness.graph),
             }
         return {
             "side": self.side,
@@ -78,7 +78,7 @@ class FactorizationReport:
             lines.append(f"condition {cond.name} held={_yn(cond.held)}" + (f" {evidence}" if evidence else ""))
         if self.witness is not None:
             lines.append(f"witness dim_x={self.witness.dim_x} dim_y={self.witness.dim_y}")
-            lines += [f"witness_generator {' '.join(row)}" for row in generator_rows(self.witness)]
+            lines += [f"witness_generator {' '.join(row)}" for row in generator_rows(self.witness.graph)]
         lines.append(f"notes: {self.notes}")
         return "\n".join(lines) + "\n"
 
@@ -158,8 +158,10 @@ def _left_operator_witness(
     window = pb.mul.ortho_complement().product(pa.mul.ortho_complement())
     base = compose(a, b.inverse())
     core = LinearRelation(p, m, base.graph.intersect(window))
-    bridge_gens = [pb.mul.basis.col(i) + pa.mul.basis.col(i) for i in range(pa.mul.dim)]
-    bridge = LinearRelation.from_generators(p, m, bridge_gens)
+    # e_i ⊕ e_i joins basis vector i of mul(B) to basis vector i of mul(A)
+    muls, k = pb.mul.product(pa.mul), pb.mul.dim
+    units = [[int(j in (i, k + i)) for j in range(muls.dim)] for i in range(pa.mul.dim)]
+    bridge = LinearRelation.from_generators(p, m, map(muls.point, units))
     witness, direct = cw_sum(core, bridge)
     return witness, direct and profile(witness).is_operator and compose(witness, b) == a
 

@@ -8,8 +8,9 @@ serialization is deterministic: equal relations produce byte-identical files.
 The header may declare at most ``MAX_AMBIENT_DIM`` coordinates in all, which
 bounds the time and memory a small file can ask for.  Input is ASCII: a file
 is rejected at its first other byte, and text gets the same answers, since
-counts and rationals take only ASCII digits and only ASCII whitespace
-separates fields and lines.
+counts and rationals take only ASCII digits.  Lines end only at ``\n``,
+``\r\n`` or ``\r``, and only spaces and tabs separate fields: any other
+control character, and any non-ASCII whitespace, is rejected with its line.
 """
 
 from __future__ import annotations
@@ -29,6 +30,15 @@ _ECHO_CHARS = 40
 
 _COUNT_RE = re.compile(r"[+-]?[0-9]+\Z")
 _NON_ASCII_RE = re.compile(rb"[\x80-\xff]")
+# ASCII controls other than tab and the line ends, and whitespace beyond ASCII:
+# ``str.splitlines`` and ``str.split`` would break lines or fields at them
+_STRAY_RE = re.compile(r"[\x00-\x08\x0b\x0c\x0e-\x1f\x7f]|[^\S\x00-\x7f]")
+_LINE_END_RE = re.compile(r"\r\n?|\n")
+
+
+def _line_of(text: str, at: int) -> int:
+    """The number of the line holding position ``at`` of ``text``."""
+    return len(_LINE_END_RE.findall(text, 0, at)) + 1
 
 
 def _echo(field: str) -> str:
@@ -38,11 +48,12 @@ def _echo(field: str) -> str:
 
 
 def parse_relation_text(text: str, source: str = "<input>") -> LinearRelation:
-    if not text.isascii():  # whitespace outside ASCII would split fields or lines
-        for number, line in enumerate(text.splitlines(keepends=True), start=1):
-            for ch in filter(str.isspace, line):
-                if not ch.isascii():
-                    raise ValueError(f"{source}:{number}: non-ASCII whitespace U+{ord(ch):04X}")
+    stray = _STRAY_RE.search(text)
+    if stray is not None:
+        ch, line = stray.group(), _line_of(text, stray.start())
+        if ch.isascii():
+            raise ValueError(f"{source}:{line}: control character 0x{ord(ch):02x}")
+        raise ValueError(f"{source}:{line}: non-ASCII whitespace U+{ord(ch):04X}")
     lines = text.splitlines()
     dims = {}
     body_start = 0
@@ -97,15 +108,14 @@ def parse_relation_file(path: str) -> LinearRelation:
         data = handle.read()
     if not data.isascii():
         at = _NON_ASCII_RE.search(data).start()
-        # the line holding byte ``at``, counted as parse_relation_text counts them
-        line = len((data[:at].decode("ascii") + "x").splitlines())
+        line = _line_of(data[:at].decode("ascii"), at)
         raise ValueError(f"{path}:{line}: non-ASCII byte 0x{data[at]:02x}")
     return parse_relation_text(data.decode("ascii"), source=path)
 
 
 def serialize_relation(rel: LinearRelation) -> str:
     lines = [f"dim_x={rel.dim_x}", f"dim_y={rel.dim_y}"]
-    lines += [" ".join(row) for row in generator_rows(rel)]
+    lines += [" ".join(row) for row in generator_rows(rel.graph)]
     return "\n".join(lines) + "\n"
 
 

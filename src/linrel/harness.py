@@ -5,12 +5,15 @@ abundant condition-violating pairs, which uniform sampling rarely produces.
 Determinism is per-implementation: the PRNG is Python's Mersenne Twister
 (``random.Random``) with documented sub-seed derivation, so equal (spec, seed)
 always reproduce identical canonical relations within this implementation.
+Generators and probes are integer points of canonical rows (``Subspace.point``);
+only ``random_selfadjoint`` (a rational Gram inverse), the oracle and the
+suites that test ``Matrix`` itself build matrices.
 
 The brute-force witness search is definitional as well: it decides each
 grid candidate T on ``oracle_product_membership``'s stacked feasibility
 system, with B's block of it eliminated once per pair and all of A's basis
 vectors as right-hand sides, and re-verifies the one witness it returns with
-``compose``.
+``compose``.  Its grid is gated to dims <= 2 on both sides and bound <= 2.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from operator import mul
 from typing import Callable, Iterable, Optional, Sequence
 
 from . import factor
-from .exact import Matrix, Rows, _eliminate, _integer_rows, echelon_rows, rank, solve_linear, vector
+from .exact import Matrix, Rows, _eliminate, _integer_rows, echelon_rows, solve_linear, vector
 from .files import serialize_relation
 from .relation import (
     LinearRelation,
@@ -93,22 +96,22 @@ def random_matrix(rng: random.Random, rows: int, cols: int, bound: int = 3) -> M
     return Matrix(rows, cols, tuple(rng.randint(-bound, bound) for _ in range(rows * cols)))
 
 
-def random_full_rank(rng: random.Random, rows: int, cols: int, bound: int = 3) -> Matrix:
+def random_full_rank(rng: random.Random, rows: int, cols: int, bound: int = 3) -> list[tuple]:
+    """The integer columns of a rows x cols matrix drawn row by row, redrawn
+    until they are independent."""
     if cols > rows:
         raise ValueError("full column rank needs cols <= rows")
     for _ in range(1000):
-        m = random_matrix(rng, rows, cols, bound)
-        if rank(m) == cols:
-            return m
+        data = [[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(rows)]
+        if len(_eliminate(data[:], cols)) == cols:
+            return list(zip(*data))
     raise RuntimeError("failed to sample a full-rank matrix")
 
 
 def random_subspace(rng: random.Random, ambient: int, dim: int, bound: int = 3) -> Subspace:
     if not 0 <= dim <= ambient:
         raise ValueError(f"dimension {dim} not within ambient {ambient}")
-    if dim == 0:
-        return Subspace.zero(ambient)
-    return Subspace.span(ambient, random_full_rank(rng, ambient, dim, bound))
+    return Subspace.from_vectors(ambient, random_full_rank(rng, ambient, dim, bound))
 
 
 def random_plain_relation(
@@ -125,15 +128,11 @@ def _targeted_relation(
     """cw-sum of {0} x (random multivalued space) and a random single-valued
     part with prescribed domain and kernel dimensions."""
     mul_space = random_subspace(rng, dim_y, dm, bound)
-    comp_basis = mul_space.ortho_complement().basis
+    window = Subspace.full(dim_x).product(mul_space.ortho_complement())
     dom_cols = random_full_rank(rng, dim_x, dd, bound)
-    image_coeffs = random_full_rank(rng, comp_basis.cols, dd - dk, bound)
-    images = comp_basis @ image_coeffs
-    gens = []
-    for i in range(dd):
-        x = dom_cols.col(i)
-        y = (0,) * dim_y if i < dk else images.col(i - dk)
-        gens.append(tuple(x) + tuple(y))
+    image_coeffs = [(0,) * (dim_y - dm)] * dk
+    image_coeffs += random_full_rank(rng, dim_y - dm, dd - dk, bound)
+    gens = [window.point(x + c) for x, c in zip(dom_cols, image_coeffs)]
     gens += [(0,) * dim_x + r for r in mul_space.rows]
     rel = LinearRelation.from_generators(dim_x, dim_y, gens)
     prof = profile(rel)
@@ -229,10 +228,11 @@ def operator_graph_candidates(dim_x: int, dim_y: int, bound: int = 2) -> tuple[L
     Graph dimension of an operator is at most dim_x, so spans of up to dim_x
     grid vectors cover all candidates.  Spans are told apart and tested for
     single-valuedness on their canonical rows, and only the operators become
-    relations, on those rows as they are.  Gated to dim_x <= 2.
+    relations, on those rows as they are.  Gated to dim_x, dim_y <= 2 and
+    bound <= 2: (2, 3) at bound 2 already has over half a million candidates.
     """
-    if dim_x > 2:
-        raise ValueError("brute-force enumeration is gated to dim_x <= 2")
+    if max(dim_x, dim_y, bound) > 2:
+        raise ValueError("brute-force enumeration is gated to dim_x, dim_y <= 2 and bound <= 2")
     ambient = dim_x + dim_y
     lines: set[tuple[Fraction, ...]] = set()
     for entries in iter_product(range(-bound, bound + 1), repeat=ambient):
@@ -300,7 +300,7 @@ def _product_test(a: LinearRelation, b: LinearRelation, side: str) -> Callable[[
     w_rows = [list(w) for w in Subspace.from_vectors(n + m + k, b_block).ortho_generators()]
     rhs = [[_dot(w[:n], g[:n]) + _dot(w[n + m :], g[n:]) for g in probes] for w in w_rows]
     # The pivot columns of W·(probes) span all of them: only those go in.
-    basic = _eliminate([row[:] for row in rhs], len(probes), reduce=False)
+    basic = _eliminate([row[:] for row in rhs], len(probes))
     rhs = [[row[j] for j in basic] for row in rhs]
     # Each entry of a candidate's rows is one dot product with a column t of
     # T's graph basis: ``pull_*`` hold the vectors it is taken with.
@@ -314,18 +314,18 @@ def _product_test(a: LinearRelation, b: LinearRelation, side: str) -> Callable[[
         pull_out = [[-v for v in e] + [0] * k for e in unit] + [[0] * m + h[n:] for h in perp]
         b_rows = [g[n:] + [_dot(h[:n], g[:n]) for h in perp] for g in b_gens]
     width = m + len(perp)
-    b_echelon = b_rows[: len(_eliminate(b_rows, width, reduce=False))]
+    b_echelon = b_rows[: len(_eliminate(b_rows, width))]
 
     def admits(gens: Rows) -> bool:
         r = len(gens)
         if r < len(basic):  # r columns cannot span more independent right-hand sides
             return False
         rows = [[sum(map(mul, p, t)) for t in gens] + row for p, row in zip(pull_in, rhs)]
-        pivots = _eliminate(rows, r + len(basic), reduce=False)
+        pivots = _eliminate(rows, r + len(basic))
         if pivots and pivots[-1] >= r:
             return False
         rows = b_echelon + [[sum(map(mul, p, t)) for p in pull_out] for t in gens]
-        pivots = _eliminate(rows, width, reduce=False)
+        pivots = _eliminate(rows, width)
         return not pivots or pivots[-1] < m
 
     return admits
@@ -376,18 +376,12 @@ RIGHT_KINDS = ("satisfy", "violate_ran", "violate_mul_gain", "violate_mul_loss",
 LEFT_KINDS = ("satisfy", "violate_dom", "violate_ker", "violate_mul_dim", "free")
 
 
-def _vector_outside(rng: random.Random, sub: Subspace, bound: int) -> tuple:
-    for _ in range(1000):
-        v = [rng.randint(-bound, bound) for _ in range(sub.ambient_dim)]
-        if any(v) and not sub.contains_vector(v):
-            return tuple(v)
-    raise RuntimeError("failed to sample a vector outside the subspace")
-
-
 def _vector_in_gap(rng: random.Random, big: Subspace, small: Subspace, bound: int) -> tuple:
+    """A nonzero point of ``big`` outside ``small``; on the full space its
+    coefficients are its coordinates."""
     for _ in range(1000):
         coeffs = [rng.randint(-bound, bound) for _ in range(big.dim)]
-        v = big.basis.matvec(coeffs)
+        v = big.point(coeffs)
         if any(v) and not small.contains_vector(v):
             return v
     raise RuntimeError("failed to sample a vector in the gap")
@@ -418,7 +412,7 @@ def targeted_right_pair(
         if kind == "violate_ran":
             if pb.ran.dim == nz:
                 continue
-            z0 = _vector_outside(rng, pb.ran, bound)
+            z0 = _vector_in_gap(rng, Subspace.full(nz), pb.ran, bound)
             x0 = tuple(rng.randint(-bound, bound) for _ in range(nx))
             extra = LinearRelation.from_generators(nx, nz, [x0 + z0])
             return cw_sum(base, extra)[0], b
@@ -426,7 +420,7 @@ def targeted_right_pair(
             if pb.ran.dim <= pb.mul.dim:
                 continue
             z0 = _vector_in_gap(rng, pb.ran, pb.mul, bound)
-            extra = LinearRelation.from_generators(nx, nz, [(0,) * nx + tuple(z0)])
+            extra = LinearRelation.from_generators(nx, nz, [(0,) * nx + z0])
             return cw_sum(base, extra)[0], b
         if kind == "violate_mul_loss":
             if pb.mul.dim == 0:
@@ -455,18 +449,17 @@ def targeted_left_pair(
         if kind == "violate_dom":
             if pb.dom.dim == nx:
                 continue
-            x0 = _vector_outside(rng, pb.dom, bound)
+            x0 = _vector_in_gap(rng, Subspace.full(nx), pb.dom, bound)
             y0 = tuple(rng.randint(-bound, bound) for _ in range(ny))
             extra = LinearRelation.from_generators(nx, ny, [x0 + y0])
             return cw_sum(base, extra)[0], b
         if kind == "violate_ker":
             if pb.ker.dim == 0 or pb.dom.dim > ny:
                 continue
-            images = random_full_rank(rng, ny, pb.dom.dim, bound)
-            gens = [
-                tuple(pb.dom.basis.col(i)) + tuple(images.col(i))
-                for i in range(pb.dom.dim)
-            ]
+            # e_i ⊕ y_i joins basis vector i of dom(B) to the image y_i
+            window, r = pb.dom.product(Subspace.full(ny)), pb.dom.dim
+            images = random_full_rank(rng, ny, r, bound)
+            gens = [window.point([int(j == i) for j in range(r)] + list(y)) for i, y in enumerate(images)]
             return LinearRelation.from_generators(nx, ny, gens), b
         if kind == "violate_mul_dim":
             if pb.mul.dim >= ny:
@@ -564,13 +557,13 @@ def _suite_compose_oracle(rng: random.Random) -> Optional[str]:
     # steer one probe through a generator of b so positives occur regularly
     if b.graph.dim:
         coeffs = [rng.randint(-2, 2) for _ in range(b.graph.dim)]
-        w = b.graph.basis.matvec(coeffs)
+        w = b.graph.point(coeffs)
         y, z = w[:m], w[m:]
-        ys = Matrix.from_rows([a.graph.basis.row(n + i) for i in range(m)], cols=a.graph.dim)
+        ys = Matrix(m, a.graph.dim, tuple(chain.from_iterable(zip(*[g[n:] for g in a.graph.rows]))))
         lift = solve_linear(ys, y)
         if lift is not None:
-            xs = Matrix.from_rows([a.graph.basis.row(i) for i in range(n)], cols=a.graph.dim)
-            probes.append((xs.matvec(lift), z))
+            x = tuple(sum(c * g[i] for c, g in zip(lift, a.graph.rows)) for i in range(n))
+            probes.append((x, z))
     while len(probes) < 4:
         probes.append(
             (
@@ -655,7 +648,7 @@ def _suite_membership(rng: random.Random) -> Optional[str]:
     probes = []
     if rel.graph.dim:
         coeffs = [rng.randint(-2, 2) for _ in range(rel.graph.dim)]
-        probes.append(rel.graph.basis.matvec(coeffs))
+        probes.append(rel.graph.point(coeffs))
     for _ in range(3):
         probes.append(tuple(rng.randint(-3, 3) for _ in range(n + m)))
     for v in probes:
@@ -861,12 +854,6 @@ SUITES: dict[str, tuple[Callable[[random.Random], Optional[str]], int]] = {
 
 def list_suites() -> tuple[str, ...]:
     return tuple(SUITES)
-
-
-def default_cases(name: str) -> int:
-    if name not in SUITES:
-        raise ValueError(f"unknown suite {name!r}")
-    return SUITES[name][1]
 
 
 def run_suite(name: str, cases: Optional[int] = None, seed: int = 0) -> SuiteResult:

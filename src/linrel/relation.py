@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .exact import Matrix, Scalar, vector
+from .exact import Matrix, Scalar
 from .subspace import Subspace
 
 
@@ -90,12 +90,11 @@ class LinearRelation:
 
     def membership(self, x: Sequence[Scalar], y: Sequence[Scalar]) -> bool:
         """Whether (x; y) lies in the graph (``Subspace.contains_vector``)."""
-        xv, yv = vector(x), vector(y)
-        if len(xv) != self.dim_x or len(yv) != self.dim_y:
+        if len(x) != self.dim_x or len(y) != self.dim_y:
             raise ValueError(
-                f"point lengths ({len(xv)}, {len(yv)}) do not match dims ({self.dim_x}, {self.dim_y})"
+                f"point lengths ({len(x)}, {len(y)}) do not match dims ({self.dim_x}, {self.dim_y})"
             )
-        return self.graph.contains_vector(xv + yv)
+        return self.graph.contains_vector(tuple(x) + tuple(y))
 
     def __matmul__(self, other: "LinearRelation") -> "LinearRelation":
         return compose(self, other)
@@ -200,9 +199,9 @@ def identity_on(sub: Subspace) -> LinearRelation:
     return LinearRelation(d, d, Subspace.from_vectors(2 * d, [r + r for r in sub.rows]))
 
 
-def generator_rows(rel: LinearRelation) -> list[list[str]]:
-    """Canonical basis columns of the graph, each as a list of rational strings."""
-    return [[str(x) for x in col] for col in rel.graph.basis.column_tuples()]
+def generator_rows(sub: Subspace) -> list[list[str]]:
+    """Canonical basis columns of ``sub``, each as a list of rational strings."""
+    return [[str(x) for x in col] for col in sub.basis.column_tuples()]
 
 
 def zero_times(dim_x: int, values: Subspace) -> LinearRelation:

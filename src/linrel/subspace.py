@@ -6,6 +6,8 @@ other rows' leading columns.  The form is unique per subspace, so dataclass
 equality is set equality and hashing works on ints.  ``basis``, the same
 rows divided by their leading entries as the columns of a ``Fraction``
 matrix, is built on first read, for files, reports and the public API.
+Code that only needs points of the span, as generators or as probes, reads
+them off the rows with ``point``, which stays in integers.
 
 Operations here and in ``relation`` slice and concatenate integer rows and
 hand them to one of two constructors, the only paths into the kernel:
@@ -61,6 +63,17 @@ class Subspace:
         leading entry, so it leads with a 1."""
         reduced = fraction_rows(self.rows)
         return Matrix(self.ambient_dim, len(reduced), tuple(chain.from_iterable(zip(*reduced))))
+
+    def point(self, coeffs: Sequence[int]) -> tuple[int, ...]:
+        """An integer vector on the line through Σ_j coeffs[j]·b_j, b_j column j
+        of ``basis``: row j is q_j·b_j with q_j > 0 its leading entry, so with
+        s = lcm(q_j) this is s·Σ_j coeffs[j]·b_j = Σ_j coeffs[j]·(s/q_j)·row_j."""
+        if len(coeffs) != self.dim:
+            raise ValueError(f"{len(coeffs)} coefficients for a subspace of dimension {self.dim}")
+        leads = [next(filter(None, row)) for row in self.rows]
+        scale = lcm(*leads)
+        terms = [(c * (scale // q), row) for c, q, row in zip(coeffs, leads, self.rows) if c]
+        return tuple(sum(f * row[i] for f, row in terms) for i in range(self.ambient_dim))
 
     @classmethod
     def span(cls, ambient_dim: int, generators: Matrix) -> "Subspace":

@@ -108,6 +108,22 @@ class TestInfo:
         assert code == 1 and out == ""
         assert err == f"error: {path}:{line}: non-ASCII byte 0xc3\n"
 
+    @pytest.mark.parametrize(
+        "data,message",
+        [(b"dim_x=1\ndim_y=1\n1\x0b2\n", "control character 0x0b"),
+         (b"dim_x=1\x0c\ndim_y=1\n1 \xc3\xa9\n", "non-ASCII byte 0xc3")],
+        ids=["vertical tab", "non-ASCII after form feed"],
+    )
+    def test_reported_line_is_the_line_wc_counts(self, tmp_path, capsys, data, message):
+        # the offending line is the last one, so its number is the count of
+        # newlines, which is what `wc -l` prints; a \v or \f used to end a line
+        path = tmp_path / "stray.rel"
+        path.write_bytes(data)
+        code, out, err = run(capsys, "info", path)
+        assert code == 1 and out == ""
+        lines = data.count(b"\n")
+        assert err == f"error: {path}:{lines}: {message}\n"
+
     def test_underscored_count_is_rejected(self, tmp_path, capsys):
         # int() reads "1_0" as 10
         path = tmp_path / "underscore.rel"
@@ -125,14 +141,27 @@ class TestInfo:
             ("dim_x=1\ndim_y=١\n", "f.rel:2: bad count '١'"),
             ("dim_x=1\ndim_y=1\n1\u00a03\n", "f.rel:3: non-ASCII whitespace U+00A0"),
             ("dim_x=1\ndim_y=1\u2028\n", "f.rel:2: non-ASCII whitespace U+2028"),
+            ("dim_x=1\ndim_y=1\n1 2\x1e1 3\n", "f.rel:3: control character 0x1e"),
+            ("dim_x=1\ndim_y=1\n1\x1f2\n", "f.rel:3: control character 0x1f"),
+            ("dim_x=1\x0bdim_y=1\n", "f.rel:1: control character 0x0b"),
+            ("dim_x=1\r\ndim_y=1\r\n\x0c\r\n", "f.rel:3: control character 0x0c"),
+            ("dim_x=1\rdim_y=1\r1 2\x7f\r", "f.rel:3: control character 0x7f"),
+            ("dim_x=1\x00\ndim_y=1\n", "f.rel:1: control character 0x00"),
         ],
-        ids=["arabic-indic digit", "fullwidth digits", "underscore", "count digit", "nbsp", "line separator"],
+        ids=["arabic-indic digit", "fullwidth digits", "underscore", "count digit", "nbsp", "line separator",
+             "record separator", "unit separator", "vertical tab", "form feed after CRLF",
+             "delete after CR", "nul"],
     )
     def test_text_takes_only_what_a_file_can_hold(self, text, message):
         # each of these used to parse, as if its digits or spaces were ASCII
         with pytest.raises(ValueError) as caught:
             parse_relation_text(text, "f.rel")
         assert str(caught.value) == message
+
+    @pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["CRLF", "CR"])
+    def test_other_line_ends_parse(self, end):
+        text = "dim_x=1\ndim_y=1\n1 2\n\n2\t4\n"
+        assert parse_relation_text(text.replace("\n", end)) == parse_relation_text(text)
 
     def test_dimension_limit_is_on_the_sum(self):
         limit = MAX_AMBIENT_DIM

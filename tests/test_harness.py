@@ -13,6 +13,7 @@ from linrel import (
     oracle_product_membership,
     profile,
     random_relation,
+    solve_left_operator,
     run_suite,
     serialize_relation,
     zero_times,
@@ -167,8 +168,10 @@ class TestPairGenerators:
 
 class TestBruteForce:
     def test_gated_dimension(self):
-        with pytest.raises(ValueError):
-            operator_graph_candidates(3, 1, 2)
+        # (2, 3) at bound 2 would build over half a million candidates
+        for shape in ((3, 1, 2), (2, 3, 2), (1, 3, 2), (2, 2, 3)):
+            with pytest.raises(ValueError, match="gated"):
+                operator_graph_candidates(*shape)
 
     def test_candidates_are_operators(self):
         for rel in operator_graph_candidates(1, 1, 1):
@@ -341,3 +344,29 @@ class TestRunSuite:
         assert derive_seed(1, 0) == derive_seed(1, 0)
         assert derive_seed(1, 0) != derive_seed(1, 1)
         assert derive_seed(1, 0) != derive_seed(2, 0)
+
+
+def test_generators_and_bridge_compute_on_integer_rows(monkeypatch):
+    """The targeted generators, both pair makers and the left-operator bridge
+    read points off ``Subspace.rows``: none of them needs the Fraction basis
+    or a Matrix product."""
+
+    def refuse(*args):
+        raise AssertionError("a Fraction basis or Matrix product was built")
+
+    monkeypatch.setattr(Subspace, "basis", property(refuse))
+    monkeypatch.setattr(Matrix, "__matmul__", refuse)
+    monkeypatch.setattr(Matrix, "matvec", refuse)
+    for seed in range(20):
+        rel = random_relation(RelationSpec(4, 4, dim_dom=3, dim_mul=1, dim_ker=1, seed=seed))
+        assert (profile(rel).dom.dim, profile(rel).mul.dim) == (3, 1)
+        rng = random.Random(seed)
+        for kind in RIGHT_KINDS:
+            targeted_right_pair(rng, kind)
+        for kind in LEFT_KINDS:
+            targeted_left_pair(rng, kind)
+    # the bridge maps mul(B) = span{(2, 3)} onto mul(A) = span{(3, 1)}
+    b = LinearRelation.from_generators(1, 2, [(1, 1, 1), (0, 2, 3)])
+    a = LinearRelation.from_generators(1, 2, [(1, 0, 5), (0, 3, 1)])
+    report = solve_left_operator(a, b)
+    assert report.solvable and report.verified

@@ -13,24 +13,35 @@ orthocomplement, intersection and ``linrel info``, on small relations and
 on dense pairs at d = 16 and d = 24, whose products have entries of 208
 and 351 bits.
 
+The third pins the seeded generators of ``linrel.harness``, which feed
+``linrel gen``, the invariant suites and the benchmark inputs, and the
+fourth the stdout of ``scripts/demo_factorization.py``, the README's worked
+example.
+
 If a change alters this output on purpose, say so where the change is
-recorded and update ``EXPECTED_DIGEST`` or ``EXPECTED_CANONICAL_DIGEST``.
+recorded and update the matching ``EXPECTED_*`` constant.
 """
 
 import contextlib
 import hashlib
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 from linrel import (
     LinearRelation,
     Matrix,
+    RelationSpec,
     cli,
     compose,
     parse_relation_text,
     profile,
+    random_relation,
     serialize_relation,
     solve_adjoint_left,
     solve_adjoint_right,
@@ -39,10 +50,22 @@ from linrel import (
     solve_right_operator,
     solve_right_relation,
 )
+from linrel.harness import (
+    LEFT_KINDS,
+    RIGHT_KINDS,
+    random_selfadjoint,
+    random_square_pair,
+    targeted_left_pair,
+    targeted_right_pair,
+)
 
 EXPECTED_DIGEST = "376a973f2f9b8fbc032bcf6295ae582188b77384279ba2452797374429693890"
 
 EXPECTED_CANONICAL_DIGEST = "a9b1cfa50d51211eca55f53f7c1bcb94ff012ab2df0a472135a49f7b37feff53"
+
+EXPECTED_GENERATOR_DIGEST = "dc1210423cea32a82b136b9bfdc138cd5cb976bcef18c89ff4f99f053db22088"
+
+EXPECTED_DEMO_DIGEST = "11c3437acaba47a2ba6ad6c70e0ebda31fc1dfebc31cc9546bb9eac0960bfc1e"
 
 SEED = 20261018
 ROUNDS = 60
@@ -155,3 +178,47 @@ def test_canonical_output_is_byte_identical(tmp_path):
             digest.update(part.encode("ascii"))
             digest.update(b"\0")
     assert digest.hexdigest() == EXPECTED_CANONICAL_DIGEST
+
+
+GENERATOR_SEED = 20261019
+GENERATOR_ROUNDS = 60
+
+
+def _generated():
+    """Relations from every seeded generator: ``random_relation`` on targeted
+    and plain specs, both pair makers for every kind, square pairs and
+    self-adjoint relations."""
+    rng = random.Random(GENERATOR_SEED)
+    for _ in range(GENERATOR_ROUNDS):
+        n, m = rng.randint(0, 5), rng.randint(0, 5)
+        dd, dm = rng.randint(0, n), rng.randint(0, m)
+        dk = dd - rng.randint(0, min(dd, m - dm))
+        bound = rng.randint(1, 4)
+        yield random_relation(RelationSpec(n, m, dd, dm, dk, bound, rng.getrandbits(32)))
+        yield random_relation(RelationSpec(n, m, coeff_bound=bound, seed=rng.getrandbits(32)))
+        for kind in RIGHT_KINDS:
+            yield from targeted_right_pair(random.Random(rng.getrandbits(32)), kind)
+        for kind in LEFT_KINDS:
+            yield from targeted_left_pair(random.Random(rng.getrandbits(32)), kind)
+        yield from random_square_pair(random.Random(rng.getrandbits(32)))
+        yield random_selfadjoint(random.Random(rng.getrandbits(32)), rng.randint(0, 4))
+
+
+def test_generated_relations_are_byte_identical():
+    digest = hashlib.sha256()
+    for rel in _generated():
+        digest.update(serialize_relation(rel).encode("ascii"))
+        digest.update(b"\0")
+    assert digest.hexdigest() == EXPECTED_GENERATOR_DIGEST
+
+
+def test_demo_output_is_byte_identical():
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, str(root / "scripts" / "demo_factorization.py")],
+        capture_output=True, env=env, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr.decode()
+    assert hashlib.sha256(done.stdout).hexdigest() == EXPECTED_DEMO_DIGEST

@@ -103,6 +103,26 @@ class TestRepresentation:
         assert u.basis == Matrix.from_rows(rows, cols=m.cols).transpose()
 
 
+class TestPoint:
+    @given(subspaces(max_dim=5), st.data())
+    def test_point_is_an_integer_multiple_of_the_basis_combination(self, u, data):
+        c = data.draw(st.lists(st.integers(-4, 4), min_size=u.dim, max_size=u.dim))
+        v = u.point(c)
+        w = u.basis.matvec(c)
+        assert len(v) == u.ambient_dim and all(type(x) is int for x in v)
+        # parallel, and pointing the same way: v = s·w for one s > 0
+        nonzero = [(x, y) for x, y in zip(v, w) if y]
+        assert all(x == 0 for x, y in zip(v, w) if not y)
+        if nonzero:
+            s = Fraction(nonzero[0][0]) / nonzero[0][1]
+            assert s > 0 and all(x == s * y for x, y in nonzero)
+        assert any(v) == any(c)
+
+    def test_coefficient_count_must_match(self):
+        with pytest.raises(ValueError, match="2 coefficients"):
+            sp(3, (1, 0, 0)).point([1, 1])
+
+
 class TestSum:
     def test_axes_fill_plane(self):
         assert sp(2, (1, 0)).sum(sp(2, (0, 1))) == Subspace.full(2)
