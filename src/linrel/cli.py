@@ -2,8 +2,8 @@
 
 Exit-code contract: 0 on success (and for solvable factorizations), 2 when a
 factorization is unsolvable, a verification fails, or a suite reports
-failures, 1 on input errors (parse problems, dimension mismatches, unknown
-suites, bad counts) and on sampler failures in the generators.
+failures, 1 on input errors (usage errors, parse problems, dimension
+mismatches, unknown suites, bad counts) and on generator sampler failures.
 """
 
 from __future__ import annotations
@@ -163,8 +163,16 @@ def cmd_check(args) -> int:
     return EXIT_OK if all_ok else EXIT_UNSOLVABLE
 
 
+class _Parser(argparse.ArgumentParser):
+    """Exits EXIT_ERROR on a usage error, where argparse exits 2 (EXIT_UNSOLVABLE)."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="linrel",
         description="Exact calculus of linear relations: inspect, compose, and factor.",
     )

@@ -6,9 +6,9 @@ rows of the reduced row echelon form, each scaled to the primitive integer
 vector with a positive leading entry.  That form is unique per row space and
 pivoting is deterministic, so subspace equality downstream is a genuine
 decision, and every canonical form is reproducible byte for byte.
-``Matrix`` entries and what ``canonical_echelon``, ``nullspace`` and
-``solve_linear`` return are ``Fraction``s (or ints); ``fraction_rows`` turns
-canonical rows into reduced echelon rows of ``Fraction``s.
+``complement_rows`` reads a basis of the orthogonal complement off that form,
+and ``fraction_rows`` its reduced echelon rows as ``Fraction``s, the entries
+of every ``Matrix`` and of what ``nullspace`` and ``solve_linear`` return.
 """
 
 from __future__ import annotations
@@ -341,6 +341,28 @@ def split_echelon_rows(
     return top, primitive_rows(bottom, shifted)
 
 
+def complement_rows(rows: Sequence[Sequence[int]], pivots: Sequence[int], cols: int) -> Rows:
+    """A basis of the orthogonal complement of the span of the reduced
+    echelon ``rows`` (row j leads in column p_j = ``pivots[j]``), read off
+    without elimination and primitive, but not canonical itself.
+
+    Row j leads with q_j and is zero in every other pivot column, so each
+    free column f gives e_f − Σ_j (row_j[f] / q_j)·e_{p_j}, orthogonal to
+    every row and positive at f: ``cols`` − rank independent vectors.
+    """
+    free = sorted(set(range(cols)).difference(pivots))
+    gens = []
+    for f in free:
+        terms = [(p, row[f], row[p]) for p, row in zip(pivots, rows) if row[f]]
+        scale = lcm(*[q for _, _, q in terms])
+        g = [0] * cols
+        g[f] = scale
+        for p, x, q in terms:
+            g[p] = -x * (scale // q)
+        gens.append(g)
+    return primitive_rows(gens, free)
+
+
 def fraction_rows(rows: Iterable[Sequence[int]]) -> list[tuple[Fraction, ...]]:
     """Canonical rows divided by their leading entries: the rows of the
     reduced row echelon form, as Fractions."""
@@ -371,19 +393,11 @@ def nullspace(m: Matrix) -> Matrix:
     position f, the negated reduced entries in the pivot positions, and zeros
     elsewhere.  Column count is always ``cols - rank``.
     """
-    data = _integer_rows(map(m.row, range(m.rows)))
-    pivots = _eliminate(data, m.cols)
-    _back_substitute(data, pivots)
-    pivot_set = set(pivots)
-    free = [f for f in range(m.cols) if f not in pivot_set]
-    width = len(free)
-    flat = [_ZERO] * (m.cols * width)
-    for k, f in enumerate(free):
-        flat[f * width + k] = _ONE
-        for row, p in zip(data, pivots):
-            if row[f]:
-                flat[p * width + k] = _quotient(-row[f], row[p])
-    return Matrix(m.cols, width, tuple(flat))
+    rows, pivots = echelon_rows(_integer_rows(map(m.row, range(m.rows))), m.cols)
+    free = sorted(set(range(m.cols)).difference(pivots))
+    gens = complement_rows(rows, pivots, m.cols)
+    cols = [[_quotient(x, g[f]) if x else _ZERO for x in g] for g, f in zip(gens, free)]
+    return Matrix.from_cols(cols, rows=m.cols)
 
 
 def solve_linear(m: Matrix, b: Sequence[Scalar]) -> Optional[tuple[Fraction, ...]]:

@@ -5,7 +5,7 @@ row i leads in column p_i, the p_i increase, and every row is zero in the
 other rows' leading columns.  The form is unique per subspace, so dataclass
 equality is set equality and hashing works on ints.  ``basis``, the same
 rows divided by their leading entries as the columns of a ``Fraction``
-matrix, is built on first read, for files, reports and the public API.
+matrix, is built on each read, for the public API; output formats the rows.
 Code that only needs points of the span, as generators or as probes, reads
 them off the rows with ``point``, which stays in integers.
 
@@ -21,8 +21,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import chain, compress, count
+from itertools import compress, count
 from math import lcm
 from typing import Iterable, Optional, Sequence
 
@@ -32,6 +31,7 @@ from .exact import (
     Scalar,
     _cancel,
     _integer_rows,
+    complement_rows,
     echelon_rows,
     fraction_rows,
     primitive_rows,
@@ -57,12 +57,11 @@ class Subspace:
     def dim(self) -> int:
         return len(self.rows)
 
-    @cached_property
+    @property
     def basis(self) -> Matrix:
-        """The reduced column echelon basis: column j is row j divided by its
-        leading entry, so it leads with a 1."""
-        reduced = fraction_rows(self.rows)
-        return Matrix(self.ambient_dim, len(reduced), tuple(chain.from_iterable(zip(*reduced))))
+        """The reduced column echelon basis, built on each read: column j is
+        row j divided by its leading entry, so it leads with a 1."""
+        return Matrix.from_cols(fraction_rows(self.rows), rows=self.ambient_dim)
 
     def point(self, coeffs: Sequence[int]) -> tuple[int, ...]:
         """An integer vector on the line through Σ_j coeffs[j]·b_j, b_j column j
@@ -134,32 +133,12 @@ class Subspace:
         return Subspace.split_span(2 * d, rows, d, head=False)[1]
 
     def ortho_complement(self) -> "Subspace":
-        """Orthogonal complement for the standard dot product on Q^d,
-        canonicalized from ``ortho_generators`` in one elimination."""
+        """U^⊥ for the standard dot product: ``ortho_generators``, canonicalized."""
         return Subspace.from_vectors(self.ambient_dim, self.ortho_generators())
 
-    def ortho_generators(self) -> list[tuple[int, ...]]:
-        """A basis of U^⊥ read off the canonical rows, not canonical itself.
-
-        Row j leads with q_j in column p_j and is zero in every other leading
-        column, so each coordinate f where no row leads gives the vector
-        e_f − Σ_j (row_j[f] / q_j)·e_{p_j}, orthogonal to every row.  These
-        are d − dim U independent vectors, hence a basis of U^⊥; each is
-        scaled to a primitive integer vector.
-        """
-        d = self.ambient_dim
-        leads = self._leads()
-        free = sorted(set(range(d)).difference(leads))
-        gens = []
-        for f in free:
-            terms = [(p, row[f], row[p]) for p, row in zip(leads, self.rows) if row[f]]
-            scale = lcm(*[q for _, _, q in terms])
-            g = [0] * d
-            g[f] = scale
-            for p, x, q in terms:
-                g[p] = -x * (scale // q)
-            gens.append(g)
-        return list(primitive_rows(gens, free))
+    def ortho_generators(self) -> Rows:
+        """A basis of U^⊥, not canonical: ``exact.complement_rows`` of the rows."""
+        return complement_rows(self.rows, self._leads(), self.ambient_dim)
 
     def _holds(self, v: Sequence[int], leads: Sequence[int]) -> bool:
         """Whether v ∈ U: clearing each leading column of v leaves zero."""
@@ -218,7 +197,7 @@ class Subspace:
         return Subspace(self.ambient_dim + other.ambient_dim, rows)
 
     def __repr__(self) -> str:
-        cols = ["(" + " ".join(str(x) for x in c) + ")" for c in self.basis.column_tuples()]
+        cols = ["(" + " ".join(map(str, row)) + ")" for row in fraction_rows(self.rows)]
         return f"Subspace(Q^{self.ambient_dim}: {', '.join(cols) if cols else '0'})"
 
 

@@ -331,6 +331,31 @@ class TestCheck:
         assert payload["failed"] == 0
 
 
+class TestUsage:
+    @pytest.mark.parametrize(
+        "argv",
+        [["check", "--cases", "abc"], ["solve", "a", "b"], ["bogus"], ["info"]],
+        ids=["bad value", "missing option", "unknown command", "missing argument"],
+    )
+    def test_usage_error_exits_one(self, capsys, argv):
+        """argparse would exit 2, which the CLI reserves for unsolvable."""
+        with pytest.raises(SystemExit) as exited:
+            main(argv)
+        captured = capsys.readouterr()
+        assert exited.value.code == 1
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert lines[0].startswith("usage: linrel")
+        assert [line for line in lines if "error:" in line] == [lines[-1]]
+        assert lines[-1].startswith("linrel")
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(["solve", "--help"])
+        assert exited.value.code == 0
+        assert "--side" in capsys.readouterr().out
+
+
 class TestRunAllSuitesScript:
     @pytest.mark.parametrize("cases", ["0", "-5"])
     def test_cases_below_one_exits_one(self, cases):

@@ -17,7 +17,9 @@ from linrel import (
     profile,
     zero_times,
 )
+from linrel.factor import solve_right_operator
 from linrel.files import serialize_relation
+from linrel.relation import generator_rows
 
 from strategies import (
     composable_pairs,
@@ -90,6 +92,33 @@ class TestProfile:
         assert p.is_operator == (p.mul.dim == 0)
         # graph dimension splits into domain and multivalued part
         assert rel.graph.dim == p.dom.dim + p.mul.dim
+
+    def test_memo_is_bounded(self):
+        """The memo keeps at most 4096 profiles; one evicted and asked for
+        again is recomputed equal to the first."""
+        first = LinearRelation.from_generators(1, 2, [(1, -7, 4099)])
+        before = profile(first)
+        for k in range(4100):
+            profile(LinearRelation.from_generators(1, 2, [(1, 3, k)]))
+        assert profile.cache_info().currsize <= 4096
+        assert profile(first) == before
+
+
+def test_output_leaves_only_the_rows():
+    """Printing a relation caches nothing on its subspaces: the dataclass
+    fields are all a Subspace holds."""
+    a = graph([[1, 2], [0, 3]])
+    b = LinearRelation.identity(2)
+    report = solve_right_operator(a, b)
+    assert report.solvable
+    report.to_text()
+    serialize_relation(a)
+    p = profile(a)
+    subs = [a.graph, b.graph, report.witness.graph, p.dom, p.ran, p.ker, p.mul]
+    for sub in subs:
+        repr(sub)
+        generator_rows(sub)
+    assert all(vars(sub).keys() == {"ambient_dim", "rows"} for sub in subs)
 
 
 class TestInverse:

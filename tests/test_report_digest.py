@@ -11,7 +11,7 @@ The second test does the same for the canonical output of the relation
 calculus itself: compose, the four bases of a profile, adjoint, inverse,
 orthocomplement, intersection and ``linrel info``, on small relations and
 on dense pairs at d = 16 and d = 24, whose products have entries of 208
-and 351 bits.
+and 351 bits.  A companion test pins ``repr`` of the same subspaces.
 
 The third pins the seeded generators of ``linrel.harness``, which feed
 ``linrel gen``, the invariant suites and the benchmark inputs, and the
@@ -62,6 +62,8 @@ from linrel.harness import (
 EXPECTED_DIGEST = "376a973f2f9b8fbc032bcf6295ae582188b77384279ba2452797374429693890"
 
 EXPECTED_CANONICAL_DIGEST = "a9b1cfa50d51211eca55f53f7c1bcb94ff012ab2df0a472135a49f7b37feff53"
+
+EXPECTED_REPR_DIGEST = "efaff8ccff3fb124b30b857bdd66864be101138e9b45010a3c48847dc7005aa5"
 
 EXPECTED_GENERATOR_DIGEST = "dc1210423cea32a82b136b9bfdc138cd5cb976bcef18c89ff4f99f053db22088"
 
@@ -157,18 +159,22 @@ def _basis_text(label, sub):
     return f"{label} {sub.ambient_dim} {sub.dim}\n" + "".join(c + "\n" for c in cols)
 
 
+def _canonical_relations():
+    """For each canonical pair: A's text, A, B, C = B∘A and C's profile."""
+    for a_text, b_text in _canonical_pairs():
+        a, b = parse_relation_text(a_text), parse_relation_text(b_text)
+        c = compose(b, a)
+        yield a_text, a, b, c, profile(c)
+
+
 def test_canonical_output_is_byte_identical(tmp_path):
     digest = hashlib.sha256()
-    for index, (a_text, b_text) in enumerate(_canonical_pairs()):
+    for index, (a_text, a, b, c, p) in enumerate(_canonical_relations()):
         path = tmp_path / f"a{index}.rel"
         path.write_text(a_text)
         info = io.StringIO()
         with contextlib.redirect_stdout(info):
             assert cli.main(["info", str(path)]) == 0
-        a = parse_relation_text(a_text)
-        b = parse_relation_text(b_text)
-        c = compose(b, a)
-        p = profile(c)
         parts = [info.getvalue(), serialize_relation(c), serialize_relation(c.adjoint()),
                  serialize_relation(a.inverse())]
         parts += [_basis_text(label, getattr(p, label)) for label in ("dom", "ran", "ker", "mul")]
@@ -178,6 +184,17 @@ def test_canonical_output_is_byte_identical(tmp_path):
             digest.update(part.encode("ascii"))
             digest.update(b"\0")
     assert digest.hexdigest() == EXPECTED_CANONICAL_DIGEST
+
+
+def test_subspace_repr_is_byte_identical():
+    digest = hashlib.sha256()
+    for _, a, b, c, p in _canonical_relations():
+        subs = [a.graph, b.graph, c.graph, c.adjoint().graph, a.inverse().graph,
+                p.dom, p.ran, p.ker, p.mul, a.graph.ortho_complement(), a.graph.intersect(b.graph)]
+        for sub in subs:
+            digest.update(repr(sub).encode("ascii"))
+            digest.update(b"\0")
+    assert digest.hexdigest() == EXPECTED_REPR_DIGEST
 
 
 GENERATOR_SEED = 20261019
