@@ -47,12 +47,19 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(*parse_ratio(text))
 
 
+def _ratio(value: Scalar) -> tuple[int, int]:
+    """``(p, q)`` with q > 0 for an exact scalar; text is read by ``parse_ratio``."""
+    if isinstance(value, (int, Fraction)):
+        return value.as_integer_ratio()
+    if isinstance(value, str):
+        return parse_ratio(value)
+    raise TypeError(f"{value!r} is not an exact scalar (int, str or Fraction)")
+
+
 def _exact(value: Scalar) -> Fraction:
     if type(value) is int and -16 <= value <= 16:
         return _SMALL[value + 16]
-    if isinstance(value, (int, str)):
-        return Fraction(value)
-    raise TypeError(f"{value!r} is not an exact scalar (int, str or Fraction)")
+    return _quotient(*_ratio(value))
 
 
 def vector(values: Iterable[Scalar]) -> tuple[Fraction, ...]:
@@ -215,11 +222,8 @@ def _integer_rows(rows: Iterable[Iterable[Scalar]]) -> list[Sequence[int]]:
     ints is taken as it is; any other row goes through ``integer_row``."""
     out = []
     for row in map(tuple, rows):
-        types = set(map(type, row))
-        if not _INT_ONLY.issuperset(types):
-            if not _ENTRY_TYPES.issuperset(types):
-                row = vector(row)
-            row = integer_row([x.as_integer_ratio() for x in row])
+        if not _INT_ONLY.issuperset(map(type, row)):
+            row = integer_row([_ratio(x) for x in row])
         out.append(row)
     return out
 
@@ -361,6 +365,28 @@ def complement_rows(rows: Sequence[Sequence[int]], pivots: Sequence[int], cols: 
             g[p] = -x * (scale // q)
         gens.append(g)
     return primitive_rows(gens, free)
+
+
+def check_canonical(rows: Sequence[Sequence[int]], cols: int) -> None:
+    """Raise ``ValueError`` naming the first of ``rows`` that is not in the
+    form ``echelon_rows`` returns: a tuple of ``cols`` ints, primitive, with
+    a positive leading entry right of the row above's, and zero in every
+    other row's leading column.  Reads the rows; eliminates nothing."""
+    leads = []
+    for i, row in enumerate(rows):
+        if type(row) is not tuple or len(row) != cols or not _INT_ONLY.issuperset(map(type, row)):
+            raise ValueError(f"row {i} is not a tuple of {cols} ints: {row!r}")
+        lead = next((j for j, x in enumerate(row) if x), cols)
+        if lead == cols or row[lead] < 0 or (leads and lead <= leads[-1]) or gcd(*row) > 1:
+            raise ValueError(
+                f"row {i} {row!r} is zero, not primitive, or does not lead with a "
+                "positive entry right of the row above's"
+            )
+        leads.append(lead)
+    for i, row in enumerate(rows):
+        for k, p in enumerate(leads):
+            if k != i and row[p]:
+                raise ValueError(f"row {i} {row!r} is nonzero in column {p}, where row {k} leads")
 
 
 def fraction_rows(rows: Iterable[Sequence[int]]) -> list[tuple[Fraction, ...]]:

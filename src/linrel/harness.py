@@ -5,9 +5,9 @@ abundant condition-violating pairs, which uniform sampling rarely produces.
 Determinism is per-implementation: the PRNG is Python's Mersenne Twister
 (``random.Random``) with documented sub-seed derivation, so equal (spec, seed)
 always reproduce identical canonical relations within this implementation.
-Generators and probes are integer points of canonical rows (``Subspace.point``);
-only ``random_selfadjoint`` (a rational Gram inverse), the oracle and the
-suites that test ``Matrix`` itself build matrices.
+Generators and probes are integer points of canonical rows (``Subspace.point``),
+or, in ``random_selfadjoint``, read off them directly; only the oracle and
+the suites that test ``Matrix`` itself build matrices.
 
 The brute-force witness search is definitional as well: it decides each
 grid candidate T on ``oracle_product_membership``'s stacked feasibility
@@ -19,15 +19,14 @@ vectors as right-hand sides, and re-verifies the one witness it returns with
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from fractions import Fraction
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 from itertools import chain, combinations, product as iter_product
 from operator import mul
 from typing import Callable, Iterable, Optional, Sequence
 
 from . import factor
-from .exact import Matrix, Rows, _eliminate, _integer_rows, echelon_rows, solve_linear, vector
+from .exact import Matrix, Rows, _eliminate, echelon_rows, fraction_rows, primitive_rows, solve_linear, vector
 from .files import serialize_relation
 from .relation import (
     LinearRelation,
@@ -170,25 +169,27 @@ def random_mixed_relation(
 
 
 def random_selfadjoint(rng: random.Random, dim: int, bound: int = 3) -> LinearRelation:
-    """Self-adjoint relation: a symmetric map on a subspace D, made multivalued
-    along D's orthocomplement."""
+    """Self-adjoint relation {(P a, y) : Pᵀ y = S a} for a random subspace D,
+    P the matrix of D's reduced echelon basis and S a random symmetric
+    matrix: a symmetric map on D, made multivalued along D^⊥ = ker Pᵀ.
+
+    Canonical row R_j of D leads with q_j in column p_j, where the other rows
+    are zero, so column k of P has entry δ_ik in column p_i and R_j = P (q_j e_j).
+    Then y_j = q_j Σ_i S_ij e_{p_i} has (Pᵀ y_j)_k = q_j S_kj, that is
+    Pᵀ y_j = S (q_j e_j): the points (R_j, y_j), with (0, h) for h spanning
+    D^⊥, span the relation, read off D's rows without solving anything.
+    """
     r = rng.randint(0, dim)
     dom = random_subspace(rng, dim, r, bound)
-    p = dom.basis
     raw = [[rng.randint(-bound, bound) for _ in range(r)] for _ in range(r)]
-    sym = Matrix.from_rows(
-        [[raw[i][j] + raw[j][i] for j in range(r)] for i in range(r)], cols=r
-    )
-    gram = p.transpose() @ p
-    cols = []
-    for j in range(r):
-        sol = solve_linear(gram, sym.col(j))
-        assert sol is not None  # gram matrix of independent columns is invertible
-        cols.append(sol)
-    images = p @ Matrix.from_cols(cols, rows=r)
-    gens = [tuple(p.col(i)) + tuple(images.col(i)) for i in range(r)]
-    comp = dom.ortho_complement()
-    gens += [(0,) * dim + row for row in comp.rows]
+    leads = dom._leads()
+    gens = []
+    for j, row in enumerate(dom.rows):
+        y = [0] * dim
+        for i, p in enumerate(leads):
+            y[p] = row[leads[j]] * (raw[i][j] + raw[j][i])
+        gens.append(row + tuple(y))
+    gens += [(0,) * dim + h for h in dom.ortho_generators()]
     return LinearRelation.from_generators(dim, dim, gens)
 
 
@@ -234,15 +235,12 @@ def operator_graph_candidates(dim_x: int, dim_y: int, bound: int = 2) -> tuple[L
     if max(dim_x, dim_y, bound) > 2:
         raise ValueError("brute-force enumeration is gated to dim_x, dim_y <= 2 and bound <= 2")
     ambient = dim_x + dim_y
-    lines: set[tuple[Fraction, ...]] = set()
-    for entries in iter_product(range(-bound, bound + 1), repeat=ambient):
-        if not any(entries):
-            continue
-        vec = [Fraction(e) for e in entries]
-        lead = next(v for v in vec if v)
-        lines.add(tuple(v / lead for v in vec))
-    line_reps = _integer_rows(sorted(lines))
-    spans: list[list[list[int]]] = [[]]
+    grid = [e for e in iter_product(range(-bound, bound + 1), repeat=ambient) if any(e)]
+    # each grid line once, as its primitive row with a positive lead, in the
+    # order of the lines' reduced echelon forms
+    lines = set(primitive_rows(grid, [next(j for j, x in enumerate(e) if x) for e in grid]))
+    line_reps = sorted(lines, key=lambda row: fraction_rows([row])[0])
+    spans: list[list[tuple[int, ...]]] = [[]]
     if dim_x >= 1:
         spans += ([rep] for rep in line_reps)
     if dim_x >= 2:
@@ -253,7 +251,7 @@ def operator_graph_candidates(dim_x: int, dim_y: int, bound: int = 2) -> tuple[L
         # single-valued: no basis vector (0, y), so every pivot lies in the x-block
         seen.setdefault(gens, not pivots or pivots[-1] < dim_x)
     return tuple(
-        LinearRelation(dim_x, dim_y, Subspace(ambient, gens))
+        LinearRelation(dim_x, dim_y, Subspace._make(ambient, gens))
         for gens, single_valued in seen.items()
         if single_valued
     )
@@ -492,13 +490,7 @@ class SuiteResult:
         return self.failed == 0
 
     def to_json_dict(self) -> dict:
-        return {
-            "suite": self.suite,
-            "cases": self.cases,
-            "passed": self.passed,
-            "failed": self.failed,
-            "counterexample": self.counterexample,
-        }
+        return asdict(self)
 
     def to_text(self) -> str:
         lines = [

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .exact import Matrix, Scalar, fraction_rows
+from .exact import Matrix, Scalar, fraction_rows, integer_row
 from .subspace import Subspace
 
 
@@ -40,8 +40,13 @@ class LinearRelation:
     @classmethod
     def graph_of_matrix(cls, m: Matrix) -> "LinearRelation":
         """The everywhere-defined operator x ↦ m·x, identified with its graph."""
-        gens = Matrix.identity(m.cols).vstack(m)
-        return cls(m.cols, m.rows, Subspace.span(m.cols + m.rows, gens))
+        n = m.cols
+        # (e_i, m e_i) cleared of denominators is primitive and leads in
+        # column i, where every other row is zero: the rows are canonical
+        unit = [[(int(i == j), 1) for j in range(n)] for i in range(n)]
+        cols = m.column_tuples()
+        rows = tuple(tuple(integer_row(e + [x.as_integer_ratio() for x in c])) for e, c in zip(unit, cols))
+        return cls(n, m.rows, Subspace._make(n + m.rows, rows))
 
     @classmethod
     def identity(cls, n: int) -> "LinearRelation":
@@ -175,9 +180,9 @@ def graph_projection(rel: LinearRelation) -> LinearRelation:
     kernel {0} × mul(rel).
     """
     n = rel.dim_x
-    rows = [r + r[:n] for r in rel.graph.rows]
-    graph = Subspace.from_vectors(rel.dim_x + rel.dim_y + n, rows)
-    return LinearRelation(rel.dim_x + rel.dim_y, n, graph)
+    # each r + r[:n] is primitive, leads where r does, and is 0 where others lead
+    rows = tuple(r + r[:n] for r in rel.graph.rows)
+    return LinearRelation(rel.dim_x + rel.dim_y, n, Subspace._make(rel.dim_x + rel.dim_y + n, rows))
 
 
 def graph_section(rel: LinearRelation) -> LinearRelation:
@@ -185,16 +190,16 @@ def graph_section(rel: LinearRelation) -> LinearRelation:
     y ⊥ mul(rel); composing graph_projection after it gives the identity on
     dom(rel)."""
     n = rel.dim_x
-    reduced = rel.reduce_operator_part()
-    rows = [r[:n] + r for r in reduced.graph.rows]
-    graph = Subspace.from_vectors(n + rel.dim_x + rel.dim_y, rows)
-    return LinearRelation(n, rel.dim_x + rel.dim_y, graph)
+    # the operator part's rows lead in the x-block, so each r[:n] + r keeps r's leads: canonical
+    rows = tuple(r[:n] + r for r in rel.reduce_operator_part().graph.rows)
+    return LinearRelation(n, rel.dim_x + rel.dim_y, Subspace._make(n + rel.dim_x + rel.dim_y, rows))
 
 
 def identity_on(sub: Subspace) -> LinearRelation:
     """The relation {(x, x) : x ∈ sub} on the ambient space of ``sub``."""
     d = sub.ambient_dim
-    return LinearRelation(d, d, Subspace.from_vectors(2 * d, [r + r for r in sub.rows]))
+    # each r + r is primitive, leads where r does, and is 0 where others lead
+    return LinearRelation(d, d, Subspace._make(2 * d, tuple(r + r for r in sub.rows)))
 
 
 def generator_rows(sub: Subspace) -> list[list[str]]:

@@ -3,9 +3,12 @@
 A subspace is stored once, as its canonical integer rows (see ``exact``):
 row i leads in column p_i, the p_i increase, and every row is zero in the
 other rows' leading columns.  The form is unique per subspace, so dataclass
-equality is set equality and hashing works on ints.  ``basis``, the same
-rows divided by their leading entries as the columns of a ``Fraction``
-matrix, is built on each read, for the public API; output formats the rows.
+equality is set equality and hashing works on ints.  The constructor
+rejects rows in any other form (``exact.check_canonical``); code whose rows
+are canonical by construction builds through ``_make``, which skips the
+check.  ``basis``, the same rows divided by their leading entries as the
+columns of a ``Fraction`` matrix, is built on each read, for the public
+API; output formats the rows.
 Code that only needs points of the span, as generators or as probes, reads
 them off the rows with ``point``, which stays in integers.
 
@@ -31,6 +34,7 @@ from .exact import (
     Scalar,
     _cancel,
     _integer_rows,
+    check_canonical,
     complement_rows,
     echelon_rows,
     fraction_rows,
@@ -41,17 +45,27 @@ from .exact import (
 
 @dataclass(frozen=True)
 class Subspace:
-    """A subspace of Q^ambient_dim given by its canonical integer ``rows``;
-    build one with the constructors below, which guarantee that form."""
+    """A subspace of Q^ambient_dim given by its canonical integer ``rows``.
+    The constructor rejects rows not in that form (``exact.check_canonical``);
+    the constructors below build it from any generators."""
 
     ambient_dim: int
     rows: Rows
 
     def __post_init__(self) -> None:
-        if self.ambient_dim < 0:
+        if type(self.ambient_dim) is not int or self.ambient_dim < 0:
+            raise ValueError(f"ambient dimension {self.ambient_dim!r} is not a non-negative int")
+        check_canonical(self.rows, self.ambient_dim)
+
+    @classmethod
+    def _make(cls, ambient_dim: int, rows: Rows) -> "Subspace":
+        """A Subspace on ``rows`` that the caller knows are canonical, unchecked."""
+        if ambient_dim < 0:
             raise ValueError("negative ambient dimension")
-        if any(len(row) != self.ambient_dim for row in self.rows):
-            raise ValueError(f"a row does not have ambient dimension {self.ambient_dim}")
+        sub = object.__new__(cls)
+        object.__setattr__(sub, "ambient_dim", ambient_dim)
+        object.__setattr__(sub, "rows", rows)
+        return sub
 
     @property
     def dim(self) -> int:
@@ -87,7 +101,7 @@ class Subspace:
     def from_vectors(cls, ambient_dim: int, vectors: Iterable[Sequence[Scalar]]) -> "Subspace":
         """Canonical subspace spanned by ``vectors``, each of length ``ambient_dim``."""
         rows, _ = echelon_rows(_generators(ambient_dim, vectors), ambient_dim)
-        return cls(ambient_dim, rows)
+        return cls._make(ambient_dim, rows)
 
     @classmethod
     def split_span(
@@ -99,16 +113,16 @@ class Subspace:
         if not 0 <= n <= ambient_dim:
             raise ValueError(f"split at {n} not within ambient dimension {ambient_dim}")
         top, bottom = split_echelon_rows(_generators(ambient_dim, vectors), ambient_dim, n, head)
-        return None if top is None else cls(n, top), cls(ambient_dim - n, bottom)
+        return None if top is None else cls._make(n, top), cls._make(ambient_dim - n, bottom)
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, ())
+        return cls._make(ambient_dim, ())
 
     @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
         unit = range(ambient_dim)
-        return cls(ambient_dim, tuple(tuple(int(i == j) for j in unit) for i in unit))
+        return cls._make(ambient_dim, tuple(tuple(int(i == j) for j in unit) for i in unit))
 
     def _check_ambient(self, other: "Subspace") -> None:
         if self.ambient_dim != other.ambient_dim:
@@ -183,7 +197,7 @@ class Subspace:
         p = bisect_left(leads, n)
         head = primitive_rows([row[:n] for row in self.rows[:p]], leads[:p])
         tail = tuple(row[n:] for row in self.rows[p:])
-        return Subspace(n, head), Subspace(d - n, tail)
+        return Subspace._make(n, head), Subspace._make(d - n, tail)
 
     def direct_sum_check(self, other: "Subspace") -> bool:
         """Whether U ∩ V = 0, read off dim(U + V) = dim U + dim V."""
@@ -194,7 +208,7 @@ class Subspace:
         and then those of V, each padded with zeros, are already canonical."""
         pad_u, pad_v = (0,) * self.ambient_dim, (0,) * other.ambient_dim
         rows = tuple(r + pad_v for r in self.rows) + tuple(pad_u + r for r in other.rows)
-        return Subspace(self.ambient_dim + other.ambient_dim, rows)
+        return Subspace._make(self.ambient_dim + other.ambient_dim, rows)
 
     def __repr__(self) -> str:
         cols = ["(" + " ".join(map(str, row)) + ")" for row in fraction_rows(self.rows)]

@@ -6,7 +6,9 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 from linrel import (
+    LinearRelation,
     Matrix,
+    Subspace,
     canonical_echelon,
     nullspace,
     parse_rational,
@@ -52,6 +54,31 @@ class TestRationalStrings:
     def test_round_trip(self, p, q):
         value = Fraction(p, q)
         assert parse_rational(str(value)) == value
+
+
+class TestScalarGrammar:
+    """Text scalars are read as files read them, by ``parse_ratio``."""
+
+    @pytest.mark.parametrize("text", ["\u0661", "1.5", "1e3", "1_000", "\uff13"])
+    def test_every_entry_point_rejects(self, text):
+        rel = LinearRelation.full_relation(1, 1)
+        calls = (
+            lambda: vector([text]),
+            lambda: Subspace.from_vectors(1, [(text,)]),
+            lambda: Matrix.from_rows([[text]]),
+            lambda: rel.membership((text,), (0,)),
+        )
+        for call in calls:
+            with pytest.raises(ValueError, match="bad rational"):
+                call()
+
+    def test_exact_scalars_are_accepted(self):
+        values = ("3/4", " -2 ", Fraction(1, 3), 5)
+        expected = (Fraction(3, 4), Fraction(-2), Fraction(1, 3), Fraction(5))
+        assert vector(values) == expected
+        assert Matrix.from_rows([values]) == Matrix.from_rows([expected])
+        assert Subspace.from_vectors(4, [values]) == Subspace.from_vectors(4, [expected])
+        assert LinearRelation.from_generators(2, 2, [expected]).membership(values[:2], values[2:])
 
 
 class TestCanonicalEchelon:

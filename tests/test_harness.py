@@ -1,4 +1,7 @@
+import ast
+import hashlib
 import random
+from pathlib import Path
 
 import pytest
 
@@ -23,11 +26,17 @@ from linrel.harness import (
     LEFT_KINDS,
     RIGHT_KINDS,
     derive_seed,
+    list_suites,
     operator_graph_candidates,
     random_selfadjoint,
     targeted_left_pair,
     targeted_right_pair,
 )
+from linrel.exact import check_canonical
+
+# SHA-256 over the canonical rows of every grid candidate, in search order,
+# for each gated shape at bounds 1 and 2
+EXPECTED_CANDIDATE_DIGEST = "6565b29a3b687f43972c7df68e9c8ec0e87d8cc107aa09694ed24730184c99df"
 
 
 def graph(rows):
@@ -176,6 +185,17 @@ class TestBruteForce:
     def test_candidates_are_operators(self):
         for rel in operator_graph_candidates(1, 1, 1):
             assert profile(rel).is_operator
+
+    def test_candidate_order_is_pinned(self):
+        # the search returns the first candidate that passes, so this order
+        # decides which witness comes back
+        digest = hashlib.sha256()
+        for bound in (1, 2):
+            for dim_x in range(3):
+                for dim_y in range(3):
+                    for rel in operator_graph_candidates(dim_x, dim_y, bound):
+                        digest.update(f"{dim_x} {dim_y} {bound}: {rel.graph.rows}\n".encode())
+        assert digest.hexdigest() == EXPECTED_CANDIDATE_DIGEST
 
     def test_finds_existing_witness(self):
         a = graph([[2, 0], [0, 0]])
@@ -347,16 +367,17 @@ class TestRunSuite:
 
 
 def test_generators_and_bridge_compute_on_integer_rows(monkeypatch):
-    """The targeted generators, both pair makers and the left-operator bridge
-    read points off ``Subspace.rows``: none of them needs the Fraction basis
-    or a Matrix product."""
+    """The targeted and self-adjoint generators, both pair makers and the
+    left-operator bridge read points off ``Subspace.rows``: none of them
+    needs the Fraction basis, a Matrix product or a linear solve."""
 
     def refuse(*args):
-        raise AssertionError("a Fraction basis or Matrix product was built")
+        raise AssertionError("a Fraction basis, Matrix product or solve was built")
 
     monkeypatch.setattr(Subspace, "basis", property(refuse))
     monkeypatch.setattr(Matrix, "__matmul__", refuse)
     monkeypatch.setattr(Matrix, "matvec", refuse)
+    monkeypatch.setattr(harness, "solve_linear", refuse)
     for seed in range(20):
         rel = random_relation(RelationSpec(4, 4, dim_dom=3, dim_mul=1, dim_ker=1, seed=seed))
         assert (profile(rel).dom.dim, profile(rel).mul.dim) == (3, 1)
@@ -365,8 +386,34 @@ def test_generators_and_bridge_compute_on_integer_rows(monkeypatch):
             targeted_right_pair(rng, kind)
         for kind in LEFT_KINDS:
             targeted_left_pair(rng, kind)
+        assert random_selfadjoint(rng, 4).is_selfadjoint()
     # the bridge maps mul(B) = span{(2, 3)} onto mul(A) = span{(3, 1)}
     b = LinearRelation.from_generators(1, 2, [(1, 1, 1), (0, 2, 3)])
     a = LinearRelation.from_generators(1, 2, [(1, 0, 5), (0, 3, 1)])
     report = solve_left_operator(a, b)
     assert report.solvable and report.verified
+
+
+def test_harness_imports_nothing_from_fractions():
+    tree = ast.parse(Path(harness.__file__).read_text(encoding="utf-8"))
+    modules = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    modules |= {a.name for node in ast.walk(tree) if isinstance(node, ast.Import) for a in node.names}
+    assert "fractions" not in modules
+
+
+def test_every_subspace_the_suites_build_is_canonical(monkeypatch):
+    """Internal constructors skip the public constructor's canonical-form
+    check; run every suite with that check put back on them."""
+    make = Subspace._make.__func__
+    built = []
+
+    def checked(cls, ambient_dim, rows):
+        check_canonical(rows, ambient_dim)
+        built.append(ambient_dim)
+        return make(cls, ambient_dim, rows)
+
+    monkeypatch.setattr(Subspace, "_make", classmethod(checked))
+    for name in list_suites():
+        result = run_suite(name, seed=5)
+        assert result.failed == 0, result.counterexample
+    assert len(built) > 10_000

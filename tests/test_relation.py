@@ -17,6 +17,7 @@ from linrel import (
     profile,
     zero_times,
 )
+from linrel import subspace
 from linrel.factor import solve_right_operator
 from linrel.files import serialize_relation
 from linrel.relation import generator_rows
@@ -102,6 +103,28 @@ class TestProfile:
             profile(LinearRelation.from_generators(1, 2, [(1, 3, k)]))
         assert profile.cache_info().currsize <= 4096
         assert profile(first) == before
+
+
+def test_graph_maps_read_their_rows_off(monkeypatch):
+    """``identity_on``, ``graph_projection`` and ``graph_of_matrix`` build
+    their graphs on rows that are canonical by construction: no elimination
+    runs, and the graphs equal the spans of the same generators."""
+    rel = LinearRelation.from_generators(3, 2, [(1, 2, 0, 3, 1), (0, 0, 2, 1, 0), (0, 0, 0, 4, 6)])
+    dom = profile(rel).dom
+    m = Matrix.from_rows([[1, "1/2"], ["-2/3", 0], [4, "5/6"]])
+    expected = (
+        sp(6, *[r + r for r in dom.rows]),
+        sp(8, *[r + r[:3] for r in rel.graph.rows]),
+        Subspace.span(5, Matrix.identity(2).vstack(m)),
+    )
+
+    def refuse(*args):
+        raise AssertionError("an elimination ran")
+
+    monkeypatch.setattr(subspace, "echelon_rows", refuse)
+    monkeypatch.setattr(subspace, "split_echelon_rows", refuse)
+    built = (identity_on(dom), graph_projection(rel), LinearRelation.graph_of_matrix(m))
+    assert tuple(r.graph for r in built) == expected
 
 
 def test_output_leaves_only_the_rows():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from linrel import Matrix, Subspace, canonical_echelon
+from linrel import LinearRelation, Matrix, Subspace, canonical_echelon, profile
 
 from strategies import matrices, subspaces
 
@@ -101,6 +101,53 @@ class TestRepresentation:
         assert u.dim == rank
         rows = [reduced.row(i) for i in range(rank)]
         assert u.basis == Matrix.from_rows(rows, cols=m.cols).transpose()
+
+
+class TestCanonicalCheck:
+    """The public constructor takes canonical rows only."""
+
+    @pytest.mark.parametrize(
+        "ambient, rows, first_bad",
+        [
+            (2, ((2, 0),), 0),  # not primitive
+            (2, ((1, 1), (1, 1)), 1),  # leads do not increase
+            (2, ((0, 1), (1, 0)), 1),
+            (2, ((-1, 0),), 0),  # negative lead
+            (2, ((0, 0),), 0),  # zero row
+            (2, ((1, 1), (0, 1)), 0),  # row 0 is nonzero where row 1 leads
+            (3, ((1, 0, 0), (0, 2, 0)), 1),
+            (2, ((1, 0, 0),), 0),  # wrong length
+            (2, ((Fraction(1), 0),), 0),  # not ints
+            (2, ([1, 0],), 0),  # not a tuple
+        ],
+    )
+    def test_rejects_and_names_the_first_bad_row(self, ambient, rows, first_bad):
+        with pytest.raises(ValueError, match=f"^row {first_bad} "):
+            Subspace(ambient, rows)
+
+    def test_profile_probe_raises(self):
+        # the rows once gave a two-row dom inside Q^1
+        with pytest.raises(ValueError):
+            profile(LinearRelation(1, 1, Subspace(2, ((1, 1), (1, 1)))))
+
+    def test_accepts_canonical_rows(self):
+        assert Subspace(3, ((1, 0, 2), (0, 3, -1))) == sp(3, (1, 0, 2), (0, 3, -1))
+        assert Subspace(2, ()) == Subspace.zero(2)
+        for bad in (-1, 2.0, True):
+            with pytest.raises(ValueError, match="non-negative int"):
+                Subspace(bad, ())
+
+    @given(
+        st.integers(0, 5).flatmap(
+            lambda d: st.tuples(
+                st.just(d), st.lists(st.lists(st.integers(-4, 4), min_size=d, max_size=d), max_size=6)
+            )
+        )
+    )
+    def test_round_trip_through_the_constructor(self, case):
+        d, gens = case
+        u = Subspace.from_vectors(d, gens)
+        assert Subspace(d, u.rows) == u
 
 
 class TestPoint:
