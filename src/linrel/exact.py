@@ -7,8 +7,8 @@ vector with a positive leading entry.  That form is unique per row space and
 pivoting is deterministic, so subspace equality downstream is a genuine
 decision, and every canonical form is reproducible byte for byte.
 ``complement_rows`` reads a basis of the orthogonal complement off that form,
-and ``fraction_rows`` its reduced echelon rows as ``Fraction``s, the entries
-of every ``Matrix`` and of what ``nullspace`` and ``solve_linear`` return.
+and ``text_rows`` prints its reduced echelon rows from the integers alone.
+``Fraction``s exist only at the public ``Matrix`` API (``fraction_rows``).
 """
 
 from __future__ import annotations
@@ -23,9 +23,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence, Union
 Rational = Fraction
 Scalar = Union[int, str, Fraction]
 
-# One shared object for each small integer value the kernel hands back.
-_SMALL = tuple(Fraction(q) for q in range(-16, 17))
-_ZERO, _ONE = _SMALL[16], _SMALL[17]
+_ZERO, _ONE = Fraction(0), Fraction(1)
 
 # ASCII digits only: ``\d`` and ``int`` would also take other scripts' digits
 _RATIONAL_RE = re.compile(r"([+-]?[0-9]+)(?:/([+-]?[0-9]+))?\Z")
@@ -56,14 +54,8 @@ def _ratio(value: Scalar) -> tuple[int, int]:
     raise TypeError(f"{value!r} is not an exact scalar (int, str or Fraction)")
 
 
-def _exact(value: Scalar) -> Fraction:
-    if type(value) is int and -16 <= value <= 16:
-        return _SMALL[value + 16]
-    return _quotient(*_ratio(value))
-
-
 def vector(values: Iterable[Scalar]) -> tuple[Fraction, ...]:
-    return tuple(v if isinstance(v, Fraction) else _exact(v) for v in values)
+    return tuple(v if isinstance(v, Fraction) else Fraction(*_ratio(v)) for v in values)
 
 
 _ENTRY_TYPES = frozenset({Fraction, int})
@@ -78,8 +70,8 @@ class Matrix:
     entries: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        if self.rows < 0 or self.cols < 0:
-            raise ValueError("negative matrix extent")
+        if not all(type(e) is int and e >= 0 for e in (self.rows, self.cols)):
+            raise ValueError(f"matrix extent {self.rows!r}x{self.cols!r} is not two non-negative ints")
         if len(self.entries) != self.rows * self.cols:
             raise ValueError(
                 f"expected {self.rows * self.cols} entries, got {len(self.entries)}"
@@ -94,9 +86,9 @@ class Matrix:
         if data:
             width = len(data[0])
             if any(len(r) != width for r in data):
-                raise ValueError("rows of unequal length")
+                raise ValueError("vectors of unequal length")
             if cols is not None and cols != width:
-                raise ValueError("explicit column count disagrees with row length")
+                raise ValueError("explicit length disagrees with the vectors' length")
         else:
             width = 0 if cols is None else cols
         flat = tuple(x for r in data for x in r)
@@ -104,17 +96,7 @@ class Matrix:
 
     @classmethod
     def from_cols(cls, cols: Sequence[Sequence[Scalar]], rows: Optional[int] = None) -> "Matrix":
-        data = [vector(c) for c in cols]
-        if data:
-            height = len(data[0])
-            if any(len(c) != height for c in data):
-                raise ValueError("columns of unequal length")
-            if rows is not None and rows != height:
-                raise ValueError("explicit row count disagrees with column length")
-        else:
-            height = 0 if rows is None else rows
-        flat = tuple(data[j][i] for i in range(height) for j in range(len(data)))
-        return cls(height, len(data), flat)
+        return cls.from_rows(cols, rows).transpose()
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
@@ -288,14 +270,6 @@ def _back_substitute(data: list[Sequence[int]], pivots: Sequence[int]) -> None:
                 data[r] = _cancel(data[r], prow, col)
 
 
-def _quotient(n: int, d: int) -> Fraction:
-    """``n/d`` as a Fraction; small integer quotients share one object each."""
-    q, r = divmod(n, d)
-    if r:
-        return Fraction(n, d)
-    return _SMALL[q + 16] if -16 <= q <= 16 else Fraction(q)
-
-
 Rows = tuple[tuple[int, ...], ...]
 
 
@@ -395,8 +369,19 @@ def fraction_rows(rows: Iterable[Sequence[int]]) -> list[tuple[Fraction, ...]]:
     reduced = []
     for row in rows:
         lead = next(x for x in row if x)
-        reduced.append(tuple(_quotient(x, lead) if x else _ZERO for x in row))
+        reduced.append(tuple(Fraction(x, lead) if x else _ZERO for x in row))
     return reduced
+
+
+def text_rows(rows: Iterable[Sequence[int]]) -> list[list[str]]:
+    """Canonical rows divided by their leading entries, each entry printed in
+    lowest terms as ``"p"`` or ``"p/q"``: the text ``str`` gives for the
+    ``Fraction``s of ``fraction_rows``, built from the integers alone."""
+    out = []
+    for row in rows:
+        q = next(filter(None, row))
+        out.append([str(x // g) if (g := gcd(x, q)) == q else f"{x // g}/{q // g}" for x in row])
+    return out
 
 
 def canonical_echelon(m: Matrix) -> EchelonForm:
@@ -422,7 +407,7 @@ def nullspace(m: Matrix) -> Matrix:
     rows, pivots = echelon_rows(_integer_rows(map(m.row, range(m.rows))), m.cols)
     free = sorted(set(range(m.cols)).difference(pivots))
     gens = complement_rows(rows, pivots, m.cols)
-    cols = [[_quotient(x, g[f]) if x else _ZERO for x in g] for g, f in zip(gens, free)]
+    cols = [[Fraction(x, g[f]) if x else _ZERO for x in g] for g, f in zip(gens, free)]
     return Matrix.from_cols(cols, rows=m.cols)
 
 
@@ -431,7 +416,7 @@ def solve_linear(m: Matrix, b: Sequence[Scalar]) -> Optional[tuple[Fraction, ...
 
     None is returned exactly when the system is inconsistent.
     """
-    rhs = vector(b)
+    rhs = tuple(b)
     if len(rhs) != m.rows:
         raise ValueError(f"right-hand side length {len(rhs)} does not match {m.rows} rows")
     data = _integer_rows(m.row(i) + (rhs[i],) for i in range(m.rows))
@@ -442,5 +427,5 @@ def solve_linear(m: Matrix, b: Sequence[Scalar]) -> Optional[tuple[Fraction, ...
     x = [_ZERO] * m.cols
     for row, p in zip(data, pivots):
         if row[m.cols]:
-            x[p] = _quotient(row[m.cols], row[p])
+            x[p] = Fraction(row[m.cols], row[p])
     return tuple(x)

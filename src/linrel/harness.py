@@ -6,8 +6,9 @@ Determinism is per-implementation: the PRNG is Python's Mersenne Twister
 (``random.Random``) with documented sub-seed derivation, so equal (spec, seed)
 always reproduce identical canonical relations within this implementation.
 Generators and probes are integer points of canonical rows (``Subspace.point``),
-or, in ``random_selfadjoint``, read off them directly; only the oracle and
-the suites that test ``Matrix`` itself build matrices.
+or, in ``random_selfadjoint``, read off them directly.  The oracle builds no
+matrix: it tests one vector against a span.  Only the suites that test
+``Matrix`` itself, and ``compose_oracle``'s lift of a probe, build matrices.
 
 The brute-force witness search is definitional as well: it decides each
 grid candidate T on ``oracle_product_membership``'s stacked feasibility
@@ -26,7 +27,7 @@ from operator import mul
 from typing import Callable, Iterable, Optional, Sequence
 
 from . import factor
-from .exact import Matrix, Rows, _eliminate, echelon_rows, fraction_rows, primitive_rows, solve_linear, vector
+from .exact import Matrix, Rows, _eliminate, echelon_rows, fraction_rows, primitive_rows, solve_linear
 from .files import serialize_relation
 from .relation import (
     LinearRelation,
@@ -46,6 +47,14 @@ _MASK64 = (1 << 64) - 1
 def derive_seed(seed: int, index: int) -> int:
     """Stable per-case sub-seed: a 64-bit LCG-style mix of seed and index."""
     return (seed * 6364136223846793005 + (index + 1) * 1442695040888963407) & _MASK64
+
+
+def _require_int(name: str, value, low: Optional[int] = None) -> None:
+    """Reject a value that is not an ``int`` (a float, or a bool), or is below ``low``."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    if low is not None and value < low:
+        raise ValueError(f"{name} must be at least {low}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -70,15 +79,15 @@ class RelationSpec:
         return self.dim_dom is not None
 
     def validate(self) -> None:
-        if self.dim_x < 0 or self.dim_y < 0:
-            raise ValueError("negative space dimension")
-        if self.coeff_bound < 1:
-            raise ValueError("coefficient bound must be at least 1")
+        for name, low in (("dim_x", 0), ("dim_y", 0), ("coeff_bound", 1)):
+            _require_int(name, getattr(self, name), low)
         targets = (self.dim_dom, self.dim_mul, self.dim_ker)
         if any(t is None for t in targets) != all(t is None for t in targets):
             raise ValueError("target dimensions must be given together or not at all")
         if self.dim_dom is None:
             return
+        for name in ("dim_dom", "dim_mul", "dim_ker"):
+            _require_int(name, getattr(self, name))
         dd, dm, dk = self.dim_dom, self.dim_mul, self.dim_ker
         if not (0 <= dk <= dd <= self.dim_x):
             raise ValueError(f"need 0 <= dim_ker <= dim_dom <= dim_x, got {dk}, {dd}, {self.dim_x}")
@@ -198,23 +207,20 @@ def oracle_product_membership(
 ) -> bool:
     """Whether some y has (x, y) in ``inner`` and (y, z) in ``outer``.
 
-    Decided by one linear feasibility solve over the stacked generator
-    coefficients; deliberately independent of ``compose``.
+    The generators (x, y, 0) of inner and (0, -y', z) of outer span the
+    points (x, y - y', z), so the answer is whether (x, 0, z) lies in their
+    span.  Deliberately independent of ``compose``: the span is reduced in
+    full and tested, where ``compose`` keeps the slice of a ``split_span``.
     """
     if inner.dim_y != outer.dim_x:
-        raise ValueError(
-            f"interface dimensions differ: {inner.dim_y} vs {outer.dim_x}"
-        )
-    xv, zv = vector(x), vector(z)
-    if len(xv) != inner.dim_x or len(zv) != outer.dim_y:
+        raise ValueError(f"interface dimensions differ: {inner.dim_y} vs {outer.dim_x}")
+    x, z = tuple(x), tuple(z)
+    if len(x) != inner.dim_x or len(z) != outer.dim_y:
         raise ValueError("probe lengths do not match the relation dimensions")
     n, m, k = inner.dim_x, inner.dim_y, outer.dim_y
-    # one column per generator: (x, y, 0) of inner, (0, -y', z) of outer
-    cols = [g + (0,) * k for g in inner.graph.rows]
-    cols += [(0,) * n + tuple(-v for v in g[:m]) + g[m:] for g in outer.graph.rows]
-    system = Matrix(n + m + k, len(cols), tuple(chain.from_iterable(zip(*cols))))
-    rhs = xv + (0,) * m + zv
-    return solve_linear(system, rhs) is not None
+    gens = [g + (0,) * k for g in inner.graph.rows]
+    gens += [(0,) * n + tuple(-v for v in g[:m]) + g[m:] for g in outer.graph.rows]
+    return Subspace.from_vectors(n + m + k, gens).contains_vector(x + (0,) * m + z)
 
 
 # ---------------------------------------------------------------------------
@@ -751,11 +757,12 @@ def _suite_adjoint_right_iff(rng: random.Random) -> Optional[str]:
     pa, pb = profile(a), profile(b)
     conditions = pa.ker.contains(pb.ker) and pa.dom == pb.dom
     report = factor.solve_adjoint_right(a, b)
-    direct = factor.solve_right_operator(a.adjoint(), b.adjoint())
+    a_adj, b_adj = a.adjoint(), b.adjoint()
+    direct = factor.solve_right_operator(a_adj, b_adj)
     if report.solvable != conditions or report.solvable != direct.solvable:
         return f"adjoint-level translation disagrees:\n{_show_pair(a, b)}"
     if report.solvable and not (
-        report.verified and factor.verify(a.adjoint(), b.adjoint(), report.witness, "right")
+        report.verified and factor.verify(a_adj, b_adj, report.witness, "right")
     ):
         return f"adjoint witness malformed:\n{_show_pair(a, b)}"
     return None
@@ -771,11 +778,12 @@ def _suite_adjoint_left_iff(rng: random.Random) -> Optional[str]:
         and d - pa.dom.dim <= d - pb.dom.dim
     )
     report = factor.solve_adjoint_left(a, b)
-    direct = factor.solve_left_operator(a.adjoint(), b.adjoint())
+    a_adj, b_adj = a.adjoint(), b.adjoint()
+    direct = factor.solve_left_operator(a_adj, b_adj)
     if report.solvable != conditions or report.solvable != direct.solvable:
         return f"adjoint-level translation disagrees:\n{_show_pair(a, b)}"
     if report.solvable and not (
-        report.verified and factor.verify(a.adjoint(), b.adjoint(), report.witness, "left")
+        report.verified and factor.verify(a_adj, b_adj, report.witness, "left")
     ):
         return f"adjoint witness malformed:\n{_show_pair(a, b)}"
     return None
@@ -854,8 +862,8 @@ def run_suite(name: str, cases: Optional[int] = None, seed: int = 0) -> SuiteRes
         raise ValueError(f"unknown suite {name!r} (known: {', '.join(sorted(SUITES))})")
     fn, default = SUITES[name]
     total = default if cases is None else cases
-    if total < 1:
-        raise ValueError(f"cases must be at least 1, got {total}")
+    _require_int("cases", total, 1)
+    _require_int("seed", seed)
     passed = failed = 0
     counterexample = None
     for index in range(total):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .exact import Matrix, Scalar, fraction_rows, integer_row
+from .exact import Matrix, Scalar, integer_row, text_rows
 from .subspace import Subspace
 
 
@@ -23,8 +23,9 @@ class LinearRelation:
     graph: Subspace
 
     def __post_init__(self) -> None:
-        if self.dim_x < 0 or self.dim_y < 0:
-            raise ValueError("negative space dimension")
+        x, y = self.dim_x, self.dim_y
+        if type(x) is not int or type(y) is not int or x < 0 or y < 0:
+            raise ValueError(f"dimensions {x!r}, {y!r} are not non-negative ints")
         if self.graph.ambient_dim != self.dim_x + self.dim_y:
             raise ValueError(
                 f"graph lives in Q^{self.graph.ambient_dim}, expected Q^{self.dim_x + self.dim_y}"
@@ -50,7 +51,7 @@ class LinearRelation:
 
     @classmethod
     def identity(cls, n: int) -> "LinearRelation":
-        return cls.graph_of_matrix(Matrix.identity(n))
+        return identity_on(Subspace.full(n))
 
     @classmethod
     def zero_relation(cls, dim_x: int, dim_y: int) -> "LinearRelation":
@@ -114,9 +115,18 @@ class RelationProfile:
     ran: Subspace
     ker: Subspace
     mul: Subspace
-    is_operator: bool
-    is_everywhere_defined: bool
-    is_surjective: bool
+
+    @property
+    def is_operator(self) -> bool:
+        return self.mul.dim == 0
+
+    @property
+    def is_everywhere_defined(self) -> bool:
+        return self.dom.dim == self.dom.ambient_dim
+
+    @property
+    def is_surjective(self) -> bool:
+        return self.ran.dim == self.ran.ambient_dim
 
 
 # Bounded: over two full checks (seeds 919, 920) in one process, 4096 entries
@@ -129,15 +139,7 @@ def profile(rel: LinearRelation) -> RelationProfile:
     dom, mul = rel.graph.split(n)
     swapped = [r[n:] + r[:n] for r in rel.graph.rows]
     ran, ker = Subspace.split_span(m + n, swapped, m)
-    return RelationProfile(
-        dom=dom,
-        ran=ran,
-        ker=ker,
-        mul=mul,
-        is_operator=mul.dim == 0,
-        is_everywhere_defined=dom.dim == n,
-        is_surjective=ran.dim == m,
-    )
+    return RelationProfile(dom=dom, ran=ran, ker=ker, mul=mul)
 
 
 def compose(outer: LinearRelation, inner: LinearRelation) -> LinearRelation:
@@ -204,7 +206,7 @@ def identity_on(sub: Subspace) -> LinearRelation:
 
 def generator_rows(sub: Subspace) -> list[list[str]]:
     """The reduced echelon rows of ``sub``, each as a list of rational strings."""
-    return [[str(x) for x in row] for row in fraction_rows(sub.rows)]
+    return text_rows(sub.rows)
 
 
 def zero_times(dim_x: int, values: Subspace) -> LinearRelation:

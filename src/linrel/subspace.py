@@ -7,10 +7,10 @@ equality is set equality and hashing works on ints.  The constructor
 rejects rows in any other form (``exact.check_canonical``); code whose rows
 are canonical by construction builds through ``_make``, which skips the
 check.  ``basis``, the same rows divided by their leading entries as the
-columns of a ``Fraction`` matrix, is built on each read, for the public
-API; output formats the rows.
-Code that only needs points of the span, as generators or as probes, reads
-them off the rows with ``point``, which stays in integers.
+columns of a ``Fraction`` matrix, is built on each read, only for the public
+``Matrix`` API; output prints the rows (``exact.text_rows``).  Code that only
+needs points of the span, as generators or as probes, reads them off the
+rows with ``point``, which stays in integers.
 
 Operations here and in ``relation`` slice and concatenate integer rows and
 hand them to one of two constructors, the only paths into the kernel:
@@ -40,6 +40,7 @@ from .exact import (
     fraction_rows,
     primitive_rows,
     split_echelon_rows,
+    text_rows,
 )
 
 
@@ -53,15 +54,11 @@ class Subspace:
     rows: Rows
 
     def __post_init__(self) -> None:
-        if type(self.ambient_dim) is not int or self.ambient_dim < 0:
-            raise ValueError(f"ambient dimension {self.ambient_dim!r} is not a non-negative int")
-        check_canonical(self.rows, self.ambient_dim)
+        check_canonical(self.rows, _dimension(self.ambient_dim))
 
     @classmethod
     def _make(cls, ambient_dim: int, rows: Rows) -> "Subspace":
-        """A Subspace on ``rows`` that the caller knows are canonical, unchecked."""
-        if ambient_dim < 0:
-            raise ValueError("negative ambient dimension")
+        """A Subspace on ``rows`` and a dimension the caller knows are valid, unchecked."""
         sub = object.__new__(cls)
         object.__setattr__(sub, "ambient_dim", ambient_dim)
         object.__setattr__(sub, "rows", rows)
@@ -117,11 +114,11 @@ class Subspace:
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
-        return cls._make(ambient_dim, ())
+        return cls._make(_dimension(ambient_dim), ())
 
     @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
-        unit = range(ambient_dim)
+        unit = range(_dimension(ambient_dim))
         return cls._make(ambient_dim, tuple(tuple(int(i == j) for j in unit) for i in unit))
 
     def _check_ambient(self, other: "Subspace") -> None:
@@ -211,11 +208,18 @@ class Subspace:
         return Subspace._make(self.ambient_dim + other.ambient_dim, rows)
 
     def __repr__(self) -> str:
-        cols = ["(" + " ".join(map(str, row)) + ")" for row in fraction_rows(self.rows)]
+        cols = ["(" + " ".join(row) + ")" for row in text_rows(self.rows)]
         return f"Subspace(Q^{self.ambient_dim}: {', '.join(cols) if cols else '0'})"
 
 
+def _dimension(ambient_dim: int) -> int:
+    if type(ambient_dim) is not int or ambient_dim < 0:
+        raise ValueError(f"ambient dimension {ambient_dim!r} is not a non-negative int")
+    return ambient_dim
+
+
 def _generators(ambient_dim: int, vectors: Iterable[Sequence[Scalar]]) -> list[Sequence[int]]:
+    _dimension(ambient_dim)
     rows = _integer_rows(vectors)
     for row in rows:
         if len(row) != ambient_dim:

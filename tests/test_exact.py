@@ -17,6 +17,7 @@ from linrel import (
     vector,
 )
 
+from linrel.exact import echelon_rows, fraction_rows, text_rows
 from strategies import matrices
 
 
@@ -187,6 +188,13 @@ class TestMatrixBasics:
         with pytest.raises(ValueError):
             Matrix.from_rows([[1, 2], [3]])
 
+    @pytest.mark.parametrize("shape", [(True, 1), (1, 1.0), (-1, 0)])
+    def test_extent_must_be_non_negative_ints(self, shape):
+        with pytest.raises(ValueError, match="not two non-negative ints"):
+            Matrix(*shape, (F(1),) * max(0, int(shape[0] * shape[1])))
+        with pytest.raises(ValueError, match="not two non-negative ints"):
+            Matrix.from_rows([], cols=1.5)
+
     def test_rejects_float_entry(self):
         with pytest.raises(TypeError, match="0.1"):
             Matrix(1, 1, (0.1,))
@@ -198,3 +206,28 @@ class TestMatrixBasics:
 
     def test_vector_accepts_exact_scalars(self):
         assert vector([2, "-3/4", F(5)]) == (F(2), Fraction(-3, 4), F(5))
+
+    def test_from_cols_is_the_transpose_of_from_rows(self):
+        cols = [[1, "2/3"], [0, -4], [5, 6]]
+        assert Matrix.from_cols(cols) == Matrix.from_rows(cols).transpose()
+        assert Matrix.from_cols([], rows=3).shape == (3, 0)
+        with pytest.raises(ValueError, match="unequal length"):
+            Matrix.from_cols([[1, 2], [3]])
+        with pytest.raises(ValueError, match="explicit length"):
+            Matrix.from_cols([[1, 2]], rows=3)
+
+
+class TestTextRows:
+    def test_worked_example(self):
+        rows = ((2, 0, -3, 4, 0), (0, 6, 4, 0, -9))
+        assert text_rows(rows) == [["1", "0", "-3/2", "2", "0"], ["0", "1", "2/3", "0", "-3/2"]]
+
+    @given(
+        st.lists(
+            st.lists(st.integers(-(10**30), 10**30), min_size=4, max_size=4),
+            max_size=5,
+        )
+    )
+    def test_prints_what_the_fractions_print(self, gens):
+        rows, _ = echelon_rows([list(g) for g in gens], 4)
+        assert text_rows(rows) == [[str(x) for x in row] for row in fraction_rows(rows)]

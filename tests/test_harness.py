@@ -65,6 +65,19 @@ class TestRelationSpec:
         with pytest.raises(ValueError):
             RelationSpec(**kwargs).validate()
 
+    @pytest.mark.parametrize(
+        "kwargs, name",
+        [
+            (dict(dim_x=2.0, dim_y=1), "dim_x"),
+            (dict(dim_x=2, dim_y=True), "dim_y"),
+            (dict(dim_x=2, dim_y=2, coeff_bound=2.5), "coeff_bound"),
+            (dict(dim_x=2, dim_y=2, dim_dom=1.0, dim_mul=0, dim_ker=0), "dim_dom"),
+        ],
+    )
+    def test_counts_must_be_ints(self, kwargs, name):
+        with pytest.raises(ValueError, match=f"{name} must be an int"):
+            RelationSpec(**kwargs).validate()
+
 
 class TestRandomRelation:
     def test_invertible_profile(self):
@@ -325,6 +338,39 @@ class TestRunSuite:
     def test_cases_below_one_rejected(self, cases):
         with pytest.raises(ValueError, match="cases"):
             run_suite("determinism", cases)
+
+    @pytest.mark.parametrize("kwargs", [dict(cases=True), dict(cases=2.0), dict(seed=1.5)])
+    def test_cases_and_seed_must_be_ints(self, kwargs):
+        with pytest.raises(ValueError, match="must be an int"):
+            run_suite("determinism", **kwargs)
+
+    @pytest.mark.parametrize("name", ["adjoint_right_iff", "adjoint_left_iff"])
+    def test_adjoint_suites_build_each_adjoint_once(self, monkeypatch, name):
+        """Outside the solver under test, a case builds A* and B* once each."""
+        adjoint = LinearRelation.adjoint
+        outside = []
+        depth = []
+
+        def counted(rel):
+            if not depth:
+                outside.append(rel)
+            return adjoint(rel)
+
+        def quiet(solver):
+            def run(a, b):
+                depth.append(1)
+                try:
+                    return solver(a, b)
+                finally:
+                    depth.pop()
+            return run
+
+        monkeypatch.setattr(LinearRelation, "adjoint", counted)
+        for solver in ("solve_adjoint_right", "solve_adjoint_left"):
+            monkeypatch.setattr(harness.factor, solver, quiet(getattr(harness.factor, solver)))
+        result = run_suite(name, 40, seed=3)
+        assert result.failed == 0, result.counterexample
+        assert len(outside) == 2 * 40
 
     def test_deterministic_and_green(self):
         first = run_suite("relation_algebra", 25, seed=1)

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -20,7 +21,7 @@ from linrel import (
 from linrel import subspace
 from linrel.factor import solve_right_operator
 from linrel.files import serialize_relation
-from linrel.relation import generator_rows
+from linrel.relation import RelationProfile, generator_rows
 
 from strategies import (
     composable_pairs,
@@ -91,6 +92,8 @@ class TestProfile:
         assert p.dom.contains(p.ker)
         assert p.ran.contains(p.mul)
         assert p.is_operator == (p.mul.dim == 0)
+        assert p.is_everywhere_defined == (p.dom.dim == rel.dim_x)
+        assert p.is_surjective == (p.ran.dim == rel.dim_y)
         # graph dimension splits into domain and multivalued part
         assert rel.graph.dim == p.dom.dim + p.mul.dim
 
@@ -103,6 +106,9 @@ class TestProfile:
             profile(LinearRelation.from_generators(1, 2, [(1, 3, k)]))
         assert profile.cache_info().currsize <= 4096
         assert profile(first) == before
+
+    def test_a_profile_holds_only_its_four_spaces(self):
+        assert [f.name for f in dataclasses.fields(RelationProfile)] == ["dom", "ran", "ker", "mul"]
 
 
 def test_graph_maps_read_their_rows_off(monkeypatch):
@@ -534,3 +540,12 @@ class TestConstructors:
     def test_graph_ambient_check(self):
         with pytest.raises(ValueError):
             LinearRelation(2, 2, Subspace.zero(3))
+
+    @pytest.mark.parametrize("dims", [(True, True), (1.5, 0.5), (2, 0.0)])
+    def test_dimensions_must_be_ints(self, dims):
+        with pytest.raises(ValueError, match="not non-negative ints"):
+            LinearRelation(*dims, Subspace.full(2))
+
+    def test_identity_is_the_graph_of_the_identity_matrix(self):
+        for n in range(4):
+            assert LinearRelation.identity(n) == LinearRelation.graph_of_matrix(Matrix.identity(n))

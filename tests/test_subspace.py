@@ -137,6 +137,12 @@ class TestCanonicalCheck:
             with pytest.raises(ValueError, match="non-negative int"):
                 Subspace(bad, ())
 
+    @pytest.mark.parametrize("bad", [2.0, True])
+    def test_named_constructors_take_int_dimensions_only(self, bad):
+        for build in (Subspace.zero, Subspace.full, lambda d: Subspace.from_vectors(d, [])):
+            with pytest.raises(ValueError, match="non-negative int"):
+                build(bad)
+
     @given(
         st.integers(0, 5).flatmap(
             lambda d: st.tuples(

@@ -49,6 +49,23 @@ print("ok")
 """
 
 
+HARNESS_SCRIPT = """
+import tracer
+from linrel import LinearRelation, harness
+
+t = tracer.Tracer()
+t.install()
+a = LinearRelation.from_generators(1, 2, [(1, 1, 1)])
+b = LinearRelation.identity(2)
+assert harness.oracle_product_membership(a, b, (1,), (1, 1))
+assert harness.brute_force_right_witness(a, b) is not None
+m = t.metrics()
+assert m["harness.oracle_calls"] >= 1, m
+assert m["harness.grid_candidates"] >= 1, m
+print("ok")
+"""
+
+
 def _run_traced(script):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src"), str(ROOT / "perfbench")])
@@ -65,3 +82,7 @@ def test_tracer_installs_and_counts():
 
 def test_tracer_counts_compose_per_solve():
     _run_traced(SOLVER_SCRIPT)
+
+
+def test_tracer_wraps_the_oracle_and_the_brute_force_search():
+    _run_traced(HARNESS_SCRIPT)
