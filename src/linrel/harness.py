@@ -8,13 +8,15 @@ always reproduce identical canonical relations within this implementation.
 Generators and probes are integer points of canonical rows (``Subspace.point``),
 or, in ``random_selfadjoint``, read off them directly.  The oracle builds no
 matrix: it tests one vector against a span.  Only the suites that test
-``Matrix`` itself, and ``compose_oracle``'s lift of a probe, build matrices.
+``Matrix`` itself build matrices.  Every suite that shows relations fails
+through ``_first_failure``, at the first of its checks that fails.
 
 The brute-force witness search is definitional as well: it decides each
 grid candidate T on ``oracle_product_membership``'s stacked feasibility
-system, with B's block of it eliminated once per pair and all of A's basis
-vectors as right-hand sides, and re-verifies the one witness it returns with
-``compose``.  Its grid is gated to dims <= 2 on both sides and bound <= 2.
+system for B∘T = A, with B's block of it eliminated once per pair and all of
+A's basis vectors as right-hand sides.  T∘B = A is decided as the same system
+for B⁻¹∘T⁻¹ = A⁻¹.  The one witness returned is re-verified by
+``factor.verify``.  The grid is gated to dims <= 2 on both sides and bound <= 2.
 """
 
 from __future__ import annotations
@@ -22,12 +24,12 @@ from __future__ import annotations
 import random
 from dataclasses import asdict, dataclass
 from functools import lru_cache
-from itertools import chain, combinations, product as iter_product
+from itertools import combinations, product as iter_product
 from operator import mul
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from . import factor
-from .exact import Matrix, Rows, _eliminate, echelon_rows, fraction_rows, primitive_rows, solve_linear
+from .exact import Matrix, Rows, _cancel, _eliminate, echelon_rows, fraction_rows, primitive_rows
 from .files import serialize_relation
 from .relation import (
     LinearRelation,
@@ -272,51 +274,51 @@ def _product_test(a: LinearRelation, b: LinearRelation, side: str) -> Callable[[
     candidate T, given by the canonical integer rows of its graph, that
     tells whether B∘T = A (``right``) or T∘B = A (``left``).
 
+    Only B∘T = A is laid out: inverting reverses composition, so T∘B = A
+    exactly when B⁻¹∘T⁻¹ = A⁻¹.  The left side inverts A and B once, and
+    turns the pull vectors by A⁻¹'s x-width to read T's rows as T⁻¹'s.
+
     Everything that depends only on (A, B) is eliminated here, once:
 
-    * A ⊆ the product: ``oracle_product_membership``'s stacked system, with
-      columns for the inner and the outer generators and rows for x, the
-      interface y and z, has a solution for the probe (x, z) exactly when
+    * A ⊆ B∘T: ``oracle_product_membership``'s stacked system, with columns
+      (t, 0) for T's generators and (0, -g_y, g_z) for B's, and rows for x,
+      the interface y and z, has a solution for the probe (x, z) exactly when
       W·(T's columns)·α = W·(x, 0, z) does, where the rows W span the left
       nullspace of B's column block, read off as the orthocomplement of its
       span (``Subspace.ortho_generators``).  All of A's basis vectors go in as
       right-hand sides; they all lie in the product exactly when no pivot of
       one forward elimination lands in a probe column.
-    * the product ⊆ A: the product is (inner_x α, outer_z β) over the
-      coefficients with inner_y α = outer_x β.  It lies in A exactly when every
-      row h of A^⊥, pulled back to (α, β), is in the row space of those
-      interface equations: with the equations' columns first and one column
-      per h, no pivot lands in an h column.  B's rows of that matrix are
-      brought to echelon form here, so a candidate adds only its own rows.
+    * B∘T ⊆ A: the product is (t_x α, g_z β) over the coefficients with
+      t_y α = g_y β.  It lies in A exactly when every row h of A^⊥, pulled
+      back to (α, β), is in the row space of those interface equations: with
+      the equations' columns first and one column per h, no pivot lands in
+      an h column.  B's rows of that matrix are brought to echelon form here,
+      so a candidate adds only its own rows.
 
     Each check is one elimination of ``exact._eliminate`` per candidate.
     """
-    n, k = a.dim_x, a.dim_y
+    if side == "left":
+        a, b = a.inverse(), b.inverse()
+    n, m, k = a.dim_x, b.dim_x, a.dim_y
     b_gens = [list(g) for g in b.graph.rows]
     probes = a.graph.rows
     perp = [list(h) for h in a.graph.ortho_generators()]
-    if side == "right":  # T inner Q^n -> Q^m, B outer Q^m -> Q^k
-        m = b.dim_x
-        b_block = [[0] * n + [-v for v in g[:m]] + g[m:] for g in b_gens]
-    else:  # B inner Q^n -> Q^m, T outer Q^m -> Q^k
-        m = b.dim_y
-        b_block = [g + [0] * k for g in b_gens]
+    b_block = [[0] * n + [-v for v in g[:m]] + g[m:] for g in b_gens]
     w_rows = [list(w) for w in Subspace.from_vectors(n + m + k, b_block).ortho_generators()]
     rhs = [[_dot(w[:n], g[:n]) + _dot(w[n + m :], g[n:]) for g in probes] for w in w_rows]
     # The pivot columns of W·(probes) span all of them: only those go in.
     basic = _eliminate([row[:] for row in rhs], len(probes))
     rhs = [[row[j] for j in basic] for row in rhs]
-    # Each entry of a candidate's rows is one dot product with a column t of
-    # T's graph basis: ``pull_*`` hold the vectors it is taken with.
-    unit = [[int(i == j) for j in range(m)] for i in range(m)]
-    if side == "right":  # T's column (t, 0) in the stacked system; interface row t_y
-        pull_in = [w[: n + m] for w in w_rows]
-        pull_out = [[0] * n + e for e in unit] + [h[:n] + [0] * m for h in perp]
-        b_rows = [[-v for v in g[:m]] + [_dot(h[n:], g[m:]) for h in perp] for g in b_gens]
-    else:  # T's column (0, -t_x, t_y) in the stacked system; interface row -t_x
-        pull_in = [[-v for v in w[n : n + m]] + w[n + m :] for w in w_rows]
-        pull_out = [[-v for v in e] + [0] * k for e in unit] + [[0] * m + h[n:] for h in perp]
-        b_rows = [g[n:] + [_dot(h[:n], g[:n]) for h in perp] for g in b_gens]
+    # Each entry of a candidate's rows is one dot product with a row t of
+    # T's graph basis: ``pull_in`` holds W's rows on T's columns (t, 0), and
+    # ``pull_out`` the interface rows t_y and A^⊥'s rows on t_x.
+    pull_in = [w[: n + m] for w in w_rows]
+    pull_out = [[0] * n + [int(i == j) for j in range(m)] for i in range(m)]
+    pull_out += [h[:n] + [0] * m for h in perp]
+    if side == "left":  # T's row (t_x, t_y) is T⁻¹'s row (t_y, t_x), with t_y of width n
+        pull_in = [p[n:] + p[:n] for p in pull_in]
+        pull_out = [p[n:] + p[:n] for p in pull_out]
+    b_rows = [[-v for v in g[:m]] + [_dot(h[n:], g[m:]) for h in perp] for g in b_gens]
     width = m + len(perp)
     b_echelon = b_rows[: len(_eliminate(b_rows, width))]
 
@@ -341,7 +343,7 @@ def _search(
     admits = _product_test(a, b, side)
     for t in operator_graph_candidates(*dims, bound):
         if admits(t.graph.rows):
-            if (compose(b, t) if side == "right" else compose(t, b)) != a:
+            if not factor.verify(a, b, t, side):
                 raise RuntimeError(f"{side} brute-force witness passes elimination but not compose")
             return t
     return None
@@ -354,7 +356,7 @@ def brute_force_right_witness(
 
     Definitional: each candidate is decided by block elimination of the
     stacked feasibility system (see ``_product_test``), and the one returned
-    is re-verified by ``compose``.
+    is re-verified by ``factor.verify``.
     """
     if a.dim_y != b.dim_y:
         raise ValueError("target dimensions differ")
@@ -511,68 +513,85 @@ class SuiteResult:
         return "\n".join(lines) + "\n"
 
 
-def _show_pair(a: LinearRelation, b: LinearRelation) -> str:
-    return f"A:\n{serialize_relation(a)}B:\n{serialize_relation(b)}"
-
-
-def _first_failure(checks: Iterable[tuple[str, bool]], rel: LinearRelation) -> Optional[str]:
-    """The first failed check's label over the text of ``rel``, or None."""
+def _first_failure(checks: Iterable[tuple[str, bool]], *shown: LinearRelation,
+                   kind: Optional[str] = None) -> Optional[str]:
+    """The first failed check's label, with the pair's ``kind`` if given, over
+    the text of the relations ``shown`` (headed A, B, C when there are
+    several), or None.  Suites pass a generator, so no check after the first
+    failed one is evaluated."""
     for label, ok in checks:
         if not ok:
-            return f"{label}:\n{serialize_relation(rel)}"
+            heads = ("A:\n", "B:\n", "C:\n") if len(shown) > 1 else ("",)
+            note = "" if kind is None else f" (kind {kind})"
+            return f"{label}{note}:\n" + "".join(h + serialize_relation(r) for h, r in zip(heads, shown))
     return None
+
+
+def _report_checks(report: factor.FactorizationReport, conditions: bool, a: LinearRelation,
+                   b: LinearRelation, side: str) -> Iterator[tuple[str, bool]]:
+    """What every solver suite checks of a report: its flag agrees with the
+    suite's own conditions, and a solvable one is verified and carries a
+    witness that ``factor.verify`` accepts on (a, b, side), single-valued
+    above relation level."""
+    yield "solvable flag disagrees", report.solvable == conditions
+    if report.solvable:
+        yield "report not verified", report.verified
+        yield "witness does not verify", factor.verify(a, b, report.witness, side)
+        if report.level != "relation":
+            yield "witness is not single-valued", profile(report.witness).is_operator
 
 
 def _suite_relation_algebra(rng: random.Random) -> Optional[str]:
     n = rng.randint(0, 6)
     m = rng.randint(0, 6)
     rel = random_mixed_relation(rng, n, m, 3)
-    p = profile(rel)
-    inv = rel.inverse()
-    q = profile(inv)
-    reduced = rel.reduce_operator_part()
-    total, direct = cw_sum(zero_times(n, p.mul), reduced)
-    checks = (
-        ("dom of inverse is range", q.dom == p.ran),
-        ("range of inverse is dom", q.ran == p.dom),
-        ("kernel of inverse is mul", q.ker == p.mul),
-        ("mul of inverse is kernel", q.mul == p.ker),
-        ("double inverse", inv.inverse() == rel),
-        ("decomposition reconstructs", total == rel),
-        ("decomposition is direct", direct),
-        ("reduced part is single-valued", profile(reduced).is_operator),
-        ("reduced part keeps dom", profile(reduced).dom == p.dom),
-    )
-    return _first_failure(checks, rel)
+
+    def checks():
+        p, inv = profile(rel), rel.inverse()
+        q = profile(inv)
+        yield "dom of inverse is range", q.dom == p.ran
+        yield "range of inverse is dom", q.ran == p.dom
+        yield "kernel of inverse is mul", q.ker == p.mul
+        yield "mul of inverse is kernel", q.mul == p.ker
+        yield "double inverse", inv.inverse() == rel
+        reduced = rel.reduce_operator_part()
+        total, direct = cw_sum(zero_times(n, p.mul), reduced)
+        yield "decomposition reconstructs", total == rel
+        yield "decomposition is direct", direct
+        yield "reduced part is single-valued", profile(reduced).is_operator
+        yield "reduced part keeps dom", profile(reduced).dom == p.dom
+
+    return _first_failure(checks(), rel)
 
 
 def _suite_compose_oracle(rng: random.Random) -> Optional[str]:
     n, m, k = rng.randint(0, 6), rng.randint(0, 6), rng.randint(0, 6)
     a = random_mixed_relation(rng, n, m, 3)
     b = random_mixed_relation(rng, m, k, 3)
-    ba = compose(b, a)
     probes = []
-    # steer one probe through a generator of b so positives occur regularly
+    # Steer one probe through a point (y, z) of B so positives occur
+    # regularly.  Reducing (y, 0, z) by the rows of A⁻¹ that lead in the
+    # y-block leaves (0, -x, s·z) exactly when y is in ran(A): then (x, s·y)
+    # lies in A, so (x, s·z) lies in B∘A.
     if b.graph.dim:
-        coeffs = [rng.randint(-2, 2) for _ in range(b.graph.dim)]
-        w = b.graph.point(coeffs)
-        y, z = w[:m], w[m:]
-        ys = Matrix(m, a.graph.dim, tuple(chain.from_iterable(zip(*[g[n:] for g in a.graph.rows]))))
-        lift = solve_linear(ys, y)
-        if lift is not None:
-            x = tuple(sum(c * g[i] for c, g in zip(lift, a.graph.rows)) for i in range(n))
-            probes.append((x, z))
+        w = b.graph.point([rng.randint(-2, 2) for _ in range(b.graph.dim)])
+        v = w[:m] + (0,) * n + w[m:]
+        inv = a.inverse().graph
+        for p, row in zip(inv._leads(), inv.rows):
+            if p < m and v[p]:
+                v = _cancel(v, row + (0,) * k, p)
+        if not any(v[:m]):
+            probes.append((tuple(-c for c in v[m : m + n]), tuple(v[m + n :])))
     while len(probes) < 4:
-        probes.append(
-            (
-                tuple(rng.randint(-3, 3) for _ in range(n)),
-                tuple(rng.randint(-3, 3) for _ in range(k)),
-            )
-        )
-    for x, z in probes:
-        if oracle_product_membership(a, b, x, z) != ba.membership(x, z):
-            return f"probe x={x} z={z} disagrees:\n{_show_pair(a, b)}"
-    return None
+        x = tuple(rng.randint(-3, 3) for _ in range(n))
+        probes.append((x, tuple(rng.randint(-3, 3) for _ in range(k))))
+
+    def checks():
+        ba = compose(b, a)
+        for x, z in probes:
+            yield f"probe x={x} z={z} disagrees", oracle_product_membership(a, b, x, z) == ba.membership(x, z)
+
+    return _first_failure(checks(), a, b)
 
 
 def _suite_graph_compose(rng: random.Random) -> Optional[str]:
@@ -591,52 +610,52 @@ def _suite_compose_algebra(rng: random.Random) -> Optional[str]:
     a = random_mixed_relation(rng, n, m, 3)
     b = random_mixed_relation(rng, m, k, 3)
     c = random_mixed_relation(rng, k, l, 3)
-    if compose(compose(c, b), a) != compose(c, compose(b, a)):
-        return f"associativity fails:\n{_show_pair(a, b)}C:\n{serialize_relation(c)}"
-    if compose(b, a).inverse() != compose(a.inverse(), b.inverse()):
-        return f"inverse of product fails:\n{_show_pair(a, b)}"
-    return None
+
+    def checks():
+        yield "associativity fails", compose(compose(c, b), a) == compose(c, compose(b, a))
+        yield "inverse of product fails", compose(b, a).inverse() == compose(a.inverse(), b.inverse())
+
+    return _first_failure(checks(), a, b, c)
 
 
 def _suite_adjoint_identities(rng: random.Random) -> Optional[str]:
     d = rng.randint(0, 4)
     rel = random_mixed_relation(rng, d, d, 3)
-    p = profile(rel)
-    adj = rel.adjoint()
-    q = profile(adj)
-    checks = (
-        ("mul of adjoint is dom-perp", q.mul == p.dom.ortho_complement()),
-        ("kernel of adjoint is ran-perp", q.ker == p.ran.ortho_complement()),
-        ("double adjoint", adj.adjoint() == rel),
-    )
-    failure = _first_failure(checks, rel)
-    if failure is not None:
-        return failure
-    m = random_matrix(rng, d, d, 3)
-    if LinearRelation.graph_of_matrix(m).adjoint() != LinearRelation.graph_of_matrix(m.transpose()):
-        return f"adjoint of a matrix graph is not the transpose graph: {m!r}"
-    return None
+
+    def checks():
+        p, adj = profile(rel), rel.adjoint()
+        q = profile(adj)
+        yield "mul of adjoint is dom-perp", q.mul == p.dom.ortho_complement()
+        yield "kernel of adjoint is ran-perp", q.ker == p.ran.ortho_complement()
+        yield "double adjoint", adj.adjoint() == rel
+
+    failure = _first_failure(checks(), rel)
+    if failure is None:
+        m = random_matrix(rng, d, d, 3)
+        if LinearRelation.graph_of_matrix(m).adjoint() != LinearRelation.graph_of_matrix(m.transpose()):
+            failure = f"adjoint of a matrix graph is not the transpose graph: {m!r}"
+    return failure
 
 
 def _suite_graph_maps(rng: random.Random) -> Optional[str]:
     n = rng.randint(0, 4)
     m = rng.randint(0, 4)
     rel = random_mixed_relation(rng, n, m, 3)
-    p = profile(rel)
-    proj = graph_projection(rel)
-    pp = profile(proj)
-    section = graph_section(rel)
-    ps = profile(section)
-    checks = (
-        ("projection is single-valued", pp.is_operator),
-        ("projection dom is the graph", pp.dom == rel.graph),
-        ("projection range is dom", pp.ran == p.dom),
-        ("projection kernel is 0 x mul", pp.ker == Subspace.zero(n).product(p.mul)),
-        ("section is single-valued", ps.is_operator),
-        ("section dom is dom", ps.dom == p.dom),
-        ("projection after section is identity on dom", compose(proj, section) == identity_on(p.dom)),
-    )
-    return _first_failure(checks, rel)
+
+    def checks():
+        p, proj = profile(rel), graph_projection(rel)
+        pp = profile(proj)
+        yield "projection is single-valued", pp.is_operator
+        yield "projection dom is the graph", pp.dom == rel.graph
+        yield "projection range is dom", pp.ran == p.dom
+        yield "projection kernel is 0 x mul", pp.ker == Subspace.zero(n).product(p.mul)
+        section = graph_section(rel)
+        ps = profile(section)
+        yield "section is single-valued", ps.is_operator
+        yield "section dom is dom", ps.dom == p.dom
+        yield "projection after section is identity on dom", compose(proj, section) == identity_on(p.dom)
+
+    return _first_failure(checks(), rel)
 
 
 def _suite_membership(rng: random.Random) -> Optional[str]:
@@ -649,160 +668,140 @@ def _suite_membership(rng: random.Random) -> Optional[str]:
         probes.append(rel.graph.point(coeffs))
     for _ in range(3):
         probes.append(tuple(rng.randint(-3, 3) for _ in range(n + m)))
-    for v in probes:
-        x, y = v[:n], v[n:]
-        via_solve = rel.membership(x, y)
-        via_span = rel.graph.contains(Subspace.from_vectors(n + m, [v]))
-        if via_solve != via_span:
-            return f"membership disagrees on {v}:\n{serialize_relation(rel)}"
-    return None
+
+    def checks():
+        for v in probes:
+            via_span = rel.graph.contains(Subspace.from_vectors(n + m, [v]))
+            yield f"membership disagrees on {v}", rel.membership(v[:n], v[n:]) == via_span
+
+    return _first_failure(checks(), rel)
 
 
 def _suite_right_relation_iff(rng: random.Random) -> Optional[str]:
     kind = rng.choice(RIGHT_KINDS)
     a, b = targeted_right_pair(rng, kind)
-    pa, pb = profile(a), profile(b)
-    conditions = pb.ran.contains(pa.ran) and pa.mul.contains(pb.mul)
-    closes = compose(b, compose(b.inverse(), a)) == a
-    if closes != conditions:
-        return f"iff broken (kind {kind}):\n{_show_pair(a, b)}"
-    report = factor.solve_right_relation(a, b)
-    if report.solvable != conditions or (report.solvable and not report.verified):
-        return f"report disagrees (kind {kind}):\n{_show_pair(a, b)}"
-    return None
+
+    def checks():
+        pa, pb = profile(a), profile(b)
+        conditions = pb.ran.contains(pa.ran) and pa.mul.contains(pb.mul)
+        yield "iff broken", (compose(b, compose(b.inverse(), a)) == a) == conditions
+        yield from _report_checks(factor.solve_right_relation(a, b), conditions, a, b, "right")
+
+    return _first_failure(checks(), a, b, kind=kind)
 
 
 def _suite_left_relation_iff(rng: random.Random) -> Optional[str]:
     kind = rng.choice(LEFT_KINDS)
     a, b = targeted_left_pair(rng, kind)
-    pa, pb = profile(a), profile(b)
-    conditions = pb.dom.contains(pa.dom) and pa.ker.contains(pb.ker)
-    closes = compose(compose(a, b.inverse()), b) == a
-    if closes != conditions:
-        return f"iff broken (kind {kind}):\n{_show_pair(a, b)}"
-    report = factor.solve_left_relation(a, b)
-    if report.solvable != conditions or (report.solvable and not report.verified):
-        return f"report disagrees (kind {kind}):\n{_show_pair(a, b)}"
-    return None
+
+    def checks():
+        pa, pb = profile(a), profile(b)
+        conditions = pb.dom.contains(pa.dom) and pa.ker.contains(pb.ker)
+        yield "iff broken", (compose(compose(a, b.inverse()), b) == a) == conditions
+        yield from _report_checks(factor.solve_left_relation(a, b), conditions, a, b, "left")
+
+    return _first_failure(checks(), a, b, kind=kind)
 
 
 def _suite_right_operator_iff(rng: random.Random) -> Optional[str]:
     kind = rng.choice(RIGHT_KINDS)
     a, b = targeted_right_pair(rng, kind)
-    pa, pb = profile(a), profile(b)
-    conditions = pb.ran.contains(pa.ran) and pa.mul == pb.mul
-    report = factor.solve_right_operator(a, b)
-    if report.solvable != conditions:
-        return f"solvable flag disagrees (kind {kind}):\n{_show_pair(a, b)}"
-    if report.solvable:
-        pw = profile(report.witness)
-        if not (pw.is_operator and pw.dom == pa.dom and factor.verify(a, b, report.witness, "right")):
-            return f"witness malformed (kind {kind}):\n{_show_pair(a, b)}"
-        if not report.verified:
-            return f"report not verified (kind {kind}):\n{_show_pair(a, b)}"
-    return None
+
+    def checks():
+        pa, pb = profile(a), profile(b)
+        conditions = pb.ran.contains(pa.ran) and pa.mul == pb.mul
+        report = factor.solve_right_operator(a, b)
+        yield from _report_checks(report, conditions, a, b, "right")
+        if report.solvable:
+            yield "witness domain is not dom(A)", profile(report.witness).dom == pa.dom
+
+    return _first_failure(checks(), a, b, kind=kind)
 
 
 def _suite_left_operator_iff(rng: random.Random) -> Optional[str]:
     kind = rng.choice(LEFT_KINDS)
     a, b = targeted_left_pair(rng, kind)
-    pa, pb = profile(a), profile(b)
-    conditions = (
-        pb.dom.contains(pa.dom)
-        and pa.ker.contains(pb.ker)
-        and pa.mul.dim <= pb.mul.dim
-    )
-    report = factor.solve_left_operator(a, b)
-    if report.solvable != conditions:
-        return f"solvable flag disagrees (kind {kind}):\n{_show_pair(a, b)}"
-    if report.solvable:
-        pw = profile(report.witness)
-        if not (pw.is_operator and factor.verify(a, b, report.witness, "left")):
-            return f"witness malformed (kind {kind}):\n{_show_pair(a, b)}"
-        if not report.verified:
-            return f"report not verified (kind {kind}):\n{_show_pair(a, b)}"
-    return None
+
+    def checks():
+        pa, pb = profile(a), profile(b)
+        conditions = pb.dom.contains(pa.dom) and pa.ker.contains(pb.ker) and pa.mul.dim <= pb.mul.dim
+        yield from _report_checks(factor.solve_left_operator(a, b), conditions, a, b, "left")
+
+    return _first_failure(checks(), a, b, kind=kind)
 
 
 def _suite_operator_criterion_right(rng: random.Random) -> Optional[str]:
     kind = rng.choice(("satisfy", "violate_mul_gain", "violate_mul_loss"))
     a, b = targeted_right_pair(rng, kind)
-    pa, pb = profile(a), profile(b)
-    if not pb.ran.contains(pa.ran):
-        return None  # criterion is stated under range inclusion
-    joint = compose(b.inverse(), a)
-    expected = pb.mul.contains(pa.mul) and pb.ker.dim == 0
-    if profile(joint).is_operator != expected:
-        return f"operator criterion disagrees (kind {kind}):\n{_show_pair(a, b)}"
-    return None
+
+    def checks():
+        pa, pb = profile(a), profile(b)
+        if pb.ran.contains(pa.ran):  # the criterion is stated under range inclusion
+            expected = pb.mul.contains(pa.mul) and pb.ker.dim == 0
+            yield "operator criterion disagrees", profile(compose(b.inverse(), a)).is_operator == expected
+
+    return _first_failure(checks(), a, b, kind=kind)
 
 
 def _suite_operator_criterion_left(rng: random.Random) -> Optional[str]:
     kind = rng.choice(LEFT_KINDS)
     a, b = targeted_left_pair(rng, kind)
-    pa, pb = profile(a), profile(b)
-    joint = compose(a, b.inverse())
-    expected = pa.mul.dim == 0 and pa.ker.contains(pb.ker.intersect(pa.dom))
-    if profile(joint).is_operator != expected:
-        return f"operator criterion disagrees (kind {kind}):\n{_show_pair(a, b)}"
-    solution_and_operator = profile(joint).is_operator and compose(joint, b) == a
-    expected_solution = pa.mul.dim == 0 and pb.dom.contains(pa.dom) and pa.ker.contains(pb.ker)
-    if solution_and_operator != expected_solution:
-        return f"operator-solution criterion disagrees (kind {kind}):\n{_show_pair(a, b)}"
-    return None
+
+    def checks():
+        pa, pb = profile(a), profile(b)
+        joint = compose(a, b.inverse())
+        is_operator = profile(joint).is_operator
+        expected = pa.mul.dim == 0 and pa.ker.contains(pb.ker.intersect(pa.dom))
+        yield "operator criterion disagrees", is_operator == expected
+        expected = pa.mul.dim == 0 and pb.dom.contains(pa.dom) and pa.ker.contains(pb.ker)
+        yield "operator-solution criterion disagrees", (is_operator and compose(joint, b) == a) == expected
+
+    return _first_failure(checks(), a, b, kind=kind)
 
 
 def _suite_adjoint_right_iff(rng: random.Random) -> Optional[str]:
     a, b = random_square_pair(rng)
-    pa, pb = profile(a), profile(b)
-    conditions = pa.ker.contains(pb.ker) and pa.dom == pb.dom
-    report = factor.solve_adjoint_right(a, b)
-    a_adj, b_adj = a.adjoint(), b.adjoint()
-    direct = factor.solve_right_operator(a_adj, b_adj)
-    if report.solvable != conditions or report.solvable != direct.solvable:
-        return f"adjoint-level translation disagrees:\n{_show_pair(a, b)}"
-    if report.solvable and not (
-        report.verified and factor.verify(a_adj, b_adj, report.witness, "right")
-    ):
-        return f"adjoint witness malformed:\n{_show_pair(a, b)}"
-    return None
+
+    def checks():
+        pa, pb = profile(a), profile(b)
+        conditions = pa.ker.contains(pb.ker) and pa.dom == pb.dom
+        a_adj, b_adj = a.adjoint(), b.adjoint()
+        direct = factor.solve_right_operator(a_adj, b_adj)
+        yield "adjoint-level translation disagrees", direct.solvable == conditions
+        yield from _report_checks(factor.solve_adjoint_right(a, b), conditions, a_adj, b_adj, "right")
+
+    return _first_failure(checks(), a, b)
 
 
 def _suite_adjoint_left_iff(rng: random.Random) -> Optional[str]:
     a, b = random_square_pair(rng)
-    d = a.dim_x
-    pa, pb = profile(a), profile(b)
-    conditions = (
-        pa.mul.contains(pb.mul)
-        and pb.ran.contains(pa.ran)
-        and d - pa.dom.dim <= d - pb.dom.dim
-    )
-    report = factor.solve_adjoint_left(a, b)
-    a_adj, b_adj = a.adjoint(), b.adjoint()
-    direct = factor.solve_left_operator(a_adj, b_adj)
-    if report.solvable != conditions or report.solvable != direct.solvable:
-        return f"adjoint-level translation disagrees:\n{_show_pair(a, b)}"
-    if report.solvable and not (
-        report.verified and factor.verify(a_adj, b_adj, report.witness, "left")
-    ):
-        return f"adjoint witness malformed:\n{_show_pair(a, b)}"
-    return None
+
+    def checks():
+        d = a.dim_x
+        pa, pb = profile(a), profile(b)
+        conditions = pa.mul.contains(pb.mul) and pb.ran.contains(pa.ran) and d - pa.dom.dim <= d - pb.dom.dim
+        a_adj, b_adj = a.adjoint(), b.adjoint()
+        direct = factor.solve_left_operator(a_adj, b_adj)
+        yield "adjoint-level translation disagrees", direct.solvable == conditions
+        yield from _report_checks(factor.solve_adjoint_left(a, b), conditions, a_adj, b_adj, "left")
+
+    return _first_failure(checks(), a, b)
 
 
 def _suite_selfadjoint_duality(rng: random.Random) -> Optional[str]:
     d = rng.randint(1, 4)
     a = random_selfadjoint(rng, d)
     b = random_selfadjoint(rng, d)
-    if not (a.is_selfadjoint() and b.is_selfadjoint()):
-        return f"generator produced a non-self-adjoint relation:\n{_show_pair(a, b)}"
-    pa, pb = profile(a), profile(b)
-    primal = pb.ran.contains(pa.ran) and pa.mul == pb.mul
-    dual = pa.ker.contains(pb.ker) and pa.dom == pb.dom
-    if primal != dual:
-        return f"condition sets disagree for self-adjoint pair:\n{_show_pair(a, b)}"
-    if factor.solve_right_operator(a, b).solvable != dual:
-        return f"solver disagrees with dual conditions:\n{_show_pair(a, b)}"
-    return None
+
+    def checks():
+        yield "generator produced a non-self-adjoint relation", a.is_selfadjoint() and b.is_selfadjoint()
+        pa, pb = profile(a), profile(b)
+        primal = pb.ran.contains(pa.ran) and pa.mul == pb.mul
+        dual = pa.ker.contains(pb.ker) and pa.dom == pb.dom
+        yield "condition sets disagree for self-adjoint pair", primal == dual
+        yield "solver disagrees with dual conditions", factor.solve_right_operator(a, b).solvable == dual
+
+    return _first_failure(checks(), a, b)
 
 
 def _suite_generator_honesty(rng: random.Random) -> Optional[str]:

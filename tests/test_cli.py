@@ -310,7 +310,7 @@ class TestCheck:
         code, out, err = run(capsys, "check", "--suite", "determinism", "--cases", cases)
         assert code == 1
         assert out == ""
-        assert err.startswith("error:") and "--cases" in err
+        assert err == f"error: cases must be at least 1, got {cases}\n"
 
     def test_sampler_failure_exits_one(self, capsys, monkeypatch):
         def give_up(*args, **kwargs):

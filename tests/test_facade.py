@@ -2,8 +2,9 @@
 the package itself computes and prints on integer rows only.
 
 The test runs every solver, the relation operations, the text format, the
-oracle and the brute-force search with the façade's constructors patched to
-raise, and compares what they print with a run made before the patch.
+oracle, the brute-force search and the ``compose_oracle`` suite with the
+façade's constructors patched to raise, and compares what they print with a
+run made before the patch.
 """
 
 import json
@@ -27,6 +28,7 @@ from linrel import (
     parse_relation_text,
     profile,
     relation,
+    run_suite,
     serialize_relation,
     subspace,
 )
@@ -78,6 +80,7 @@ def _everything(tmp_path, capsys) -> list:
     b = LinearRelation.from_generators(1, 2, [(1, 1, 0)])
     out.append(brute_force_right_witness(a, b))
     out.append(serialize_relation(brute_force_left_witness(b, b)))
+    out.append(run_suite("compose_oracle", 20))
     return out
 
 

@@ -21,7 +21,7 @@ from linrel import (
     serialize_relation,
     zero_times,
 )
-from linrel import harness
+from linrel import exact, harness
 from linrel.harness import (
     LEFT_KINDS,
     RIGHT_KINDS,
@@ -383,20 +383,27 @@ class TestRunSuite:
             result = run_suite(name, 20, seed=7)
             assert result.failed == 0, result.counterexample
 
-    def test_mutation_is_caught(self, monkeypatch):
-        # an intentionally broken solver must produce a serialized counterexample
-        original = harness.factor.solve_right_operator
+    @pytest.mark.parametrize("name", [
+        "right_relation_iff", "left_relation_iff", "right_operator_iff",
+        "left_operator_iff", "adjoint_right_iff", "adjoint_left_iff",
+    ])
+    def test_mutation_is_caught(self, monkeypatch, name):
+        # an intentionally broken solver must produce a serialized counterexample;
+        # a flag flipped to solvable comes with no witness, which no check may read
+        solver = "solve_" + name.removesuffix("_iff")
+        original = getattr(harness.factor, solver)
 
         def broken(a, b):
             report = original(a, b)
             object.__setattr__(report, "solvable", not report.solvable)
             return report
 
-        monkeypatch.setattr(harness.factor, "solve_right_operator", broken)
-        result = run_suite("right_operator_iff", 20, seed=7)
+        monkeypatch.setattr(harness.factor, solver, broken)
+        result = run_suite(name, 20, seed=7)
         assert result.failed > 0
         assert result.counterexample is not None
         assert "dim_x=" in result.counterexample
+        assert "\nA:\ndim_x=" in result.counterexample and "\nB:\ndim_x=" in result.counterexample
 
     def test_result_serialization(self):
         result = run_suite("determinism", 5, seed=2)
@@ -423,7 +430,8 @@ def test_generators_and_bridge_compute_on_integer_rows(monkeypatch):
     monkeypatch.setattr(Subspace, "basis", property(refuse))
     monkeypatch.setattr(Matrix, "__matmul__", refuse)
     monkeypatch.setattr(Matrix, "matvec", refuse)
-    monkeypatch.setattr(harness, "solve_linear", refuse)
+    monkeypatch.setattr(exact, "solve_linear", refuse)
+    assert not hasattr(harness, "solve_linear")
     for seed in range(20):
         rel = random_relation(RelationSpec(4, 4, dim_dom=3, dim_mul=1, dim_ker=1, seed=seed))
         assert (profile(rel).dom.dim, profile(rel).mul.dim) == (3, 1)

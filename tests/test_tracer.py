@@ -59,6 +59,7 @@ a = LinearRelation.from_generators(1, 2, [(1, 1, 1)])
 b = LinearRelation.identity(2)
 assert harness.oracle_product_membership(a, b, (1,), (1, 1))
 assert harness.brute_force_right_witness(a, b) is not None
+assert harness.brute_force_left_witness(a, LinearRelation.identity(1)) == a
 m = t.metrics()
 assert m["harness.oracle_calls"] >= 1, m
 assert m["harness.grid_candidates"] >= 1, m
