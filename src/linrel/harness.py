@@ -736,9 +736,10 @@ def _suite_operator_criterion_right(rng: random.Random) -> Optional[str]:
 
     def checks():
         pa, pb = profile(a), profile(b)
-        if pb.ran.contains(pa.ran):  # the criterion is stated under range inclusion
-            expected = pb.mul.contains(pa.mul) and pb.ker.dim == 0
-            yield "operator criterion disagrees", profile(compose(b.inverse(), a)).is_operator == expected
+        # the criterion is stated under range inclusion, which every kind builds in
+        yield "pair generator put ran(A) outside ran(B)", pb.ran.contains(pa.ran)
+        expected = pb.mul.contains(pa.mul) and pb.ker.dim == 0
+        yield "operator criterion disagrees", profile(compose(b.inverse(), a)).is_operator == expected
 
     return _first_failure(checks(), a, b, kind=kind)
 

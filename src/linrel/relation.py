@@ -8,8 +8,10 @@ equality is decidable and representation independent.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
+from math import lcm
 from typing import Iterable, Sequence
 
 from .exact import Matrix, Scalar, integer_row, text_rows
@@ -145,10 +147,18 @@ def profile(rel: LinearRelation) -> RelationProfile:
 def compose(outer: LinearRelation, inner: LinearRelation) -> LinearRelation:
     """Relation product outer∘inner = {(x, z) : ∃y, (x,y) ∈ inner, (y,z) ∈ outer}.
 
-    In (y, x, z) coordinates, the points (0, x, z) of the span of (y, x, 0)
-    over inner and (-y', 0, z) over outer are exactly those with y = y', so
-    the slice that ``split_span`` keeps is the product.  No single-valuedness
-    is assumed, so genuinely multivalued inputs compose correctly.
+    When outer is the graph of a matrix (dom = Q^m, mul = 0), its canonical
+    rows say so: there are m of them and the last leads inside the first m
+    columns, so row i is (p_i e_i, b_i) and outer maps y to Σ_i y_i·b_i/p_i.
+    With s = lcm(p_i), the product is then the span of
+    (s·x, Σ_i y_i·(s/p_i)·b_i) over inner's rows (x, y), one ``from_vectors``
+    whose rows are already in echelon form when inner is an operator graph.
+
+    Otherwise, in (y, x, z) coordinates, the points (0, x, z) of the span of
+    (y, x, 0) over inner and (-y', 0, z) over outer are exactly those with
+    y = y', so the slice that ``split_span`` keeps is the product.  No
+    single-valuedness is assumed, so genuinely multivalued inputs compose
+    correctly.  Both routes end in the canonical form, so they agree exactly.
     """
     if inner.dim_y != outer.dim_x:
         raise ValueError(
@@ -156,8 +166,18 @@ def compose(outer: LinearRelation, inner: LinearRelation) -> LinearRelation:
             f"outer is defined on Q^{outer.dim_x}"
         )
     n, m, k = inner.dim_x, inner.dim_y, outer.dim_y
+    outer_rows = outer.graph.rows
+    if len(outer_rows) == m and (not m or any(outer_rows[-1][:m])):
+        s = lcm(*[r[i] for i, r in enumerate(outer_rows)])
+        # column j of the matrix s·outer, as the coefficients of y
+        cols = [[(s // r[i]) * r[m + j] for i, r in enumerate(outer_rows)] for j in range(k)]
+        image = [
+            tuple(s * v for v in r[:n]) + tuple(sum(map(operator.mul, r[n:], c)) for c in cols)
+            for r in inner.graph.rows
+        ]
+        return LinearRelation(n, k, Subspace.from_vectors(n + k, image))
     rows = [r[n:] + r[:n] + (0,) * k for r in inner.graph.rows]
-    rows += [tuple(-y for y in r[:m]) + (0,) * n + r[m:] for r in outer.graph.rows]
+    rows += [tuple(-y for y in r[:m]) + (0,) * n + r[m:] for r in outer_rows]
     return LinearRelation(n, k, Subspace.split_span(m + n + k, rows, m, head=False)[1])
 
 

@@ -405,6 +405,17 @@ class TestRunSuite:
         assert "dim_x=" in result.counterexample
         assert "\nA:\ndim_x=" in result.counterexample and "\nB:\ndim_x=" in result.counterexample
 
+    def test_operator_criterion_right_fails_when_ran_escapes(self, monkeypatch):
+        """A pair generator that puts ran(A) outside ran(B) fails the suite
+        loudly instead of skipping the case."""
+        a = LinearRelation.identity(2)
+        b = zero_times(2, Subspace.from_vectors(2, [(1, 0)]))
+        monkeypatch.setattr(harness, "targeted_right_pair", lambda rng, kind: (a, b))
+        result = run_suite("operator_criterion_right", 3, seed=0)
+        assert result.failed == 3
+        assert result.counterexample.startswith("case 0: pair generator put ran(A) outside ran(B) (kind ")
+        assert "\nA:\ndim_x=" in result.counterexample and "\nB:\ndim_x=" in result.counterexample
+
     def test_result_serialization(self):
         result = run_suite("determinism", 5, seed=2)
         text = result.to_text()

@@ -2,7 +2,7 @@ import dataclasses
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from linrel import (
@@ -26,6 +26,7 @@ from linrel.relation import RelationProfile, generator_rows
 from strategies import (
     composable_pairs,
     composable_triples,
+    entries,
     relations,
     square_matrices,
     square_relations,
@@ -528,8 +529,64 @@ def test_wide_relations_match_the_reference_routes(d):
         c = compose(b, a)
         check_reference_routes(b, a, c, a.graph, b.graph)
         check_reference_routes(c, tall, tall, c.graph, tall.graph)
+        # a, b and c are matrix graphs; tall, with mul ≠ 0, takes the stacked route
+        assert profile(tall).mul.dim > 0
+        assert compose(tall, c) == full_compose(tall, c)
         assert serialize_relation(c) == serialize_relation(full_compose(b, a))
         assert serialize_relation(c.adjoint()) == serialize_relation(old_adjoint(c))
+
+
+fractions_or_ints = st.one_of(entries, st.fractions(-3, 3, max_denominator=4))
+
+
+@st.composite
+def matrix_graph_pairs(draw, max_dim=3, shape=None):
+    """The graph of a k×m matrix with integer or fractional entries (shape
+    (k, m) if given), and any relation into Q^m, multivalued ones included."""
+    k, m = shape if shape is not None else (draw(st.integers(0, max_dim)), draw(st.integers(0, max_dim)))
+    data = [[draw(fractions_or_ints) for _ in range(m)] for _ in range(k)]
+    outer = LinearRelation.graph_of_matrix(Matrix.from_rows(data, cols=m))
+    return outer, draw(relations(max_dim=max_dim, dim_y=m))
+
+
+class TestComposeThroughMatrixGraph:
+    """An outer that is the graph of a matrix is composed by mapping the
+    inner rows; every other outer goes through the stacked system."""
+
+    @settings(max_examples=200)
+    @given(matrix_graph_pairs())
+    def test_matches_the_stacked_system(self, pair):
+        outer, inner = pair
+        assert compose(outer, inner) == full_compose(outer, inner)
+
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0)])
+    @given(data=st.data())
+    def test_empty_matrix_shapes(self, shape, data):
+        outer, inner = data.draw(matrix_graph_pairs(shape=shape))
+        assert compose(outer, inner) == full_compose(outer, inner)
+
+    def test_only_a_matrix_graph_skips_the_stacked_system(self, monkeypatch):
+        inner = LinearRelation.from_generators(2, 2, [(1, 0, 2, 1), (0, 0, 1, 3)])
+        assert profile(inner).mul.dim == 1
+        matrix = graph([[1, "1/2"], [-3, 4]])
+        expected = full_compose(matrix, inner)
+        others = [
+            # dom = Q^2, mul ≠ 0
+            LinearRelation.from_generators(2, 2, [(1, 0, 1, 1), (0, 1, 0, 2), (0, 0, 1, 1)]),
+            # mul = 0, dom ≠ Q^2
+            LinearRelation.from_generators(2, 2, [(1, 0, 1, 1)]),
+            # two rows, as many as a matrix graph has, but the last leads in the y-block
+            LinearRelation.from_generators(2, 2, [(1, 0, 1, 1), (0, 0, 0, 1)]),
+        ]
+
+        def refuse(cls, *args, **kwargs):
+            raise AssertionError("the stacked system ran")
+
+        monkeypatch.setattr(Subspace, "split_span", classmethod(refuse))
+        assert compose(matrix, inner) == expected
+        for outer in others:
+            with pytest.raises(AssertionError, match="the stacked system ran"):
+                compose(outer, inner)
 
 
 class TestConstructors:
