@@ -23,7 +23,7 @@ from .factor import (
     solve_right_relation,
     verify,
 )
-from .files import MAX_AMBIENT_DIM, parse_relation_file, serialize_relation, write_relation_file
+from .files import parse_relation_file, serialize_relation, write_relation_file
 from .harness import RelationSpec, list_suites, random_relation, run_suite
 from .relation import compose, generator_rows, profile
 
@@ -127,11 +127,6 @@ def cmd_adjoint(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    if args.dim_x + args.dim_y > MAX_AMBIENT_DIM:
-        raise ValueError(
-            f"--dim-x {args.dim_x} and --dim-y {args.dim_y} make dim_x + dim_y "
-            f"exceed the limit {MAX_AMBIENT_DIM}"
-        )
     spec = RelationSpec(
         dim_x=args.dim_x,
         dim_y=args.dim_y,

@@ -29,6 +29,17 @@ _ZERO, _ONE = Fraction(0), Fraction(1)
 _RATIONAL_RE = re.compile(r"([+-]?[0-9]+)(?:/([+-]?[0-9]+))?\Z")
 
 
+def require_int(name: str, value, low: Optional[int] = None) -> int:
+    """``value``, if it is an ``int`` (not a float, a ``Fraction`` or a bool) of at
+    least ``low``; otherwise a ``ValueError`` that names it as ``name``.  The one
+    check of every integer argument in the package."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    if low is not None and value < low:
+        raise ValueError(f"{name} must be at least {low}, got {value}")
+    return value
+
+
 def parse_ratio(text: str) -> tuple[int, int]:
     """``(p, q)`` with q > 0 for ``"p"`` or ``"p/q"``, not reduced."""
     match = _RATIONAL_RE.match(text.strip(" \t\n\r\v\f"))
@@ -70,8 +81,8 @@ class Matrix:
     entries: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        if not all(type(e) is int and e >= 0 for e in (self.rows, self.cols)):
-            raise ValueError(f"matrix extent {self.rows!r}x{self.cols!r} is not two non-negative ints")
+        require_int("rows", self.rows, 0)
+        require_int("cols", self.cols, 0)
         if len(self.entries) != self.rows * self.cols:
             raise ValueError(
                 f"expected {self.rows * self.cols} entries, got {len(self.entries)}"
@@ -419,13 +430,10 @@ def solve_linear(m: Matrix, b: Sequence[Scalar]) -> Optional[tuple[Fraction, ...
     rhs = tuple(b)
     if len(rhs) != m.rows:
         raise ValueError(f"right-hand side length {len(rhs)} does not match {m.rows} rows")
-    data = _integer_rows(m.row(i) + (rhs[i],) for i in range(m.rows))
-    pivots = _eliminate(data, m.cols + 1)
+    rows, pivots = echelon_rows(_integer_rows(m.row(i) + (rhs[i],) for i in range(m.rows)), m.cols + 1)
     if pivots and pivots[-1] == m.cols:
         return None
-    _back_substitute(data, pivots)
     x = [_ZERO] * m.cols
-    for row, p in zip(data, pivots):
-        if row[m.cols]:
-            x[p] = Fraction(row[m.cols], row[p])
+    for row, p in zip(rows, pivots):
+        x[p] = Fraction(row[m.cols], row[p])
     return tuple(x)

@@ -128,12 +128,12 @@ def _subset(part: str, pa: RelationProfile, pb: RelationProfile, *, a_inside_b: 
 
 def _right_relation_witness(a: LinearRelation, b: LinearRelation) -> tuple[LinearRelation, bool]:
     candidate = compose(b.inverse(), a)
-    return candidate, compose(b, candidate) == a
+    return candidate, verify(a, b, candidate, "right")
 
 
 def _left_relation_witness(a: LinearRelation, b: LinearRelation) -> tuple[LinearRelation, bool]:
     candidate = compose(a, b.inverse())
-    return candidate, compose(candidate, b) == a
+    return candidate, verify(a, b, candidate, "left")
 
 
 def _right_operator_witness(
@@ -145,7 +145,7 @@ def _right_operator_witness(
     selection = b.inverse().reduce_operator_part()
     witness = compose(selection, a.reduce_operator_part())
     pw = profile(witness)
-    return witness, pw.is_operator and pw.dom == pa.dom and compose(b, witness) == a
+    return witness, pw.is_operator and pw.dom == pa.dom and verify(a, b, witness, "right")
 
 
 def _left_operator_witness(
@@ -163,7 +163,7 @@ def _left_operator_witness(
     units = [[int(j in (i, k + i)) for j in range(muls.dim)] for i in range(pa.mul.dim)]
     bridge = LinearRelation.from_generators(p, m, map(muls.point, units))
     witness, direct = cw_sum(core, bridge)
-    return witness, direct and profile(witness).is_operator and compose(witness, b) == a
+    return witness, direct and profile(witness).is_operator and verify(a, b, witness, "left")
 
 
 def solve_right_relation(a: LinearRelation, b: LinearRelation) -> FactorizationReport:

@@ -6,7 +6,8 @@ independent or canonical; the parser reads each line straight into a
 primitive integer row and canonicalizes.  Output is the canonical basis, so
 serialization is deterministic: equal relations produce byte-identical files.
 The header may declare at most ``MAX_AMBIENT_DIM`` coordinates in all, which
-bounds the time and memory a small file can ask for.  Input is ASCII: a file
+bounds the time and memory a small file can ask for; ``check_ambient_limit``
+applies that cap here and in ``harness.RelationSpec``.  Input is ASCII: a file
 is rejected at its first other byte, and text gets the same answers, since
 counts and rationals take only ASCII digits.  Lines end only at ``\n``,
 ``\r\n`` or ``\r``, and only spaces and tabs separate fields: any other
@@ -34,6 +35,15 @@ _NON_ASCII_RE = re.compile(rb"[\x80-\xff]")
 # ``str.splitlines`` and ``str.split`` would break lines or fields at them
 _STRAY_RE = re.compile(r"[\x00-\x08\x0b\x0c\x0e-\x1f\x7f]|[^\S\x00-\x7f]")
 _LINE_END_RE = re.compile(r"\r\n?|\n")
+
+
+def check_ambient_limit(dims: dict[str, int], where: str = "") -> None:
+    """Raise ``ValueError``, its message prefixed by ``where``, if the
+    dimensions ``dims`` (by name) add up to more than ``MAX_AMBIENT_DIM``."""
+    if sum(dims.values()) > MAX_AMBIENT_DIM:
+        named = " and ".join(f"{name} {d}" for name, d in dims.items())
+        verb = "makes" if len(dims) == 1 else "make"
+        raise ValueError(f"{where}{named} {verb} dim_x + dim_y exceed the limit {MAX_AMBIENT_DIM}")
 
 
 def _line_of(text: str, at: int) -> int:
@@ -75,11 +85,7 @@ def parse_relation_text(text: str, source: str = "<input>") -> LinearRelation:
             raise ValueError(f"{source}:{body_start + 1}: bad count {_echo(value)}") from None
         if dims[expected] < 0:
             raise ValueError(f"{source}:{body_start + 1}: negative dimension {dims[expected]}")
-        if sum(dims.values()) > MAX_AMBIENT_DIM:
-            raise ValueError(
-                f"{source}:{body_start + 1}: dimension {dims[expected]} makes dim_x + dim_y "
-                f"exceed the limit {MAX_AMBIENT_DIM}"
-            )
+        check_ambient_limit(dims, f"{source}:{body_start + 1}: ")
         body_start += 1
     width = dims["dim_x"] + dims["dim_y"]
     generators = []

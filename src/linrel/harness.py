@@ -29,8 +29,8 @@ from operator import mul
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from . import factor
-from .exact import Matrix, Rows, _cancel, _eliminate, echelon_rows, fraction_rows, primitive_rows
-from .files import serialize_relation
+from .exact import Matrix, Rows, _cancel, _eliminate, echelon_rows, fraction_rows, primitive_rows, require_int
+from .files import check_ambient_limit, serialize_relation
 from .relation import (
     LinearRelation,
     compose,
@@ -49,14 +49,6 @@ _MASK64 = (1 << 64) - 1
 def derive_seed(seed: int, index: int) -> int:
     """Stable per-case sub-seed: a 64-bit LCG-style mix of seed and index."""
     return (seed * 6364136223846793005 + (index + 1) * 1442695040888963407) & _MASK64
-
-
-def _require_int(name: str, value, low: Optional[int] = None) -> None:
-    """Reject a value that is not an ``int`` (a float, or a bool), or is below ``low``."""
-    if type(value) is not int:
-        raise ValueError(f"{name} must be an int, got {value!r}")
-    if low is not None and value < low:
-        raise ValueError(f"{name} must be at least {low}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -82,14 +74,15 @@ class RelationSpec:
 
     def validate(self) -> None:
         for name, low in (("dim_x", 0), ("dim_y", 0), ("coeff_bound", 1)):
-            _require_int(name, getattr(self, name), low)
+            require_int(name, getattr(self, name), low)
+        check_ambient_limit({"dim_x": self.dim_x, "dim_y": self.dim_y})
         targets = (self.dim_dom, self.dim_mul, self.dim_ker)
         if any(t is None for t in targets) != all(t is None for t in targets):
             raise ValueError("target dimensions must be given together or not at all")
         if self.dim_dom is None:
             return
         for name in ("dim_dom", "dim_mul", "dim_ker"):
-            _require_int(name, getattr(self, name))
+            require_int(name, getattr(self, name))
         dd, dm, dk = self.dim_dom, self.dim_mul, self.dim_ker
         if not (0 <= dk <= dd <= self.dim_x):
             raise ValueError(f"need 0 <= dim_ker <= dim_dom <= dim_x, got {dk}, {dd}, {self.dim_x}")
@@ -862,8 +855,8 @@ def run_suite(name: str, cases: Optional[int] = None, seed: int = 0) -> SuiteRes
         raise ValueError(f"unknown suite {name!r} (known: {', '.join(sorted(SUITES))})")
     fn, default = SUITES[name]
     total = default if cases is None else cases
-    _require_int("cases", total, 1)
-    _require_int("seed", seed)
+    require_int("cases", total, 1)
+    require_int("seed", seed)
     passed = failed = 0
     counterexample = None
     for index in range(total):

@@ -14,7 +14,7 @@ from functools import lru_cache
 from math import lcm
 from typing import Iterable, Sequence
 
-from .exact import Matrix, Scalar, integer_row, text_rows
+from .exact import Matrix, Scalar, integer_row, require_int, text_rows
 from .subspace import Subspace
 
 
@@ -25,9 +25,8 @@ class LinearRelation:
     graph: Subspace
 
     def __post_init__(self) -> None:
-        x, y = self.dim_x, self.dim_y
-        if type(x) is not int or type(y) is not int or x < 0 or y < 0:
-            raise ValueError(f"dimensions {x!r}, {y!r} are not non-negative ints")
+        require_int("dim_x", self.dim_x, 0)
+        require_int("dim_y", self.dim_y, 0)
         if self.graph.ambient_dim != self.dim_x + self.dim_y:
             raise ValueError(
                 f"graph lives in Q^{self.graph.ambient_dim}, expected Q^{self.dim_x + self.dim_y}"

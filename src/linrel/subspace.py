@@ -39,6 +39,7 @@ from .exact import (
     echelon_rows,
     fraction_rows,
     primitive_rows,
+    require_int,
     split_echelon_rows,
     text_rows,
 )
@@ -54,7 +55,7 @@ class Subspace:
     rows: Rows
 
     def __post_init__(self) -> None:
-        check_canonical(self.rows, _dimension(self.ambient_dim))
+        check_canonical(self.rows, require_int("ambient dimension", self.ambient_dim, 0))
 
     @classmethod
     def _make(cls, ambient_dim: int, rows: Rows) -> "Subspace":
@@ -80,6 +81,7 @@ class Subspace:
         s = lcm(q_j) this is s·Σ_j coeffs[j]·b_j = Σ_j coeffs[j]·(s/q_j)·row_j."""
         if len(coeffs) != self.dim:
             raise ValueError(f"{len(coeffs)} coefficients for a subspace of dimension {self.dim}")
+        coeffs = [require_int("coefficient", c) for c in coeffs]
         leads = [next(filter(None, row)) for row in self.rows]
         scale = lcm(*leads)
         terms = [(c * (scale // q), row) for c, q, row in zip(coeffs, leads, self.rows) if c]
@@ -107,18 +109,19 @@ class Subspace:
         """``from_vectors(ambient_dim, vectors).split(n)``, reducing only the
         rows each side keeps; without ``head`` the projection is skipped and
         comes back as None."""
-        if not 0 <= n <= ambient_dim:
+        rows = _generators(ambient_dim, vectors)
+        if not 0 <= require_int("split", n) <= ambient_dim:
             raise ValueError(f"split at {n} not within ambient dimension {ambient_dim}")
-        top, bottom = split_echelon_rows(_generators(ambient_dim, vectors), ambient_dim, n, head)
+        top, bottom = split_echelon_rows(rows, ambient_dim, n, head)
         return None if top is None else cls._make(n, top), cls._make(ambient_dim - n, bottom)
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
-        return cls._make(_dimension(ambient_dim), ())
+        return cls._make(require_int("ambient dimension", ambient_dim, 0), ())
 
     @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
-        unit = range(_dimension(ambient_dim))
+        unit = range(require_int("ambient dimension", ambient_dim, 0))
         return cls._make(ambient_dim, tuple(tuple(int(i == j) for j in unit) for i in unit))
 
     def _check_ambient(self, other: "Subspace") -> None:
@@ -173,7 +176,7 @@ class Subspace:
 
     def block_project(self, start: int, stop: int) -> "Subspace":
         """Image under the coordinate projection onto positions [start, stop)."""
-        if not (0 <= start <= stop <= self.ambient_dim):
+        if not (0 <= require_int("start", start) <= require_int("stop", stop) <= self.ambient_dim):
             raise ValueError(
                 f"block [{start}, {stop}) not within ambient dimension {self.ambient_dim}"
             )
@@ -188,7 +191,7 @@ class Subspace:
         the other rows cut to the rest are K's, read off without elimination.
         """
         d = self.ambient_dim
-        if not 0 <= n <= d:
+        if not 0 <= require_int("split", n) <= d:
             raise ValueError(f"split at {n} not within ambient dimension {d}")
         leads = self._leads()
         p = bisect_left(leads, n)
@@ -212,14 +215,8 @@ class Subspace:
         return f"Subspace(Q^{self.ambient_dim}: {', '.join(cols) if cols else '0'})"
 
 
-def _dimension(ambient_dim: int) -> int:
-    if type(ambient_dim) is not int or ambient_dim < 0:
-        raise ValueError(f"ambient dimension {ambient_dim!r} is not a non-negative int")
-    return ambient_dim
-
-
 def _generators(ambient_dim: int, vectors: Iterable[Sequence[Scalar]]) -> list[Sequence[int]]:
-    _dimension(ambient_dim)
+    require_int("ambient dimension", ambient_dim, 0)
     rows = _integer_rows(vectors)
     for row in rows:
         if len(row) != ambient_dim:

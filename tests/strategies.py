@@ -1,10 +1,19 @@
-"""Hypothesis strategies shared by the property tests."""
+"""Shared test helpers: hypothesis strategies for the property tests, and
+short constructors for hand-written relations and subspaces."""
 
 import hypothesis.strategies as st
 
 from linrel import LinearRelation, Matrix, Subspace
 
 entries = st.integers(min_value=-3, max_value=3)
+
+
+def graph(rows):
+    return LinearRelation.graph_of_matrix(Matrix.from_rows(rows))
+
+
+def sp(d, *vectors):
+    return Subspace.from_vectors(d, vectors)
 
 
 @st.composite

@@ -8,7 +8,6 @@ from hypothesis import example, given
 
 from linrel import (
     LinearRelation,
-    Matrix,
     Subspace,
     compose,
     cw_sum,
@@ -25,11 +24,7 @@ from linrel import (
 from linrel import factor, harness
 from linrel.factor import Condition, FactorizationReport
 
-from strategies import relations, square_relation_pairs, subspaces
-
-
-def graph(rows):
-    return LinearRelation.graph_of_matrix(Matrix.from_rows(rows))
+from strategies import graph, relations, square_relation_pairs, subspaces
 
 
 IDENT2 = LinearRelation.identity(2)

@@ -34,13 +34,11 @@ from linrel.harness import (
 )
 from linrel.exact import check_canonical
 
+from strategies import graph
+
 # SHA-256 over the canonical rows of every grid candidate, in search order,
 # for each gated shape at bounds 1 and 2
 EXPECTED_CANDIDATE_DIGEST = "6565b29a3b687f43972c7df68e9c8ec0e87d8cc107aa09694ed24730184c99df"
-
-
-def graph(rows):
-    return LinearRelation.graph_of_matrix(Matrix.from_rows(rows))
 
 
 class TestRelationSpec:

@@ -1,0 +1,48 @@
+"""Every library entry point that takes an integer argument rejects any other
+value with a ``ValueError`` that names the argument (``exact.require_int``),
+and every way to ask for a relation obeys the one coordinate cap
+(``files.check_ambient_limit``)."""
+
+import re
+from fractions import Fraction
+
+import pytest
+
+from linrel import LinearRelation, Matrix, RelationSpec, Subspace, list_suites, run_suite
+from linrel.files import MAX_AMBIENT_DIM
+
+PLANE = Subspace.full(2)
+
+ENTRY_POINTS = {
+    "Matrix rows": ("rows", lambda v: Matrix(v, 0, ())),
+    "Matrix cols": ("cols", lambda v: Matrix(0, v, ())),
+    "LinearRelation dim_x": ("dim_x", lambda v: LinearRelation(v, 0, Subspace.zero(0))),
+    "LinearRelation dim_y": ("dim_y", lambda v: LinearRelation(0, v, Subspace.zero(0))),
+    "Subspace.zero": ("ambient dimension", Subspace.zero),
+    "Subspace.full": ("ambient dimension", Subspace.full),
+    "Subspace.from_vectors": ("ambient dimension", lambda v: Subspace.from_vectors(v, [])),
+    "split": ("split", PLANE.split),
+    "split_span cut": ("split", lambda v: Subspace.split_span(2, [(1, 2)], v)),
+    "split_span ambient": ("ambient dimension", lambda v: Subspace.split_span(v, [], 0)),
+    "block_project start": ("start", lambda v: PLANE.block_project(v, 1)),
+    "block_project stop": ("stop", lambda v: PLANE.block_project(0, v)),
+    "point": ("coefficient", lambda v: PLANE.point([v, 0])),
+    "RelationSpec dim_x": ("dim_x", lambda v: RelationSpec(v, 1).validate()),
+    "RelationSpec coeff_bound": ("coeff_bound", lambda v: RelationSpec(1, 1, coeff_bound=v).validate()),
+    "run_suite cases": ("cases", lambda v: run_suite(list_suites()[0], v)),
+    "run_suite seed": ("seed", lambda v: run_suite(list_suites()[0], 1, v)),
+}
+
+
+@pytest.mark.parametrize("value", [True, 1.0, Fraction(1, 2)], ids=repr)
+@pytest.mark.parametrize("entry", list(ENTRY_POINTS))
+def test_integer_arguments_reject_other_values(entry, value):
+    name, call = ENTRY_POINTS[entry]
+    with pytest.raises(ValueError, match=rf"^{re.escape(name)} must be an int, got {re.escape(repr(value))}\Z"):
+        call(value)
+
+
+def test_relation_spec_obeys_the_coordinate_cap():
+    with pytest.raises(ValueError, match=rf"^dim_x 600 and dim_y 600 .* limit {MAX_AMBIENT_DIM}\Z"):
+        RelationSpec(600, 600).validate()
+    RelationSpec(MAX_AMBIENT_DIM, 0).validate()

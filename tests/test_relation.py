@@ -27,19 +27,13 @@ from strategies import (
     composable_pairs,
     composable_triples,
     entries,
+    graph,
     relations,
+    sp,
     square_matrices,
     square_relations,
     subspaces,
 )
-
-
-def graph(rows):
-    return LinearRelation.graph_of_matrix(Matrix.from_rows(rows))
-
-
-def sp(d, *vectors):
-    return Subspace.from_vectors(d, vectors)
 
 
 class TestGraphOfMatrix:
@@ -600,7 +594,7 @@ class TestConstructors:
 
     @pytest.mark.parametrize("dims", [(True, True), (1.5, 0.5), (2, 0.0)])
     def test_dimensions_must_be_ints(self, dims):
-        with pytest.raises(ValueError, match="not non-negative ints"):
+        with pytest.raises(ValueError, match=r"^dim_[xy] must be an int"):
             LinearRelation(*dims, Subspace.full(2))
 
     def test_identity_is_the_graph_of_the_identity_matrix(self):
