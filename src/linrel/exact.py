@@ -25,8 +25,13 @@ Scalar = Union[int, str, Fraction]
 
 _ZERO, _ONE = Fraction(0), Fraction(1)
 
-# ASCII digits only: ``\d`` and ``int`` would also take other scripts' digits
-_RATIONAL_RE = re.compile(r"([+-]?[0-9]+)(?:/([+-]?[0-9]+))?\Z")
+# The one grammar of a rational literal, ``p`` or ``p/q``: an optional sign
+# and ASCII digits, then optionally ``/`` and a possibly signed denominator
+# (``literal_ratio`` rejects a zero one).  ASCII digits only: ``\d`` and
+# ``int`` would also take other scripts' digits.  ``files`` builds its line
+# check from it.
+RATIONAL_PATTERN = r"[+-]?[0-9]+(?:/[+-]?[0-9]+)?"
+_RATIONAL_RE = re.compile(RATIONAL_PATTERN + r"\Z")
 
 
 def require_int(name: str, value, low: Optional[int] = None) -> int:
@@ -40,15 +45,28 @@ def require_int(name: str, value, low: Optional[int] = None) -> int:
     return value
 
 
+def literal_ratio(literal: str) -> tuple[int, int]:
+    """``(p, q)`` with q > 0, not reduced, for a ``literal`` that matches
+    ``RATIONAL_PATTERN``.  Raises ``ZeroDivisionError`` if q is 0, and
+    ``ValueError`` if a number has more digits than ``int`` reads."""
+    p, _, q = literal.partition("/")
+    p, q = int(p), int(q or 1)
+    if q > 0:
+        return p, q
+    if q:
+        return -p, -q
+    raise ZeroDivisionError(f"zero denominator in {literal!r}")
+
+
 def parse_ratio(text: str) -> tuple[int, int]:
     """``(p, q)`` with q > 0 for ``"p"`` or ``"p/q"``, not reduced."""
-    match = _RATIONAL_RE.match(text.strip(" \t\n\r\v\f"))
-    if match is None:
+    literal = text.strip(" \t\n\r\v\f")
+    if _RATIONAL_RE.match(literal) is None:
         raise ValueError(f"bad rational literal {text!r}")
-    p, q = int(match.group(1)), int(match.group(2) or 1)
-    if q == 0:
-        raise ValueError(f"zero denominator in {text!r}")
-    return (-p, -q) if q < 0 else (p, q)
+    try:
+        return literal_ratio(literal)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 def parse_rational(text: str) -> Fraction:

@@ -12,7 +12,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .relation import LinearRelation, RelationProfile, compose, cw_sum, generator_rows, profile
+from .relation import (
+    LinearRelation,
+    RelationProfile,
+    compose,
+    cw_sum,
+    generator_rows,
+    operator_part,
+    profile,
+)
 
 MUL_EQUAL = "mul_equal"
 MUL_DIM_LE = "mul_dim_le"
@@ -137,15 +145,16 @@ def _left_relation_witness(a: LinearRelation, b: LinearRelation) -> tuple[Linear
 
 
 def _right_operator_witness(
-    a: LinearRelation, b: LinearRelation, pa: RelationProfile
+    a: LinearRelation, b: LinearRelation, pa: RelationProfile, pb: RelationProfile
 ) -> tuple[LinearRelation, bool]:
     """The witness of ``solve_right_operator`` and whether it verifies:
-    single-valued, dom(T) = dom(A) and B∘T = A exactly.  ``pa`` is A's
-    profile."""
-    selection = b.inverse().reduce_operator_part()
-    witness = compose(selection, a.reduce_operator_part())
-    pw = profile(witness)
-    return witness, pw.is_operator and pw.dom == pa.dom and verify(a, b, witness, "right")
+    single-valued, dom(T) = dom(A) and B∘T = A exactly.  ``pa`` and ``pb``
+    are the profiles of A and B."""
+    # mul(B⁻¹) is ker(B)
+    selection = operator_part(b.inverse(), pb.ker)
+    witness = compose(selection, operator_part(a, pa.mul))
+    dom, mul = witness.graph.split(witness.dim_x)
+    return witness, not mul.dim and dom == pa.dom and verify(a, b, witness, "right")
 
 
 def _left_operator_witness(
@@ -163,7 +172,8 @@ def _left_operator_witness(
     units = [[int(j in (i, k + i)) for j in range(muls.dim)] for i in range(pa.mul.dim)]
     bridge = LinearRelation.from_generators(p, m, map(muls.point, units))
     witness, direct = cw_sum(core, bridge)
-    return witness, direct and profile(witness).is_operator and verify(a, b, witness, "left")
+    single_valued = not witness.graph.split(p)[1].dim
+    return witness, direct and single_valued and verify(a, b, witness, "left")
 
 
 def solve_right_relation(a: LinearRelation, b: LinearRelation) -> FactorizationReport:
@@ -199,7 +209,7 @@ def solve_right_operator(a: LinearRelation, b: LinearRelation) -> FactorizationR
         f"it is the operator solution iff additionally ker(B)=0 "
         f"(dim ker(B)={pb.ker.dim}): {_yn(joint_is_operator_solution)}"
     )
-    return _report("right", "operator", conditions, lambda: _right_operator_witness(a, b, pa), notes)
+    return _report("right", "operator", conditions, lambda: _right_operator_witness(a, b, pa, pb), notes)
 
 
 def solve_left_relation(a: LinearRelation, b: LinearRelation) -> FactorizationReport:
@@ -253,8 +263,8 @@ def solve_adjoint_right(a: LinearRelation, b: LinearRelation) -> FactorizationRe
     )
 
     def build() -> tuple[LinearRelation, bool]:
-        a_adj = a.adjoint()
-        return _right_operator_witness(a_adj, b.adjoint(), profile(a_adj))
+        a_adj, b_adj = a.adjoint(), b.adjoint()
+        return _right_operator_witness(a_adj, b_adj, profile(a_adj), profile(b_adj))
 
     return _report("right", "adjoint", conditions, build, (
         "conditions on the adjoint pair: ran(A*) within ran(B*) is ker(B) within ker(A); "

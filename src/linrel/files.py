@@ -3,8 +3,13 @@
 Two header lines ``dim_x=<n>`` and ``dim_y=<m>``, then one generator per line
 as space-separated rationals of length n + m.  Input generators need not be
 independent or canonical; the parser reads each line straight into a
-primitive integer row and canonicalizes.  Output is the canonical basis, so
-serialization is deterministic: equal relations produce byte-identical files.
+primitive integer row and canonicalizes.  A field is a rational literal,
+whose grammar ``exact.RATIONAL_PATTERN`` alone defines.  Each generator line
+is checked once against a pattern built from it, then converted in bulk; only
+a line that fails the check, has a zero denominator or a literal longer than
+``int`` reads, is read field by field, to name its first bad field.  Output
+is the canonical basis, so serialization is deterministic: equal relations
+produce byte-identical files.
 The header may declare at most ``MAX_AMBIENT_DIM`` coordinates in all, which
 bounds the time and memory a small file can ask for; ``check_ambient_limit``
 applies that cap here and in ``harness.RelationSpec``.  Input is ASCII: a file
@@ -17,9 +22,12 @@ control character, and any non-ASCII whitespace, is rejected with its line.
 from __future__ import annotations
 
 import re
+from math import gcd
+from typing import Optional
 
-from .exact import integer_row, parse_ratio
+from .exact import RATIONAL_PATTERN, echelon_rows, integer_row, literal_ratio, parse_ratio
 from .relation import LinearRelation, generator_rows
+from .subspace import Subspace
 
 # dim_x + dim_y above this is rejected, so that a header of a few bytes cannot
 # ask for minutes of work: `linrel info` on an empty 512 + 512 relation
@@ -35,6 +43,8 @@ _NON_ASCII_RE = re.compile(rb"[\x80-\xff]")
 # ``str.splitlines`` and ``str.split`` would break lines or fields at them
 _STRAY_RE = re.compile(r"[\x00-\x08\x0b\x0c\x0e-\x1f\x7f]|[^\S\x00-\x7f]")
 _LINE_END_RE = re.compile(r"\r\n?|\n")
+# a generator line all of whose fields are rational literals
+_GENERATOR_RE = re.compile(rf"[ \t]*{RATIONAL_PATTERN}(?:[ \t]+{RATIONAL_PATTERN})*[ \t]*\Z")
 
 
 def check_ambient_limit(dims: dict[str, int], where: str = "") -> None:
@@ -55,6 +65,22 @@ def _echo(field: str) -> str:
     if len(field) <= _ECHO_CHARS:
         return repr(field)
     return f"{field[:_ECHO_CHARS]!r}... ({len(field)} characters)"
+
+
+def _literal_row(line: str, fields: list[str]) -> Optional[list[int]]:
+    """The primitive integer row of the generator ``line``, split into
+    ``fields``; None if some field is not a rational literal, has a zero
+    denominator or more digits than ``int`` reads."""
+    if _GENERATOR_RE.match(line) is None:
+        return None
+    try:
+        if "/" in line:
+            return integer_row(list(map(literal_ratio, fields)))
+        row = list(map(int, fields))
+    except (ValueError, ZeroDivisionError):  # over CPython's limit on digits, or q = 0
+        return None
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
 
 
 def parse_relation_text(text: str, source: str = "<input>") -> LinearRelation:
@@ -90,23 +116,29 @@ def parse_relation_text(text: str, source: str = "<input>") -> LinearRelation:
     width = dims["dim_x"] + dims["dim_y"]
     generators = []
     for offset, line in enumerate(lines[body_start:], start=body_start + 1):
-        if not line.strip():
-            continue
         fields = line.split()
+        if not fields:
+            continue
         if len(fields) != width:
             raise ValueError(
                 f"{source}:{offset}: generator has {len(fields)} entries, expected {width}"
             )
-        ratios = []
-        for j, field in enumerate(fields):
-            try:
-                ratios.append(parse_ratio(field))
-            except ValueError:
-                raise ValueError(
-                    f"{source}:{offset}: field {j + 1}: bad rational {_echo(field)}"
-                ) from None
-        generators.append(integer_row(ratios))
-    return LinearRelation.from_generators(dims["dim_x"], dims["dim_y"], generators)
+        row = _literal_row(line, fields)
+        if row is None:  # read field by field, to name the first bad one
+            ratios = []
+            for j, field in enumerate(fields):
+                try:
+                    ratios.append(parse_ratio(field))
+                except ValueError:
+                    raise ValueError(
+                        f"{source}:{offset}: field {j + 1}: bad rational {_echo(field)}"
+                    ) from None
+            row = integer_row(ratios)
+        generators.append(row)
+    # the rows are integer rows of the right length already, so they go
+    # straight to the kernel, as ``LinearRelation.from_generators`` would send them
+    rows, _ = echelon_rows(generators, width)
+    return LinearRelation(dims["dim_x"], dims["dim_y"], Subspace._make(width, rows))
 
 
 def parse_relation_file(path: str) -> LinearRelation:

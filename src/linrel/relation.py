@@ -73,9 +73,7 @@ class LinearRelation:
 
     def reduce_operator_part(self) -> "LinearRelation":
         """The single-valued summand A ∩ (Q^n × mul(A)^⊥); dom is preserved."""
-        mul = profile(self).mul
-        window = Subspace.full(self.dim_x).product(mul.ortho_complement())
-        return LinearRelation(self.dim_x, self.dim_y, self.graph.intersect(window))
+        return operator_part(self, profile(self).mul)
 
     def adjoint(self) -> "LinearRelation":
         """A* = J(A^⊥) with J(u, v) = (−v, u), in one elimination.
@@ -141,6 +139,12 @@ def profile(rel: LinearRelation) -> RelationProfile:
     swapped = [r[n:] + r[:n] for r in rel.graph.rows]
     ran, ker = Subspace.split_span(m + n, swapped, m)
     return RelationProfile(dom=dom, ran=ran, ker=ker, mul=mul)
+
+
+def operator_part(rel: LinearRelation, mul: Subspace) -> LinearRelation:
+    """``rel.reduce_operator_part()`` for a caller that holds ``mul`` = mul(rel)."""
+    window = Subspace.full(rel.dim_x).product(mul.ortho_complement())
+    return LinearRelation(rel.dim_x, rel.dim_y, rel.graph.intersect(window))
 
 
 def compose(outer: LinearRelation, inner: LinearRelation) -> LinearRelation:
