@@ -329,12 +329,23 @@ def split_echelon_rows(
     the first ``cut`` coordinates (None unless ``head``), and of the slice
     {w : (0, w) in the row space}.  ``data`` is consumed.
 
-    One forward elimination puts the rows in echelon form.  The rows that
-    pivot before ``cut`` span the projection once cut to their first ``cut``
-    entries, and the others span the slice once cut to the rest; each side
-    is back-substituted among its own rows only, so no row is reduced
-    against a row that the other side keeps.
+    If there are at most ``cut`` rows and their heads ``row[:cut]`` are
+    independent, the slice is 0 and the heads alone give the projection.
+    Otherwise one forward elimination puts the rows in echelon form.  The
+    rows that pivot before ``cut`` span the projection once cut to their
+    first ``cut`` entries, and the others span the slice once cut to the
+    rest; each side is back-substituted among its own rows only.
     """
+    if len(data) <= cut:
+        heads = [row[:cut] for row in data]
+        pivots = _eliminate(heads, cut)
+        if len(pivots) == len(data):
+            if not head:
+                return None, ()
+            if len(pivots) == cut:
+                return tuple(tuple(int(i == j) for j in range(cut)) for i in range(cut)), ()
+            _back_substitute(heads, pivots)
+            return primitive_rows(heads, pivots), ()
     pivots = _eliminate(data, cols)
     h = bisect_left(pivots, cut)
     top = None

@@ -21,6 +21,7 @@ from .relation import (
     operator_part,
     profile,
 )
+from .subspace import Subspace
 
 MUL_EQUAL = "mul_equal"
 MUL_DIM_LE = "mul_dim_le"
@@ -145,31 +146,34 @@ def _left_relation_witness(a: LinearRelation, b: LinearRelation) -> tuple[Linear
 
 
 def _right_operator_witness(
-    a: LinearRelation, b: LinearRelation, pa: RelationProfile, pb: RelationProfile
+    a: LinearRelation, b: LinearRelation, a_dom: Subspace, a_mul_perp: Subspace,
+    b_ker_perp: Subspace,
 ) -> tuple[LinearRelation, bool]:
     """The witness of ``solve_right_operator`` and whether it verifies:
-    single-valued, dom(T) = dom(A) and B∘T = A exactly.  ``pa`` and ``pb``
-    are the profiles of A and B."""
+    single-valued, dom(T) = dom(A) and B∘T = A exactly.  The parts of A and
+    B it reads are dom(A), mul(A)^⊥ and ker(B)^⊥."""
     # mul(B⁻¹) is ker(B)
-    selection = operator_part(b.inverse(), pb.ker)
-    witness = compose(selection, operator_part(a, pa.mul))
+    selection = operator_part(b.inverse(), b_ker_perp)
+    witness = compose(selection, operator_part(a, a_mul_perp))
     dom, mul = witness.graph.split(witness.dim_x)
-    return witness, not mul.dim and dom == pa.dom and verify(a, b, witness, "right")
+    return witness, not mul.dim and dom == a_dom and verify(a, b, witness, "right")
 
 
 def _left_operator_witness(
-    a: LinearRelation, b: LinearRelation, pa: RelationProfile, pb: RelationProfile
+    a: LinearRelation, b: LinearRelation, a_mul: Subspace, b_mul: Subspace,
+    a_mul_perp: Subspace, b_mul_perp: Subspace,
 ) -> tuple[LinearRelation, bool]:
     """The witness of ``solve_left_operator`` and whether it verifies: a
-    direct sum, single-valued and T∘B = A exactly.  ``pa`` and ``pb`` are
-    the profiles of A and B; needs dim mul(A) <= dim mul(B)."""
+    direct sum, single-valued and T∘B = A exactly.  The parts of A and B it
+    reads are mul(A), mul(B) and their orthocomplements; needs
+    dim mul(A) <= dim mul(B)."""
     p, m = b.dim_y, a.dim_y
-    window = pb.mul.ortho_complement().product(pa.mul.ortho_complement())
+    window = b_mul_perp.product(a_mul_perp)
     base = compose(a, b.inverse())
     core = LinearRelation(p, m, base.graph.intersect(window))
     # e_i ⊕ e_i joins basis vector i of mul(B) to basis vector i of mul(A)
-    muls, k = pb.mul.product(pa.mul), pb.mul.dim
-    units = [[int(j in (i, k + i)) for j in range(muls.dim)] for i in range(pa.mul.dim)]
+    muls, k = b_mul.product(a_mul), b_mul.dim
+    units = [[int(j in (i, k + i)) for j in range(muls.dim)] for i in range(a_mul.dim)]
     bridge = LinearRelation.from_generators(p, m, map(muls.point, units))
     witness, direct = cw_sum(core, bridge)
     single_valued = not witness.graph.split(p)[1].dim
@@ -209,7 +213,8 @@ def solve_right_operator(a: LinearRelation, b: LinearRelation) -> FactorizationR
         f"it is the operator solution iff additionally ker(B)=0 "
         f"(dim ker(B)={pb.ker.dim}): {_yn(joint_is_operator_solution)}"
     )
-    return _report("right", "operator", conditions, lambda: _right_operator_witness(a, b, pa, pb), notes)
+    return _report("right", "operator", conditions, lambda: _right_operator_witness(
+        a, b, pa.dom, pa.mul.ortho_complement(), pb.ker.ortho_complement()), notes)
 
 
 def solve_left_relation(a: LinearRelation, b: LinearRelation) -> FactorizationReport:
@@ -244,7 +249,8 @@ def solve_left_operator(a: LinearRelation, b: LinearRelation) -> FactorizationRe
         f"dim mul(A) <= dim mul(B); A*B^-1 is itself the operator witness iff "
         f"additionally mul(A)=0 (dim mul(A)={pa.mul.dim}): {_yn(joint_is_operator_solution)}"
     )
-    return _report("left", "operator", conditions, lambda: _left_operator_witness(a, b, pa, pb), notes)
+    return _report("left", "operator", conditions, lambda: _left_operator_witness(
+        a, b, pa.mul, pb.mul, pa.mul.ortho_complement(), pb.mul.ortho_complement()), notes)
 
 
 def solve_adjoint_right(a: LinearRelation, b: LinearRelation) -> FactorizationReport:
@@ -263,8 +269,9 @@ def solve_adjoint_right(a: LinearRelation, b: LinearRelation) -> FactorizationRe
     )
 
     def build() -> tuple[LinearRelation, bool]:
-        a_adj, b_adj = a.adjoint(), b.adjoint()
-        return _right_operator_witness(a_adj, b_adj, profile(a_adj), profile(b_adj))
+        # dom(A*) = mul(A)^⊥, mul(A*)^⊥ = dom(A) and ker(B*)^⊥ = ran(B), so
+        # A* and B* need no profile
+        return _right_operator_witness(a.adjoint(), b.adjoint(), pa.mul.ortho_complement(), pa.dom, pb.ran)
 
     return _report("right", "adjoint", conditions, build, (
         "conditions on the adjoint pair: ran(A*) within ran(B*) is ker(B) within ker(A); "
@@ -291,8 +298,9 @@ def solve_adjoint_left(a: LinearRelation, b: LinearRelation) -> FactorizationRep
     )
 
     def build() -> tuple[LinearRelation, bool]:
-        a_adj, b_adj = a.adjoint(), b.adjoint()
-        return _left_operator_witness(a_adj, b_adj, profile(a_adj), profile(b_adj))
+        # mul(A*) = dom(A)^⊥ and mul(B*) = dom(B)^⊥, so A* and B* need no profile
+        return _left_operator_witness(a.adjoint(), b.adjoint(), pa.dom.ortho_complement(),
+                                      pb.dom.ortho_complement(), pa.dom, pb.dom)
 
     return _report("left", "adjoint", conditions, build, (
         "conditions on the adjoint pair: dom(A*) within dom(B*) is mul(B) within mul(A); "

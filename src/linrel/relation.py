@@ -73,7 +73,7 @@ class LinearRelation:
 
     def reduce_operator_part(self) -> "LinearRelation":
         """The single-valued summand A ∩ (Q^n × mul(A)^⊥); dom is preserved."""
-        return operator_part(self, profile(self).mul)
+        return operator_part(self, profile(self).mul.ortho_complement())
 
     def adjoint(self) -> "LinearRelation":
         """A* = J(A^⊥) with J(u, v) = (−v, u), in one elimination.
@@ -141,9 +141,9 @@ def profile(rel: LinearRelation) -> RelationProfile:
     return RelationProfile(dom=dom, ran=ran, ker=ker, mul=mul)
 
 
-def operator_part(rel: LinearRelation, mul: Subspace) -> LinearRelation:
-    """``rel.reduce_operator_part()`` for a caller that holds ``mul`` = mul(rel)."""
-    window = Subspace.full(rel.dim_x).product(mul.ortho_complement())
+def operator_part(rel: LinearRelation, mul_perp: Subspace) -> LinearRelation:
+    """``rel.reduce_operator_part()`` for a caller that holds ``mul_perp`` = mul(rel)^⊥."""
+    window = Subspace.full(rel.dim_x).product(mul_perp)
     return LinearRelation(rel.dim_x, rel.dim_y, rel.graph.intersect(window))
 
 

@@ -15,9 +15,12 @@ rows with ``point``, which stays in integers.
 Operations here and in ``relation`` slice and concatenate integer rows and
 hand them to one of two constructors, the only paths into the kernel:
 ``from_vectors`` reduces in full, and ``split_span`` is
-``from_vectors(...).split(n)`` with one forward elimination and each side
-back-substituted among its own rows only.  ``split``, ``ortho_generators``
-and ``contains`` read their answers off the rows without eliminating.
+``from_vectors(...).split(n)``.  With at most ``n`` rows whose first ``n``
+entries are independent, ``split_span`` eliminates those heads alone and
+never reads the tails, as the slice is 0; otherwise it runs one forward
+elimination and back-substitutes each side among its own rows only.
+``split``, ``ortho_generators`` and ``contains`` read their answers off the
+rows without eliminating.
 """
 
 from __future__ import annotations

@@ -4,12 +4,14 @@ against an independent reference: ``sympy.Matrix`` over QQ.
 Inputs carry rational entries with denominators up to 2^64, rows that are
 linear combinations of earlier rows (so ranks fall short), and zero-extent
 shapes, which the small-integer strategies of the other tests never reach.
+``split_span`` is drawn mostly with no more rows than the cut, where the
+kernel eliminates the heads alone before it decides whether the tails matter.
 """
 
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from linrel import Matrix, Subspace, canonical_echelon, nullspace, rank, solve_linear
@@ -26,6 +28,11 @@ entries = st.one_of(
 coefficients = st.one_of(
     st.integers(-3, 3).map(Fraction),
     st.builds(Fraction, st.integers(-BIG, BIG), st.integers(1, BIG)),
+)
+nonzero = st.builds(
+    lambda x, negative: -x if negative else x,
+    st.one_of(st.integers(1, 3).map(Fraction), st.builds(Fraction, st.integers(1, BIG), st.integers(1, BIG))),
+    st.booleans(),
 )
 
 
@@ -113,3 +120,78 @@ def test_ortho_complement_matches_sympy_nullspace(m):
         # the canonical basis is the RREF of sympy's nullspace vectors, as rows
         rref, _ = sympy.Matrix.hstack(*reference).T.rref()
         assert from_sympy(rref) == complement.basis.transpose()
+
+
+@st.composite
+def independent_heads(draw, count, cut):
+    """``count`` independent vectors of length ``cut``: echelon rows with
+    nonzero pivots, mixed by adding multiples of one row to another."""
+    pivots = sorted(draw(st.permutations(range(cut)))[:count])
+    heads = [[Fraction(0)] * p + [draw(nonzero)] + [draw(entries) for _ in range(cut - p - 1)]
+             for p in pivots]
+    for i in range(count):
+        for j in range(count):
+            if i != j and draw(st.booleans()):
+                w = draw(coefficients)
+                heads[i] = [x + w * y for x, y in zip(heads[i], heads[j])]
+    return draw(st.permutations(heads))
+
+
+@st.composite
+def split_inputs(draw):
+    """(cols, cut, rows, head) for ``Subspace.split_span``.  Most draws have
+    at most ``cut`` rows, whose heads (first ``cut`` entries) are
+    independent (``cut`` of them, or fewer), dependent (the first head is a
+    combination of the others) or partly zero; the rest have more rows.
+    ``cut`` runs from 0 to ``cols``."""
+    kind = draw(st.sampled_from(["square", "independent", "dependent", "zero", "more"]))
+    if kind == "square":
+        count = cut = draw(st.integers(0, 5))
+    elif kind == "independent":
+        count = draw(st.integers(1, 4))
+        cut = draw(st.integers(count + 1, 6))
+    elif kind == "more":
+        cut = draw(st.integers(0, 4))
+        count = cut + draw(st.integers(1, 2))
+    else:
+        count = draw(st.integers(1, 4))
+        cut = draw(st.integers(count, 6))
+    cols = draw(st.one_of(st.just(cut), st.integers(cut, 7)))
+    if kind in ("square", "independent"):
+        heads = draw(independent_heads(count, cut))
+    else:
+        heads = [[draw(entries) for _ in range(cut)] for _ in range(count)]
+    if kind == "dependent":
+        weights = [draw(coefficients) for _ in heads[1:]]
+        heads[0] = [sum(w * r[j] for w, r in zip(weights, heads[1:])) for j in range(cut)]
+    if kind == "zero":
+        heads[draw(st.integers(0, count - 1))] = [Fraction(0)] * cut
+    rows = [h + [draw(entries) for _ in range(cols - cut)] for h in heads]
+    return cols, cut, rows, draw(st.booleans())
+
+
+def sympy_rows(vectors, width):
+    """The nonzero rows of the RREF of ``vectors``, as a Matrix of Fractions."""
+    if not vectors:
+        return Matrix(0, width, ())
+    rref, pivots = sympy.Matrix(vectors).rref()
+    return from_sympy(rref[: len(pivots), :])
+
+
+@settings(max_examples=300)
+@given(split_inputs())
+# two independent heads that fill Q^2, and two in Q^3 that need back substitution
+@example((3, 2, [[3, 1, 5], [Fraction(1, 2), 2, -7]], True))
+@example((4, 3, [[1, 1, 0, 5], [0, 1, 1, 7]], True))
+def test_split_span_matches_sympy(drawn):
+    cols, cut, rows, head = drawn
+    top, bottom = Subspace.split_span(cols, rows, cut, head)
+    m = sympy.Matrix(len(rows), cols, [sympy.Rational(x.numerator, x.denominator) for r in rows for x in r])
+    heads, tails = m[:, :cut], m[:, cut:]
+    # (0, w) is in the row space iff w = cᵀ·tails for some c with cᵀ·heads = 0
+    slice_gens = [list(c.T * tails) for c in heads.T.nullspace()] if rows else []
+    assert bottom.basis.transpose() == sympy_rows(slice_gens, cols - cut)
+    if head:
+        assert top.basis.transpose() == sympy_rows([list(heads.row(i)) for i in range(len(rows))], cut)
+    else:
+        assert top is None

@@ -237,6 +237,23 @@ class TestAdjointConsistency:
         left = solve_adjoint_left(a, b)
         assert left.solvable == solve_left_operator(a.adjoint(), b.adjoint()).solvable
 
+    @pytest.mark.parametrize("solver", [solve_adjoint_right, solve_adjoint_left])
+    def test_witness_reads_the_profiles_of_a_and_b_only(self, solver):
+        """A solvable adjoint solve reads what its witness needs of A* and B*
+        off the profiles of A and B (dom(A*) = mul(A)^⊥, mul(A*) = dom(A)^⊥,
+        ker(B*) = ran(B)^⊥): it profiles neither A* nor B*."""
+        rng = random.Random(17)
+        for _ in range(20):
+            d = rng.randint(1, 4)
+            b = harness.random_mixed_relation(rng, d, d, 3)
+            t = harness.random_operator(rng, d, d, 3)
+            outer, inner = (b.adjoint(), t) if solver is solve_adjoint_right else (t, b.adjoint())
+            a = compose(outer, inner).adjoint()
+            with mock.patch.object(factor, "profile", wraps=profile) as counted:
+                report = solver(a, b)
+            assert report.solvable and report.verified
+            assert [c.args for c in counted.call_args_list] == [(a,), (b,)]
+
 
 @st.composite
 def right_pairs(draw, max_dim=3):

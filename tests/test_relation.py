@@ -18,7 +18,7 @@ from linrel import (
     profile,
     zero_times,
 )
-from linrel import subspace
+from linrel import exact, subspace
 from linrel.factor import solve_right_operator
 from linrel.files import serialize_relation
 from linrel.relation import RelationProfile, generator_rows
@@ -101,6 +101,39 @@ class TestProfile:
             profile(LinearRelation.from_generators(1, 2, [(1, 3, k)]))
         assert profile.cache_info().currsize <= 4096
         assert profile(first) == before
+
+    @pytest.mark.parametrize("rel", [
+        # square and invertible: the y-parts fill Q^3
+        graph([[1, 2, 0], [0, 1, 3], [2, 0, 1]]),
+        # injective, not square
+        graph([[1, 2], [0, 1], [3, "1/2"]]),
+        # multivalued, with the y-parts still independent
+        LinearRelation.from_generators(2, 3, [(1, 0, 1, 2, 0), (0, 0, 0, 1, 1)]),
+    ])
+    def test_independent_y_parts_leave_the_tails_alone(self, monkeypatch, rel):
+        """With independent y-parts, ker = 0 and ran comes from the y-parts
+        alone: no elimination sees a row wider than dim_y, and a square
+        invertible graph is not back-substituted at all."""
+        expected = RelationProfile(
+            dom=sp(rel.dim_x, *[r[: rel.dim_x] for r in rel.graph.rows]),
+            ran=sp(rel.dim_y, *[r[rel.dim_x :] for r in rel.graph.rows]),
+            ker=Subspace.zero(rel.dim_x),
+            mul=sp(rel.dim_y, *[r[rel.dim_x :] for r in rel.graph.rows if not any(r[: rel.dim_x])]),
+        )
+        eliminate, widths = exact._eliminate, []
+
+        def spy(data, cols):
+            widths.append(max([cols] + [len(row) for row in data]))
+            return eliminate(data, cols)
+
+        def refuse(*args):
+            raise AssertionError("back substitution ran")
+
+        monkeypatch.setattr(exact, "_eliminate", spy)
+        if rel.graph.dim == rel.dim_y:
+            monkeypatch.setattr(exact, "_back_substitute", refuse)
+        assert profile.__wrapped__(rel) == expected
+        assert widths and max(widths) <= rel.dim_y
 
     def test_a_profile_holds_only_its_four_spaces(self):
         assert [f.name for f in dataclasses.fields(RelationProfile)] == ["dom", "ran", "ker", "mul"]

@@ -14,9 +14,10 @@ on dense pairs at d = 16 and d = 24, whose products have entries of 208
 and 351 bits.  A companion test pins ``repr`` of the same subspaces.
 
 The third pins the seeded generators of ``linrel.harness``, which feed
-``linrel gen``, the invariant suites and the benchmark inputs, and the
-fourth the stdout of ``scripts/demo_factorization.py``, the README's worked
-example.
+``linrel gen``, the invariant suites and the benchmark inputs, the fourth
+the stdout of ``scripts/demo_factorization.py``, the README's worked
+example, and the fifth the text output of ``linrel check --suite full
+--seed 0``.
 
 If a change alters this output on purpose, say so where the change is
 recorded and update the matching ``EXPECTED_*`` constant.
@@ -68,6 +69,8 @@ EXPECTED_REPR_DIGEST = "efaff8ccff3fb124b30b857bdd66864be101138e9b45010a3c48847d
 EXPECTED_GENERATOR_DIGEST = "dc1210423cea32a82b136b9bfdc138cd5cb976bcef18c89ff4f99f053db22088"
 
 EXPECTED_DEMO_DIGEST = "11c3437acaba47a2ba6ad6c70e0ebda31fc1dfebc31cc9546bb9eac0960bfc1e"
+
+EXPECTED_CHECK_DIGEST = "88db865d2addf22dd538b87dc71a9b9f220fded6caa61ec55390854a2aba4b1a"
 
 SEED = 20261018
 ROUNDS = 60
@@ -239,3 +242,10 @@ def test_demo_output_is_byte_identical():
     )
     assert done.returncode == 0, done.stderr.decode()
     assert hashlib.sha256(done.stdout).hexdigest() == EXPECTED_DEMO_DIGEST
+
+
+def test_full_check_output_is_byte_identical():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["check", "--suite", "full", "--seed", "0"]) == 0
+    assert hashlib.sha256(out.getvalue().encode("ascii")).hexdigest() == EXPECTED_CHECK_DIGEST
