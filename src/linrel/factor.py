@@ -16,7 +16,6 @@ from .relation import (
     LinearRelation,
     RelationProfile,
     compose,
-    cw_sum,
     generator_rows,
     operator_part,
     profile,
@@ -174,9 +173,12 @@ def _left_operator_witness(
     # e_i ⊕ e_i joins basis vector i of mul(B) to basis vector i of mul(A)
     muls, k = b_mul.product(a_mul), b_mul.dim
     units = [[int(j in (i, k + i)) for j in range(muls.dim)] for i in range(a_mul.dim)]
-    bridge = LinearRelation.from_generators(p, m, map(muls.point, units))
-    witness, direct = cw_sum(core, bridge)
-    single_valued = not witness.graph.split(p)[1].dim
+    graph = Subspace.from_vectors(p + m, [*core.graph.rows, *map(muls.point, units)])
+    witness = LinearRelation(p, m, graph)
+    # the bridge points are independent, so the sum with the core is direct
+    # exactly when the dimensions add up
+    direct = graph.dim == core.graph.dim + a_mul.dim
+    single_valued = not graph.split(p)[1].dim
     return witness, direct and single_valued and verify(a, b, witness, "left")
 
 

@@ -13,9 +13,11 @@ through ``_first_failure``, at the first of its checks that fails.
 
 The brute-force witness search is definitional as well: it decides each
 grid candidate T on ``oracle_product_membership``'s stacked feasibility
-system for B∘T = A, with B's block of it eliminated once per pair and all of
-A's basis vectors as right-hand sides.  T∘B = A is decided as the same system
-for B⁻¹∘T⁻¹ = A⁻¹.  The one witness returned is re-verified by
+system for B∘T = A.  B's block of it and all of A's basis vectors are
+eliminated once per pair, and each distinct row of the candidates' graph
+bases is pulled into the system and reduced once per pair, so a candidate
+costs only eliminations of its own rows.  T∘B = A is decided as the same
+system for B⁻¹∘T⁻¹ = A⁻¹.  The one witness returned is re-verified by
 ``factor.verify``.  The grid is gated to dims <= 2 on both sides and bound <= 2.
 """
 
@@ -262,10 +264,20 @@ def _dot(u: Sequence[int], v: Sequence[int]) -> int:
     return sum(map(mul, u, v))
 
 
-def _product_test(a: LinearRelation, b: LinearRelation, side: str) -> Callable[[Rows], bool]:
+def _reduce(row: list[int], echelon: Sequence[Sequence[int]], leads: Sequence[int]) -> list[int]:
+    """``row`` with each lead column of the echelon rows cleared, in order:
+    a multiple of row minus a combination of them, zero on every lead."""
+    for prow, col in zip(echelon, leads):
+        if row[col]:
+            row = _cancel(row, prow, col)
+    return row
+
+
+def _product_test(a: LinearRelation, b: LinearRelation, side: str) -> Optional[Callable[[Rows], bool]]:
     """The brute-force search's decision for one pair: a function of a
     candidate T, given by the canonical integer rows of its graph, that
-    tells whether B∘T = A (``right``) or T∘B = A (``left``).
+    tells whether B∘T = A (``right``) or T∘B = A (``left``); None when B
+    alone rules out every candidate.
 
     Only B∘T = A is laid out: inverting reverses composition, so T∘B = A
     exactly when B⁻¹∘T⁻¹ = A⁻¹.  The left side inverts A and B once, and
@@ -278,17 +290,23 @@ def _product_test(a: LinearRelation, b: LinearRelation, side: str) -> Callable[[
       the interface y and z, has a solution for the probe (x, z) exactly when
       W·(T's columns)·α = W·(x, 0, z) does, where the rows W span the left
       nullspace of B's column block, read off as the orthocomplement of its
-      span (``Subspace.ortho_generators``).  All of A's basis vectors go in as
-      right-hand sides; they all lie in the product exactly when no pivot of
-      one forward elimination lands in a probe column.
+      span (``Subspace.ortho_generators``).  So A ⊆ B∘T exactly when the
+      vectors ρ = W·(A's basis vectors) lie in the span of the v_t = W·t.
+      Only a basis of the ρ is kept, in echelon form, and each v_t is also
+      reduced by it to v′_t, zero on ρ's leads; span ρ and span v′ then meet
+      only in 0 and add up to span ρ + span v, so the test is
+      rank{v_t} = rank ρ + rank{v′_t}.
     * B∘T ⊆ A: the product is (t_x α, g_z β) over the coefficients with
       t_y α = g_y β.  It lies in A exactly when every row h of A^⊥, pulled
       back to (α, β), is in the row space of those interface equations: with
       the equations' columns first and one column per h, no pivot lands in
-      an h column.  B's rows of that matrix are brought to echelon form here,
-      so a candidate adds only its own rows.
+      an h column.  B's rows of that matrix are brought to echelon form
+      here; if one of them pivots in an h column, no candidate passes.
+      Otherwise each candidate row u_t is reduced by them to u′_t, zero on
+      B's leads, and the test is that the u′_t pivot in no h column.
 
-    Each check is one elimination of ``exact._eliminate`` per candidate.
+    Each row t is pulled and reduced once per pair, on first use, so a
+    candidate costs at most three eliminations of its own dim_x rows.
     """
     if side == "left":
         a, b = a.inverse(), b.inverse()
@@ -301,7 +319,8 @@ def _product_test(a: LinearRelation, b: LinearRelation, side: str) -> Callable[[
     rhs = [[_dot(w[:n], g[:n]) + _dot(w[n + m :], g[n:]) for g in probes] for w in w_rows]
     # The pivot columns of W·(probes) span all of them: only those go in.
     basic = _eliminate([row[:] for row in rhs], len(probes))
-    rhs = [[row[j] for j in basic] for row in rhs]
+    rho = [[row[j] for row in rhs] for j in basic]
+    rho_leads = _eliminate(rho, len(w_rows))
     # Each entry of a candidate's rows is one dot product with a row t of
     # T's graph basis: ``pull_in`` holds W's rows on T's columns (t, 0), and
     # ``pull_out`` the interface rows t_y and A^⊥'s rows on t_x.
@@ -313,18 +332,27 @@ def _product_test(a: LinearRelation, b: LinearRelation, side: str) -> Callable[[
         pull_out = [p[n:] + p[:n] for p in pull_out]
     b_rows = [[-v for v in g[:m]] + [_dot(h[n:], g[m:]) for h in perp] for g in b_gens]
     width = m + len(perp)
-    b_echelon = b_rows[: len(_eliminate(b_rows, width))]
+    b_leads = _eliminate(b_rows, width)
+    if b_leads and b_leads[-1] >= m:
+        return None
+    b_echelon = b_rows[: len(b_leads)]
+    s, w = len(basic), len(w_rows)
+    pulled: dict[tuple[int, ...], tuple[list[int], list[int], list[int]]] = {}
+
+    def pull(t: tuple[int, ...]) -> tuple[list[int], list[int], list[int]]:
+        v = [_dot(p, t) for p in pull_in]
+        u = [_dot(p, t) for p in pull_out]
+        pulled[t] = entry = (v, _reduce(v, rho, rho_leads), _reduce(u, b_echelon, b_leads))
+        return entry
 
     def admits(gens: Rows) -> bool:
-        r = len(gens)
-        if r < len(basic):  # r columns cannot span more independent right-hand sides
+        if len(gens) < s:  # fewer v_t than independent ρ cannot span them
             return False
-        rows = [[sum(map(mul, p, t)) for t in gens] + row for p, row in zip(pull_in, rhs)]
-        pivots = _eliminate(rows, r + len(basic))
-        if pivots and pivots[-1] >= r:
+        entries = [pulled.get(t) or pull(t) for t in gens]
+        # _eliminate replaces rows in its list and never mutates them
+        if len(_eliminate([e[0] for e in entries], w)) != s + len(_eliminate([e[1] for e in entries], w)):
             return False
-        rows = b_echelon + [[sum(map(mul, p, t)) for p in pull_out] for t in gens]
-        pivots = _eliminate(rows, width)
+        pivots = _eliminate([e[2] for e in entries], width)
         return not pivots or pivots[-1] < m
 
     return admits
@@ -333,8 +361,11 @@ def _product_test(a: LinearRelation, b: LinearRelation, side: str) -> Callable[[
 def _search(
     a: LinearRelation, b: LinearRelation, side: str, dims: tuple[int, int], bound: int
 ) -> Optional[LinearRelation]:
+    candidates = operator_graph_candidates(*dims, bound)  # gated even when B rules all out
     admits = _product_test(a, b, side)
-    for t in operator_graph_candidates(*dims, bound):
+    if admits is None:
+        return None
+    for t in candidates:
         if admits(t.graph.rows):
             if not factor.verify(a, b, t, side):
                 raise RuntimeError(f"{side} brute-force witness passes elimination but not compose")

@@ -116,8 +116,9 @@ def _operator_iff_sweep(side):
     return buckets
 
 
-# Wall-clock budget of one brute-force sweep: each takes 4-5.5 s on a 2-core
-# VM with CPython 3.11, the (2, 2) candidate grid build included.
+# Wall-clock budget of one brute-force sweep: each takes 0.7-1.3 s on a
+# 2-core VM with CPython 3.11.7, the (2, 2) candidate grid build included in
+# whichever sweep runs first.
 BRUTE_FORCE_SWEEP_BUDGET_S = 25
 
 

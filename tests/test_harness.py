@@ -1,6 +1,7 @@
 import ast
 import hashlib
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -313,18 +314,92 @@ class TestBruteForceAgainstReference:
     def test_every_candidate_decision_matches_compose(self, side):
         # Both inclusions must be decided: candidates with A strictly inside
         # the product, and with the product strictly inside A, both occur.
+        # The (2, 2) grid holds 16 306 candidates: every 5th of them is decided.
         a_inside = product_inside = 0
-        for shape in ((1, 1), (1, 2), (2, 1)):
-            for _, a, b in seeded_pairs(side, 71, 1, shapes=(shape,)):
-                admits = harness._product_test(a, b, side)
-                for t in operator_graph_candidates(*shape, 2):
-                    product = compose(b, t) if side == "right" else compose(t, b)
-                    shown = (serialize_relation(t), serialize_relation(a))
-                    assert admits(t.graph.rows) == (product == a), shown
-                    if product != a:
-                        a_inside += product.graph.contains(a.graph)
-                        product_inside += a.graph.contains(product.graph)
+        for shape in ((1, 1), (1, 2), (2, 1), (2, 2)):
+            step = 5 if shape == (2, 2) else 1
+            for kind, a, b in seeded_pairs(side, 71, 1, shapes=(shape,)):
+                inside = verdicts_match_compose(a, b, side, step, kind)
+                a_inside += inside[0]
+                product_inside += inside[1]
         assert a_inside > 0 and product_inside > 0
+
+        # B's multivalued part {0} × span(e2) lies in every product B∘T, so
+        # an A without it rules out every candidate before any is tried.
+        # The left side takes the inverses: T∘B = A exactly when B⁻¹∘T⁻¹ = A⁻¹.
+        def laid_out(a, b):
+            return (a, b) if side == "right" else (a.inverse(), b.inverse())
+
+        b = LinearRelation.from_generators(1, 2, [(0, 0, 1)])
+        early = laid_out(LinearRelation.identity(2), b)
+        assert harness._product_test(*early, side) is None
+        verdicts_match_compose(*early, side, 1, "early exit")
+
+        # A ⊆ {0} × mul(B), so W kills every basis vector of A: no right-hand
+        # side goes in, and the test rests on B∘T ⊆ A alone.
+        s_zero = laid_out(LinearRelation.from_generators(2, 2, [(0, 0, 0, 1)]), b)
+        assert harness._product_test(*s_zero, side) is not None
+        verdicts_match_compose(*s_zero, side, 1, "s = 0")
+
+    def test_each_candidate_row_is_pulled_once(self, monkeypatch):
+        """In a full (2, 1) search, each distinct row of the candidates'
+        graph bases is pulled and reduced once, and no elimination after the
+        set-up sees more than dim_x = 2 rows."""
+        b = LinearRelation.from_generators(1, 2, [(0, 0, 1)])
+        a = LinearRelation.from_generators(2, 2, [(0, 0, 0, 1), (1, 1, 2, 0)])
+        candidates = operator_graph_candidates(2, 1, 2)
+        distinct = {t for c in candidates for t in c.graph.rows}
+        assert (len(candidates), sum(c.graph.dim for c in candidates), len(distinct)) == (390, 730, 128)
+        set_up = []
+        dots, reduced, eliminated = Counter(), [], []
+        product_test, dot, reduce, eliminate = (
+            harness._product_test, harness._dot, harness._reduce, harness._eliminate
+        )
+
+        def spy_product_test(*args):
+            admits = product_test(*args)
+            set_up.append(True)
+            return admits
+
+        def spy_dot(u, v):
+            if set_up:
+                dots[tuple(v)] += 1
+            return dot(u, v)
+
+        def spy_reduce(row, echelon, leads):
+            if set_up:
+                reduced.append(row)
+            return reduce(row, echelon, leads)
+
+        def spy_eliminate(data, cols):
+            if set_up:
+                eliminated.append(len(data))
+            return eliminate(data, cols)
+
+        for name, spy in (("_product_test", spy_product_test), ("_dot", spy_dot),
+                          ("_reduce", spy_reduce), ("_eliminate", spy_eliminate)):
+            monkeypatch.setattr(harness, name, spy)
+        assert brute_force_right_witness(a, b, 2) is None
+        assert set(dots) == distinct
+        assert len(set(dots.values())) == 1
+        assert len(reduced) == 2 * len(distinct)
+        assert eliminated and max(eliminated) <= 2
+
+
+def verdicts_match_compose(a, b, side, step, shown):
+    """Check the product test's verdict on every ``step``-th candidate
+    against ``compose``; count the failing candidates with A strictly inside
+    the product and with the product strictly inside A."""
+    admits = harness._product_test(a, b, side)
+    a_inside = product_inside = 0
+    for t in operator_graph_candidates(*grid_shape(a, b, side), 2)[::step]:
+        product = compose(b, t) if side == "right" else compose(t, b)
+        verdict = admits is not None and admits(t.graph.rows)
+        assert verdict == (product == a), (shown, serialize_relation(t), serialize_relation(a))
+        if product != a:
+            a_inside += product.graph.contains(a.graph)
+            product_inside += a.graph.contains(product.graph)
+    return a_inside, product_inside
 
 
 class TestRunSuite:
