@@ -89,11 +89,13 @@ def cmd_solve(args) -> int:
     b = parse_relation_file(args.file_b)
     report: FactorizationReport = _SOLVERS[(args.side, args.level)](a, b)
     if args.json:
+        # the object alone: its conditions already say which failed
         print(json.dumps(report.to_json_dict()))
     else:
         sys.stdout.write(report.to_text())
+        if not report.solvable:
+            print("failed:", " ".join(report.failed_conditions()))
     if not report.solvable:
-        print("failed:", " ".join(report.failed_conditions()))
         return EXIT_UNSOLVABLE
     if args.out:
         write_relation_file(args.out, report.witness)

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
+from .exact import Rows
 from .relation import (
     LinearRelation,
     RelationProfile,
@@ -145,12 +146,12 @@ def _left_relation_witness(a: LinearRelation, b: LinearRelation) -> tuple[Linear
 
 
 def _right_operator_witness(
-    a: LinearRelation, b: LinearRelation, a_dom: Subspace, a_mul_perp: Subspace,
-    b_ker_perp: Subspace,
+    a: LinearRelation, b: LinearRelation, a_dom: Subspace, a_mul_perp: Rows, b_ker_perp: Rows,
 ) -> tuple[LinearRelation, bool]:
     """The witness of ``solve_right_operator`` and whether it verifies:
     single-valued, dom(T) = dom(A) and B∘T = A exactly.  The parts of A and
-    B it reads are dom(A), mul(A)^⊥ and ker(B)^⊥."""
+    B it reads are dom(A), canonical, and rows that span mul(A)^⊥ and
+    ker(B)^⊥, which it only intersects with."""
     # mul(B⁻¹) is ker(B)
     selection = operator_part(b.inverse(), b_ker_perp)
     witness = compose(selection, operator_part(a, a_mul_perp))
@@ -160,16 +161,16 @@ def _right_operator_witness(
 
 def _left_operator_witness(
     a: LinearRelation, b: LinearRelation, a_mul: Subspace, b_mul: Subspace,
-    a_mul_perp: Subspace, b_mul_perp: Subspace,
+    a_mul_perp: Rows, b_mul_perp: Rows,
 ) -> tuple[LinearRelation, bool]:
     """The witness of ``solve_left_operator`` and whether it verifies: a
     direct sum, single-valued and T∘B = A exactly.  The parts of A and B it
-    reads are mul(A), mul(B) and their orthocomplements; needs
-    dim mul(A) <= dim mul(B)."""
+    reads are mul(A) and mul(B), canonical, and rows that span their
+    orthocomplements; needs dim mul(A) <= dim mul(B)."""
     p, m = b.dim_y, a.dim_y
-    window = b_mul_perp.product(a_mul_perp)
+    window = [h + (0,) * m for h in b_mul_perp] + [(0,) * p + h for h in a_mul_perp]
     base = compose(a, b.inverse())
-    core = LinearRelation(p, m, base.graph.intersect(window))
+    core = LinearRelation(p, m, base.graph._intersect_rows(window))
     # e_i ⊕ e_i joins basis vector i of mul(B) to basis vector i of mul(A)
     muls, k = b_mul.product(a_mul), b_mul.dim
     units = [[int(j in (i, k + i)) for j in range(muls.dim)] for i in range(a_mul.dim)]
@@ -207,8 +208,11 @@ def solve_right_operator(a: LinearRelation, b: LinearRelation) -> FactorizationR
         Condition(MUL_EQUAL, pa.mul == pb.mul, _dims("mul", pa, pb)),
     )
     # mul(B⁻¹∘A) = {w : (w, y) ∈ B for some y ∈ mul(A)}, which is {0} iff
-    # ker(B) = 0 and mul(A) ∩ ran(B) ⊆ mul(B)
-    joint_is_operator = pb.ker.dim == 0 and pb.mul.contains(pa.mul.intersect(pb.ran))
+    # ker(B) = 0 and mul(A) ∩ ran(B) ⊆ mul(B); mul(A) ⊆ mul(B) settles it
+    # without the intersection
+    joint_is_operator = pb.ker.dim == 0 and (
+        pb.mul.contains(pa.mul) or pb.mul.contains(pa.mul.intersect(pb.ran))
+    )
     joint_is_operator_solution = all(c.held for c in conditions) and pb.ker.dim == 0
     notes = (
         f"B^-1*A is itself an operator: {_yn(joint_is_operator)}; "
@@ -216,7 +220,7 @@ def solve_right_operator(a: LinearRelation, b: LinearRelation) -> FactorizationR
         f"(dim ker(B)={pb.ker.dim}): {_yn(joint_is_operator_solution)}"
     )
     return _report("right", "operator", conditions, lambda: _right_operator_witness(
-        a, b, pa.dom, pa.mul.ortho_complement(), pb.ker.ortho_complement()), notes)
+        a, b, pa.dom, pa.mul.ortho_generators(), pb.ker.ortho_generators()), notes)
 
 
 def solve_left_relation(a: LinearRelation, b: LinearRelation) -> FactorizationReport:
@@ -252,7 +256,7 @@ def solve_left_operator(a: LinearRelation, b: LinearRelation) -> FactorizationRe
         f"additionally mul(A)=0 (dim mul(A)={pa.mul.dim}): {_yn(joint_is_operator_solution)}"
     )
     return _report("left", "operator", conditions, lambda: _left_operator_witness(
-        a, b, pa.mul, pb.mul, pa.mul.ortho_complement(), pb.mul.ortho_complement()), notes)
+        a, b, pa.mul, pb.mul, pa.mul.ortho_generators(), pb.mul.ortho_generators()), notes)
 
 
 def solve_adjoint_right(a: LinearRelation, b: LinearRelation) -> FactorizationReport:
@@ -273,7 +277,8 @@ def solve_adjoint_right(a: LinearRelation, b: LinearRelation) -> FactorizationRe
     def build() -> tuple[LinearRelation, bool]:
         # dom(A*) = mul(A)^⊥, mul(A*)^⊥ = dom(A) and ker(B*)^⊥ = ran(B), so
         # A* and B* need no profile
-        return _right_operator_witness(a.adjoint(), b.adjoint(), pa.mul.ortho_complement(), pa.dom, pb.ran)
+        return _right_operator_witness(a.adjoint(), b.adjoint(), pa.mul.ortho_complement(), pa.dom.rows,
+                                       pb.ran.rows)
 
     return _report("right", "adjoint", conditions, build, (
         "conditions on the adjoint pair: ran(A*) within ran(B*) is ker(B) within ker(A); "
@@ -302,7 +307,7 @@ def solve_adjoint_left(a: LinearRelation, b: LinearRelation) -> FactorizationRep
     def build() -> tuple[LinearRelation, bool]:
         # mul(A*) = dom(A)^⊥ and mul(B*) = dom(B)^⊥, so A* and B* need no profile
         return _left_operator_witness(a.adjoint(), b.adjoint(), pa.dom.ortho_complement(),
-                                      pb.dom.ortho_complement(), pa.dom, pb.dom)
+                                      pb.dom.ortho_complement(), pa.dom.rows, pb.dom.rows)
 
     return _report("left", "adjoint", conditions, build, (
         "conditions on the adjoint pair: dom(A*) within dom(B*) is mul(B) within mul(A); "

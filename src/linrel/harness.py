@@ -15,9 +15,10 @@ The brute-force witness search is definitional as well: it decides each
 grid candidate T on ``oracle_product_membership``'s stacked feasibility
 system for B∘T = A.  B's block of it and all of A's basis vectors are
 eliminated once per pair, and each distinct row of the candidates' graph
-bases is pulled into the system and reduced once per pair, so a candidate
-costs only eliminations of its own rows.  T∘B = A is decided as the same
-system for B⁻¹∘T⁻¹ = A⁻¹.  The one witness returned is re-verified by
+bases is pulled into the system and reduced once per pair, with a few facts
+about it.  A candidate has at most two rows, so it is decided from its rows'
+facts and the ranks of row pairs, with no elimination.  T∘B = A is decided
+as the same system for B⁻¹∘T⁻¹ = A⁻¹.  The one witness returned is re-verified by
 ``factor.verify``.  The grid is gated to dims <= 2 on both sides and bound <= 2.
 """
 
@@ -305,8 +306,19 @@ def _product_test(a: LinearRelation, b: LinearRelation, side: str) -> Optional[C
       Otherwise each candidate row u_t is reduced by them to u′_t, zero on
       B's leads, and the test is that the u′_t pivot in no h column.
 
-    Each row t is pulled and reduced once per pair, on first use, so a
-    candidate costs at most three eliminations of its own dim_x rows.
+    Each row t is pulled and reduced once per pair, on first use, and its
+    facts are stored with it: whether v_t and v′_t are zero, and whether u′_t
+    is zero, leads before column m, or escapes (nonzero, but zero before m).
+    The grid gate leaves a candidate at most two rows, so it is decided from
+    these facts and closed forms, with no elimination:
+
+    * A ⊆ B∘T: s = rank ρ = 0 always passes.  s = 2 needs both v′_t zero and
+      the two v_t independent.  s = 1 needs one row with v_t ≠ 0 = v′_t, or
+      two with rank{v_t} = 1 + rank{v′_t}: a v_t with v′_t = 0 lies on the
+      line ρ, so only two nonzero v′_t need the pair ranks (``_pair_rank``).
+    * B∘T ⊆ A: rank(u′[:, :m]) = rank(u′).  An escaping row fails every
+      candidate that holds it; two rows that do not escape fail only when
+      both are nonzero, independent, and dependent before m.
     """
     if side == "left":
         a, b = a.inverse(), b.inverse()
@@ -336,26 +348,56 @@ def _product_test(a: LinearRelation, b: LinearRelation, side: str) -> Optional[C
     if b_leads and b_leads[-1] >= m:
         return None
     b_echelon = b_rows[: len(b_leads)]
-    s, w = len(basic), len(w_rows)
-    pulled: dict[tuple[int, ...], tuple[list[int], list[int], list[int]]] = {}
+    s = len(basic)
+    pulled: dict[tuple[int, ...], tuple] = {}
 
-    def pull(t: tuple[int, ...]) -> tuple[list[int], list[int], list[int]]:
+    def pull(t: tuple[int, ...]) -> tuple:
+        """Whether u′_t escapes, whether v_t, v′_t and u′_t are nonzero, then v_t, v′_t, u′_t."""
         v = [_dot(p, t) for p in pull_in]
-        u = [_dot(p, t) for p in pull_out]
-        pulled[t] = entry = (v, _reduce(v, rho, rho_leads), _reduce(u, b_echelon, b_leads))
+        u = _reduce([_dot(p, t) for p in pull_out], b_echelon, b_leads)
+        v_red = _reduce(v, rho, rho_leads)
+        lead = next((j for j, x in enumerate(u) if x), width)
+        pulled[t] = entry = (m <= lead < width, any(v), any(v_red), lead < width, v, v_red, u)
         return entry
 
     def admits(gens: Rows) -> bool:
         if len(gens) < s:  # fewer v_t than independent ρ cannot span them
             return False
         entries = [pulled.get(t) or pull(t) for t in gens]
-        # _eliminate replaces rows in its list and never mutates them
-        if len(_eliminate([e[0] for e in entries], w)) != s + len(_eliminate([e[1] for e in entries], w)):
+        if not entries:  # so s = 0
+            return True
+        if len(entries) == 1:  # so s <= 1, and s = 1 needs v_t ≠ 0 = v′_t
+            escapes, v_nz, red_nz = entries[0][:3]
+            return not escapes and (not s or v_nz and not red_nz)
+        escapes1, v_nz1, red_nz1, u_nz1, v1, red1, u1 = entries[0]
+        escapes2, v_nz2, red_nz2, u_nz2, v2, red2, u2 = entries[1]
+        if escapes1 or escapes2:
             return False
-        pivots = _eliminate([e[2] for e in entries], width)
-        return not pivots or pivots[-1] < m
+        if s == 2 and (red_nz1 or red_nz2 or _pair_rank(v1, v2) < 2):
+            return False
+        if s == 1:  # rank{v_t} = 1 + rank{v′_t}; a v_t with v′_t = 0 lies on the line ρ
+            if red_nz1 and red_nz2:  # rank{v′_t} = 1 and rank{v_t} = 2
+                if _pair_rank(red1, red2) > 1 or _pair_rank(v1, v2) < 2:
+                    return False
+            elif red_nz1 or red_nz2:  # rank{v_t} = 2: the v_t on ρ is nonzero
+                if not (v_nz2 if red_nz1 else v_nz1):
+                    return False
+            elif not (v_nz1 or v_nz2):  # rank{v_t} = 1
+                return False
+        return not (u_nz1 and u_nz2) or _pair_rank(u1[:m], u2[:m]) == _pair_rank(u1, u2)
 
     return admits
+
+
+def _pair_rank(a: Sequence[int], b: Sequence[int]) -> int:
+    """The rank of two integer rows, as ``exact._eliminate`` counts it: with
+    a zero, the other row's zero test; else b depends on a exactly when every
+    2×2 minor a[p]·b[j] − b[p]·a[j] against a's lead p vanishes."""
+    ap = next(filter(None, a), 0)
+    if not ap:
+        return 1 if any(b) else 0
+    bp = b[a.index(ap)]  # a's first nonzero entry is its first entry equal to ap
+    return 1 if [ap * y for y in b] == [bp * x for x in a] else 2
 
 
 def _search(

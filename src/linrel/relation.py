@@ -14,7 +14,7 @@ from functools import lru_cache
 from math import lcm
 from typing import Iterable, Sequence
 
-from .exact import Matrix, Scalar, integer_row, require_int, text_rows
+from .exact import Matrix, Rows, Scalar, integer_row, require_int, text_rows
 from .subspace import Subspace
 
 
@@ -73,7 +73,7 @@ class LinearRelation:
 
     def reduce_operator_part(self) -> "LinearRelation":
         """The single-valued summand A ∩ (Q^n × mul(A)^⊥); dom is preserved."""
-        return operator_part(self, profile(self).mul.ortho_complement())
+        return operator_part(self, profile(self).mul.ortho_generators())
 
     def adjoint(self) -> "LinearRelation":
         """A* = J(A^⊥) with J(u, v) = (−v, u), in one elimination.
@@ -141,10 +141,13 @@ def profile(rel: LinearRelation) -> RelationProfile:
     return RelationProfile(dom=dom, ran=ran, ker=ker, mul=mul)
 
 
-def operator_part(rel: LinearRelation, mul_perp: Subspace) -> LinearRelation:
-    """``rel.reduce_operator_part()`` for a caller that holds ``mul_perp`` = mul(rel)^⊥."""
-    window = Subspace.full(rel.dim_x).product(mul_perp)
-    return LinearRelation(rel.dim_x, rel.dim_y, rel.graph.intersect(window))
+def operator_part(rel: LinearRelation, mul_perp: Rows) -> LinearRelation:
+    """``rel.reduce_operator_part()`` for a caller that holds ``mul_perp``,
+    integer rows that span mul(rel)^⊥, canonical or not."""
+    n, m = rel.dim_x, rel.dim_y
+    window = [row + (0,) * m for row in Subspace.full(n).rows]
+    window += [(0,) * n + h for h in mul_perp]
+    return LinearRelation(n, m, rel.graph._intersect_rows(window))
 
 
 def compose(outer: LinearRelation, inner: LinearRelation) -> LinearRelation:

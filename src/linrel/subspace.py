@@ -144,10 +144,16 @@ class Subspace:
     def intersect(self, other: "Subspace") -> "Subspace":
         """U ∩ V = {w : (0, w) ∈ span{(u, u), (v, 0)}}, as w = u = -v there."""
         self._check_ambient(other)
+        return self._intersect_rows(other.rows)
+
+    def _intersect_rows(self, rows: Iterable[tuple[int, ...]]) -> "Subspace":
+        """``intersect`` with the span of integer ``rows`` of the ambient
+        length, canonical or not, such as ``ortho_generators``: a space
+        that is only intersected need not be canonicalized first."""
         d = self.ambient_dim
-        rows = [r + r for r in self.rows]
-        rows += [r + (0,) * d for r in other.rows]
-        return Subspace.split_span(2 * d, rows, d, head=False)[1]
+        stacked = [r + r for r in self.rows]
+        stacked += [r + (0,) * d for r in rows]
+        return Subspace.split_span(2 * d, stacked, d, head=False)[1]
 
     def ortho_complement(self) -> "Subspace":
         """U^⊥ for the standard dot product: ``ortho_generators``, canonicalized."""

@@ -230,6 +230,17 @@ class TestSolve:
         assert payload["solvable"] is True
         assert payload["witness"]["dim_x"] == 2
 
+    def test_json_report_of_unsolvable_pair_is_one_object(self, capsys):
+        code, out, _ = run(
+            capsys, "solve", FIXTURES / "ran_violation_A.rel", FIXTURES / "proj_B.rel",
+            "--side", "right", "--level", "operator", "--json",
+        )
+        assert code == 2
+        payload = json.loads(out)
+        assert payload["solvable"] is False
+        failed = [c["name"] for c in payload["conditions"] if not c["held"]]
+        assert failed == ["ran_subset"]
+
 
 class TestUnaryCommands:
     def test_inverse_round_trip(self, tmp_path, capsys):

@@ -18,6 +18,7 @@ from linrel import (
     profile,
     random_relation,
     solve_left_operator,
+    solve_right_operator,
     run_suite,
     serialize_relation,
     zero_times,
@@ -299,10 +300,10 @@ class TestBruteForceAgainstReference:
         pairs = edge_pairs(side)
         assert any(a.graph.dim == 0 for a, _ in pairs)
         for a, b in pairs:
-            assert search(a, b, side) == reference_witness(a, b, side), (
-                serialize_relation(a),
-                serialize_relation(b),
-            )
+            shown = (serialize_relation(a), serialize_relation(b))
+            assert search(a, b, side) == reference_witness(a, b, side), shown
+            # zero and full relations admit many candidates, not only the first
+            verdicts_match_compose(a, b, side, 1, shown)
 
     def test_finds_a_witness_on_the_largest_grid(self):
         a = graph([[2, 0], [0, 0]])
@@ -341,10 +342,25 @@ class TestBruteForceAgainstReference:
         assert harness._product_test(*s_zero, side) is not None
         verdicts_match_compose(*s_zero, side, 1, "s = 0")
 
+    @pytest.mark.parametrize("a, b, shown", [
+        # s = 1 and two rows whose v′_t are both zero: they span ρ when one
+        # v_t is nonzero, not only when both are
+        (LinearRelation.from_generators(2, 1, [(1, 1, 0), (0, 0, 1)]),
+         LinearRelation.from_generators(2, 2, [(1, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]),
+         "both v′_t zero"),
+        # a zero u′_t next to an escaping one: the second row's flag alone
+        # rejects the candidate
+        (LinearRelation.zero_relation(1, 1),
+         LinearRelation.from_generators(1, 2, [(0, 1, 0), (0, 0, 1)]),
+         "the second row escapes"),
+    ])
+    def test_pinned_left_pairs(self, a, b, shown):
+        verdicts_match_compose(a, b, "left", 1, shown)
+
     def test_each_candidate_row_is_pulled_once(self, monkeypatch):
         """In a full (2, 1) search, each distinct row of the candidates'
-        graph bases is pulled and reduced once, and no elimination after the
-        set-up sees more than dim_x = 2 rows."""
+        graph bases is pulled and reduced once, and no elimination runs after
+        the set-up: each candidate is decided from its rows' facts."""
         b = LinearRelation.from_generators(1, 2, [(0, 0, 1)])
         a = LinearRelation.from_generators(2, 2, [(0, 0, 0, 1), (1, 1, 2, 0)])
         candidates = operator_graph_candidates(2, 1, 2)
@@ -383,7 +399,56 @@ class TestBruteForceAgainstReference:
         assert set(dots) == distinct
         assert len(set(dots.values())) == 1
         assert len(reduced) == 2 * len(distinct)
-        assert eliminated and max(eliminated) <= 2
+        assert eliminated == []
+
+
+class TestPairRank:
+    BIG = 10**25
+
+    @pytest.mark.parametrize("a, b", [
+        ((0, 0, 0), (0, 0, 0)),
+        ((0, 0, 0), (0, 2, -1)),
+        ((1, -2, 3), (1, -2, 3)),
+        ((0, 3, -5), (0, -3, 5)),
+        ((0, 2, 2), (0, 1, 1)),  # a's lead value comes again after the lead
+        ((0, 2, 2), (0, 1, 2)),
+        ((0, 3 * BIG, -7 * BIG, 11), (0, -6 * BIG * 10**15, 14 * BIG * 10**15, -22 * 10**15)),
+        ((0, 3 * BIG, -7 * BIG, 11), (0, -6 * BIG * 10**15, 14 * BIG * 10**15, -22 * 10**15 + 1)),
+        ((1, 0, 0), (0, 1, 0)),
+        ((0, 1, 2), (0, 0, 1)),
+        ((1, 2), (2, 5)),
+    ])
+    def test_matches_elimination(self, a, b):
+        for first, second in ((a, b), (b, a)):
+            rank = len(exact._eliminate([list(first), list(second)], len(first)))
+            assert harness._pair_rank(first, second) == rank, (first, second)
+
+
+class TestRightSolutionFamily:
+    def test_admitted_candidates_are_the_witness_plus_maps_into_the_kernel(self):
+        """At operator level the solutions T of A = B∘T with dom T = dom A
+        are T0 + K, for T0 the solver's witness and K any map from dom A
+        into ker B.  So on satisfy pairs the product test admits exactly the
+        grid candidates T with dom T = dom A whose graph lies in
+        graph(T0) + {0} × ker B."""
+        rng = random.Random(7)
+        admitted = rejected = with_kernel = 0
+        for _ in range(30):
+            a, b = targeted_right_pair(rng, "satisfy", max_dim=2, bound=2)
+            t0 = solve_right_operator(a, b).witness
+            pb = profile(b)
+            family = t0.graph.sum(zero_times(a.dim_x, pb.ker).graph)
+            dom_a = profile(a).dom
+            admits = harness._product_test(a, b, "right")
+            for t in operator_graph_candidates(a.dim_x, b.dim_x, 2):
+                if t.graph.dim != dom_a.dim or t.graph.split(a.dim_x)[0] != dom_a:
+                    continue
+                verdict = admits(t.graph.rows)
+                assert verdict == family.contains(t.graph), (serialize_relation(a), serialize_relation(b), t)
+                admitted += verdict
+                rejected += not verdict
+                with_kernel += verdict and pb.ker.dim > 0 and t != t0
+        assert admitted and rejected and with_kernel
 
 
 def verdicts_match_compose(a, b, side, step, shown):
