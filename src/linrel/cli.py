@@ -13,6 +13,7 @@ import json
 import sys
 from typing import Optional, Sequence
 
+from .exact import text_rows
 from .factor import (
     FactorizationReport,
     solve_adjoint_left,
@@ -25,7 +26,7 @@ from .factor import (
 )
 from .files import parse_relation_file, serialize_relation, write_relation_file
 from .harness import RelationSpec, list_suites, random_relation, run_suite
-from .relation import compose, generator_rows, profile
+from .relation import compose, profile
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -79,7 +80,7 @@ def cmd_info(args) -> int:
     print(flags)
     for label, sub in (("dom_basis", p.dom), ("ran_basis", p.ran), ("ker_basis", p.ker), ("mul_basis", p.mul)):
         print(f"{label}:")
-        for row in generator_rows(sub):
+        for row in text_rows(sub.rows):
             print("  " + " ".join(row))
     return EXIT_OK
 

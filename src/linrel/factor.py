@@ -12,12 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .exact import Rows
+from .exact import Rows, text_rows
 from .relation import (
     LinearRelation,
     RelationProfile,
     compose,
-    generator_rows,
     operator_part,
     profile,
 )
@@ -63,7 +62,7 @@ class FactorizationReport:
             witness = {
                 "dim_x": self.witness.dim_x,
                 "dim_y": self.witness.dim_y,
-                "generators": generator_rows(self.witness.graph),
+                "generators": text_rows(self.witness.graph.rows),
             }
         return {
             "side": self.side,
@@ -87,7 +86,7 @@ class FactorizationReport:
             lines.append(f"condition {cond.name} held={_yn(cond.held)}" + (f" {evidence}" if evidence else ""))
         if self.witness is not None:
             lines.append(f"witness dim_x={self.witness.dim_x} dim_y={self.witness.dim_y}")
-            lines += [f"witness_generator {' '.join(row)}" for row in generator_rows(self.witness.graph)]
+            lines += [f"witness_generator {' '.join(row)}" for row in text_rows(self.witness.graph.rows)]
         lines.append(f"notes: {self.notes}")
         return "\n".join(lines) + "\n"
 

@@ -25,8 +25,8 @@ import re
 from math import gcd
 from typing import Optional
 
-from .exact import RATIONAL_PATTERN, echelon_rows, integer_row, literal_ratio, parse_ratio
-from .relation import LinearRelation, generator_rows
+from .exact import RATIONAL_PATTERN, echelon_rows, integer_row, literal_ratio, parse_ratio, text_rows
+from .relation import LinearRelation
 from .subspace import Subspace
 
 # dim_x + dim_y above this is rejected, so that a header of a few bytes cannot
@@ -153,7 +153,7 @@ def parse_relation_file(path: str) -> LinearRelation:
 
 def serialize_relation(rel: LinearRelation) -> str:
     lines = [f"dim_x={rel.dim_x}", f"dim_y={rel.dim_y}"]
-    lines += [" ".join(row) for row in generator_rows(rel.graph)]
+    lines += [" ".join(row) for row in text_rows(rel.graph.rows)]
     return "\n".join(lines) + "\n"
 
 

@@ -12,14 +12,16 @@ matrix: it tests one vector against a span.  Only the suites that test
 through ``_first_failure``, at the first of its checks that fails.
 
 The brute-force witness search is definitional as well: it decides each
-grid candidate T on ``oracle_product_membership``'s stacked feasibility
-system for B∘T = A.  B's block of it and all of A's basis vectors are
-eliminated once per pair, and each distinct row of the candidates' graph
-bases is pulled into the system and reduced once per pair, with a few facts
-about it.  A candidate has at most two rows, so it is decided from its rows'
-facts and the ranks of row pairs, with no elimination.  T∘B = A is decided
-as the same system for B⁻¹∘T⁻¹ = A⁻¹.  The one witness returned is re-verified by
-``factor.verify``.  The grid is gated to dims <= 2 on both sides and bound <= 2.
+grid candidate T on ``oracle_product_membership``'s stacked system R for
+B∘T, spanned by T's rows (t_y, t_x, 0) and B's rows (−g_y, 0, g_z).  B∘T is
+R's slice at y = 0, so its dimension is rank R less the rank of R's
+y-parts, and it lies in A exactly when the rows (y, h·(x, z)), over the rows
+h of A^⊥, have the rank of their y-parts.  Each distinct row of the
+candidates' graph bases is reduced once per pair by B's canonical rows, and
+a candidate, of at most two rows, is decided from the ranks of its reduced
+rows, with no elimination.  T∘B = A is decided as B⁻¹∘T⁻¹ = A⁻¹.  The one
+witness returned is re-verified by ``factor.verify``.  The grid is gated to
+dims <= 2 on both sides and bound <= 2.
 """
 
 from __future__ import annotations
@@ -281,110 +283,65 @@ def _product_test(a: LinearRelation, b: LinearRelation, side: str) -> Optional[C
     alone rules out every candidate.
 
     Only B∘T = A is laid out: inverting reverses composition, so T∘B = A
-    exactly when B⁻¹∘T⁻¹ = A⁻¹.  The left side inverts A and B once, and
-    turns the pull vectors by A⁻¹'s x-width to read T's rows as T⁻¹'s.
+    exactly when B⁻¹∘T⁻¹ = A⁻¹.  The left side inverts A and B once.
 
-    Everything that depends only on (A, B) is eliminated here, once:
+    In (y, x, z) coordinates, T's rows (t_y, t_x, 0) and B's rows
+    (−g_y, 0, g_z) span the stacked system R of ``oracle_product_membership``,
+    and B∘T is its slice S = {(x, z) : (0, x, z) ∈ R}.  So dim S is rank R
+    less the rank of R's y-parts, and S ⊆ A exactly when, over the rows h of
+    A^⊥, the rows (y, h·(x, z)) of R have the same rank as their y-parts.
+    B's canonical rows with g_y negated are still in echelon form, and each
+    row t of T is reduced by them once per pair, on first use, to
+    w′_t = (y′, x′, z′), zero on B's leads, and u′_t = (y′, h·(x′, z′)).
+    B's rows and the w′_t then add their ranks, as do their y-parts, so
 
-    * A ⊆ B∘T: ``oracle_product_membership``'s stacked system, with columns
-      (t, 0) for T's generators and (0, -g_y, g_z) for B's, and rows for x,
-      the interface y and z, has a solution for the probe (x, z) exactly when
-      W·(T's columns)·α = W·(x, 0, z) does, where the rows W span the left
-      nullspace of B's column block, read off as the orthocomplement of its
-      span (``Subspace.ortho_generators``).  So A ⊆ B∘T exactly when the
-      vectors ρ = W·(A's basis vectors) lie in the span of the v_t = W·t.
-      Only a basis of the ρ is kept, in echelon form, and each v_t is also
-      reduced by it to v′_t, zero on ρ's leads; span ρ and span v′ then meet
-      only in 0 and add up to span ρ + span v, so the test is
-      rank{v_t} = rank ρ + rank{v′_t}.
-    * B∘T ⊆ A: the product is (t_x α, g_z β) over the coefficients with
-      t_y α = g_y β.  It lies in A exactly when every row h of A^⊥, pulled
-      back to (α, β), is in the row space of those interface equations: with
-      the equations' columns first and one column per h, no pivot lands in
-      an h column.  B's rows of that matrix are brought to echelon form
-      here; if one of them pivots in an h column, no candidate passes.
-      Otherwise each candidate row u_t is reduced by them to u′_t, zero on
-      B's leads, and the test is that the u′_t pivot in no h column.
+    * dim S = dim mul(B) + rank{w′_t} − rank{y′_t};
+    * S ⊆ A exactly when rank{u′_t} = rank{y′_t}, once every h vanishes on
+      the rows (0, g_z) of mul(B): if one does not, no candidate passes.
 
-    Each row t is pulled and reduced once per pair, on first use, and its
-    facts are stored with it: whether v_t and v′_t are zero, and whether u′_t
-    is zero, leads before column m, or escapes (nonzero, but zero before m).
-    The grid gate leaves a candidate at most two rows, so it is decided from
-    these facts and closed forms, with no elimination:
-
-    * A ⊆ B∘T: s = rank ρ = 0 always passes.  s = 2 needs both v′_t zero and
-      the two v_t independent.  s = 1 needs one row with v_t ≠ 0 = v′_t, or
-      two with rank{v_t} = 1 + rank{v′_t}: a v_t with v′_t = 0 lies on the
-      line ρ, so only two nonzero v′_t need the pair ranks (``_pair_rank``).
-    * B∘T ⊆ A: rank(u′[:, :m]) = rank(u′).  An escaping row fails every
-      candidate that holds it; two rows that do not escape fail only when
-      both are nonzero, independent, and dependent before m.
+    B∘T = A then holds exactly when rank{u′_t} = rank{y′_t} and
+    rank{w′_t} − rank{y′_t} = dim A − dim mul(B).  The grid gate leaves a
+    candidate at most two rows, so each rank is a zero test or a
+    ``_pair_rank``, and no elimination runs past the set-up, which on the
+    right side runs none: A^⊥ and B's rows are read off canonical rows.
     """
     if side == "left":
         a, b = a.inverse(), b.inverse()
     n, m, k = a.dim_x, b.dim_x, a.dim_y
-    b_gens = [list(g) for g in b.graph.rows]
-    probes = a.graph.rows
-    perp = [list(h) for h in a.graph.ortho_generators()]
-    b_block = [[0] * n + [-v for v in g[:m]] + g[m:] for g in b_gens]
-    w_rows = [list(w) for w in Subspace.from_vectors(n + m + k, b_block).ortho_generators()]
-    rhs = [[_dot(w[:n], g[:n]) + _dot(w[n + m :], g[n:]) for g in probes] for w in w_rows]
-    # The pivot columns of W·(probes) span all of them: only those go in.
-    basic = _eliminate([row[:] for row in rhs], len(probes))
-    rho = [[row[j] for row in rhs] for j in basic]
-    rho_leads = _eliminate(rho, len(w_rows))
-    # Each entry of a candidate's rows is one dot product with a row t of
-    # T's graph basis: ``pull_in`` holds W's rows on T's columns (t, 0), and
-    # ``pull_out`` the interface rows t_y and A^⊥'s rows on t_x.
-    pull_in = [w[: n + m] for w in w_rows]
-    pull_out = [[0] * n + [int(i == j) for j in range(m)] for i in range(m)]
-    pull_out += [h[:n] + [0] * m for h in perp]
-    if side == "left":  # T's row (t_x, t_y) is T⁻¹'s row (t_y, t_x), with t_y of width n
-        pull_in = [p[n:] + p[:n] for p in pull_in]
-        pull_out = [p[n:] + p[:n] for p in pull_out]
-    b_rows = [[-v for v in g[:m]] + [_dot(h[n:], g[m:]) for h in perp] for g in b_gens]
-    width = m + len(perp)
-    b_leads = _eliminate(b_rows, width)
-    if b_leads and b_leads[-1] >= m:
-        return None
-    b_echelon = b_rows[: len(b_leads)]
-    s = len(basic)
+    perp = a.graph.ortho_generators()
+    b_rows, b_leads = [], []
+    for g, lead in zip(b.graph.rows, b.graph._leads()):
+        if lead >= m and any(_dot(h[n:], g[m:]) for h in perp):
+            return None
+        b_rows.append([-v for v in g[:m]] + [0] * n + list(g[m:]))
+        b_leads.append(lead if lead < m else lead + n)
+    c = a.graph.dim - sum(lead >= m for lead in b_leads)
     pulled: dict[tuple[int, ...], tuple] = {}
 
     def pull(t: tuple[int, ...]) -> tuple:
-        """Whether u′_t escapes, whether v_t, v′_t and u′_t are nonzero, then v_t, v′_t, u′_t."""
-        v = [_dot(p, t) for p in pull_in]
-        u = _reduce([_dot(p, t) for p in pull_out], b_echelon, b_leads)
-        v_red = _reduce(v, rho, rho_leads)
-        lead = next((j for j, x in enumerate(u) if x), width)
-        pulled[t] = entry = (m <= lead < width, any(v), any(v_red), lead < width, v, v_red, u)
+        """Whether w′_t, y′_t and u′_t are nonzero, then w′_t, y′_t, u′_t."""
+        # T's row (t_x, t_y) is laid out as (t_y, t_x, 0); on the left it is
+        # T⁻¹'s row (t_y, t_x), laid out as (t_x, t_y, 0)
+        row = list(t[n:] + t[:n] if side == "right" else t) + [0] * k
+        w = _reduce(row, b_rows, b_leads)
+        y = w[:m]
+        u = y + [_dot(h, w[m:]) for h in perp]
+        pulled[t] = entry = (any(w), any(y), any(u), w, y, u)
         return entry
 
     def admits(gens: Rows) -> bool:
-        if len(gens) < s:  # fewer v_t than independent ρ cannot span them
+        if len(gens) < c:  # rank{w′_t} − rank{y′_t} is at most the number of rows
             return False
         entries = [pulled.get(t) or pull(t) for t in gens]
-        if not entries:  # so s = 0
+        if not entries:  # so c = 0: B∘T = {0} × mul(B) ⊆ A, of A's dimension
             return True
-        if len(entries) == 1:  # so s <= 1, and s = 1 needs v_t ≠ 0 = v′_t
-            escapes, v_nz, red_nz = entries[0][:3]
-            return not escapes and (not s or v_nz and not red_nz)
-        escapes1, v_nz1, red_nz1, u_nz1, v1, red1, u1 = entries[0]
-        escapes2, v_nz2, red_nz2, u_nz2, v2, red2, u2 = entries[1]
-        if escapes1 or escapes2:
-            return False
-        if s == 2 and (red_nz1 or red_nz2 or _pair_rank(v1, v2) < 2):
-            return False
-        if s == 1:  # rank{v_t} = 1 + rank{v′_t}; a v_t with v′_t = 0 lies on the line ρ
-            if red_nz1 and red_nz2:  # rank{v′_t} = 1 and rank{v_t} = 2
-                if _pair_rank(red1, red2) > 1 or _pair_rank(v1, v2) < 2:
-                    return False
-            elif red_nz1 or red_nz2:  # rank{v_t} = 2: the v_t on ρ is nonzero
-                if not (v_nz2 if red_nz1 else v_nz1):
-                    return False
-            elif not (v_nz1 or v_nz2):  # rank{v_t} = 1
-                return False
-        return not (u_nz1 and u_nz2) or _pair_rank(u1[:m], u2[:m]) == _pair_rank(u1, u2)
+        if len(entries) == 1:
+            w_nz, y_nz, u_nz = entries[0][:3]
+            return u_nz == y_nz and w_nz - y_nz == c
+        w1, y1, u1 = entries[0][3:]
+        w2, y2, u2 = entries[1][3:]
+        rank_y = _pair_rank(y1, y2)
+        return _pair_rank(u1, u2) == rank_y and _pair_rank(w1, w2) - rank_y == c
 
     return admits
 

@@ -14,7 +14,7 @@ from functools import lru_cache
 from math import lcm
 from typing import Iterable, Sequence
 
-from .exact import Matrix, Rows, Scalar, integer_row, require_int, text_rows
+from .exact import Matrix, Rows, Scalar, integer_row, require_int
 from .subspace import Subspace
 
 
@@ -228,11 +228,6 @@ def identity_on(sub: Subspace) -> LinearRelation:
     d = sub.ambient_dim
     # each r + r is primitive, leads where r does, and is 0 where others lead
     return LinearRelation(d, d, Subspace._make(2 * d, tuple(r + r for r in sub.rows)))
-
-
-def generator_rows(sub: Subspace) -> list[list[str]]:
-    """The reduced echelon rows of ``sub``, each as a list of rational strings."""
-    return text_rows(sub.rows)
 
 
 def zero_times(dim_x: int, values: Subspace) -> LinearRelation:

@@ -17,6 +17,7 @@ from linrel import (
     oracle_product_membership,
     profile,
     random_relation,
+    solve_adjoint_right,
     solve_left_operator,
     solve_right_operator,
     run_suite,
@@ -41,6 +42,10 @@ from strategies import graph
 # SHA-256 over the canonical rows of every grid candidate, in search order,
 # for each gated shape at bounds 1 and 2
 EXPECTED_CANDIDATE_DIGEST = "6565b29a3b687f43972c7df68e9c8ec0e87d8cc107aa09694ed24730184c99df"
+# SHA-256 over the product test's verdict on every grid candidate, one byte
+# each, for 150 seeded pairs per side of shapes (1, 1), (1, 2), (2, 1) and 5
+# per side of shape (2, 2), where every 11th candidate is decided
+EXPECTED_VERDICT_DIGEST = "9fab8245145cfe99eaf91bf8b07e538f173d4e6fa8c40b5d21eb519aa2223672"
 
 
 class TestRelationSpec:
@@ -336,20 +341,20 @@ class TestBruteForceAgainstReference:
         assert harness._product_test(*early, side) is None
         verdicts_match_compose(*early, side, 1, "early exit")
 
-        # A ⊆ {0} × mul(B), so W kills every basis vector of A: no right-hand
-        # side goes in, and the test rests on B∘T ⊆ A alone.
+        # A = {0} × mul(B) has the dimension of mul(B): the test rests on
+        # the ranks of the candidates' reduced rows alone.
         s_zero = laid_out(LinearRelation.from_generators(2, 2, [(0, 0, 0, 1)]), b)
         assert harness._product_test(*s_zero, side) is not None
-        verdicts_match_compose(*s_zero, side, 1, "s = 0")
+        verdicts_match_compose(*s_zero, side, 1, "dim A = dim mul(B)")
 
     @pytest.mark.parametrize("a, b, shown", [
-        # s = 1 and two rows whose v′_t are both zero: they span ρ when one
-        # v_t is nonzero, not only when both are
+        # edge cases of an earlier layout of the test, named in its terms:
+        # v′_t was W·t reduced by W·(A's basis), for W the left nullspace of
+        # B's block, and a row escaped when its pairing with A^⊥ did not
+        # reduce to zero
         (LinearRelation.from_generators(2, 1, [(1, 1, 0), (0, 0, 1)]),
          LinearRelation.from_generators(2, 2, [(1, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]),
          "both v′_t zero"),
-        # a zero u′_t next to an escaping one: the second row's flag alone
-        # rejects the candidate
         (LinearRelation.zero_relation(1, 1),
          LinearRelation.from_generators(1, 2, [(0, 1, 0), (0, 0, 1)]),
          "the second row escapes"),
@@ -357,48 +362,50 @@ class TestBruteForceAgainstReference:
     def test_pinned_left_pairs(self, a, b, shown):
         verdicts_match_compose(a, b, "left", 1, shown)
 
+    def test_candidate_verdicts_are_pinned(self):
+        digest = hashlib.sha256()
+        admitted = ruled_out = 0
+        for side, seed in (("right", 81), ("left", 82)):
+            pairs = seeded_pairs(side, seed, 30)
+            pairs += seeded_pairs(side, seed, 1, shapes=((2, 2),))
+            for kind, a, b in pairs:
+                shape = grid_shape(a, b, side)
+                admits = harness._product_test(a, b, side)
+                ruled_out += admits is None
+                candidates = operator_graph_candidates(*shape, 2)[:: 11 if shape == (2, 2) else 1]
+                verdicts = bytes(admits is not None and admits(t.graph.rows) for t in candidates)
+                admitted += sum(verdicts)
+                digest.update(f"{side} {kind} {shape}: ".encode() + verdicts + b"\n")
+        assert admitted and ruled_out
+        assert digest.hexdigest() == EXPECTED_VERDICT_DIGEST
+
     def test_each_candidate_row_is_pulled_once(self, monkeypatch):
         """In a full (2, 1) search, each distinct row of the candidates'
-        graph bases is pulled and reduced once, and no elimination runs after
-        the set-up: each candidate is decided from its rows' facts."""
+        graph bases is reduced once, and no elimination runs: on the right
+        side the set-up reads B's rows and A^⊥ off canonical rows, and each
+        candidate is decided from its rows' reductions."""
         b = LinearRelation.from_generators(1, 2, [(0, 0, 1)])
         a = LinearRelation.from_generators(2, 2, [(0, 0, 0, 1), (1, 1, 2, 0)])
         candidates = operator_graph_candidates(2, 1, 2)
         distinct = {t for c in candidates for t in c.graph.rows}
         assert (len(candidates), sum(c.graph.dim for c in candidates), len(distinct)) == (390, 730, 128)
-        set_up = []
-        dots, reduced, eliminated = Counter(), [], []
-        product_test, dot, reduce, eliminate = (
-            harness._product_test, harness._dot, harness._reduce, harness._eliminate
-        )
-
-        def spy_product_test(*args):
-            admits = product_test(*args)
-            set_up.append(True)
-            return admits
-
-        def spy_dot(u, v):
-            if set_up:
-                dots[tuple(v)] += 1
-            return dot(u, v)
+        reduced, eliminated = Counter(), []
+        reduce, eliminate = harness._reduce, exact._eliminate
 
         def spy_reduce(row, echelon, leads):
-            if set_up:
-                reduced.append(row)
+            # the row (t_x, t_y) of T's graph comes in as (t_y, t_x, 0)
+            reduced[tuple(row[1:3] + row[:1])] += 1
             return reduce(row, echelon, leads)
 
         def spy_eliminate(data, cols):
-            if set_up:
-                eliminated.append(len(data))
+            eliminated.append(len(data))
             return eliminate(data, cols)
 
-        for name, spy in (("_product_test", spy_product_test), ("_dot", spy_dot),
-                          ("_reduce", spy_reduce), ("_eliminate", spy_eliminate)):
-            monkeypatch.setattr(harness, name, spy)
+        monkeypatch.setattr(harness, "_reduce", spy_reduce)
+        monkeypatch.setattr(exact, "_eliminate", spy_eliminate)
         assert brute_force_right_witness(a, b, 2) is None
-        assert set(dots) == distinct
-        assert len(set(dots.values())) == 1
-        assert len(reduced) == 2 * len(distinct)
+        assert set(reduced) == distinct
+        assert set(reduced.values()) == {1}
         assert eliminated == []
 
 
@@ -425,30 +432,53 @@ class TestPairRank:
 
 
 class TestRightSolutionFamily:
+    """At operator level the solutions T of A = B∘T with dom T = dom A are
+    T0 + K, for T0 the solver's witness and K any map from dom A into
+    ker B.  So on solvable pairs the product test admits exactly the grid
+    candidates T with dom T = dom A whose graph lies in
+    graph(T0) + {0} × ker B."""
+
     def test_admitted_candidates_are_the_witness_plus_maps_into_the_kernel(self):
-        """At operator level the solutions T of A = B∘T with dom T = dom A
-        are T0 + K, for T0 the solver's witness and K any map from dom A
-        into ker B.  So on satisfy pairs the product test admits exactly the
-        grid candidates T with dom T = dom A whose graph lies in
-        graph(T0) + {0} × ker B."""
         rng = random.Random(7)
-        admitted = rejected = with_kernel = 0
+        counts = Counter()
         for _ in range(30):
             a, b = targeted_right_pair(rng, "satisfy", max_dim=2, bound=2)
-            t0 = solve_right_operator(a, b).witness
-            pb = profile(b)
-            family = t0.graph.sum(zero_times(a.dim_x, pb.ker).graph)
-            dom_a = profile(a).dom
-            admits = harness._product_test(a, b, "right")
-            for t in operator_graph_candidates(a.dim_x, b.dim_x, 2):
-                if t.graph.dim != dom_a.dim or t.graph.split(a.dim_x)[0] != dom_a:
-                    continue
-                verdict = admits(t.graph.rows)
-                assert verdict == family.contains(t.graph), (serialize_relation(a), serialize_relation(b), t)
-                admitted += verdict
-                rejected += not verdict
-                with_kernel += verdict and pb.ker.dim > 0 and t != t0
-        assert admitted and rejected and with_kernel
+            counts += family_verdicts(a, b, solve_right_operator(a, b).witness)
+        assert counts["admitted"] and counts["rejected"] and counts["with_kernel"]
+
+    def test_adjoint_pairs_admit_the_witness_plus_maps_into_the_kernel(self):
+        # A = (B*∘T)* solves A* = B*∘T, so the family is T0 + K with K from
+        # dom A* into ker B*, for T0 the adjoint-right solver's witness
+        rng = random.Random(17)
+        counts = Counter()
+        for _ in range(30):
+            d = rng.choice((1, 1, 2))
+            b = harness.random_mixed_relation(rng, d, d, 2)
+            a = compose(b.adjoint(), harness.random_operator(rng, d, d, 2)).adjoint()
+            report = solve_adjoint_right(a, b)
+            assert report.solvable, (serialize_relation(a), serialize_relation(b))
+            counts += family_verdicts(a.adjoint(), b.adjoint(), report.witness)
+        assert counts["admitted"] and counts["rejected"] and counts["with_kernel"]
+
+
+def family_verdicts(a, b, t0):
+    """Check the right product test's verdict on every grid candidate T
+    with dom T = dom A against graph(T) ⊆ graph(T0) + {0} × ker B; count
+    the admitted and rejected candidates, and the admitted ones other than
+    T0 on pairs with ker B ≠ 0."""
+    pb = profile(b)
+    family = t0.graph.sum(zero_times(a.dim_x, pb.ker).graph)
+    dom_a = profile(a).dom
+    admits = harness._product_test(a, b, "right")
+    counts = Counter()
+    for t in operator_graph_candidates(a.dim_x, b.dim_x, 2):
+        if t.graph.dim != dom_a.dim or t.graph.split(a.dim_x)[0] != dom_a:
+            continue
+        verdict = admits(t.graph.rows)
+        assert verdict == family.contains(t.graph), (serialize_relation(a), serialize_relation(b), t)
+        counts["admitted" if verdict else "rejected"] += 1
+        counts["with_kernel"] += verdict and pb.ker.dim > 0 and t != t0
+    return counts
 
 
 def verdicts_match_compose(a, b, side, step, shown):

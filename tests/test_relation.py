@@ -21,7 +21,7 @@ from linrel import (
 from linrel import exact, subspace
 from linrel.factor import solve_right_operator
 from linrel.files import serialize_relation
-from linrel.relation import RelationProfile, generator_rows
+from linrel.relation import RelationProfile
 
 from strategies import (
     composable_pairs,
@@ -174,7 +174,7 @@ def test_output_leaves_only_the_rows():
     subs = [a.graph, b.graph, report.witness.graph, p.dom, p.ran, p.ker, p.mul]
     for sub in subs:
         repr(sub)
-        generator_rows(sub)
+        exact.text_rows(sub.rows)
     assert all(vars(sub).keys() == {"ambient_dim", "rows"} for sub in subs)
 
 
