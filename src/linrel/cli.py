@@ -206,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(fn=cmd_inverse)
 
-    p = sub.add_parser("adjoint", help="adjoint of a square relation")
+    p = sub.add_parser("adjoint", help="adjoint of a relation")
     p.add_argument("file")
     p.add_argument("--out")
     p.set_defaults(fn=cmd_adjoint)

@@ -254,6 +254,15 @@ def _cancel(row: Sequence[int], prow: Sequence[int], col: int) -> list[int]:
     return out
 
 
+def _reduce(row: Sequence[int], echelon: Sequence[Sequence[int]], leads: Sequence[int]) -> Sequence[int]:
+    """``row`` with each lead column of the echelon rows cleared, in order:
+    a multiple of row minus a combination of them, zero on every lead."""
+    for prow, col in zip(echelon, leads):
+        if row[col]:
+            row = _cancel(row, prow, col)
+    return row
+
+
 def _eliminate(data: list[Sequence[int]], cols: int) -> list[int]:
     """Bring integer rows to echelon form in place; returns the pivot columns.
 

@@ -105,13 +105,6 @@ def _require_shared_source(a: LinearRelation, b: LinearRelation) -> None:
         raise ValueError(f"source dimensions differ: {a.dim_x} vs {b.dim_x}")
 
 
-def _require_square_pair(a: LinearRelation, b: LinearRelation) -> None:
-    if a.dim_x != a.dim_y or b.dim_x != b.dim_y:
-        raise ValueError("adjoint-level factorization requires square relations")
-    if a.dim_x != b.dim_x:
-        raise ValueError(f"space dimensions differ: {a.dim_x} vs {b.dim_x}")
-
-
 def _report(side: str, level: str, conditions: tuple[Condition, ...],
             build: Callable[[], tuple[LinearRelation, bool]], notes: str) -> FactorizationReport:
     """The one report path: ``build`` (a witness and its exact check) runs
@@ -261,12 +254,13 @@ def solve_left_operator(a: LinearRelation, b: LinearRelation) -> FactorizationRe
 def solve_adjoint_right(a: LinearRelation, b: LinearRelation) -> FactorizationReport:
     """Decide whether some single-valued T solves A* = B*∘T.
 
+    A* and B* share a target exactly when A and B share a source.
     Conditions are evaluated directly on A and B: ker(B) ⊆ ker(A) is range
     inclusion of the adjoints, and dom(A) = dom(B) is equality of their
     multivalued parts (closures are identities in finite dimension).  The
     witness is constructed on the adjoint pair.
     """
-    _require_square_pair(a, b)
+    _require_shared_source(a, b)
     pa, pb = profile(a), profile(b)
     conditions = (
         _subset("ker", pa, pb, a_inside_b=False),
@@ -288,19 +282,21 @@ def solve_adjoint_right(a: LinearRelation, b: LinearRelation) -> FactorizationRe
 def solve_adjoint_left(a: LinearRelation, b: LinearRelation) -> FactorizationReport:
     """Decide whether some single-valued T solves A* = T∘B*.
 
+    A* and B* share a source exactly when A and B share a target.
     Conditions on A and B: mul(B) ⊆ mul(A) is domain inclusion of the
     adjoints, ran(A) ⊆ ran(B) is kernel inclusion of the adjoints, and
-    dim dom(A)^⊥ ≤ dim dom(B)^⊥ is the multivalued dimension bound of the
-    adjoints (closures are identities in finite dimension).
+    dim dom(A)^⊥ ≤ dim dom(B)^⊥, each within its own source, is the
+    multivalued dimension bound of the adjoints (closures are identities in
+    finite dimension).
     """
-    _require_square_pair(a, b)
-    d = a.dim_x
+    _require_shared_target(a, b)
     pa, pb = profile(a), profile(b)
+    perp_a, perp_b = a.dim_x - pa.dom.dim, b.dim_x - pb.dom.dim
     conditions = (
         _subset("mul", pa, pb, a_inside_b=False),
         _subset("ran", pa, pb, a_inside_b=True),
-        Condition(DOM_PERP_DIM_LE, d - pa.dom.dim <= d - pb.dom.dim,
-                  {"dim_dom_perp_A": d - pa.dom.dim, "dim_dom_perp_B": d - pb.dom.dim}),
+        Condition(DOM_PERP_DIM_LE, perp_a <= perp_b,
+                  {"dim_dom_perp_A": perp_a, "dim_dom_perp_B": perp_b}),
     )
 
     def build() -> tuple[LinearRelation, bool]:

@@ -34,7 +34,7 @@ from operator import mul
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from . import factor
-from .exact import Matrix, Rows, _cancel, _eliminate, echelon_rows, fraction_rows, primitive_rows, require_int
+from .exact import Matrix, Rows, _eliminate, _reduce, echelon_rows, fraction_rows, primitive_rows, require_int
 from .files import check_ambient_limit, serialize_relation
 from .relation import (
     LinearRelation,
@@ -265,15 +265,6 @@ def operator_graph_candidates(dim_x: int, dim_y: int, bound: int = 2) -> tuple[L
 
 def _dot(u: Sequence[int], v: Sequence[int]) -> int:
     return sum(map(mul, u, v))
-
-
-def _reduce(row: list[int], echelon: Sequence[Sequence[int]], leads: Sequence[int]) -> list[int]:
-    """``row`` with each lead column of the echelon rows cleared, in order:
-    a multiple of row minus a combination of them, zero on every lead."""
-    for prow, col in zip(echelon, leads):
-        if row[col]:
-            row = _cancel(row, prow, col)
-    return row
 
 
 def _product_test(a: LinearRelation, b: LinearRelation, side: str) -> Optional[Callable[[Rows], bool]]:
@@ -600,9 +591,8 @@ def _suite_compose_oracle(rng: random.Random) -> Optional[str]:
         w = b.graph.point([rng.randint(-2, 2) for _ in range(b.graph.dim)])
         v = w[:m] + (0,) * n + w[m:]
         inv = a.inverse().graph
-        for p, row in zip(inv._leads(), inv.rows):
-            if p < m and v[p]:
-                v = _cancel(v, row + (0,) * k, p)
+        leads = [p for p in inv._leads() if p < m]
+        v = _reduce(v, [row + (0,) * k for row in inv.rows[: len(leads)]], leads)
         if not any(v[:m]):
             probes.append((tuple(-c for c in v[m : m + n]), tuple(v[m + n :])))
     while len(probes) < 4:

@@ -78,17 +78,15 @@ class LinearRelation:
     def adjoint(self) -> "LinearRelation":
         """A* = J(A^⊥) with J(u, v) = (−v, u), in one elimination.
 
-        Defined for relations on a single space: (x, y) is adjoint-related
-        exactly when ⟨y, u⟩ = ⟨x, v⟩ for every (u, v) in the relation, that
-        is, when (y, −x) ⊥ A.  J maps the generators of A^⊥ that
+        For A ⊂ Q^n × Q^m, A* ⊂ Q^m × Q^n: (y, x) is adjoint-related exactly
+        when ⟨y, v⟩ = ⟨x, u⟩ for every (u, v) in A, that is, when
+        (−x, y) ⊥ A.  J maps the generators of A^⊥ that
         ``Subspace.ortho_generators`` reads off the graph's rows onto
         generators of A*.
         """
-        if self.dim_x != self.dim_y:
-            raise ValueError("adjoint requires dim_x == dim_y")
-        n = self.dim_x
+        n, m = self.dim_x, self.dim_y
         turned = [tuple(-x for x in g[n:]) + g[:n] for g in self.graph.ortho_generators()]
-        return LinearRelation(n, n, Subspace.from_vectors(2 * n, turned))
+        return LinearRelation(m, n, Subspace.from_vectors(m + n, turned))
 
     def is_selfadjoint(self) -> bool:
         return self == self.adjoint()

@@ -35,8 +35,8 @@ from .exact import (
     Matrix,
     Rows,
     Scalar,
-    _cancel,
     _integer_rows,
+    _reduce,
     check_canonical,
     complement_rows,
     echelon_rows,
@@ -165,10 +165,7 @@ class Subspace:
 
     def _holds(self, v: Sequence[int], leads: Sequence[int]) -> bool:
         """Whether v ∈ U: clearing each leading column of v leaves zero."""
-        for p, row in zip(leads, self.rows):
-            if v[p]:
-                v = _cancel(v, row, p)
-        return not any(v)
+        return not any(_reduce(v, self.rows, leads))
 
     def contains(self, other: "Subspace") -> bool:
         self._check_ambient(other)

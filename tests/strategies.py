@@ -61,6 +61,20 @@ def square_relation_pairs(draw, max_dim=3):
 
 
 @st.composite
+def shared_source_pairs(draw, max_dim=3):
+    """(A, B) from one space Q^n, each into a space of its own."""
+    n = draw(st.integers(0, max_dim))
+    return draw(relations(max_dim, dim_x=n)), draw(relations(max_dim, dim_x=n))
+
+
+@st.composite
+def shared_target_pairs(draw, max_dim=3):
+    """(A, B) into one space Q^m, each from a space of its own."""
+    m = draw(st.integers(0, max_dim))
+    return draw(relations(max_dim, dim_y=m)), draw(relations(max_dim, dim_y=m))
+
+
+@st.composite
 def composable_pairs(draw, max_dim=3):
     n = draw(st.integers(0, max_dim))
     m = draw(st.integers(0, max_dim))

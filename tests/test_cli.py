@@ -212,6 +212,32 @@ class TestSolve:
         assert code == 0
         assert "level=adjoint" in out
 
+    @pytest.mark.parametrize("side, text, witness", [
+        ("right", "dim_x=2\ndim_y=1\n1 0 1\n0 1 2\n", "witness dim_x=1 dim_y=2"),  # shares B's source
+        ("left", "dim_x=1\ndim_y=2\n1 1 2\n", "witness dim_x=2 dim_y=1"),  # shares B's target
+    ])
+    def test_adjoint_level_between_spaces(self, tmp_path, capsys, side, text, witness):
+        path = tmp_path / "a.rel"
+        path.write_text(text)
+        code, out, _ = run(
+            capsys, "solve", path, FIXTURES / "identity2.rel", "--side", side, "--level", "adjoint",
+        )
+        assert code == 0
+        assert witness in out.splitlines()
+
+    @pytest.mark.parametrize("side, message", [
+        ("right", "source dimensions differ: 2 vs 3"),
+        ("left", "target dimensions differ: 3 vs 4"),
+    ])
+    def test_adjoint_level_names_mismatched_dimensions(self, capsys, side, message):
+        # A from Q^2 to Q^3 and B from Q^3 to Q^4 share neither space
+        code, out, err = run(
+            capsys, "solve", FIXTURES / "roundtrip_11.rel", FIXTURES / "roundtrip_04.rel",
+            "--side", side, "--level", "adjoint",
+        )
+        assert code == 1 and out == ""
+        assert message in err
+
     def test_dimension_error_exits_one(self, capsys):
         code, _, err = run(
             capsys, "solve", FIXTURES / "mul_dim_A.rel", FIXTURES / "proj_B.rel",
@@ -258,11 +284,15 @@ class TestUnaryCommands:
         assert out == (FIXTURES / "proj_B.rel").read_text()
 
     def test_adjoint_rejects_rectangular(self, tmp_path, capsys):
-        path = tmp_path / "rect.rel"
-        path.write_text("dim_x=1\ndim_y=2\n1 1 0\n")
-        code, _, err = run(capsys, "adjoint", path)
-        assert code == 1
-        assert "error:" in err
+        # the adjoint of a relation from Q^2 to Q^3 goes from Q^3 to Q^2, and
+        # its adjoint is the relation again
+        fixture = FIXTURES / "roundtrip_11.rel"
+        adjoint = tmp_path / "adjoint.rel"
+        assert run(capsys, "adjoint", fixture, "--out", adjoint)[0] == 0
+        assert adjoint.read_text().splitlines()[:2] == ["dim_x=3", "dim_y=2"]
+        code, out, _ = run(capsys, "adjoint", adjoint)
+        assert code == 0
+        assert out == fixture.read_text()
 
 
 class TestGen:

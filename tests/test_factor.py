@@ -23,8 +23,16 @@ from linrel import (
 )
 from linrel import exact, factor, harness
 from linrel.factor import Condition, FactorizationReport
+from linrel.files import serialize_relation
 
-from strategies import graph, relations, square_relation_pairs, subspaces
+from strategies import (
+    graph,
+    relations,
+    shared_source_pairs,
+    shared_target_pairs,
+    square_relation_pairs,
+    subspaces,
+)
 
 
 IDENT2 = LinearRelation.identity(2)
@@ -146,11 +154,16 @@ class TestSolveAdjointRight:
         assert report.solvable and report.verified
         assert compose(IDENT2.adjoint(), report.witness) == PROJ.adjoint()
 
-    def test_requires_square_same_space(self):
-        with pytest.raises(ValueError):
+    def test_requires_shared_source(self):
+        # B* and A* share a target, the source of B and A
+        with pytest.raises(ValueError, match="source dimensions differ: 1 vs 2"):
             solve_adjoint_right(LinearRelation.zero_relation(1, 2), IDENT2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="source dimensions differ: 1 vs 2"):
             solve_adjoint_right(IDENT1, IDENT2)
+        row = graph([[1, 2]])  # from Q^2 to Q^1
+        report = solve_adjoint_right(row, IDENT2)
+        assert report.solvable and (report.witness.dim_x, report.witness.dim_y) == (1, 2)
+        assert compose(IDENT2.adjoint(), report.witness) == row.adjoint()
 
 
 class TestSolveAdjointLeft:
@@ -171,6 +184,17 @@ class TestSolveAdjointLeft:
     def test_notes_mention_closures(self):
         report = solve_adjoint_left(PROJ, PROJ)
         assert "closures are identities in finite dimension" in report.notes
+
+    def test_requires_shared_target(self):
+        # B* and A* share a source, the target of B and A
+        with pytest.raises(ValueError, match="target dimensions differ: 1 vs 2"):
+            solve_adjoint_left(LinearRelation.zero_relation(2, 1), IDENT2)
+        with pytest.raises(ValueError, match="target dimensions differ: 1 vs 2"):
+            solve_adjoint_left(IDENT1, IDENT2)
+        column = graph([[1], [2]])  # from Q^1 to Q^2
+        report = solve_adjoint_left(column, IDENT2)
+        assert report.solvable and (report.witness.dim_x, report.witness.dim_y) == (2, 1)
+        assert compose(report.witness, IDENT2.adjoint()) == column.adjoint()
 
 
 class TestVerify:
@@ -193,6 +217,21 @@ class TestVerify:
             verify(IDENT2, IDENT2, IDENT1, "right")
         with pytest.raises(ValueError):
             verify(IDENT2, IDENT2, IDENT1, "left")
+
+    @pytest.mark.parametrize("side, b, t", [
+        ("right", IDENT2, LinearRelation.zero_relation(1, 2)),
+        ("right", IDENT2, LinearRelation.zero_relation(2, 1)),
+        ("right", LinearRelation.zero_relation(2, 1), IDENT2),
+        ("left", IDENT2, LinearRelation.zero_relation(1, 2)),
+        ("left", IDENT2, LinearRelation.zero_relation(2, 1)),
+        ("left", LinearRelation.zero_relation(1, 2), IDENT2),
+    ], ids=["right-t.dim_x", "right-t.dim_y", "right-b.dim_y",
+            "left-t.dim_x", "left-t.dim_y", "left-b.dim_x"])
+    def test_each_dimension_check_alone(self, side, b, t):
+        # one of the three comparisons fails at a time; the message tells the
+        # guard from compose's own interface check
+        with pytest.raises(ValueError, match=f"dimension mismatch for {side}-side verification"):
+            verify(IDENT2, b, t, side)
 
 
 class TestReports:
@@ -227,6 +266,13 @@ class TestReports:
             FactorizationReport("right", "relation", (good,), False, None, False, "")
         FactorizationReport("right", "relation", (bad,), False, None, False, "")
 
+    @pytest.mark.parametrize("witness, verified", [(None, True), (IDENT1, False)],
+                             ids=["no-witness", "unverified"])
+    def test_solvable_needs_both_witness_and_verification(self, witness, verified):
+        good = Condition("ran_subset", True, {})
+        with pytest.raises(ValueError, match="verified witness"):
+            FactorizationReport("right", "relation", (good,), True, witness, verified, "")
+
 
 class TestAdjointConsistency:
     @given(square_relation_pairs())
@@ -236,6 +282,40 @@ class TestAdjointConsistency:
         assert right.solvable == solve_right_operator(a.adjoint(), b.adjoint()).solvable
         left = solve_adjoint_left(a, b)
         assert left.solvable == solve_left_operator(a.adjoint(), b.adjoint()).solvable
+
+    @given(shared_source_pairs())
+    def test_right_translation_matches_direct_solve_between_spaces(self, pair):
+        a, b = pair
+        right = solve_adjoint_right(a, b)
+        assert right.solvable == solve_right_operator(a.adjoint(), b.adjoint()).solvable
+
+    @given(shared_target_pairs())
+    def test_left_translation_matches_direct_solve_between_spaces(self, pair):
+        a, b = pair
+        left = solve_adjoint_left(a, b)
+        assert left.solvable == solve_left_operator(a.adjoint(), b.adjoint()).solvable
+
+    @pytest.mark.parametrize("side", ["right", "left"])
+    def test_brute_force_confirms_unsolvable_pairs_between_spaces(self, side):
+        """Adjoint pairs (A, B) with a side that is not square, taken as the
+        adjoints of targeted pairs at dims <= 2 and kept where the adjoint
+        solver answers no: the grid holds no T with A* = B*∘T (right) or
+        A* = T∘B* (left)."""
+        if side == "right":
+            sampler, kinds, solver = harness.targeted_right_pair, harness.RIGHT_KINDS, solve_adjoint_right
+            search = harness.brute_force_right_witness
+        else:
+            sampler, kinds, solver = harness.targeted_left_pair, harness.LEFT_KINDS, solve_adjoint_left
+            search = harness.brute_force_left_witness
+        rng = random.Random(2107)
+        confirmed = 0
+        while confirmed < 20:
+            a, b = (rel.adjoint() for rel in sampler(rng, rng.choice(kinds), max_dim=2, bound=2))
+            if (a.dim_x, b.dim_x) == (a.dim_y, b.dim_y) or solver(a, b).solvable:
+                continue
+            shown = (serialize_relation(a), serialize_relation(b))
+            assert search(a.adjoint(), b.adjoint(), bound=2) is None, shown
+            confirmed += 1
 
     @pytest.mark.parametrize("solver", [solve_adjoint_right, solve_adjoint_left])
     def test_witness_reads_the_profiles_of_a_and_b_only(self, solver):

@@ -448,13 +448,14 @@ class TestRightSolutionFamily:
 
     def test_adjoint_pairs_admit_the_witness_plus_maps_into_the_kernel(self):
         # A = (B*∘T)* solves A* = B*∘T, so the family is T0 + K with K from
-        # dom A* into ker B*, for T0 the adjoint-right solver's witness
+        # dom A* into ker B*, for T0 the adjoint-right solver's witness; B
+        # from Q^n to Q^p and T from Q^m to Q^p, so A from Q^n to Q^m
         rng = random.Random(17)
         counts = Counter()
         for _ in range(30):
-            d = rng.choice((1, 1, 2))
-            b = harness.random_mixed_relation(rng, d, d, 2)
-            a = compose(b.adjoint(), harness.random_operator(rng, d, d, 2)).adjoint()
+            n, m, p = (rng.choice((1, 1, 2)) for _ in range(3))
+            b = harness.random_mixed_relation(rng, n, p, 2)
+            a = compose(b.adjoint(), harness.random_operator(rng, m, p, 2)).adjoint()
             report = solve_adjoint_right(a, b)
             assert report.solvable, (serialize_relation(a), serialize_relation(b))
             counts += family_verdicts(a.adjoint(), b.adjoint(), report.witness)

@@ -28,6 +28,7 @@ from strategies import (
     composable_triples,
     entries,
     graph,
+    matrices,
     relations,
     sp,
     square_matrices,
@@ -303,8 +304,8 @@ class TestAdjoint:
         assert not zero.is_selfadjoint()
 
     def test_requires_square(self):
-        with pytest.raises(ValueError):
-            LinearRelation.zero_relation(1, 2).adjoint()
+        # the adjoint needs no square: a relation from Q^1 to Q^2 has one from Q^2 to Q^1
+        assert LinearRelation.zero_relation(1, 2).adjoint() == LinearRelation.full_relation(2, 1)
 
     @given(square_relations())
     def test_double_adjoint(self, rel):
@@ -323,6 +324,35 @@ class TestAdjoint:
             m.transpose()
         )
 
+    @given(relations())
+    def test_rectangular_double_adjoint(self, rel):
+        adjoint = rel.adjoint()
+        assert (adjoint.dim_x, adjoint.dim_y) == (rel.dim_y, rel.dim_x)
+        assert adjoint.adjoint() == rel
+
+    @given(relations())
+    def test_rectangular_profile_identities(self, rel):
+        p, q = profile(rel), profile(rel.adjoint())
+        assert q.dom == p.mul.ortho_complement()
+        assert q.ran == p.ker.ortho_complement()
+        assert q.ker == p.ran.ortho_complement()
+        assert q.mul == p.dom.ortho_complement()
+
+    @given(relations())
+    def test_adjoint_of_inverse_is_inverse_of_adjoint(self, rel):
+        assert rel.inverse().adjoint() == rel.adjoint().inverse()
+
+    @given(composable_pairs())
+    def test_adjoint_reverses_composition(self, pair):
+        outer, inner = pair
+        assert compose(outer, inner).adjoint() == compose(inner.adjoint(), outer.adjoint())
+
+    @given(matrices())
+    def test_rectangular_graph_adjoint_is_transpose(self, m):
+        assert LinearRelation.graph_of_matrix(m).adjoint() == LinearRelation.graph_of_matrix(
+            m.transpose()
+        )
+
 
 class TestSelfAdjoint:
     def test_symmetric_matrix(self):
@@ -332,8 +362,9 @@ class TestSelfAdjoint:
         assert not graph([[0, 1], [0, 0]]).is_selfadjoint()
 
     def test_requires_square(self):
-        with pytest.raises(ValueError):
-            LinearRelation.zero_relation(2, 1).is_selfadjoint()
+        # a relation and its adjoint lie in Q^n × Q^m and Q^m × Q^n
+        assert not LinearRelation.zero_relation(2, 1).is_selfadjoint()
+        assert not graph([[1, 2]]).is_selfadjoint()
 
 
 class TestGraphMaps:
