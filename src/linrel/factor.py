@@ -3,8 +3,10 @@
 Each solver evaluates a named set of necessary-and-sufficient conditions on
 the profiles of A and B.  Only when every condition holds does ``_report``
 build an explicit witness and re-verify it by exact composition; an
-unsolvable answer composes nothing.  Reports never claim witness uniqueness;
-``verify`` is the contract.
+unsolvable answer composes nothing.  Every witness is read off A, B and
+the relation-level candidate B⁻¹∘A (right) or A∘B⁻¹ (left); the adjoint
+solvers hand A* and B* to the operator builders as they are.  Reports never
+claim witness uniqueness; ``verify`` is the contract.
 """
 
 from __future__ import annotations
@@ -12,14 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .exact import Rows, text_rows
-from .relation import (
-    LinearRelation,
-    RelationProfile,
-    compose,
-    operator_part,
-    profile,
-)
+from .exact import text_rows
+from .relation import LinearRelation, RelationProfile, compose, profile
 from .subspace import Subspace
 
 MUL_EQUAL = "mul_equal"
@@ -127,42 +123,32 @@ def _subset(part: str, pa: RelationProfile, pb: RelationProfile, *, a_inside_b: 
     return Condition(f"{part}_subset", held, _dims(part, pa, pb))
 
 
-def _right_relation_witness(a: LinearRelation, b: LinearRelation) -> tuple[LinearRelation, bool]:
-    candidate = compose(b.inverse(), a)
-    return candidate, verify(a, b, candidate, "right")
+def _candidate(a: LinearRelation, b: LinearRelation, side: str) -> LinearRelation:
+    """The relation-level candidate: B⁻¹∘A for ``right``, A∘B⁻¹ for ``left``."""
+    return compose(b.inverse(), a) if side == "right" else compose(a, b.inverse())
 
 
-def _left_relation_witness(a: LinearRelation, b: LinearRelation) -> tuple[LinearRelation, bool]:
-    candidate = compose(a, b.inverse())
-    return candidate, verify(a, b, candidate, "left")
-
-
-def _right_operator_witness(
-    a: LinearRelation, b: LinearRelation, a_dom: Subspace, a_mul_perp: Rows, b_ker_perp: Rows,
-) -> tuple[LinearRelation, bool]:
+def _right_operator_witness(a: LinearRelation, b: LinearRelation) -> tuple[LinearRelation, bool]:
     """The witness of ``solve_right_operator`` and whether it verifies:
-    single-valued, dom(T) = dom(A) and B∘T = A exactly.  The parts of A and
-    B it reads are dom(A), canonical, and rows that span mul(A)^⊥ and
-    ker(B)^⊥, which it only intersects with."""
-    # mul(B⁻¹) is ker(B)
-    selection = operator_part(b.inverse(), b_ker_perp)
-    witness = compose(selection, operator_part(a, a_mul_perp))
+    single-valued, dom(T) = dom(A) and B∘T = A exactly.  It is the operator
+    part of B⁻¹∘A, Douglas's reduced solution: when mul(A) = mul(B),
+    mul(B⁻¹∘A) is ker(B), so the part is B⁻¹∘A ∩ (X × ker(B)^⊥).  B∘T = A
+    puts dom(A) inside dom(T), so equal dimensions make the domains equal."""
+    witness = _candidate(a, b, "right").reduce_operator_part()
     dom, mul = witness.graph.split(witness.dim_x)
-    return witness, not mul.dim and dom == a_dom and verify(a, b, witness, "right")
+    a_dom = a.graph.split(a.dim_x)[0]
+    return witness, not mul.dim and dom.dim == a_dom.dim and verify(a, b, witness, "right")
 
 
-def _left_operator_witness(
-    a: LinearRelation, b: LinearRelation, a_mul: Subspace, b_mul: Subspace,
-    a_mul_perp: Rows, b_mul_perp: Rows,
-) -> tuple[LinearRelation, bool]:
+def _left_operator_witness(a: LinearRelation, b: LinearRelation) -> tuple[LinearRelation, bool]:
     """The witness of ``solve_left_operator`` and whether it verifies: a
-    direct sum, single-valued and T∘B = A exactly.  The parts of A and B it
-    reads are mul(A) and mul(B), canonical, and rows that span their
-    orthocomplements; needs dim mul(A) <= dim mul(B)."""
+    direct sum, single-valued and T∘B = A exactly.  It reads mul(A) and
+    mul(B) off the canonical rows; needs dim mul(A) <= dim mul(B)."""
     p, m = b.dim_y, a.dim_y
-    window = [h + (0,) * m for h in b_mul_perp] + [(0,) * p + h for h in a_mul_perp]
-    base = compose(a, b.inverse())
-    core = LinearRelation(p, m, base.graph._intersect_rows(window))
+    a_mul, b_mul = a.graph.split(a.dim_x)[1], b.graph.split(b.dim_x)[1]
+    window = [h + (0,) * m for h in b_mul.ortho_generators()]
+    window += [(0,) * p + h for h in a_mul.ortho_generators()]
+    core = LinearRelation(p, m, _candidate(a, b, "left").graph._intersect_rows(window))
     # e_i ⊕ e_i joins basis vector i of mul(B) to basis vector i of mul(A)
     muls, k = b_mul.product(a_mul), b_mul.dim
     units = [[int(j in (i, k + i)) for j in range(muls.dim)] for i in range(a_mul.dim)]
@@ -183,15 +169,16 @@ def solve_right_relation(a: LinearRelation, b: LinearRelation) -> FactorizationR
         _subset("ran", pa, pb, a_inside_b=True),
         _subset("mul", pa, pb, a_inside_b=False),
     )
-    return _report("right", "relation", conditions, lambda: _right_relation_witness(a, b),
+    return _report("right", "relation", conditions,
+                   lambda: (c := _candidate(a, b, "right"), verify(a, b, c, "right")),
                    "candidate C=B^-1*A; B*C equals A: {verified}")
 
 
 def solve_right_operator(a: LinearRelation, b: LinearRelation) -> FactorizationReport:
     """Decide whether some single-valued T solves A = B∘T, and build one.
 
-    The witness is B⁻¹ restricted to outputs in ker(B)^⊥, composed with the
-    single-valued part of A; it satisfies mul(T) = {0} and dom(T) = dom(A).
+    The witness is the operator part of B⁻¹∘A, Douglas's reduced solution:
+    mul(T) = {0}, dom(T) = dom(A) and ran(T) ⊆ ker(B)^⊥.
     """
     _require_shared_target(a, b)
     pa, pb = profile(a), profile(b)
@@ -211,8 +198,7 @@ def solve_right_operator(a: LinearRelation, b: LinearRelation) -> FactorizationR
         f"it is the operator solution iff additionally ker(B)=0 "
         f"(dim ker(B)={pb.ker.dim}): {_yn(joint_is_operator_solution)}"
     )
-    return _report("right", "operator", conditions, lambda: _right_operator_witness(
-        a, b, pa.dom, pa.mul.ortho_generators(), pb.ker.ortho_generators()), notes)
+    return _report("right", "operator", conditions, lambda: _right_operator_witness(a, b), notes)
 
 
 def solve_left_relation(a: LinearRelation, b: LinearRelation) -> FactorizationReport:
@@ -223,7 +209,8 @@ def solve_left_relation(a: LinearRelation, b: LinearRelation) -> FactorizationRe
         _subset("dom", pa, pb, a_inside_b=True),
         _subset("ker", pa, pb, a_inside_b=False),
     )
-    return _report("left", "relation", conditions, lambda: _left_relation_witness(a, b),
+    return _report("left", "relation", conditions,
+                   lambda: (c := _candidate(a, b, "left"), verify(a, b, c, "left")),
                    "candidate C=A*B^-1; C*B equals A: {verified}")
 
 
@@ -247,8 +234,7 @@ def solve_left_operator(a: LinearRelation, b: LinearRelation) -> FactorizationRe
         f"dim mul(A) <= dim mul(B); A*B^-1 is itself the operator witness iff "
         f"additionally mul(A)=0 (dim mul(A)={pa.mul.dim}): {_yn(joint_is_operator_solution)}"
     )
-    return _report("left", "operator", conditions, lambda: _left_operator_witness(
-        a, b, pa.mul, pb.mul, pa.mul.ortho_generators(), pb.mul.ortho_generators()), notes)
+    return _report("left", "operator", conditions, lambda: _left_operator_witness(a, b), notes)
 
 
 def solve_adjoint_right(a: LinearRelation, b: LinearRelation) -> FactorizationReport:
@@ -258,7 +244,7 @@ def solve_adjoint_right(a: LinearRelation, b: LinearRelation) -> FactorizationRe
     Conditions are evaluated directly on A and B: ker(B) ⊆ ker(A) is range
     inclusion of the adjoints, and dom(A) = dom(B) is equality of their
     multivalued parts (closures are identities in finite dimension).  The
-    witness is constructed on the adjoint pair.
+    witness is ``solve_right_operator``'s on (A*, B*).
     """
     _require_shared_source(a, b)
     pa, pb = profile(a), profile(b)
@@ -266,17 +252,12 @@ def solve_adjoint_right(a: LinearRelation, b: LinearRelation) -> FactorizationRe
         _subset("ker", pa, pb, a_inside_b=False),
         Condition(MUL_EQUAL, pa.dom == pb.dom, _dims("dom", pa, pb)),
     )
-
-    def build() -> tuple[LinearRelation, bool]:
-        # dom(A*) = mul(A)^⊥, mul(A*)^⊥ = dom(A) and ker(B*)^⊥ = ran(B), so
-        # A* and B* need no profile
-        return _right_operator_witness(a.adjoint(), b.adjoint(), pa.mul.ortho_complement(), pa.dom.rows,
-                                       pb.ran.rows)
-
-    return _report("right", "adjoint", conditions, build, (
+    notes = (
         "conditions on the adjoint pair: ran(A*) within ran(B*) is ker(B) within ker(A); "
         "mul(A*)=mul(B*) is dom(A)=dom(B); closures are identities in finite dimension"
-    ))
+    )
+    return _report("right", "adjoint", conditions,
+                   lambda: _right_operator_witness(a.adjoint(), b.adjoint()), notes)
 
 
 def solve_adjoint_left(a: LinearRelation, b: LinearRelation) -> FactorizationReport:
@@ -287,7 +268,7 @@ def solve_adjoint_left(a: LinearRelation, b: LinearRelation) -> FactorizationRep
     adjoints, ran(A) ⊆ ran(B) is kernel inclusion of the adjoints, and
     dim dom(A)^⊥ ≤ dim dom(B)^⊥, each within its own source, is the
     multivalued dimension bound of the adjoints (closures are identities in
-    finite dimension).
+    finite dimension).  The witness is ``solve_left_operator``'s on (A*, B*).
     """
     _require_shared_target(a, b)
     pa, pb = profile(a), profile(b)
@@ -298,17 +279,13 @@ def solve_adjoint_left(a: LinearRelation, b: LinearRelation) -> FactorizationRep
         Condition(DOM_PERP_DIM_LE, perp_a <= perp_b,
                   {"dim_dom_perp_A": perp_a, "dim_dom_perp_B": perp_b}),
     )
-
-    def build() -> tuple[LinearRelation, bool]:
-        # mul(A*) = dom(A)^⊥ and mul(B*) = dom(B)^⊥, so A* and B* need no profile
-        return _left_operator_witness(a.adjoint(), b.adjoint(), pa.dom.ortho_complement(),
-                                      pb.dom.ortho_complement(), pa.dom.rows, pb.dom.rows)
-
-    return _report("left", "adjoint", conditions, build, (
+    notes = (
         "conditions on the adjoint pair: dom(A*) within dom(B*) is mul(B) within mul(A); "
         "ker(B*) within ker(A*) is ran(A) within ran(B); dim mul(A*) <= dim mul(B*) is "
         "dim dom(A)-perp <= dim dom(B)-perp; closures are identities in finite dimension"
-    ))
+    )
+    return _report("left", "adjoint", conditions,
+                   lambda: _left_operator_witness(a.adjoint(), b.adjoint()), notes)
 
 
 def verify(a: LinearRelation, b: LinearRelation, t: LinearRelation, side: str) -> bool:

@@ -372,8 +372,7 @@ def brute_force_right_witness(
     stacked feasibility system (see ``_product_test``), and the one returned
     is re-verified by ``factor.verify``.
     """
-    if a.dim_y != b.dim_y:
-        raise ValueError("target dimensions differ")
+    factor._require_shared_target(a, b)
     return _search(a, b, "right", (a.dim_x, b.dim_x), bound)
 
 
@@ -384,8 +383,7 @@ def brute_force_left_witness(
 
     Decided and re-verified as in ``brute_force_right_witness``.
     """
-    if a.dim_x != b.dim_x:
-        raise ValueError("source dimensions differ")
+    factor._require_shared_source(a, b)
     return _search(a, b, "left", (b.dim_y, a.dim_y), bound)
 
 

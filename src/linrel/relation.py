@@ -14,7 +14,7 @@ from functools import lru_cache
 from math import lcm
 from typing import Iterable, Sequence
 
-from .exact import Matrix, Rows, Scalar, integer_row, require_int
+from .exact import Matrix, Scalar, integer_row, require_int
 from .subspace import Subspace
 
 
@@ -72,8 +72,13 @@ class LinearRelation:
         return LinearRelation(m, n, Subspace.from_vectors(m + n, rows))
 
     def reduce_operator_part(self) -> "LinearRelation":
-        """The single-valued summand A ∩ (Q^n × mul(A)^⊥); dom is preserved."""
-        return operator_part(self, profile(self).mul.ortho_generators())
+        """The single-valued summand A ∩ (Q^n × mul(A)^⊥); dom is preserved.
+        mul(A) is read off the graph's rows, and its orthocomplement is only
+        intersected with, so it is not canonicalized."""
+        n, m = self.dim_x, self.dim_y
+        window = [row + (0,) * m for row in Subspace.full(n).rows]
+        window += [(0,) * n + h for h in self.graph.split(n)[1].ortho_generators()]
+        return LinearRelation(n, m, self.graph._intersect_rows(window))
 
     def adjoint(self) -> "LinearRelation":
         """A* = J(A^⊥) with J(u, v) = (−v, u), in one elimination.
@@ -137,15 +142,6 @@ def profile(rel: LinearRelation) -> RelationProfile:
     swapped = [r[n:] + r[:n] for r in rel.graph.rows]
     ran, ker = Subspace.split_span(m + n, swapped, m)
     return RelationProfile(dom=dom, ran=ran, ker=ker, mul=mul)
-
-
-def operator_part(rel: LinearRelation, mul_perp: Rows) -> LinearRelation:
-    """``rel.reduce_operator_part()`` for a caller that holds ``mul_perp``,
-    integer rows that span mul(rel)^⊥, canonical or not."""
-    n, m = rel.dim_x, rel.dim_y
-    window = [row + (0,) * m for row in Subspace.full(n).rows]
-    window += [(0,) * n + h for h in mul_perp]
-    return LinearRelation(n, m, rel.graph._intersect_rows(window))
 
 
 def compose(outer: LinearRelation, inner: LinearRelation) -> LinearRelation:

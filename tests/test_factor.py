@@ -93,6 +93,39 @@ class TestSolveRightOperator:
         assert "ker(B)=0" in report.notes
         assert "dim ker(B)=1" in report.notes
 
+    @pytest.mark.parametrize("adjoint", [False, True], ids=["operator", "adjoint"])
+    def test_witness_is_the_reduced_solution(self, adjoint):
+        """The witness T of A = B∘T is Douglas's reduced solution:
+        single-valued, with dom(T) = dom(A) and ran(T) ⊆ ker(B)^⊥.  At
+        adjoint level T solves A* = B*∘T, so the facts hold on A* and B*."""
+        rng = random.Random(2201)
+        found = 0
+        while found < 200:
+            a, b = harness.targeted_right_pair(rng, rng.choice(harness.RIGHT_KINDS), max_dim=4)
+            if adjoint:
+                a, b = a.adjoint(), b.adjoint()
+                report = solve_adjoint_right(a, b)
+                a, b = a.adjoint(), b.adjoint()
+            else:
+                report = solve_right_operator(a, b)
+            if not report.solvable:
+                continue
+            found += 1
+            pt = profile(report.witness)
+            shown = (serialize_relation(a), serialize_relation(b))
+            assert pt.mul.dim == 0, shown
+            assert pt.dom == profile(a).dom, shown
+            assert profile(b).ker.ortho_complement().contains(pt.ran), shown
+
+    def test_witness_domain_must_be_that_of_a(self):
+        """B∘I = A for A = B = span{(1, 0, 1)} from Q^2 to Q^1, but dom(I) = Q^2
+        is larger than dom(A), so a witness built from I must be refused."""
+        a = LinearRelation.from_generators(2, 1, [(1, 0, 1)])
+        assert verify(a, a, IDENT2, "right")
+        with mock.patch.object(factor, "_candidate", return_value=IDENT2):
+            with pytest.raises(ValueError, match="solvable report must carry a verified witness"):
+                solve_right_operator(a, a)
+
 
 class TestSolveLeftRelation:
     def test_identity_pair(self):
@@ -319,9 +352,9 @@ class TestAdjointConsistency:
 
     @pytest.mark.parametrize("solver", [solve_adjoint_right, solve_adjoint_left])
     def test_witness_reads_the_profiles_of_a_and_b_only(self, solver):
-        """A solvable adjoint solve reads what its witness needs of A* and B*
-        off the profiles of A and B (dom(A*) = mul(A)^⊥, mul(A*) = dom(A)^⊥,
-        ker(B*) = ran(B)^⊥): it profiles neither A* nor B*."""
+        """A solvable adjoint solve profiles A and B for its conditions and
+        hands A* and B* to the operator witness builder, which reads what it
+        needs off their rows: it profiles neither A* nor B*."""
         rng = random.Random(17)
         for _ in range(20):
             d = rng.randint(1, 4)
@@ -412,15 +445,15 @@ class TestUnsolvableComposesNothing:
 
 
 class TestWitnessCost:
-    @pytest.mark.parametrize("solver, sampler", [
-        (solve_right_operator, harness.targeted_right_pair),
-        (solve_left_operator, harness.targeted_left_pair),
-    ])
-    def test_mean_eliminations_past_the_profiles(self, solver, sampler):
+    @pytest.mark.parametrize("solver, sampler, bound", [
+        (solve_right_operator, harness.targeted_right_pair, 4.5),
+        (solve_left_operator, harness.targeted_left_pair, 5.5),
+    ], ids=["solve_right_operator-targeted_right_pair", "solve_left_operator-targeted_left_pair"])
+    def test_mean_eliminations_past_the_profiles(self, solver, sampler, bound):
         """With the profiles of A and B taken, a solvable operator-level
-        solve runs at most 5.5 eliminations on average: the witnesses
-        intersect with orthocomplement generators as they are, and the note
-        reads mul(A) ⊆ mul(B) before it intersects."""
+        solve runs at most ``bound`` eliminations on average: the witnesses
+        intersect with orthocomplement generators as they are, the right
+        one once, and the note reads mul(A) ⊆ mul(B) before it intersects."""
         rng = random.Random(17)
         counts = []
         for _ in range(100):
@@ -430,4 +463,28 @@ class TestWitnessCost:
                 report = solver(a, b)
             assert report.solvable and report.verified
             counts.append(counted.call_count)
-        assert sum(counts) / len(counts) <= 5.5, sum(counts) / len(counts)
+        assert sum(counts) / len(counts) <= bound, sum(counts) / len(counts)
+
+    @pytest.mark.parametrize("adjoint_solver, solver, sampler", [
+        (solve_adjoint_right, solve_right_operator, harness.targeted_right_pair),
+        (solve_adjoint_left, solve_left_operator, harness.targeted_left_pair),
+    ], ids=["right", "left"])
+    def test_adjoint_solve_costs_the_operator_solve_and_two_adjoints(self, adjoint_solver, solver, sampler):
+        """A solvable adjoint solve hands A* and B* to the operator witness
+        builder as they are.  With the profiles of A, B, A* and B* taken, it
+        runs the eliminations of the operator solve on (A*, B*) and the two
+        that form A* and B*, no more, and returns the same witness."""
+        rng = random.Random(17)
+        for _ in range(100):
+            a, b = (rel.adjoint() for rel in sampler(rng, "satisfy"))
+            a_star, b_star = a.adjoint(), b.adjoint()
+            for rel in (a, b, a_star, b_star):
+                profile(rel)
+            with mock.patch.object(exact, "_eliminate", wraps=exact._eliminate) as counted:
+                adjoint_report = adjoint_solver(a, b)
+            adjoint_calls = counted.call_count
+            with mock.patch.object(exact, "_eliminate", wraps=exact._eliminate) as counted:
+                report = solver(a_star, b_star)
+            assert adjoint_report.solvable and report.solvable
+            assert adjoint_calls == counted.call_count + 2, serialize_relation(a)
+            assert adjoint_report.witness == report.witness

@@ -215,6 +215,14 @@ class TestBruteForce:
                         digest.update(f"{dim_x} {dim_y} {bound}: {rel.graph.rows}\n".encode())
         assert digest.hexdigest() == EXPECTED_CANDIDATE_DIGEST
 
+    @pytest.mark.parametrize("side, message", [
+        ("right", "target dimensions differ: 1 vs 2"),
+        ("left", "source dimensions differ: 1 vs 2"),
+    ])
+    def test_mismatched_pair_names_both_dimensions(self, side, message):
+        with pytest.raises(ValueError, match=message):
+            search(LinearRelation.zero_relation(1, 1), LinearRelation.zero_relation(2, 2), side)
+
     def test_finds_existing_witness(self):
         a = graph([[2, 0], [0, 0]])
         b = graph([[1, 0], [0, 0]])
