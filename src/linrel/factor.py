@@ -143,14 +143,14 @@ def _right_operator_witness(a: LinearRelation, b: LinearRelation) -> tuple[Linea
 def _left_operator_witness(a: LinearRelation, b: LinearRelation) -> tuple[LinearRelation, bool]:
     """The witness of ``solve_left_operator`` and whether it verifies: a
     direct sum, single-valued and T∘B = A exactly.  It reads mul(A) and
-    mul(B) off the canonical rows; needs dim mul(A) <= dim mul(B)."""
+    mul(B) off the canonical rows, and its core is the points of A∘B⁻¹
+    annihilated by the rows of mul(B) × mul(A), that is, the candidate
+    inside mul(B)^⊥ × mul(A)^⊥; needs dim mul(A) <= dim mul(B)."""
     p, m = b.dim_y, a.dim_y
     a_mul, b_mul = a.graph.split(a.dim_x)[1], b.graph.split(b.dim_x)[1]
-    window = [h + (0,) * m for h in b_mul.ortho_generators()]
-    window += [(0,) * p + h for h in a_mul.ortho_generators()]
-    core = LinearRelation(p, m, _candidate(a, b, "left").graph._intersect_rows(window))
-    # e_i ⊕ e_i joins basis vector i of mul(B) to basis vector i of mul(A)
     muls, k = b_mul.product(a_mul), b_mul.dim
+    core = LinearRelation(p, m, _candidate(a, b, "left").graph._annihilated_by(muls.rows))
+    # e_i ⊕ e_i joins basis vector i of mul(B) to basis vector i of mul(A)
     units = [[int(j in (i, k + i)) for j in range(muls.dim)] for i in range(a_mul.dim)]
     graph = Subspace.from_vectors(p + m, [*core.graph.rows, *map(muls.point, units)])
     witness = LinearRelation(p, m, graph)

@@ -124,16 +124,14 @@ def parse_relation_text(text: str, source: str = "<input>") -> LinearRelation:
                 f"{source}:{offset}: generator has {len(fields)} entries, expected {width}"
             )
         row = _literal_row(line, fields)
-        if row is None:  # read field by field, to name the first bad one
-            ratios = []
+        if row is None:  # some field fails ``parse_ratio``: name the first
             for j, field in enumerate(fields):
                 try:
-                    ratios.append(parse_ratio(field))
+                    parse_ratio(field)
                 except ValueError:
                     raise ValueError(
                         f"{source}:{offset}: field {j + 1}: bad rational {_echo(field)}"
                     ) from None
-            row = integer_row(ratios)
         generators.append(row)
     # the rows are integer rows of the right length already, so they go
     # straight to the kernel, as ``LinearRelation.from_generators`` would send them

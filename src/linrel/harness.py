@@ -351,7 +351,8 @@ def _pair_rank(a: Sequence[int], b: Sequence[int]) -> int:
 def _search(
     a: LinearRelation, b: LinearRelation, side: str, dims: tuple[int, int], bound: int
 ) -> Optional[LinearRelation]:
-    candidates = operator_graph_candidates(*dims, bound)  # gated even when B rules all out
+    # gated even when B rules all out
+    candidates = operator_graph_candidates(*dims, require_int("bound", bound, 0))
     admits = _product_test(a, b, side)
     if admits is None:
         return None

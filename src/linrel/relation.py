@@ -73,12 +73,11 @@ class LinearRelation:
 
     def reduce_operator_part(self) -> "LinearRelation":
         """The single-valued summand A ∩ (Q^n × mul(A)^⊥); dom is preserved.
-        mul(A) is read off the graph's rows, and its orthocomplement is only
-        intersected with, so it is not canonicalized."""
-        n, m = self.dim_x, self.dim_y
-        window = [row + (0,) * m for row in Subspace.full(n).rows]
-        window += [(0,) * n + h for h in self.graph.split(n)[1].ortho_generators()]
-        return LinearRelation(n, m, self.graph._intersect_rows(window))
+        It is the points of A annihilated by the rows (0, h) over the rows h
+        of mul(A), read off the graph by ``split``: none for an operator."""
+        n = self.dim_x
+        rows = [(0,) * n + h for h in self.graph.split(n)[1].rows]
+        return LinearRelation(n, self.dim_y, self.graph._annihilated_by(rows))
 
     def adjoint(self) -> "LinearRelation":
         """A* = J(A^⊥) with J(u, v) = (−v, u), in one elimination.

@@ -20,11 +20,13 @@ entries are independent, ``split_span`` eliminates those heads alone and
 never reads the tails, as the slice is 0; otherwise it runs one forward
 elimination and back-substitutes each side among its own rows only.
 ``split``, ``ortho_generators`` and ``contains`` read their answers off the
-rows without eliminating.
+rows without eliminating.  ``_annihilated_by`` is the one cut of U by rows
+that must vanish on it: ``intersect`` and the operator witnesses use it.
 """
 
 from __future__ import annotations
 
+import operator
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import compress, count
@@ -142,18 +144,18 @@ class Subspace:
         return Subspace.from_vectors(self.ambient_dim, self.rows + other.rows)
 
     def intersect(self, other: "Subspace") -> "Subspace":
-        """U ∩ V = {w : (0, w) ∈ span{(u, u), (v, 0)}}, as w = u = -v there."""
+        """U ∩ V: the smaller space cut by the read-off rows of the other's complement."""
         self._check_ambient(other)
-        return self._intersect_rows(other.rows)
+        small, large = sorted((self, other), key=lambda s: s.dim)
+        return small._annihilated_by(large.ortho_generators())
 
-    def _intersect_rows(self, rows: Iterable[tuple[int, ...]]) -> "Subspace":
-        """``intersect`` with the span of integer ``rows`` of the ambient
-        length, canonical or not, such as ``ortho_generators``: a space
-        that is only intersected need not be canonicalized first."""
-        d = self.ambient_dim
-        stacked = [r + r for r in self.rows]
-        stacked += [r + (0,) * d for r in rows]
-        return Subspace.split_span(2 * d, stacked, d, head=False)[1]
+    def _annihilated_by(self, rows: Sequence[Sequence[int]]) -> "Subspace":
+        """{u ∈ U : r·u = 0 for r in ``rows``}, any integer rows: the slice at
+        k = len(rows) of the span of (r_1·u, …, r_k·u, u) over U's rows u."""
+        if not rows:
+            return self
+        stacked = [tuple(sum(map(operator.mul, r, u)) for r in rows) + u for u in self.rows]
+        return Subspace.split_span(len(rows) + self.ambient_dim, stacked, len(rows), head=False)[1]
 
     def ortho_complement(self) -> "Subspace":
         """U^⊥ for the standard dot product: ``ortho_generators``, canonicalized."""

@@ -124,6 +124,24 @@ class TestInfo:
         lines = data.count(b"\n")
         assert err == f"error: {path}:{lines}: {message}\n"
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [("", "f.rel:1: missing header line dim_x=<count>"),
+         ("dim_x=1\n", "f.rel:2: missing header line dim_y=<count>"),
+         ("dim_y=1\ndim_x=1\n", "f.rel:1: expected dim_x=<count>, got 'dim_y=1'"),
+         ("dim_x=" + "1" * 5000 + "\ndim_y=1\n",
+          "f.rel:1: bad count '" + "1" * 40 + "'... (5000 characters)"),
+         ("dim_x=-1\ndim_y=1\n", "f.rel:1: negative dimension -1"),
+         ("\n\ndim_x=1\ndim_y=x\n", "f.rel:4: bad count 'x'")],
+        ids=["empty", "no dim_y", "dim_y first", "count over int's digits", "negative", "bad dim_y"],
+    )
+    def test_bad_header_is_rejected(self, tmp_path, monkeypatch, capsys, text, message):
+        monkeypatch.chdir(tmp_path)
+        Path("f.rel").write_text(text)
+        code, out, err = run(capsys, "info", "f.rel")
+        assert code == 1 and out == ""
+        assert err == f"error: {message}\n"
+
     def test_underscored_count_is_rejected(self, tmp_path, capsys):
         # int() reads "1_0" as 10
         path = tmp_path / "underscore.rel"

@@ -223,6 +223,20 @@ class TestBruteForce:
         with pytest.raises(ValueError, match=message):
             search(LinearRelation.zero_relation(1, 1), LinearRelation.zero_relation(2, 2), side)
 
+    @pytest.mark.parametrize("search_fn", [brute_force_right_witness, brute_force_left_witness])
+    @pytest.mark.parametrize("bound", [2.0, 1.5, True, -1])
+    def test_bound_must_be_a_nonnegative_int(self, search_fn, bound):
+        # solvable at bound 2, so a bound read as another grid would show as None
+        a = LinearRelation.from_generators(1, 1, [(1, 2)])
+        with pytest.raises(ValueError, match="^bound must be"):
+            search_fn(a, LinearRelation.identity(1), bound)
+
+    @pytest.mark.parametrize("search_fn", [brute_force_right_witness, brute_force_left_witness])
+    def test_bound_zero_searches_the_empty_grid(self, search_fn):
+        a, b = LinearRelation.from_generators(1, 1, [(1, 2)]), LinearRelation.identity(1)
+        assert search_fn(a, b, 2) == a
+        assert search_fn(a, b, 0) is None
+
     def test_finds_existing_witness(self):
         a = graph([[2, 0], [0, 0]])
         b = graph([[1, 0], [0, 0]])

@@ -492,6 +492,40 @@ def full_intersect(u, v):
     return Subspace.from_vectors(2 * d, cols).split(d)[1]
 
 
+@st.composite
+def annihilating_rows(draw, d):
+    """Integer rows of length ``d``, as many as d + 1, not canonical, with a
+    combination of two of them appended when some are drawn."""
+    point = st.tuples(*[entries] * d)
+    rows = draw(st.lists(point, max_size=d + 1))
+    if rows and draw(st.booleans()):
+        rows.append(tuple(2 * x - y for x, y in zip(rows[0], rows[-1])))
+    return rows
+
+
+class TestAnnihilatedBy:
+    @given(st.data())
+    def test_cut_is_the_intersection_with_the_complement(self, data):
+        u = data.draw(subspaces())
+        rows = data.draw(annihilating_rows(u.ambient_dim))
+        perp = Subspace.from_vectors(u.ambient_dim, rows).ortho_complement()
+        assert u._annihilated_by(rows) == full_intersect(u, perp)
+
+    @given(relations())
+    def test_operator_part_is_the_intersection_with_the_window(self, rel):
+        window = Subspace.full(rel.dim_x).product(profile(rel).mul.ortho_complement())
+        assert rel.reduce_operator_part().graph == full_intersect(rel.graph, window)
+
+    def test_no_rows_and_operator_graphs_eliminate_nothing(self, monkeypatch):
+        u = sp(3, (1, 2, 0), (0, 1, 1))
+        rel = graph([[1, 2, 0], [3, 4, 5]])
+        calls = []
+        monkeypatch.setattr(exact, "_eliminate", lambda *args: calls.append(args))
+        assert u._annihilated_by(()) is u
+        assert rel.reduce_operator_part() == rel
+        assert calls == []
+
+
 def check_reference_routes(outer, inner, sq, u, v):
     """Every read-off and partial back-substitution against the full route."""
     m = inner.dim_y
