@@ -49,35 +49,32 @@ def _emit_relation(rel, out: Optional[str]) -> None:
         sys.stdout.write(serialize_relation(rel))
 
 
+def _yes_no(flag: bool) -> str:
+    return "yes" if flag else "no"
+
+
 def cmd_info(args) -> int:
     rel = parse_relation_file(args.file)
     p = profile(rel)
-    if args.json:
-        payload = {
-            "dim_x": rel.dim_x,
-            "dim_y": rel.dim_y,
-            "dom": p.dom.dim,
-            "ran": p.ran.dim,
-            "ker": p.ker.dim,
-            "mul": p.mul.dim,
-            "operator": p.is_operator,
-            "everywhere_defined": p.is_everywhere_defined,
-            "surjective": p.is_surjective,
-        }
-        if rel.dim_x == rel.dim_y:
-            payload["selfadjoint"] = rel.is_selfadjoint()
-        print(json.dumps(payload))
-        return EXIT_OK
-    yn = lambda f: "yes" if f else "no"
-    print(f"dim_x={rel.dim_x} dim_y={rel.dim_y}")
-    print(
-        f"dom={p.dom.dim} ran={p.ran.dim} ker={p.ker.dim} mul={p.mul.dim} "
-        f"operator={yn(p.is_operator)}"
-    )
-    flags = f"everywhere_defined={yn(p.is_everywhere_defined)} surjective={yn(p.is_surjective)}"
+    facts = {
+        "dim_x": rel.dim_x,
+        "dim_y": rel.dim_y,
+        "dom": p.dom.dim,
+        "ran": p.ran.dim,
+        "ker": p.ker.dim,
+        "mul": p.mul.dim,
+        "operator": p.is_operator,
+        "everywhere_defined": p.is_everywhere_defined,
+        "surjective": p.is_surjective,
+    }
     if rel.dim_x == rel.dim_y:
-        flags += f" selfadjoint={yn(rel.is_selfadjoint())}"
-    print(flags)
+        facts["selfadjoint"] = rel.is_selfadjoint()
+    if args.json:
+        print(json.dumps(facts))
+        return EXIT_OK
+    fields = [f"{k}={_yes_no(v) if isinstance(v, bool) else v}" for k, v in facts.items()]
+    for line in (fields[:2], fields[2:7], fields[7:]):
+        print(" ".join(line))
     for label, sub in (("dom_basis", p.dom), ("ran_basis", p.ran), ("ker_basis", p.ker), ("mul_basis", p.mul)):
         print(f"{label}:")
         for row in text_rows(sub.rows):
@@ -108,7 +105,7 @@ def cmd_verify(args) -> int:
     b = parse_relation_file(args.file_b)
     t = parse_relation_file(args.file_t)
     ok = verify(a, b, t, args.side)
-    print(f"verified={'yes' if ok else 'no'}")
+    print(f"verified={_yes_no(ok)}")
     return EXIT_OK if ok else EXIT_UNSOLVABLE
 
 

@@ -8,8 +8,9 @@ always reproduce identical canonical relations within this implementation.
 Generators and probes are integer points of canonical rows (``Subspace.point``),
 or, in ``random_selfadjoint``, read off them directly.  The oracle builds no
 matrix: it tests one vector against a span.  Only the suites that test
-``Matrix`` itself build matrices.  Every suite that shows relations fails
-through ``_first_failure``, at the first of its checks that fails.
+``Matrix`` itself build matrices.  Every suite fails through
+``_first_failure``, at the first of its checks that fails, and only the
+``generator_honesty`` suite checks that generated profiles are as requested.
 
 The brute-force witness search is definitional as well: it decides each
 grid candidate T on ``oracle_product_membership``'s stacked system R for
@@ -78,7 +79,7 @@ class RelationSpec:
         return self.dim_dom is not None
 
     def validate(self) -> None:
-        for name, low in (("dim_x", 0), ("dim_y", 0), ("coeff_bound", 1)):
+        for name, low in (("dim_x", 0), ("dim_y", 0), ("coeff_bound", 1), ("seed", None)):
             require_int(name, getattr(self, name), low)
         check_ambient_limit({"dim_x": self.dim_x, "dim_y": self.dim_y})
         targets = (self.dim_dom, self.dim_mul, self.dim_ker)
@@ -142,11 +143,7 @@ def _targeted_relation(
     image_coeffs += random_full_rank(rng, dim_y - dm, dd - dk, bound)
     gens = [window.point(x + c) for x, c in zip(dom_cols, image_coeffs)]
     gens += [(0,) * dim_x + r for r in mul_space.rows]
-    rel = LinearRelation.from_generators(dim_x, dim_y, gens)
-    prof = profile(rel)
-    if (prof.dom.dim, prof.mul.dim, prof.ker.dim) != (dd, dm, dk):
-        raise RuntimeError("constructed relation does not match the requested profile")
-    return rel
+    return LinearRelation.from_generators(dim_x, dim_y, gens)
 
 
 def random_relation(spec: RelationSpec) -> LinearRelation:
@@ -226,7 +223,6 @@ def oracle_product_membership(
 # ---------------------------------------------------------------------------
 # Brute-force witness search over small coefficient grids (dims <= 2).
 
-@lru_cache(maxsize=None)
 def operator_graph_candidates(dim_x: int, dim_y: int, bound: int = 2) -> tuple[LinearRelation, ...]:
     """Every single-valued relation Q^dim_x -> Q^dim_y whose graph is spanned
     by generators with entries in [-bound, bound], deduplicated canonically;
@@ -237,9 +233,16 @@ def operator_graph_candidates(dim_x: int, dim_y: int, bound: int = 2) -> tuple[L
     single-valuedness on their canonical rows, and only the operators become
     relations, on those rows as they are.  Gated to dim_x, dim_y <= 2 and
     bound <= 2: (2, 3) at bound 2 already has over half a million candidates.
+    The arguments are checked before the cache, where 2.0 would find 2's entry.
     """
-    if max(dim_x, dim_y, bound) > 2:
-        raise ValueError("brute-force enumeration is gated to dim_x, dim_y <= 2 and bound <= 2")
+    for name, value in (("dim_x", dim_x), ("dim_y", dim_y), ("bound", bound)):
+        if require_int(name, value, 0) > 2:
+            raise ValueError("brute-force enumeration is gated to dim_x, dim_y <= 2 and bound <= 2")
+    return _operator_graph_candidates(dim_x, dim_y, bound)
+
+
+@lru_cache(maxsize=None)
+def _operator_graph_candidates(dim_x: int, dim_y: int, bound: int) -> tuple[LinearRelation, ...]:
     ambient = dim_x + dim_y
     grid = [e for e in iter_product(range(-bound, bound + 1), repeat=ambient) if any(e)]
     # each grid line once, as its primitive row with a positive lead, in the
@@ -352,7 +355,7 @@ def _search(
     a: LinearRelation, b: LinearRelation, side: str, dims: tuple[int, int], bound: int
 ) -> Optional[LinearRelation]:
     # gated even when B rules all out
-    candidates = operator_graph_candidates(*dims, require_int("bound", bound, 0))
+    candidates = operator_graph_candidates(*dims, bound)
     admits = _product_test(a, b, side)
     if admits is None:
         return None
@@ -369,9 +372,9 @@ def brute_force_right_witness(
 ) -> Optional[LinearRelation]:
     """The first candidate of the grid that is a single-valued T with B∘T = A.
 
-    Definitional: each candidate is decided by block elimination of the
-    stacked feasibility system (see ``_product_test``), and the one returned
-    is re-verified by ``factor.verify``.
+    Definitional: each candidate is decided from the ranks of its rows reduced
+    in the product oracle's stacked system (see ``_product_test``), and the
+    one returned is re-verified by ``factor.verify``.
     """
     factor._require_shared_target(a, b)
     return _search(a, b, "right", (a.dim_x, b.dim_x), bound)
@@ -610,11 +613,9 @@ def _suite_graph_compose(rng: random.Random) -> Optional[str]:
     n, m, k = rng.randint(0, 4), rng.randint(0, 4), rng.randint(0, 4)
     ma = random_matrix(rng, m, n, 3)
     mb = random_matrix(rng, k, m, 3)
-    lhs = compose(LinearRelation.graph_of_matrix(mb), LinearRelation.graph_of_matrix(ma))
-    rhs = LinearRelation.graph_of_matrix(mb @ ma)
-    if lhs != rhs:
-        return f"graph composition mismatch for {ma!r} and {mb!r}"
-    return None
+    a, b = LinearRelation.graph_of_matrix(ma), LinearRelation.graph_of_matrix(mb)
+    same = compose(b, a) == LinearRelation.graph_of_matrix(mb @ ma)
+    return _first_failure([("graph composition mismatch", same)], a, b)
 
 
 def _suite_compose_algebra(rng: random.Random) -> Optional[str]:
@@ -641,12 +642,13 @@ def _suite_adjoint_identities(rng: random.Random) -> Optional[str]:
         yield "kernel of adjoint is ran-perp", q.ker == p.ran.ortho_complement()
         yield "double adjoint", adj.adjoint() == rel
 
-    failure = _first_failure(checks(), rel)
-    if failure is None:
+    def matrix_failure():
         m = random_matrix(rng, d, d, 3)
-        if LinearRelation.graph_of_matrix(m).adjoint() != LinearRelation.graph_of_matrix(m.transpose()):
-            failure = f"adjoint of a matrix graph is not the transpose graph: {m!r}"
-    return failure
+        graph = LinearRelation.graph_of_matrix(m)
+        same = graph.adjoint() == LinearRelation.graph_of_matrix(m.transpose())
+        return _first_failure([("adjoint of a matrix graph is not the transpose graph", same)], graph)
+
+    return _first_failure(checks(), rel) or matrix_failure()
 
 
 def _suite_graph_maps(rng: random.Random) -> Optional[str]:
@@ -790,9 +792,9 @@ def _suite_adjoint_left_iff(rng: random.Random) -> Optional[str]:
     a, b = random_square_pair(rng)
 
     def checks():
-        d = a.dim_x
         pa, pb = profile(a), profile(b)
-        conditions = pa.mul.contains(pb.mul) and pb.ran.contains(pa.ran) and d - pa.dom.dim <= d - pb.dom.dim
+        dom_perp_dim_le = a.dim_x - pa.dom.dim <= b.dim_x - pb.dom.dim
+        conditions = pa.mul.contains(pb.mul) and pb.ran.contains(pa.ran) and dom_perp_dim_le
         a_adj, b_adj = a.adjoint(), b.adjoint()
         direct = factor.solve_left_operator(a_adj, b_adj)
         yield "adjoint-level translation disagrees", direct.solvable == conditions
@@ -826,20 +828,17 @@ def _suite_generator_honesty(rng: random.Random) -> Optional[str]:
     spec = RelationSpec(n, m, dim_dom=dd, dim_mul=dm, dim_ker=dd - rk, seed=rng.getrandbits(32))
     rel = random_relation(spec)
     p = profile(rel)
-    if (p.dom.dim, p.mul.dim, p.ker.dim) != (dd, dm, dd - rk):
-        return f"profile {p.dom.dim, p.mul.dim, p.ker.dim} != requested {(dd, dm, dd - rk)}"
-    return None
+    got, requested = (p.dom.dim, p.mul.dim, p.ker.dim), (dd, dm, dd - rk)
+    return _first_failure([(f"profile {got} != requested {requested}", got == requested)], rel)
 
 
 def _suite_determinism(rng: random.Random) -> Optional[str]:
     n = rng.randint(0, 5)
     m = rng.randint(0, 5)
     spec = RelationSpec(n, m, seed=rng.getrandbits(32))
-    first = serialize_relation(random_relation(spec))
-    second = serialize_relation(random_relation(spec))
-    if first != second:
-        return f"serialization differs for {spec!r}"
-    return None
+    rel = random_relation(spec)
+    same = serialize_relation(rel) == serialize_relation(random_relation(spec))
+    return _first_failure([(f"serialization differs for seed {spec.seed}", same)], rel)
 
 
 SUITES: dict[str, tuple[Callable[[random.Random], Optional[str]], int]] = {

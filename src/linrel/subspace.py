@@ -13,7 +13,8 @@ needs points of the span, as generators or as probes, reads them off the
 rows with ``point``, which stays in integers.
 
 Operations here and in ``relation`` slice and concatenate integer rows and
-hand them to one of two constructors, the only paths into the kernel:
+hand them to one of two constructors, their only paths into the kernel
+(``files`` and ``harness`` call ``exact``'s kernel functions themselves):
 ``from_vectors`` reduces in full, and ``split_span`` is
 ``from_vectors(...).split(n)``.  With at most ``n`` rows whose first ``n``
 entries are independent, ``split_span`` eliminates those heads alone and

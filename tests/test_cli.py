@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from linrel import harness, parse_relation_text, serialize_relation
+from linrel import LinearRelation, harness, parse_relation_text, serialize_relation
 from linrel.cli import main
 from linrel.files import MAX_AMBIENT_DIM
 
@@ -358,6 +359,23 @@ class TestCheck:
         assert code == 0
         assert "suite=graph_compose" in out
         assert "failed=0" in out
+
+    def test_failing_suite_exits_two_with_a_counterexample(self, capsys, monkeypatch):
+        # a compose of the wrong shape fails every case; the graph_compose
+        # suite shows both graphs of the counterexample
+        monkeypatch.setattr(harness, "compose",
+                            lambda outer, inner: LinearRelation.zero_relation(inner.dim_x, outer.dim_y + 1))
+        code, out, _ = run(capsys, "check", "--suite", "graph_compose", "--cases", "2")
+        assert code == 2
+        head, shown = out.split("counterexample:\n")
+        assert head == "suite=graph_compose\ncases=2\npassed=0\nfailed=2\n"
+        lines = shown.splitlines()
+        assert all(line.startswith("  ") for line in lines)
+        label, a_text, b_text = re.split(r"^[AB]:\n", "".join(line[2:] + "\n" for line in lines), flags=re.M)
+        assert label == "case 0: graph composition mismatch:\n"
+        # each relation is shown as a file that reads back
+        for text in (a_text, b_text):
+            assert serialize_relation(parse_relation_text(text)) == text
 
     def test_unknown_suite(self, capsys):
         code, _, err = run(capsys, "check", "--suite", "bogus", "--cases", "1")

@@ -15,6 +15,7 @@ from linrel import (
     brute_force_right_witness,
     compose,
     oracle_product_membership,
+    parse_relation_text,
     profile,
     random_relation,
     solve_adjoint_right,
@@ -77,6 +78,7 @@ class TestRelationSpec:
             (dict(dim_x=2, dim_y=True), "dim_y"),
             (dict(dim_x=2, dim_y=2, coeff_bound=2.5), "coeff_bound"),
             (dict(dim_x=2, dim_y=2, dim_dom=1.0, dim_mul=0, dim_ker=0), "dim_dom"),
+            (dict(dim_x=1, dim_y=1, seed="abc"), "seed"),
         ],
     )
     def test_counts_must_be_ints(self, kwargs, name):
@@ -109,6 +111,17 @@ class TestRandomRelation:
     def test_inconsistent_spec_rejected(self):
         with pytest.raises(ValueError):
             random_relation(RelationSpec(1, 1, dim_dom=1, dim_mul=1, dim_ker=0))
+
+    def test_targeted_generation_profiles_nothing(self, monkeypatch):
+        """The generator_honesty suite, not the generator, checks the profile."""
+        def refuse(rel):
+            raise AssertionError("the generator profiled its own relation")
+
+        monkeypatch.setattr(harness, "profile", refuse)
+        rel = random_relation(RelationSpec(3, 3, dim_dom=2, dim_mul=1, dim_ker=1, seed=42))
+        monkeypatch.undo()
+        p = profile(rel)
+        assert (p.dom.dim, p.mul.dim, p.ker.dim) == (2, 1, 1)
 
 
 class TestOracle:
@@ -199,6 +212,12 @@ class TestBruteForce:
         for shape in ((3, 1, 2), (2, 3, 2), (1, 3, 2), (2, 2, 3)):
             with pytest.raises(ValueError, match="gated"):
                 operator_graph_candidates(*shape)
+
+    @pytest.mark.parametrize("args, name", [((-1, 1), "dim_x"), ((1, -1), "dim_y"), ((1, 1, -1), "bound")])
+    def test_negative_arguments_are_rejected(self, args, name):
+        # a bound of -1 would build the bound-0 grid, the zero operator alone
+        with pytest.raises(ValueError, match=rf"^{name} must be at least 0, got -1\Z"):
+            operator_graph_candidates(*args)
 
     def test_candidates_are_operators(self):
         for rel in operator_graph_candidates(1, 1, 1):
@@ -606,6 +625,52 @@ class TestRunSuite:
         assert result.failed == 3
         assert result.counterexample.startswith("case 0: pair generator put ran(A) outside ran(B) (kind ")
         assert "\nA:\ndim_x=" in result.counterexample and "\nB:\ndim_x=" in result.counterexample
+
+    def test_adjoint_identities_failure_shows_the_matrix_graph(self, monkeypatch):
+        # a transpose of the wrong shape: its graph is never the adjoint
+        monkeypatch.setattr(Matrix, "transpose", lambda m: Matrix.identity(m.rows + 1))
+        result = run_suite("adjoint_identities", 3)
+        assert result.failed == 3
+        assert result.counterexample.startswith(
+            "case 0: adjoint of a matrix graph is not the transpose graph:\ndim_x="
+        )
+        rel = parse_relation_text(result.counterexample.split(":\n", 1)[1])
+        assert profile(rel).is_operator and profile(rel).is_everywhere_defined
+
+    def test_generator_honesty_reports_a_wrong_profile(self, monkeypatch):
+        """A generator that misses the requested profile is a counted suite
+        failure that shows the relation, not an error that stops the run."""
+        build = LinearRelation.from_generators
+
+        def drop_last(cls, dim_x, dim_y, generators):
+            return build(dim_x, dim_y, list(generators)[:-1])
+
+        monkeypatch.setattr(LinearRelation, "from_generators", classmethod(drop_last))
+        result = run_suite("generator_honesty", 20)
+        assert result.failed > 0
+        head, text = result.counterexample.split(":\n", 1)
+        assert head == "case 0: profile (3, 0, 3) != requested (4, 0, 4)"
+        monkeypatch.undo()
+        p = profile(parse_relation_text(text))
+        assert (p.dom.dim, p.mul.dim, p.ker.dim) == (3, 0, 3)
+
+    def test_determinism_failure_names_the_seed(self, monkeypatch):
+        original = harness.random_relation
+        calls = []
+
+        def drifting(spec):
+            # every second call answers a relation of another shape
+            calls.append(spec)
+            if len(calls) % 2:
+                return original(spec)
+            return LinearRelation.zero_relation(spec.dim_x, spec.dim_y + 1)
+
+        monkeypatch.setattr(harness, "random_relation", drifting)
+        result = run_suite("determinism", 2)
+        assert result.failed == 2
+        head, text = result.counterexample.split(":\n", 1)
+        assert head == f"case 0: serialization differs for seed {calls[0].seed}"
+        assert text == serialize_relation(original(calls[0]))
 
     def test_result_serialization(self):
         result = run_suite("determinism", 5, seed=2)

@@ -10,6 +10,7 @@ import pytest
 
 from linrel import LinearRelation, Matrix, RelationSpec, Subspace, list_suites, run_suite
 from linrel.files import MAX_AMBIENT_DIM
+from linrel.harness import operator_graph_candidates
 
 PLANE = Subspace.full(2)
 
@@ -29,6 +30,10 @@ ENTRY_POINTS = {
     "point": ("coefficient", lambda v: PLANE.point([v, 0])),
     "RelationSpec dim_x": ("dim_x", lambda v: RelationSpec(v, 1).validate()),
     "RelationSpec coeff_bound": ("coeff_bound", lambda v: RelationSpec(1, 1, coeff_bound=v).validate()),
+    "RelationSpec seed": ("seed", lambda v: RelationSpec(1, 1, seed=v).validate()),
+    "operator_graph_candidates dim_x": ("dim_x", lambda v: operator_graph_candidates(v, 1)),
+    "operator_graph_candidates dim_y": ("dim_y", lambda v: operator_graph_candidates(1, v)),
+    "operator_graph_candidates bound": ("bound", lambda v: operator_graph_candidates(1, 1, v)),
     "run_suite cases": ("cases", lambda v: run_suite(list_suites()[0], v)),
     "run_suite seed": ("seed", lambda v: run_suite(list_suites()[0], 1, v)),
 }
