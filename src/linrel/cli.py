@@ -16,6 +16,7 @@ from typing import Optional, Sequence
 from .exact import text_rows
 from .factor import (
     FactorizationReport,
+    _yn,
     solve_adjoint_left,
     solve_adjoint_right,
     solve_left_operator,
@@ -49,10 +50,6 @@ def _emit_relation(rel, out: Optional[str]) -> None:
         sys.stdout.write(serialize_relation(rel))
 
 
-def _yes_no(flag: bool) -> str:
-    return "yes" if flag else "no"
-
-
 def cmd_info(args) -> int:
     rel = parse_relation_file(args.file)
     p = profile(rel)
@@ -72,7 +69,7 @@ def cmd_info(args) -> int:
     if args.json:
         print(json.dumps(facts))
         return EXIT_OK
-    fields = [f"{k}={_yes_no(v) if isinstance(v, bool) else v}" for k, v in facts.items()]
+    fields = [f"{k}={_yn(v) if isinstance(v, bool) else v}" for k, v in facts.items()]
     for line in (fields[:2], fields[2:7], fields[7:]):
         print(" ".join(line))
     for label, sub in (("dom_basis", p.dom), ("ran_basis", p.ran), ("ker_basis", p.ker), ("mul_basis", p.mul)):
@@ -105,7 +102,7 @@ def cmd_verify(args) -> int:
     b = parse_relation_file(args.file_b)
     t = parse_relation_file(args.file_t)
     ok = verify(a, b, t, args.side)
-    print(f"verified={_yes_no(ok)}")
+    print(f"verified={_yn(ok)}")
     return EXIT_OK if ok else EXIT_UNSOLVABLE
 
 

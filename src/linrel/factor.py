@@ -71,19 +71,18 @@ class FactorizationReport:
         }
 
     def to_text(self) -> str:
-        lines = [
-            f"side={self.side}",
-            f"level={self.level}",
-            f"solvable={_yn(self.solvable)}",
-            f"verified={_yn(self.verified)}",
-        ]
-        for cond in self.conditions:
-            evidence = " ".join(f"{k}={v}" for k, v in sorted(cond.evidence.items()))
-            lines.append(f"condition {cond.name} held={_yn(cond.held)}" + (f" {evidence}" if evidence else ""))
-        if self.witness is not None:
-            lines.append(f"witness dim_x={self.witness.dim_x} dim_y={self.witness.dim_y}")
-            lines += [f"witness_generator {' '.join(row)}" for row in text_rows(self.witness.graph.rows)]
-        lines.append(f"notes: {self.notes}")
+        """The facts of ``to_json_dict``, one per line, flags as yes/no."""
+        facts = self.to_json_dict()
+        lines = [f"side={facts['side']}", f"level={facts['level']}",
+                 f"solvable={_yn(facts['solvable'])}", f"verified={_yn(facts['verified'])}"]
+        for cond in facts["conditions"]:
+            evidence = "".join(f" {k}={v}" for k, v in cond["evidence"].items())
+            lines.append(f"condition {cond['name']} held={_yn(cond['held'])}{evidence}")
+        witness = facts["witness"]
+        if witness is not None:
+            lines.append(f"witness dim_x={witness['dim_x']} dim_y={witness['dim_y']}")
+            lines += [f"witness_generator {' '.join(row)}" for row in witness["generators"]]
+        lines.append(f"notes: {facts['notes']}")
         return "\n".join(lines) + "\n"
 
 

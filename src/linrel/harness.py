@@ -31,11 +31,12 @@ import random
 from dataclasses import asdict, dataclass
 from functools import lru_cache
 from itertools import combinations, product as iter_product
+from math import lcm
 from operator import mul
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from . import factor
-from .exact import Matrix, Rows, _eliminate, _reduce, echelon_rows, fraction_rows, primitive_rows, require_int
+from .exact import Matrix, Rows, _eliminate, _reduce, echelon_rows, primitive_rows, require_int
 from .files import check_ambient_limit, serialize_relation
 from .relation import (
     LinearRelation,
@@ -246,9 +247,11 @@ def _operator_graph_candidates(dim_x: int, dim_y: int, bound: int) -> tuple[Line
     ambient = dim_x + dim_y
     grid = [e for e in iter_product(range(-bound, bound + 1), repeat=ambient) if any(e)]
     # each grid line once, as its primitive row with a positive lead, in the
-    # order of the lines' reduced echelon forms
+    # order of the lines' reduced echelon forms: a lead is at most ``bound``,
+    # so each row scaled by scale // lead is its reduced form times scale
     lines = set(primitive_rows(grid, [next(j for j, x in enumerate(e) if x) for e in grid]))
-    line_reps = sorted(lines, key=lambda row: fraction_rows([row])[0])
+    scale = lcm(*range(1, bound + 1))
+    line_reps = sorted(lines, key=lambda row: tuple(x * (scale // next(filter(None, row))) for x in row))
     spans: list[list[tuple[int, ...]]] = [[]]
     if dim_x >= 1:
         spans += ([rep] for rep in line_reps)
@@ -436,14 +439,12 @@ def targeted_right_pair(
                 continue
             z0 = _vector_in_gap(rng, Subspace.full(nz), pb.ran, bound)
             x0 = tuple(rng.randint(-bound, bound) for _ in range(nx))
-            extra = LinearRelation.from_generators(nx, nz, [x0 + z0])
-            return cw_sum(base, extra)[0], b
+            return LinearRelation.from_generators(nx, nz, base.graph.rows + (x0 + z0,)), b
         if kind == "violate_mul_gain":
             if pb.ran.dim <= pb.mul.dim:
                 continue
             z0 = _vector_in_gap(rng, pb.ran, pb.mul, bound)
-            extra = LinearRelation.from_generators(nx, nz, [(0,) * nx + z0])
-            return cw_sum(base, extra)[0], b
+            return LinearRelation.from_generators(nx, nz, base.graph.rows + ((0,) * nx + z0,)), b
         if kind == "violate_mul_loss":
             if pb.mul.dim == 0:
                 continue
@@ -473,8 +474,7 @@ def targeted_left_pair(
                 continue
             x0 = _vector_in_gap(rng, Subspace.full(nx), pb.dom, bound)
             y0 = tuple(rng.randint(-bound, bound) for _ in range(ny))
-            extra = LinearRelation.from_generators(nx, ny, [x0 + y0])
-            return cw_sum(base, extra)[0], b
+            return LinearRelation.from_generators(nx, ny, base.graph.rows + (x0 + y0,)), b
         if kind == "violate_ker":
             if pb.ker.dim == 0 or pb.dom.dim > ny:
                 continue
@@ -517,15 +517,13 @@ class SuiteResult:
         return asdict(self)
 
     def to_text(self) -> str:
-        lines = [
-            f"suite={self.suite}",
-            f"cases={self.cases}",
-            f"passed={self.passed}",
-            f"failed={self.failed}",
-        ]
-        if self.counterexample is not None:
+        """``k=v`` per fact of ``to_json_dict``, then the counterexample indented."""
+        facts = self.to_json_dict()
+        counterexample = facts.pop("counterexample")
+        lines = [f"{k}={v}" for k, v in facts.items()]
+        if counterexample is not None:
             lines.append("counterexample:")
-            lines += ["  " + l for l in self.counterexample.splitlines()]
+            lines += ["  " + l for l in counterexample.splitlines()]
         return "\n".join(lines) + "\n"
 
 

@@ -234,6 +234,16 @@ class TestBruteForce:
                         digest.update(f"{dim_x} {dim_y} {bound}: {rel.graph.rows}\n".encode())
         assert digest.hexdigest() == EXPECTED_CANDIDATE_DIGEST
 
+    def test_grid_builds_no_fraction(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the grid built a Fraction")
+
+        monkeypatch.setattr(exact, "fraction_rows", refuse)
+        # a harness that imported it by name would hold its own reference
+        monkeypatch.setattr(harness, "fraction_rows", refuse, raising=False)
+        harness._operator_graph_candidates.cache_clear()
+        assert len(operator_graph_candidates(2, 2, 2)) == 16306
+
     @pytest.mark.parametrize("side, message", [
         ("right", "target dimensions differ: 1 vs 2"),
         ("left", "source dimensions differ: 1 vs 2"),

@@ -17,7 +17,9 @@ The third pins the seeded generators of ``linrel.harness``, which feed
 ``linrel gen``, the invariant suites and the benchmark inputs, the fourth
 the stdout of ``scripts/demo_factorization.py``, the README's worked
 example, and the fifth the text output of ``linrel check --suite full
---seed 0``.
+--seed 0``.  That text holds only suite names and case counts, so the
+sixth pins what the suites checked: every check's label and outcome, and
+the relations each case shows.
 
 If a change alters this output on purpose, say so where the change is
 recorded and update the matching ``EXPECTED_*`` constant.
@@ -40,6 +42,7 @@ from linrel import (
     RelationSpec,
     cli,
     compose,
+    harness,
     parse_relation_text,
     profile,
     random_relation,
@@ -54,8 +57,10 @@ from linrel import (
 from linrel.harness import (
     LEFT_KINDS,
     RIGHT_KINDS,
+    list_suites,
     random_selfadjoint,
     random_square_pair,
+    run_suite,
     targeted_left_pair,
     targeted_right_pair,
 )
@@ -71,6 +76,8 @@ EXPECTED_GENERATOR_DIGEST = "dc1210423cea32a82b136b9bfdc138cd5cb976bcef18c89ff4f
 EXPECTED_DEMO_DIGEST = "11c3437acaba47a2ba6ad6c70e0ebda31fc1dfebc31cc9546bb9eac0960bfc1e"
 
 EXPECTED_CHECK_DIGEST = "88db865d2addf22dd538b87dc71a9b9f220fded6caa61ec55390854a2aba4b1a"
+
+EXPECTED_SUITE_CHECKS_DIGEST = "193d69dc191c855d1785a718618fd025159229e64474db35b5c71e85a3b298a1"
 
 SEED = 20261018
 ROUNDS = 60
@@ -249,3 +256,27 @@ def test_full_check_output_is_byte_identical():
     with contextlib.redirect_stdout(out):
         assert cli.main(["check", "--suite", "full", "--seed", "0"]) == 0
     assert hashlib.sha256(out.getvalue().encode("ascii")).hexdigest() == EXPECTED_CHECK_DIGEST
+
+
+def test_suites_check_the_same_facts(monkeypatch):
+    """Every suite reports through ``_first_failure``: hash each check it is
+    handed, as it is drawn, and the kind and text of each shown relation."""
+    digest = hashlib.sha256()
+    first_failure = harness._first_failure
+
+    def recorded(checks, *shown, kind=None):
+        def drawn():
+            for label, ok in checks:
+                digest.update(f"{label}: {ok!r}\n".encode())
+                yield label, ok
+
+        digest.update(f"kind {kind}\n".encode())
+        for rel in shown:
+            digest.update(serialize_relation(rel).encode("ascii"))
+        return first_failure(drawn(), *shown, kind=kind)
+
+    monkeypatch.setattr(harness, "_first_failure", recorded)
+    for name in list_suites():
+        result = run_suite(name, seed=0)
+        assert result.ok, result.counterexample
+    assert digest.hexdigest() == EXPECTED_SUITE_CHECKS_DIGEST
