@@ -4,12 +4,15 @@ Exit-code contract: 0 on success (and for solvable factorizations), 2 when a
 factorization is unsolvable, a verification fails, or a suite reports
 failures, 1 on input errors (usage errors, parse problems, dimension
 mismatches, unknown suites, bad counts) and on generator sampler failures.
+A stdout closed early, as by ``linrel check --suite full | head -1``, exits
+1 and prints nothing on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Optional, Sequence
 
@@ -230,7 +233,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # so a closed pipe shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader of stdout went away, which is no input error: say
+        # nothing, and point stdout at devnull so the flush at exit cannot
+        # raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_ERROR
     except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -36,7 +36,7 @@ from operator import mul
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from . import factor
-from .exact import Matrix, Rows, _eliminate, _reduce, echelon_rows, primitive_rows, require_int
+from .exact import Matrix, Rows, _eliminate, _reduce, primitive_rows, require_int
 from .files import check_ambient_limit, serialize_relation
 from .relation import (
     LinearRelation,
@@ -230,9 +230,16 @@ def operator_graph_candidates(dim_x: int, dim_y: int, bound: int = 2) -> tuple[L
     built once per shape and bound.
 
     Graph dimension of an operator is at most dim_x, so spans of up to dim_x
-    grid vectors cover all candidates.  Spans are told apart and tested for
-    single-valuedness on their canonical rows, and only the operators become
-    relations, on those rows as they are.  Gated to dim_x, dim_y <= 2 and
+    grid lines cover all candidates.  A span is single-valued exactly when
+    its rows' x-parts are independent: otherwise some combination of them is
+    a nonzero (0, y), so mul is not 0, and the span is skipped unbuilt.  The
+    canonical rows of the others are read off the lines' representatives,
+    with no elimination: a line's representative is already primitive with a
+    positive lead, and two representatives u, v, whose x-determinant
+    d = u₀v₁ − u₁v₀ is nonzero, give v₁·u − u₁·v and u₀·v − v₀·u, which are
+    d·e₀ and d·e₁ on the x-block and so, made primitive, the reduced echelon
+    rows.  Spans are told apart on those rows, and each operator becomes one
+    relation, in the order of its first span.  Gated to dim_x, dim_y <= 2 and
     bound <= 2: (2, 3) at bound 2 already has over half a million candidates.
     The arguments are checked before the cache, where 2.0 would find 2's entry.
     """
@@ -252,21 +259,22 @@ def _operator_graph_candidates(dim_x: int, dim_y: int, bound: int) -> tuple[Line
     lines = set(primitive_rows(grid, [next(j for j, x in enumerate(e) if x) for e in grid]))
     scale = lcm(*range(1, bound + 1))
     line_reps = sorted(lines, key=lambda row: tuple(x * (scale // next(filter(None, row))) for x in row))
-    spans: list[list[tuple[int, ...]]] = [[]]
+    # the empty span, each line with a nonzero x-part, each pair with d != 0
+    spans: list[Rows] = [()]
     if dim_x >= 1:
-        spans += ([rep] for rep in line_reps)
+        spans += ((rep,) for rep in line_reps if any(rep[:dim_x]))
     if dim_x >= 2:
-        spans += (list(pair) for pair in combinations(line_reps, 2))
-    seen: dict[Rows, bool] = {}
-    for rows in spans:
-        gens, pivots = echelon_rows(rows, ambient)
-        # single-valued: no basis vector (0, y), so every pivot lies in the x-block
-        seen.setdefault(gens, not pivots or pivots[-1] < dim_x)
-    return tuple(
-        LinearRelation(dim_x, dim_y, Subspace._make(ambient, gens))
-        for gens, single_valued in seen.items()
-        if single_valued
-    )
+        spans += (
+            primitive_rows(
+                ([v[1] * a - u[1] * b for a, b in zip(u, v)], [u[0] * b - v[0] * a for a, b in zip(u, v)]),
+                (0, 1),
+            )
+            for u, v in combinations(line_reps, 2)
+            if u[0] * v[1] != u[1] * v[0]
+        )
+    # first occurrence decides the order: the search returns the first
+    # candidate that passes
+    return tuple(LinearRelation(dim_x, dim_y, Subspace._make(ambient, rows)) for rows in dict.fromkeys(spans))
 
 
 def _dot(u: Sequence[int], v: Sequence[int]) -> int:

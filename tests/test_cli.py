@@ -13,12 +13,20 @@ from linrel.cli import main
 from linrel.files import MAX_AMBIENT_DIM
 
 FIXTURES = Path(__file__).parent / "fixtures"
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run(capsys, *argv):
     code = main([str(a) for a in argv])
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def source_env():
+    """The environment with this checkout's ``src`` first on PYTHONPATH."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return env
 
 
 class TestRoundTrip:
@@ -335,12 +343,9 @@ class TestGen:
 
     def test_gen_obeys_the_dimension_limit(self):
         # used to start a 1 200-wide elimination and write a file `info` rejects
-        root = Path(__file__).resolve().parents[1]
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
         done = subprocess.run(
             [sys.executable, "-m", "linrel", "gen", "--dim-x", "600", "--dim-y", "600"],
-            capture_output=True, text=True, env=env, timeout=10,
+            capture_output=True, text=True, env=source_env(), timeout=10,
         )
         assert done.returncode == 1 and done.stdout == ""
         assert done.stderr.startswith("error:") and str(MAX_AMBIENT_DIM) in done.stderr
@@ -432,20 +437,46 @@ class TestUsage:
         assert exited.value.code == 0
         assert "--side" in capsys.readouterr().out
 
+    def test_closed_stdout_is_no_input_error(self):
+        # as `linrel check --suite full | head -1` once the reader has gone:
+        # the read end is closed before the command writes anything
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "linrel", "check", "--suite", "full", "--cases", "2"],
+                stdout=write_end, stderr=subprocess.PIPE, text=True, env=source_env(), timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert done.returncode == 1
+        assert done.stderr == ""
+
 
 class TestRunAllSuitesScript:
-    @pytest.mark.parametrize("cases", ["0", "-5"])
-    def test_cases_below_one_exits_one(self, cases):
-        root = Path(__file__).resolve().parents[1]
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
-        done = subprocess.run(
-            [sys.executable, str(root / "scripts" / "run_all_suites.py"), "--cases", cases],
+    @staticmethod
+    def run_script(*argv):
+        return subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / "run_all_suites.py"), *argv],
             capture_output=True,
             text=True,
-            env=env,
+            env=source_env(),
             timeout=60,
         )
+
+    def test_json_output_is_json_lines(self):
+        done = self.run_script("--cases", "1", "--json")
+        assert done.returncode == 0
+        rows = [json.loads(line) for line in done.stdout.splitlines()]
+        assert tuple(row["suite"] for row in rows) == harness.list_suites()
+        assert all(row["failed"] == 0 for row in rows)
+        timings = done.stderr.splitlines()
+        assert len(timings) == len(rows)
+        assert all(re.fullmatch(r"seconds=\d+\.\d\d", line) for line in timings)
+
+    @pytest.mark.parametrize("cases", ["0", "-5"])
+    def test_cases_below_one_exits_one(self, cases):
+        done = self.run_script("--cases", cases)
         assert done.returncode == 1
         assert done.stdout == ""
         assert done.stderr == f"error: cases must be at least 1, got {cases}\n"

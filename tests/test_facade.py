@@ -32,7 +32,6 @@ from linrel import (
     serialize_relation,
     subspace,
 )
-from linrel.harness import operator_graph_candidates
 
 SRC = Path(linrel.__file__).resolve().parent
 MODULES = (linrel, exact, subspace, relation, files, factor, harness, cli)
@@ -85,8 +84,6 @@ def _everything(tmp_path, capsys) -> list:
 
 
 def test_package_prints_and_decides_without_fraction_or_matrix(monkeypatch, tmp_path, capsys):
-    for shape in ((1, 1), (2, 1), (2, 2)):
-        operator_graph_candidates(*shape, 2)
     before = _everything(tmp_path, capsys)
 
     def refuse(*args, **kwargs):
@@ -98,6 +95,8 @@ def test_package_prints_and_decides_without_fraction_or_matrix(monkeypatch, tmp_
         for module in MODULES:
             if getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, refuse)
+    # the brute force's grids are built again under the refusal
+    harness._operator_graph_candidates.cache_clear()
     assert _everything(tmp_path, capsys) == before
 
 

@@ -2,6 +2,7 @@ import ast
 import hashlib
 import random
 from collections import Counter
+from itertools import combinations, product as iter_product
 from pathlib import Path
 
 import pytest
@@ -234,13 +235,25 @@ class TestBruteForce:
                         digest.update(f"{dim_x} {dim_y} {bound}: {rel.graph.rows}\n".encode())
         assert digest.hexdigest() == EXPECTED_CANDIDATE_DIGEST
 
-    def test_grid_builds_no_fraction(self, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("the grid built a Fraction")
+    @pytest.mark.parametrize("bound", [1, 2])
+    @pytest.mark.parametrize("dim_x", range(3))
+    @pytest.mark.parametrize("dim_y", range(3))
+    def test_grid_matches_the_eliminated_spans(self, dim_x, dim_y, bound):
+        grid = operator_graph_candidates(dim_x, dim_y, bound)
+        reference = reference_grid(dim_x, dim_y, bound)
+        assert len(grid) == len(reference)
+        for t, r in zip(grid, reference):
+            assert t == r
+            check_canonical(t.graph.rows, dim_x + dim_y)
 
-        monkeypatch.setattr(exact, "fraction_rows", refuse)
-        # a harness that imported it by name would hold its own reference
-        monkeypatch.setattr(harness, "fraction_rows", refuse, raising=False)
+    def test_grid_builds_no_fraction_and_eliminates_nothing(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the grid built a Fraction or called the elimination kernel")
+
+        for name in ("fraction_rows", "_eliminate", "echelon_rows"):
+            monkeypatch.setattr(exact, name, refuse)
+            # a harness that imported it by name would hold its own reference
+            monkeypatch.setattr(harness, name, refuse, raising=False)
         harness._operator_graph_candidates.cache_clear()
         assert len(operator_graph_candidates(2, 2, 2)) == 16306
 
@@ -272,6 +285,23 @@ class TestBruteForce:
         witness = brute_force_right_witness(a, b, 2)
         assert witness is not None
         assert compose(b, witness) == a
+
+
+def reference_grid(dim_x, dim_y, bound):
+    """The candidate grid as first built: every span of up to dim_x grid
+    lines reduced by ``exact.echelon_rows``, and the single-valued ones kept
+    in the order of their first span.  Lines are ordered by their reduced
+    echelon forms, as Fractions."""
+    ambient = dim_x + dim_y
+    grid = (e for e in iter_product(range(-bound, bound + 1), repeat=ambient) if any(e))
+    lines = {exact.echelon_rows([e], ambient)[0][0] for e in grid}
+    reps = sorted(lines, key=lambda row: exact.fraction_rows([row])[0])
+    seen = {}
+    for k in range(dim_x + 1):
+        for span in combinations(reps, k):
+            rows, pivots = exact.echelon_rows(list(span), ambient)
+            seen.setdefault(rows, all(p < dim_x for p in pivots))
+    return [LinearRelation(dim_x, dim_y, Subspace(ambient, rows)) for rows, single in seen.items() if single]
 
 
 def reference_witness(a, b, side, bound=2):
