@@ -5,11 +5,10 @@ take integer rows and return canonical rows: the rows of the reduced row
 echelon form, each scaled to the primitive integer vector with a positive
 leading entry.  That form is unique per row space and pivoting is
 deterministic, so subspace equality downstream is a genuine decision, and
-every canonical form is reproducible byte for byte.  ``harness`` also calls
-the forward pass ``_eliminate`` and the one-row ``_reduce`` directly.
-``complement_rows`` reads a basis of the orthogonal complement off that form,
-and ``text_rows`` prints its reduced echelon rows from the integers alone.
-``Fraction``s exist only at the public ``Matrix`` API (``fraction_rows``).
+every canonical form is reproducible byte for byte.  ``complement_rows``
+reads a basis of the orthogonal complement off that form, and ``text_rows``
+prints its reduced echelon rows from the integers alone.  ``Fraction``s exist
+only at the public ``Matrix`` API (``fraction_rows``).
 """
 
 from __future__ import annotations

@@ -5,8 +5,8 @@ the profiles of A and B.  Only when every condition holds does ``_report``
 build an explicit witness and re-verify it by exact composition; an
 unsolvable answer composes nothing.  Every witness is read off A, B and
 the relation-level candidate B⁻¹∘A (right) or A∘B⁻¹ (left); the adjoint
-solvers hand A* and B* to the operator builders as they are.  Reports never
-claim witness uniqueness; ``verify`` is the contract.
+solvers hand A* and B* to the operator builders as they are, so neither is
+profiled.  Reports never claim witness uniqueness; ``verify`` is the contract.
 """
 
 from __future__ import annotations

@@ -13,16 +13,8 @@ matrix: it tests one vector against a span.  Only the suites that test
 ``generator_honesty`` suite checks that generated profiles are as requested.
 
 The brute-force witness search is definitional as well: it decides each
-grid candidate T on ``oracle_product_membership``'s stacked system R for
-B∘T, spanned by T's rows (t_y, t_x, 0) and B's rows (−g_y, 0, g_z).  B∘T is
-R's slice at y = 0, so its dimension is rank R less the rank of R's
-y-parts, and it lies in A exactly when the rows (y, h·(x, z)), over the rows
-h of A^⊥, have the rank of their y-parts.  Each distinct row of the
-candidates' graph bases is reduced once per pair by B's canonical rows, and
-a candidate, of at most two rows, is decided from the ranks of its reduced
-rows, with no elimination.  T∘B = A is decided as B⁻¹∘T⁻¹ = A⁻¹.  The one
-witness returned is re-verified by ``factor.verify``.  The grid is gated to
-dims <= 2 on both sides and bound <= 2.
+grid candidate on the product oracle's stacked system (``_product_test``),
+and the one witness it returns is re-verified by ``factor.verify``.
 """
 
 from __future__ import annotations
@@ -80,6 +72,8 @@ class RelationSpec:
         return self.dim_dom is not None
 
     def validate(self) -> None:
+        """Raise ``ValueError`` on a bad field, and on dimensions past the
+        file format's cap, which ``parse_relation_text`` would reject."""
         for name, low in (("dim_x", 0), ("dim_y", 0), ("coeff_bound", 1), ("seed", None)):
             require_int(name, getattr(self, name), low)
         check_ambient_limit({"dim_x": self.dim_x, "dim_y": self.dim_y})
@@ -240,7 +234,8 @@ def operator_graph_candidates(dim_x: int, dim_y: int, bound: int = 2) -> tuple[L
     d·e₀ and d·e₁ on the x-block and so, made primitive, the reduced echelon
     rows.  Spans are told apart on those rows, and each operator becomes one
     relation, in the order of its first span.  Gated to dim_x, dim_y <= 2 and
-    bound <= 2: (2, 3) at bound 2 already has over half a million candidates.
+    bound <= 2, where (2, 2) has 16 306 candidates: (2, 3) at bound 2 already
+    has over half a million.
     The arguments are checked before the cache, where 2.0 would find 2's entry.
     """
     for name, value in (("dim_x", dim_x), ("dim_y", dim_y), ("bound", bound)):
@@ -538,9 +533,9 @@ class SuiteResult:
 def _first_failure(checks: Iterable[tuple[str, bool]], *shown: LinearRelation,
                    kind: Optional[str] = None) -> Optional[str]:
     """The first failed check's label, with the pair's ``kind`` if given, over
-    the text of the relations ``shown`` (headed A, B, C when there are
-    several), or None.  Suites pass a generator, so no check after the first
-    failed one is evaluated."""
+    the relations ``shown`` as files that ``linrel`` reads back (headed A, B,
+    C when there are several), or None.  Suites pass a generator, so no check
+    after the first failed one is evaluated."""
     for label, ok in checks:
         if not ok:
             heads = ("A:\n", "B:\n", "C:\n") if len(shown) > 1 else ("",)

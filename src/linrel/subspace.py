@@ -13,13 +13,9 @@ needs points of the span, as generators or as probes, reads them off the
 rows with ``point``, which stays in integers.
 
 Operations here and in ``relation`` slice and concatenate integer rows and
-hand them to one of two constructors, their only paths into the kernel
-(``files`` and ``harness`` call ``exact``'s kernel functions themselves):
+hand them to one of two constructors, their only paths into the kernel:
 ``from_vectors`` reduces in full, and ``split_span`` is
-``from_vectors(...).split(n)``.  With at most ``n`` rows whose first ``n``
-entries are independent, ``split_span`` eliminates those heads alone and
-never reads the tails, as the slice is 0; otherwise it runs one forward
-elimination and back-substitutes each side among its own rows only.
+``from_vectors(...).split(n)``, reducing only the rows each side keeps.
 ``split``, ``ortho_generators`` and ``contains`` read their answers off the
 rows without eliminating.  ``_annihilated_by`` is the one cut of U by rows
 that must vanish on it: ``intersect`` and the operator witnesses use it.
@@ -53,8 +49,9 @@ from .exact import (
 
 @dataclass(frozen=True)
 class Subspace:
-    """A subspace of Q^ambient_dim given by its canonical integer ``rows``.
-    The constructor rejects rows not in that form (``exact.check_canonical``);
+    """A subspace of Q^ambient_dim given by its canonical integer ``rows``,
+    and nothing else: nothing is cached on it.  The constructor rejects rows
+    not in that form (``exact.check_canonical``), naming the first bad row;
     the constructors below build it from any generators."""
 
     ambient_dim: int
@@ -152,7 +149,8 @@ class Subspace:
 
     def _annihilated_by(self, rows: Sequence[Sequence[int]]) -> "Subspace":
         """{u ∈ U : r·u = 0 for r in ``rows``}, any integer rows: the slice at
-        k = len(rows) of the span of (r_1·u, …, r_k·u, u) over U's rows u."""
+        k = len(rows) of the span of (r_1·u, …, r_k·u, u) over U's rows u, or
+        U itself, with no elimination, when there are no rows."""
         if not rows:
             return self
         stacked = [tuple(sum(map(operator.mul, r, u)) for r in rows) + u for u in self.rows]

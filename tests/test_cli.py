@@ -310,7 +310,7 @@ class TestUnaryCommands:
         assert code == 0
         assert out == (FIXTURES / "proj_B.rel").read_text()
 
-    def test_adjoint_rejects_rectangular(self, tmp_path, capsys):
+    def test_adjoint_of_rectangular_turns_and_round_trips(self, tmp_path, capsys):
         # the adjoint of a relation from Q^2 to Q^3 goes from Q^3 to Q^2, and
         # its adjoint is the relation again
         fixture = FIXTURES / "roundtrip_11.rel"

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 from unittest import mock
@@ -171,6 +172,58 @@ class TestSolveLeftOperator:
         assert "dim mul(A) <= dim mul(B)" in report.notes
 
 
+# {0} × span{e1} from Q^1 to Q^2: A = T∘B for T = e1 ↦ e1, whose graph is
+# the one bridge point (e1, e1)
+MUL_E1 = zero_times(1, Subspace.from_vectors(2, [(1, 0)]))
+
+
+class TestLeftOperatorWitnessChecks:
+    """Each of the witness's three checks fails alone, and a solvable report
+    without a verified witness is refused."""
+
+    def test_sum_not_direct(self, monkeypatch):
+        # the core lies in mul(B)^⊥ × mul(A)^⊥ and the bridge in mul(B) ×
+        # mul(A), so only a core left uncut can hold the bridge point: the
+        # graph is the bridge line, single-valued and a true solution
+        bridge = LinearRelation.from_generators(2, 2, [(1, 0, 1, 0)])
+        monkeypatch.setattr(factor, "_candidate", lambda a, b, side: bridge)
+        monkeypatch.setattr(Subspace, "_annihilated_by", lambda self, rows: self)
+        with pytest.raises(ValueError, match="verified witness"):
+            solve_left_operator(MUL_E1, MUL_E1)
+
+    def test_not_single_valued(self, monkeypatch):
+        # a core holding (0, e2) makes the witness multivalued; the sum
+        # with the bridge stays direct
+        extra = LinearRelation.from_generators(2, 2, [(0, 0, 0, 1)])
+        monkeypatch.setattr(factor, "_candidate", lambda a, b, side: extra)
+        monkeypatch.setattr(factor, "verify", lambda a, b, t, side: True)
+        with pytest.raises(ValueError, match="verified witness"):
+            solve_left_operator(MUL_E1, MUL_E1)
+
+    def test_product_differs_from_a(self, monkeypatch):
+        monkeypatch.setattr(factor, "verify", lambda a, b, t, side: False)
+        with pytest.raises(ValueError, match="verified witness"):
+            solve_left_operator(MUL_E1, MUL_E1)
+
+
+def test_left_relation_solve_is_the_right_one_on_inverses():
+    """T∘B = A exactly when B⁻¹∘T⁻¹ = A⁻¹, and dom and ker of a relation are
+    ran and mul of its inverse: both solvers decide alike, condition by
+    condition, and the left witness A∘B⁻¹ inverts the right one B∘A⁻¹."""
+    rng = random.Random(20261019)
+    for index in range(1000):
+        a, b = harness.targeted_left_pair(rng, harness.LEFT_KINDS[index % 5], max_dim=4)
+        left = solve_left_relation(a, b)
+        right = solve_right_relation(a.inverse(), b.inverse())
+        assert [c.name for c in left.conditions] == ["dom_subset", "ker_subset"]
+        assert [c.name for c in right.conditions] == ["ran_subset", "mul_subset"]
+        facts = [[(c.held, list(c.evidence.values())) for c in r.conditions] for r in (left, right)]
+        assert facts[0] == facts[1], (a, b)
+        assert left.solvable == right.solvable
+        if left.solvable:
+            assert left.witness == right.witness.inverse()
+
+
 class TestSolveAdjointRight:
     def test_symmetric_self_pair(self):
         a = graph([[1, 2], [2, 0]])
@@ -298,6 +351,13 @@ class TestReports:
         with pytest.raises(ValueError):
             FactorizationReport("right", "relation", (good,), False, None, False, "")
         FactorizationReport("right", "relation", (bad,), False, None, False, "")
+
+    def test_report_and_its_conditions_are_frozen(self):
+        report = solve_right_operator(SCALED, PROJ)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            report.solvable = False
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            report.conditions[0].held = False
 
     @pytest.mark.parametrize("witness, verified", [(None, True), (IDENT1, False)],
                              ids=["no-witness", "unverified"])

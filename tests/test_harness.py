@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import hashlib
 import random
 from collections import Counter
@@ -621,6 +622,11 @@ class TestRunSuite:
         result = run_suite(name, 40, seed=3)
         assert result.failed == 0, result.counterexample
         assert len(outside) == 2 * 40
+
+    def test_result_is_frozen(self):
+        result = run_suite("determinism", 1)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            result.failed = 1
 
     def test_deterministic_and_green(self):
         first = run_suite("relation_algebra", 25, seed=1)

@@ -1,7 +1,10 @@
-"""The README's Python examples must run as written.
+"""The README's Python examples must run as written, and its module map
+must match the package.
 
 Each ```` ```python ```` block of ``README.md`` runs in a fresh interpreter
-with ``src`` on the path, and must exit 0.
+with ``src`` on the path, and must exit 0.  The README states the contract
+and the docstrings state the mechanisms, so the module map has one short
+entry per module and the README names nothing private.
 """
 
 import os
@@ -14,7 +17,9 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
-BLOCKS = re.findall(r"^```python\n(.*?)^```$", (ROOT / "README.md").read_text(), re.M | re.S)
+README = (ROOT / "README.md").read_text()
+
+BLOCKS = re.findall(r"^```python\n(.*?)^```$", README, re.M | re.S)
 
 
 def test_readme_has_python_examples():
@@ -29,3 +34,15 @@ def test_readme_example_runs(source):
         [sys.executable, "-c", source], capture_output=True, text=True, env=env, timeout=60
     )
     assert done.returncode == 0, done.stderr
+
+
+def test_module_map_names_each_module_once():
+    section = re.search(r"^## Modules\n.*?(?=^## )", README, re.M | re.S).group()
+    entries = re.findall(r"^\* `linrel\.(\w+)`", section, re.M)
+    modules = {p.stem for p in (ROOT / "src" / "linrel").glob("*.py")} - {"__init__", "__main__"}
+    assert sorted(entries) == sorted(modules)
+    assert len(section.splitlines()) <= 40
+
+
+def test_readme_names_nothing_private():
+    assert re.findall(r"(?<!\w)_[A-Za-z]\w*", README) == []

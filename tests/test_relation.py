@@ -303,7 +303,7 @@ class TestAdjoint:
         assert zero.adjoint() == LinearRelation.full_relation(1, 1)
         assert not zero.is_selfadjoint()
 
-    def test_requires_square(self):
+    def test_rectangular_zero_flips_to_full(self):
         # the adjoint needs no square: a relation from Q^1 to Q^2 has one from Q^2 to Q^1
         assert LinearRelation.zero_relation(1, 2).adjoint() == LinearRelation.full_relation(2, 1)
 
@@ -361,7 +361,7 @@ class TestSelfAdjoint:
     def test_nonsymmetric_matrix(self):
         assert not graph([[0, 1], [0, 0]]).is_selfadjoint()
 
-    def test_requires_square(self):
+    def test_rectangular_is_never_selfadjoint(self):
         # a relation and its adjoint lie in Q^n × Q^m and Q^m × Q^n
         assert not LinearRelation.zero_relation(2, 1).is_selfadjoint()
         assert not graph([[1, 2]]).is_selfadjoint()

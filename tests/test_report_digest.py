@@ -18,8 +18,8 @@ The third pins the seeded generators of ``linrel.harness``, which feed
 the stdout of ``scripts/demo_factorization.py``, the README's worked
 example, and the fifth the text output of ``linrel check --suite full
 --seed 0``.  That text holds only suite names and case counts, so the
-sixth pins what the suites checked: every check's label and outcome, and
-the relations each case shows.
+sixth pins what the suites checked on the same run: every check's label
+and outcome, and the relations each case shows.
 
 If a change alters this output on purpose, say so where the change is
 recorded and update the matching ``EXPECTED_*`` constant.
@@ -35,6 +35,8 @@ import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
+
+import pytest
 
 from linrel import (
     LinearRelation,
@@ -57,10 +59,8 @@ from linrel import (
 from linrel.harness import (
     LEFT_KINDS,
     RIGHT_KINDS,
-    list_suites,
     random_selfadjoint,
     random_square_pair,
-    run_suite,
     targeted_left_pair,
     targeted_right_pair,
 )
@@ -251,16 +251,12 @@ def test_demo_output_is_byte_identical():
     assert hashlib.sha256(done.stdout).hexdigest() == EXPECTED_DEMO_DIGEST
 
 
-def test_full_check_output_is_byte_identical():
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        assert cli.main(["check", "--suite", "full", "--seed", "0"]) == 0
-    assert hashlib.sha256(out.getvalue().encode("ascii")).hexdigest() == EXPECTED_CHECK_DIGEST
-
-
-def test_suites_check_the_same_facts(monkeypatch):
-    """Every suite reports through ``_first_failure``: hash each check it is
-    handed, as it is drawn, and the kind and text of each shown relation."""
+@pytest.fixture(scope="module")
+def full_check():
+    """One ``linrel check --suite full --seed 0``: its exit code, its stdout,
+    and a digest of what its suites checked.  Every suite reports through
+    ``_first_failure``, so the digest takes each check it is handed, as it
+    is drawn, and the kind and text of each shown relation."""
     digest = hashlib.sha256()
     first_failure = harness._first_failure
 
@@ -275,8 +271,20 @@ def test_suites_check_the_same_facts(monkeypatch):
             digest.update(serialize_relation(rel).encode("ascii"))
         return first_failure(drawn(), *shown, kind=kind)
 
-    monkeypatch.setattr(harness, "_first_failure", recorded)
-    for name in list_suites():
-        result = run_suite(name, seed=0)
-        assert result.ok, result.counterexample
-    assert digest.hexdigest() == EXPECTED_SUITE_CHECKS_DIGEST
+    out = io.StringIO()
+    with pytest.MonkeyPatch.context() as patch, contextlib.redirect_stdout(out):
+        patch.setattr(harness, "_first_failure", recorded)
+        code = cli.main(["check", "--suite", "full", "--seed", "0"])
+    return code, out.getvalue(), digest.hexdigest()
+
+
+def test_full_check_output_is_byte_identical(full_check):
+    code, out, _ = full_check
+    assert code == 0, out
+    assert hashlib.sha256(out.encode("ascii")).hexdigest() == EXPECTED_CHECK_DIGEST
+
+
+def test_suites_check_the_same_facts(full_check):
+    code, out, digest = full_check
+    assert code == 0, out
+    assert digest == EXPECTED_SUITE_CHECKS_DIGEST

@@ -11,6 +11,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+from linrel import relation
+from linrel.relation import LinearRelation
+
 ROOT = Path(__file__).resolve().parent.parent
 
 SCRIPT = """
@@ -26,6 +29,22 @@ relation.profile(a)
 m = t.metrics()
 assert m["relation.compose_calls"] >= 1, m
 assert m["subspace.calls"] >= 1, m
+print("ok")
+"""
+
+PROFILE_SCRIPT = """
+import tracer
+from linrel import LinearRelation, relation
+
+t = tracer.Tracer()
+t.install()
+a = LinearRelation.from_generators(2, 2, [(1, 0, 1, 2), (0, 0, 0, 1)])
+a.profile()
+relation.profile(a)
+m = t.metrics()
+# the method is the function, so each spelling is one traced call
+assert m["relation.profile_calls"] == 2, m
+assert m["relation.profile_repeat_frac"] == 0.5, m
 print("ok")
 """
 
@@ -79,6 +98,14 @@ def _run_traced(script):
 
 def test_tracer_installs_and_counts():
     _run_traced(SCRIPT)
+
+
+def test_profile_method_is_the_memoized_function():
+    assert LinearRelation.profile is relation.profile
+
+
+def test_tracer_counts_each_profile_call_once():
+    _run_traced(PROFILE_SCRIPT)
 
 
 def test_tracer_counts_compose_per_solve():
