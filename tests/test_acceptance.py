@@ -191,6 +191,7 @@ def test_criterion_7_cli_contract(capsys):
     def body():
         fixtures = sorted(FIXTURES.glob("roundtrip_*.rel"))
         assert len(fixtures) == 20
+        assert len({path.read_text() for path in fixtures}) == 20
         for path in fixtures:
             text = path.read_text()
             assert serialize_relation(parse_relation_text(text, source=str(path))) == text

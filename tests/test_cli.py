@@ -22,13 +22,6 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def source_env():
-    """The environment with this checkout's ``src`` first on PYTHONPATH."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    return env
-
-
 class TestRoundTrip:
     @pytest.mark.parametrize("path", sorted(FIXTURES.glob("roundtrip_*.rel")), ids=lambda p: p.name)
     def test_fixture_is_byte_stable(self, path):
@@ -231,13 +224,28 @@ class TestSolve:
         assert code == 2
         assert "failed: mul_dim_le" in out
 
-    def test_adjoint_level(self, capsys):
-        code, out, _ = run(
-            capsys, "solve", FIXTURES / "proj_B.rel", FIXTURES / "identity2.rel",
-            "--side", "right", "--level", "adjoint",
-        )
-        assert code == 0
-        assert "level=adjoint" in out
+    def test_adjoint_level(self, tmp_path, capsys):
+        # an adjoint-level witness solves the adjoint pair, and it is the
+        # operator-level witness of the adjoint files
+        for a, b, side in [("proj_B", "identity2", "right"), ("ran_violation_A", "proj_B", "right"),
+                           ("proj_B", "scaled_proj_A", "left")]:
+            work = tmp_path / f"{a}-{b}"
+            work.mkdir()
+            code, out, _ = run(
+                capsys, "solve", FIXTURES / f"{a}.rel", FIXTURES / f"{b}.rel",
+                "--side", side, "--level", "adjoint", "--out", work / "T.rel",
+            )
+            assert code == 0
+            assert "level=adjoint" in out
+            adjoints = work / "A_adj.rel", work / "B_adj.rel"
+            for name, adjoint in zip((a, b), adjoints):
+                assert run(capsys, "adjoint", FIXTURES / f"{name}.rel", "--out", adjoint)[0] == 0
+            code, out, _ = run(capsys, "verify", *adjoints, work / "T.rel", "--side", side)
+            assert code == 0 and "verified=yes" in out
+            code, _, _ = run(capsys, "solve", *adjoints, "--side", side, "--level", "operator",
+                             "--out", work / "T_op.rel")
+            assert code == 0
+            assert (work / "T.rel").read_text() == (work / "T_op.rel").read_text()
 
     @pytest.mark.parametrize("side, text, witness", [
         ("right", "dim_x=2\ndim_y=1\n1 0 1\n0 1 2\n", "witness dim_x=1 dim_y=2"),  # shares B's source
@@ -341,11 +349,11 @@ class TestGen:
         assert code == 0
         assert "dom=2 ran=2 ker=1 mul=1 operator=no" in out
 
-    def test_gen_obeys_the_dimension_limit(self):
+    def test_gen_obeys_the_dimension_limit(self, source_env):
         # used to start a 1 200-wide elimination and write a file `info` rejects
         done = subprocess.run(
             [sys.executable, "-m", "linrel", "gen", "--dim-x", "600", "--dim-y", "600"],
-            capture_output=True, text=True, env=source_env(), timeout=10,
+            capture_output=True, text=True, env=source_env, timeout=10,
         )
         assert done.returncode == 1 and done.stdout == ""
         assert done.stderr.startswith("error:") and str(MAX_AMBIENT_DIM) in done.stderr
@@ -437,7 +445,7 @@ class TestUsage:
         assert exited.value.code == 0
         assert "--side" in capsys.readouterr().out
 
-    def test_closed_stdout_is_no_input_error(self):
+    def test_closed_stdout_is_no_input_error(self, source_env):
         # as `linrel check --suite full | head -1` once the reader has gone:
         # the read end is closed before the command writes anything
         read_end, write_end = os.pipe()
@@ -445,7 +453,7 @@ class TestUsage:
         try:
             done = subprocess.run(
                 [sys.executable, "-m", "linrel", "check", "--suite", "full", "--cases", "2"],
-                stdout=write_end, stderr=subprocess.PIPE, text=True, env=source_env(), timeout=60,
+                stdout=write_end, stderr=subprocess.PIPE, text=True, env=source_env, timeout=60,
             )
         finally:
             os.close(write_end)
@@ -455,28 +463,37 @@ class TestUsage:
 
 class TestRunAllSuitesScript:
     @staticmethod
-    def run_script(*argv):
+    def run_script(env, *argv):
         return subprocess.run(
             [sys.executable, str(ROOT / "scripts" / "run_all_suites.py"), *argv],
             capture_output=True,
             text=True,
-            env=source_env(),
+            env=env,
             timeout=60,
         )
 
-    def test_json_output_is_json_lines(self):
-        done = self.run_script("--cases", "1", "--json")
-        assert done.returncode == 0
-        rows = [json.loads(line) for line in done.stdout.splitlines()]
-        assert tuple(row["suite"] for row in rows) == harness.list_suites()
-        assert all(row["failed"] == 0 for row in rows)
-        timings = done.stderr.splitlines()
-        assert len(timings) == len(rows)
-        assert all(re.fullmatch(r"seconds=\d+\.\d\d", line) for line in timings)
+    def test_json_output_is_json_lines(self, source_env):
+        # with --json stdout is one JSON object per suite, and without it
+        # each suite prints check's report; either way every suite passes and
+        # is timed on stderr
+        for json_flag in (["--json"], []):
+            done = self.run_script(source_env, "--cases", "1", *json_flag)
+            assert done.returncode == 0
+            if json_flag:
+                rows = [json.loads(line) for line in done.stdout.splitlines()]
+                suites, failed = [row["suite"] for row in rows], [row["failed"] for row in rows]
+            else:
+                suites = re.findall(r"^suite=(\w+)$", done.stdout, re.M)
+                failed = [int(n) for n in re.findall(r"^failed=(\d+)$", done.stdout, re.M)]
+            assert tuple(suites) == harness.list_suites()
+            assert failed == [0] * len(suites)
+            timings = done.stderr.splitlines()
+            assert len(timings) == len(suites)
+            assert all(re.fullmatch(r"seconds=\d+\.\d\d", line) for line in timings)
 
     @pytest.mark.parametrize("cases", ["0", "-5"])
-    def test_cases_below_one_exits_one(self, cases):
-        done = self.run_script("--cases", cases)
+    def test_cases_below_one_exits_one(self, source_env, cases):
+        done = self.run_script(source_env, "--cases", cases)
         assert done.returncode == 1
         assert done.stdout == ""
         assert done.stderr == f"error: cases must be at least 1, got {cases}\n"

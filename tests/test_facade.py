@@ -15,7 +15,6 @@ import linrel
 from linrel import (
     LinearRelation,
     Matrix,
-    Subspace,
     brute_force_left_witness,
     brute_force_right_witness,
     cli,

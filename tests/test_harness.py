@@ -32,7 +32,6 @@ from linrel.harness import (
     LEFT_KINDS,
     RIGHT_KINDS,
     derive_seed,
-    list_suites,
     operator_graph_candidates,
     random_selfadjoint,
     targeted_left_pair,
@@ -768,19 +767,10 @@ def test_harness_imports_nothing_from_fractions():
     assert "fractions" not in modules
 
 
-def test_every_subspace_the_suites_build_is_canonical(monkeypatch):
+def test_every_subspace_the_suites_build_is_canonical(full_check):
     """Internal constructors skip the public constructor's canonical-form
-    check; run every suite with that check put back on them."""
-    make = Subspace._make.__func__
-    built = []
-
-    def checked(cls, ambient_dim, rows):
-        check_canonical(rows, ambient_dim)
-        built.append(ambient_dim)
-        return make(cls, ambient_dim, rows)
-
-    monkeypatch.setattr(Subspace, "_make", classmethod(checked))
-    for name in list_suites():
-        result = run_suite(name, seed=5)
-        assert result.failed == 0, result.counterexample
-    assert len(built) > 10_000
+    check.  The seed-0 sweep of every suite (the ``full_check`` fixture,
+    which also feeds the suite digests) puts it back on them: a
+    non-canonical construction fails that run with exit code 1."""
+    assert full_check.code == 0, full_check.err
+    assert full_check.canonical > 10_000

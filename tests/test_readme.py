@@ -7,7 +7,6 @@ and the docstrings state the mechanisms, so the module map has one short
 entry per module and the README names nothing private.
 """
 
-import os
 import re
 import subprocess
 import sys
@@ -27,11 +26,9 @@ def test_readme_has_python_examples():
 
 
 @pytest.mark.parametrize("source", BLOCKS, ids=[f"block {i}" for i in range(len(BLOCKS))])
-def test_readme_example_runs(source):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+def test_readme_example_runs(source, source_env):
     done = subprocess.run(
-        [sys.executable, "-c", source], capture_output=True, text=True, env=env, timeout=60
+        [sys.executable, "-c", source], capture_output=True, text=True, env=source_env, timeout=60
     )
     assert done.returncode == 0, done.stderr
 

@@ -21,6 +21,13 @@ example, and the fifth the text output of ``linrel check --suite full
 sixth pins what the suites checked on the same run: every check's label
 and outcome, and the relations each case shows.
 
+That run is the session fixture ``full_check`` in ``conftest.py``, the one
+seed-0 sweep of all 18 suites.  It also puts the canonical-form check back
+on every subspace the suites build, which
+``test_harness.py::test_every_subspace_the_suites_build_is_canonical``
+reads.  Acceptance criterion 7's run at seed 11 is the other full sweep;
+it checks only that every suite passes.
+
 If a change alters this output on purpose, say so where the change is
 recorded and update the matching ``EXPECTED_*`` constant.
 """
@@ -29,7 +36,6 @@ import contextlib
 import hashlib
 import io
 import json
-import os
 import random
 import subprocess
 import sys
@@ -44,7 +50,6 @@ from linrel import (
     RelationSpec,
     cli,
     compose,
-    harness,
     parse_relation_text,
     profile,
     random_relation,
@@ -169,17 +174,21 @@ def _basis_text(label, sub):
     return f"{label} {sub.ambient_dim} {sub.dim}\n" + "".join(c + "\n" for c in cols)
 
 
-def _canonical_relations():
-    """For each canonical pair: A's text, A, B, C = B∘A and C's profile."""
+@pytest.fixture(scope="module")
+def canonical_relations():
+    """For each canonical pair: A's text, A, B, C = B∘A and C's profile,
+    built once for both tests that read them."""
+    relations = []
     for a_text, b_text in _canonical_pairs():
         a, b = parse_relation_text(a_text), parse_relation_text(b_text)
         c = compose(b, a)
-        yield a_text, a, b, c, profile(c)
+        relations.append((a_text, a, b, c, profile(c)))
+    return relations
 
 
-def test_canonical_output_is_byte_identical(tmp_path):
+def test_canonical_output_is_byte_identical(tmp_path, canonical_relations):
     digest = hashlib.sha256()
-    for index, (a_text, a, b, c, p) in enumerate(_canonical_relations()):
+    for index, (a_text, a, b, c, p) in enumerate(canonical_relations):
         path = tmp_path / f"a{index}.rel"
         path.write_text(a_text)
         info = io.StringIO()
@@ -196,9 +205,9 @@ def test_canonical_output_is_byte_identical(tmp_path):
     assert digest.hexdigest() == EXPECTED_CANONICAL_DIGEST
 
 
-def test_subspace_repr_is_byte_identical():
+def test_subspace_repr_is_byte_identical(canonical_relations):
     digest = hashlib.sha256()
-    for _, a, b, c, p in _canonical_relations():
+    for _, a, b, c, p in canonical_relations:
         subs = [a.graph, b.graph, c.graph, c.adjoint().graph, a.inverse().graph,
                 p.dom, p.ran, p.ker, p.mul, a.graph.ortho_complement(), a.graph.intersect(b.graph)]
         for sub in subs:
@@ -239,52 +248,21 @@ def test_generated_relations_are_byte_identical():
     assert digest.hexdigest() == EXPECTED_GENERATOR_DIGEST
 
 
-def test_demo_output_is_byte_identical():
+def test_demo_output_is_byte_identical(source_env):
     root = Path(__file__).resolve().parents[1]
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
     done = subprocess.run(
         [sys.executable, str(root / "scripts" / "demo_factorization.py")],
-        capture_output=True, env=env, timeout=60,
+        capture_output=True, env=source_env, timeout=60,
     )
     assert done.returncode == 0, done.stderr.decode()
     assert hashlib.sha256(done.stdout).hexdigest() == EXPECTED_DEMO_DIGEST
 
 
-@pytest.fixture(scope="module")
-def full_check():
-    """One ``linrel check --suite full --seed 0``: its exit code, its stdout,
-    and a digest of what its suites checked.  Every suite reports through
-    ``_first_failure``, so the digest takes each check it is handed, as it
-    is drawn, and the kind and text of each shown relation."""
-    digest = hashlib.sha256()
-    first_failure = harness._first_failure
-
-    def recorded(checks, *shown, kind=None):
-        def drawn():
-            for label, ok in checks:
-                digest.update(f"{label}: {ok!r}\n".encode())
-                yield label, ok
-
-        digest.update(f"kind {kind}\n".encode())
-        for rel in shown:
-            digest.update(serialize_relation(rel).encode("ascii"))
-        return first_failure(drawn(), *shown, kind=kind)
-
-    out = io.StringIO()
-    with pytest.MonkeyPatch.context() as patch, contextlib.redirect_stdout(out):
-        patch.setattr(harness, "_first_failure", recorded)
-        code = cli.main(["check", "--suite", "full", "--seed", "0"])
-    return code, out.getvalue(), digest.hexdigest()
-
-
 def test_full_check_output_is_byte_identical(full_check):
-    code, out, _ = full_check
-    assert code == 0, out
-    assert hashlib.sha256(out.encode("ascii")).hexdigest() == EXPECTED_CHECK_DIGEST
+    assert full_check.code == 0, full_check.err
+    assert hashlib.sha256(full_check.out.encode("ascii")).hexdigest() == EXPECTED_CHECK_DIGEST
 
 
 def test_suites_check_the_same_facts(full_check):
-    code, out, digest = full_check
-    assert code == 0, out
-    assert digest == EXPECTED_SUITE_CHECKS_DIGEST
+    assert full_check.code == 0, full_check.err
+    assert full_check.digest == EXPECTED_SUITE_CHECKS_DIGEST
