@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .exact import text_rows
-from .relation import LinearRelation, RelationProfile, compose, profile
+from .relation import LinearRelation, RelationProfile, _stacked_product, compose, profile
 from .subspace import Subspace
 
 MUL_EQUAL = "mul_equal"
@@ -123,8 +123,12 @@ def _subset(part: str, pa: RelationProfile, pb: RelationProfile, *, a_inside_b: 
 
 
 def _candidate(a: LinearRelation, b: LinearRelation, side: str) -> LinearRelation:
-    """The relation-level candidate: B⁻¹∘A for ``right``, A∘B⁻¹ for ``left``."""
-    return compose(b.inverse(), a) if side == "right" else compose(a, b.inverse())
+    """The relation-level candidate: B⁻¹∘A for ``right``, A∘B⁻¹ for ``left``,
+    one stacked system each, fed B's rows with their blocks swapped, so B is
+    never inverted on its own."""
+    if side == "right":
+        return _stacked_product(b, a, invert_outer=True)
+    return _stacked_product(a, b, invert_inner=True)
 
 
 def _right_operator_witness(a: LinearRelation, b: LinearRelation) -> tuple[LinearRelation, bool]:

@@ -14,7 +14,10 @@ matrix: it tests one vector against a span.  Only the suites that test
 
 The brute-force witness search is definitional as well: it decides each
 grid candidate on the product oracle's stacked system (``_product_test``),
-and the one witness it returns is re-verified by ``factor.verify``.
+and the one witness it returns is re-verified by ``factor.verify``.  Each
+candidate row is reduced in that system once per pair, and the rank of two
+reduced rows is read off their lines, the rows made primitive with a positive
+first nonzero entry, which are equal exactly when the rows are dependent.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import random
 from dataclasses import asdict, dataclass
 from functools import lru_cache
 from itertools import combinations, product as iter_product
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -301,8 +304,11 @@ def _product_test(a: LinearRelation, b: LinearRelation, side: str) -> Optional[C
 
     B∘T = A then holds exactly when rank{u′_t} = rank{y′_t} and
     rank{w′_t} − rank{y′_t} = dim A − dim mul(B).  The grid gate leaves a
-    candidate at most two rows, so each rank is a zero test or a
-    ``_pair_rank``, and no elimination runs past the set-up, which on the
+    candidate at most two rows.  With one row, each rank is the row's zero
+    flag.  With two, each rank is read off the rows' lines (``_line``),
+    taken once per pair for each row of a two-row candidate, on first use:
+    rows of one-row candidates get none, so the (1, 1) and (1, 2) grids
+    compute no line.  No elimination runs past the set-up, which on the
     right side runs none: A^⊥ and B's rows are read off canonical rows.
     """
     if side == "left":
@@ -317,6 +323,7 @@ def _product_test(a: LinearRelation, b: LinearRelation, side: str) -> Optional[C
         b_leads.append(lead if lead < m else lead + n)
     c = a.graph.dim - sum(lead >= m for lead in b_leads)
     pulled: dict[tuple[int, ...], tuple] = {}
+    keyed: dict[tuple[int, ...], tuple] = {}
 
     def pull(t: tuple[int, ...]) -> tuple:
         """Whether w′_t, y′_t and u′_t are nonzero, then w′_t, y′_t, u′_t."""
@@ -329,32 +336,43 @@ def _product_test(a: LinearRelation, b: LinearRelation, side: str) -> Optional[C
         pulled[t] = entry = (any(w), any(y), any(u), w, y, u)
         return entry
 
+    def key(t: tuple[int, ...]) -> tuple:
+        """The lines of w′_t, y′_t and u′_t."""
+        keyed[t] = entry = tuple(map(_line, (pulled.get(t) or pull(t))[3:]))
+        return entry
+
     def admits(gens: Rows) -> bool:
         if len(gens) < c:  # rank{w′_t} − rank{y′_t} is at most the number of rows
             return False
-        entries = [pulled.get(t) or pull(t) for t in gens]
-        if not entries:  # so c = 0: B∘T = {0} × mul(B) ⊆ A, of A's dimension
+        if len(gens) == 2:
+            t1, t2 = gens
+            w1, y1, u1 = keyed.get(t1) or key(t1)
+            w2, y2, u2 = keyed.get(t2) or key(t2)
+            rank_y = _line_rank(y1, y2)
+            return _line_rank(u1, u2) == rank_y and _line_rank(w1, w2) - rank_y == c
+        if not gens:  # so c = 0: B∘T = {0} × mul(B) ⊆ A, of A's dimension
             return True
-        if len(entries) == 1:
-            w_nz, y_nz, u_nz = entries[0][:3]
-            return u_nz == y_nz and w_nz - y_nz == c
-        w1, y1, u1 = entries[0][3:]
-        w2, y2, u2 = entries[1][3:]
-        rank_y = _pair_rank(y1, y2)
-        return _pair_rank(u1, u2) == rank_y and _pair_rank(w1, w2) - rank_y == c
+        w_nz, y_nz, u_nz = (pulled.get(gens[0]) or pull(gens[0]))[:3]
+        return u_nz == y_nz and w_nz - y_nz == c
 
     return admits
 
 
-def _pair_rank(a: Sequence[int], b: Sequence[int]) -> int:
-    """The rank of two integer rows, as ``exact._eliminate`` counts it: with
-    a zero, the other row's zero test; else b depends on a exactly when every
-    2×2 minor a[p]·b[j] − b[p]·a[j] against a's lead p vanishes."""
-    ap = next(filter(None, a), 0)
-    if not ap:
-        return 1 if any(b) else 0
-    bp = b[a.index(ap)]  # a's first nonzero entry is its first entry equal to ap
-    return 1 if [ap * y for y in b] == [bp * x for x in a] else 2
+def _line(v: Sequence[int]) -> Optional[tuple[int, ...]]:
+    """The line of the integer row v: v made primitive with a positive first
+    nonzero entry, or None when v is 0.  Two nonzero rows are dependent
+    exactly when their lines are equal."""
+    g = gcd(*v)
+    if not g:
+        return None
+    if next(filter(None, v)) < 0:
+        g = -g
+    return tuple(v) if g == 1 else tuple(x // g for x in v)
+
+
+def _line_rank(k1: Optional[tuple[int, ...]], k2: Optional[tuple[int, ...]]) -> int:
+    """The rank of two integer rows, given by their lines."""
+    return (k1 is not None) + (k2 is not None and k2 != k1)
 
 
 def _search(

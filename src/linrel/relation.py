@@ -158,10 +158,8 @@ def compose(outer: LinearRelation, inner: LinearRelation) -> LinearRelation:
     (s·x, Σ_i y_i·(s/p_i)·b_i) over inner's rows (x, y), one ``from_vectors``
     whose rows are already in echelon form when inner is an operator graph.
 
-    Otherwise, in (y, x, z) coordinates, the points (0, x, z) of the span of
-    (y, x, 0) over inner and (-y', 0, z) over outer are exactly those with
-    y = y', so the slice that ``split_span`` keeps is the product.  No
-    single-valuedness is assumed, so genuinely multivalued inputs compose
+    Otherwise the product is ``_stacked_product`` of the two graphs' rows.
+    No single-valuedness is assumed, so genuinely multivalued inputs compose
     correctly.  Both routes end in the canonical form, so they agree exactly.
     """
     if inner.dim_y != outer.dim_x:
@@ -180,8 +178,32 @@ def compose(outer: LinearRelation, inner: LinearRelation) -> LinearRelation:
             for r in inner.graph.rows
         ]
         return LinearRelation(n, k, Subspace.from_vectors(n + k, image))
-    rows = [r[n:] + r[:n] + (0,) * k for r in inner.graph.rows]
-    rows += [tuple(-y for y in r[:m]) + (0,) * n + r[m:] for r in outer_rows]
+    return _stacked_product(outer, inner)
+
+
+def _stacked_product(
+    outer: LinearRelation, inner: LinearRelation, invert_outer: bool = False, invert_inner: bool = False
+) -> LinearRelation:
+    """outer∘inner by the stacked route, with either relation taken inverted
+    when its flag is set: the rows of a relation with their blocks swapped
+    span its inverse, and the route needs only rows that span each factor.
+
+    In (y, x, z) coordinates, the points (0, x, z) of the span of (y, x, 0)
+    over inner's rows (x, y) and (-y', 0, z) over outer's rows (y', z) are
+    exactly those with y = y', so the slice that ``split_span`` keeps is the
+    product.
+    """
+    n, m = (inner.dim_y, inner.dim_x) if invert_inner else (inner.dim_x, inner.dim_y)
+    k = outer.dim_x if invert_outer else outer.dim_y
+    pad, gap = (0,) * k, (0,) * n
+    if invert_inner:  # inner's row is a row (y, x) of its inverse
+        rows = [r + pad for r in inner.graph.rows]
+    else:
+        rows = [r[n:] + r[:n] + pad for r in inner.graph.rows]
+    if invert_outer:  # outer's row is a row (z, y') of its inverse
+        rows += [tuple(-v for v in r[k:]) + gap + r[:k] for r in outer.graph.rows]
+    else:
+        rows += [tuple(-v for v in r[:m]) + gap + r[m:] for r in outer.graph.rows]
     return LinearRelation(n, k, Subspace.split_span(m + n + k, rows, m, head=False)[1])
 
 

@@ -6,7 +6,9 @@ from collections import Counter
 from itertools import combinations, product as iter_product
 from pathlib import Path
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from linrel import (
     LinearRelation,
@@ -462,36 +464,101 @@ class TestBruteForceAgainstReference:
 
     def test_each_candidate_row_is_pulled_once(self, monkeypatch):
         """In a full (2, 1) search, each distinct row of the candidates'
-        graph bases is reduced once, and no elimination runs: on the right
-        side the set-up reads B's rows and A^⊥ off canonical rows, and each
-        candidate is decided from its rows' reductions."""
+        graph bases is reduced once, each row of a two-row candidate gets
+        its lines once, rows of one-row candidates get none, and no
+        elimination runs: on the right side the set-up reads B's rows and
+        A^⊥ off canonical rows, and each candidate is decided from its rows'
+        reductions.  A full (1, 2) search, of one-row candidates only,
+        computes no line."""
         b = LinearRelation.from_generators(1, 2, [(0, 0, 1)])
         a = LinearRelation.from_generators(2, 2, [(0, 0, 0, 1), (1, 1, 2, 0)])
-        candidates = operator_graph_candidates(2, 1, 2)
-        distinct = {t for c in candidates for t in c.graph.rows}
-        assert (len(candidates), sum(c.graph.dim for c in candidates), len(distinct)) == (390, 730, 128)
-        reduced, eliminated = Counter(), []
-        reduce, eliminate = harness._reduce, exact._eliminate
+        # ran B = {0} misses ran A, and mul B = {0}: every candidate is tried
+        one_row = (LinearRelation.from_generators(1, 1, [(1, 1)]),
+                   LinearRelation.from_generators(2, 1, [(1, 0, 0), (0, 1, 0)]))
+        reduced, lined, eliminated = Counter(), Counter(), []
+        owner = {}
+        shape = (2, 1)  # the grid's (dim_x, dim_y) = (n, m)
+        reduce, line, eliminate = harness._reduce, harness._line, exact._eliminate
 
         def spy_reduce(row, echelon, leads):
             # the row (t_x, t_y) of T's graph comes in as (t_y, t_x, 0)
-            reduced[tuple(row[1:3] + row[:1])] += 1
-            return reduce(row, echelon, leads)
+            n, m = shape
+            t = tuple(row[m:m + n] + row[:m])
+            reduced[t] += 1
+            w = reduce(row, echelon, leads)
+            owner[id(w)] = (t, w)  # w is kept, so its id is not reused
+            return w
+
+        def spy_line(v):
+            # each row's lines are of w′_t, then of y′_t and u′_t
+            if id(v) in owner:
+                lined[owner[id(v)][0]] += 1
+            lined["calls"] += 1
+            return line(v)
 
         def spy_eliminate(data, cols):
             eliminated.append(len(data))
             return eliminate(data, cols)
 
         monkeypatch.setattr(harness, "_reduce", spy_reduce)
+        monkeypatch.setattr(harness, "_line", spy_line)
         monkeypatch.setattr(exact, "_eliminate", spy_eliminate)
+
+        candidates = operator_graph_candidates(2, 1, 2)
+        distinct = {t for c in candidates for t in c.graph.rows}
+        paired = {t for c in candidates if c.graph.dim == 2 for t in c.graph.rows}
+        assert (len(candidates), sum(c.graph.dim for c in candidates), len(distinct)) == (390, 730, 128)
+        assert len(paired) < len(distinct)
         assert brute_force_right_witness(a, b, 2) is None
         assert set(reduced) == distinct
         assert set(reduced.values()) == {1}
+        calls = lined.pop("calls")
+        assert set(lined) == paired
+        assert set(lined.values()) == {1}
+        assert calls == 3 * len(paired)
+        assert eliminated == []
+
+        reduced.clear()
+        lined.clear()
+        shape = (1, 2)
+        candidates = operator_graph_candidates(1, 2, 2)
+        assert {c.graph.dim for c in candidates} == {0, 1}
+        assert brute_force_right_witness(*one_row, 2) is None
+        assert set(reduced) == {t for c in candidates for t in c.graph.rows}
+        assert set(reduced.values()) == {1}
+        assert lined == Counter()
         assert eliminated == []
 
 
+@st.composite
+def row_pairs(draw):
+    """Two integer rows of one length from 1 to 5, small or large entries:
+    a zero row and another, two multiples of one row (scaled and negated
+    copies, zero among the scales), or two rows drawn apart."""
+    n = draw(st.integers(1, 5))
+    rows = st.lists(st.one_of(st.integers(-3, 3), st.integers(-10**30, 10**30)), min_size=n, max_size=n)
+    scales = st.one_of(st.integers(-3, 3), st.integers(-10**20, 10**20))
+    kind = draw(st.sampled_from(("zero", "multiples", "apart")))
+    if kind == "zero":
+        first, second = [0] * n, draw(st.one_of(st.just([0] * n), rows))
+    elif kind == "multiples":
+        v = draw(rows)
+        first, second = [draw(scales) * x for x in v], [draw(scales) * x for x in v]
+    else:
+        first, second = draw(rows), draw(rows)
+    return (first, second) if draw(st.booleans()) else (second, first)
+
+
 class TestPairRank:
+    """The rank of two rows read off their lines, against elimination."""
+
     BIG = 10**25
+
+    @staticmethod
+    def assert_matches_elimination(a, b):
+        rank = len(exact._eliminate([list(a), list(b)], len(a)))
+        assert harness._line_rank(harness._line(a), harness._line(b)) == rank, (a, b)
+        return rank
 
     @pytest.mark.parametrize("a, b", [
         ((0, 0, 0), (0, 0, 0)),
@@ -508,8 +575,18 @@ class TestPairRank:
     ])
     def test_matches_elimination(self, a, b):
         for first, second in ((a, b), (b, a)):
-            rank = len(exact._eliminate([list(first), list(second)], len(first)))
-            assert harness._pair_rank(first, second) == rank, (first, second)
+            self.assert_matches_elimination(first, second)
+
+    def test_matches_elimination_on_drawn_pairs(self):
+        ranks = Counter()
+
+        @settings(max_examples=200)
+        @given(row_pairs())
+        def check(pair):
+            ranks[self.assert_matches_elimination(*pair)] += 1
+
+        check()
+        assert set(ranks) == {0, 1, 2}
 
 
 class TestRightSolutionFamily:

@@ -62,8 +62,9 @@ m = t.metrics()
 for name in tracer.SOLVERS:
     assert m[f"factor.{name}.calls"] == 1, m
 assert m["factor.solvable_frac"] == 1.0, m
-# each solvable answer composes twice: the witness and its check
-assert m["factor.compose_per_solve"] == 2.0, m
+# each solvable answer composes twice, the witness's candidate and its
+# check, but the candidate is one stacked product, not a traced compose
+assert m["factor.compose_per_solve"] == 1.0, m
 print("ok")
 """
 
