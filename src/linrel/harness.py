@@ -221,10 +221,10 @@ def oracle_product_membership(
 # ---------------------------------------------------------------------------
 # Brute-force witness search over small coefficient grids (dims <= 2).
 
-def operator_graph_candidates(dim_x: int, dim_y: int, bound: int = 2) -> tuple[LinearRelation, ...]:
-    """Every single-valued relation Q^dim_x -> Q^dim_y whose graph is spanned
-    by generators with entries in [-bound, bound], deduplicated canonically;
-    built once per shape and bound.
+def operator_graph_candidates(dim_x: int, dim_y: int, bound: int = 2) -> tuple[Rows, ...]:
+    """The canonical graph rows of every single-valued relation
+    Q^dim_x -> Q^dim_y whose graph is spanned by generators with entries in
+    [-bound, bound], each operator once; built once per shape and bound.
 
     Graph dimension of an operator is at most dim_x, so spans of up to dim_x
     grid lines cover all candidates.  A span is single-valued exactly when
@@ -235,10 +235,13 @@ def operator_graph_candidates(dim_x: int, dim_y: int, bound: int = 2) -> tuple[L
     positive lead, and two representatives u, v, whose x-determinant
     d = u₀v₁ − u₁v₀ is nonzero, give v₁·u − u₁·v and u₀·v − v₀·u, which are
     d·e₀ and d·e₁ on the x-block and so, made primitive, the reduced echelon
-    rows.  Spans are told apart on those rows, and each operator becomes one
-    relation, in the order of its first span.  Gated to dim_x, dim_y <= 2 and
-    bound <= 2, where (2, 2) has 16 306 candidates: (2, 3) at bound 2 already
-    has over half a million.
+    rows.  Each span goes straight into one dict keyed on those rows, so no
+    list of every span is built, and each operator keeps the place of its
+    first span.  Equal rows are one tuple, shared by every candidate that
+    holds it: the (2, 2) grid's 16 306 candidates hold 1 816 row objects.
+    No relation is built: the search makes one only of the candidate that
+    passes.  Gated to dim_x, dim_y <= 2 and bound <= 2: (2, 3) at bound 2
+    already has over half a million candidates.
     The arguments are checked before the cache, where 2.0 would find 2's entry.
     """
     for name, value in (("dim_x", dim_x), ("dim_y", dim_y), ("bound", bound)):
@@ -248,31 +251,30 @@ def operator_graph_candidates(dim_x: int, dim_y: int, bound: int = 2) -> tuple[L
 
 
 @lru_cache(maxsize=None)
-def _operator_graph_candidates(dim_x: int, dim_y: int, bound: int) -> tuple[LinearRelation, ...]:
-    ambient = dim_x + dim_y
-    grid = [e for e in iter_product(range(-bound, bound + 1), repeat=ambient) if any(e)]
+def _operator_graph_candidates(dim_x: int, dim_y: int, bound: int) -> tuple[Rows, ...]:
+    grid = [e for e in iter_product(range(-bound, bound + 1), repeat=dim_x + dim_y) if any(e)]
     # each grid line once, as its primitive row with a positive lead, in the
     # order of the lines' reduced echelon forms: a lead is at most ``bound``,
     # so each row scaled by scale // lead is its reduced form times scale
     lines = set(primitive_rows(grid, [next(j for j, x in enumerate(e) if x) for e in grid]))
     scale = lcm(*range(1, bound + 1))
     line_reps = sorted(lines, key=lambda row: tuple(x * (scale // next(filter(None, row))) for x in row))
-    # the empty span, each line with a nonzero x-part, each pair with d != 0
-    spans: list[Rows] = [()]
+    # first occurrence decides the order, since the search returns the first
+    # candidate that passes: the empty span, each line with a nonzero
+    # x-part, each pair with d != 0
+    spans: dict[Rows, None] = {(): None}
     if dim_x >= 1:
-        spans += ((rep,) for rep in line_reps if any(rep[:dim_x]))
+        spans.update(((rep,), None) for rep in line_reps if any(rep[:dim_x]))
     if dim_x >= 2:
-        spans += (
-            primitive_rows(
-                ([v[1] * a - u[1] * b for a, b in zip(u, v)], [u[0] * b - v[0] * a for a, b in zip(u, v)]),
-                (0, 1),
-            )
-            for u, v in combinations(line_reps, 2)
-            if u[0] * v[1] != u[1] * v[0]
-        )
-    # first occurrence decides the order: the search returns the first
-    # candidate that passes
-    return tuple(LinearRelation(dim_x, dim_y, Subspace._make(ambient, rows)) for rows in dict.fromkeys(spans))
+        shared = {rep: rep for rep in line_reps}
+        for u, v in combinations(line_reps, 2):
+            if u[0] * v[1] != u[1] * v[0]:
+                r0, r1 = primitive_rows(
+                    ([v[1] * a - u[1] * b for a, b in zip(u, v)], [u[0] * b - v[0] * a for a, b in zip(u, v)]),
+                    (0, 1),
+                )
+                spans.setdefault((shared.setdefault(r0, r0), shared.setdefault(r1, r1)))
+    return tuple(spans)
 
 
 def _dot(u: Sequence[int], v: Sequence[int]) -> int:
@@ -286,7 +288,11 @@ def _product_test(a: LinearRelation, b: LinearRelation, side: str) -> Optional[C
     alone rules out every candidate.
 
     Only B∘T = A is laid out: inverting reverses composition, so T∘B = A
-    exactly when B⁻¹∘T⁻¹ = A⁻¹.  The left side inverts A and B once.
+    exactly when B⁻¹∘T⁻¹ = A⁻¹.  The left side inverts B once, for the
+    echelon rows of B⁻¹, and reads (A⁻¹)^⊥ off A's rows: it is A^⊥ with each
+    row's blocks swapped.  That basis of the rows h differs from the one
+    A⁻¹'s own rows would give, but a change of basis of the h leaves every
+    rank below unchanged.
 
     In (y, x, z) coordinates, T's rows (t_y, t_x, 0) and B's rows
     (−g_y, 0, g_z) span the stacked system R of ``oracle_product_membership``,
@@ -308,13 +314,16 @@ def _product_test(a: LinearRelation, b: LinearRelation, side: str) -> Optional[C
     flag.  With two, each rank is read off the rows' lines (``_line``),
     taken once per pair for each row of a two-row candidate, on first use:
     rows of one-row candidates get none, so the (1, 1) and (1, 2) grids
-    compute no line.  No elimination runs past the set-up, which on the
-    right side runs none: A^⊥ and B's rows are read off canonical rows.
+    compute no line.  No elimination runs past the set-up, which runs none
+    on the right side, where A^⊥ and B's rows are read off canonical rows,
+    and one on the left, B's inverse.
     """
-    if side == "left":
-        a, b = a.inverse(), b.inverse()
-    n, m, k = a.dim_x, b.dim_x, a.dim_y
+    n, k = a.dim_x, a.dim_y
     perp = a.graph.ortho_generators()
+    if side == "left":
+        perp = [h[n:] + h[:n] for h in perp]
+        n, k, b = k, n, b.inverse()
+    m = b.dim_x
     b_rows, b_leads = [], []
     for g, lead in zip(b.graph.rows, b.graph._leads()):
         if lead >= m and any(_dot(h[n:], g[m:]) for h in perp):
@@ -378,13 +387,17 @@ def _line_rank(k1: Optional[tuple[int, ...]], k2: Optional[tuple[int, ...]]) -> 
 def _search(
     a: LinearRelation, b: LinearRelation, side: str, dims: tuple[int, int], bound: int
 ) -> Optional[LinearRelation]:
+    """The first grid candidate of shape ``dims`` that ``_product_test``
+    admits, or None.  Candidates are decided on their canonical rows, and a
+    relation is built only of the one that passes, then re-verified."""
     # gated even when B rules all out
     candidates = operator_graph_candidates(*dims, bound)
     admits = _product_test(a, b, side)
     if admits is None:
         return None
-    for t in candidates:
-        if admits(t.graph.rows):
+    for rows in candidates:
+        if admits(rows):
+            t = LinearRelation(*dims, Subspace._make(sum(dims), rows))
             if not factor.verify(a, b, t, side):
                 raise RuntimeError(f"{side} brute-force witness passes elimination but not compose")
             return t
@@ -397,8 +410,9 @@ def brute_force_right_witness(
     """The first candidate of the grid that is a single-valued T with B∘T = A.
 
     Definitional: each candidate is decided from the ranks of its rows reduced
-    in the product oracle's stacked system (see ``_product_test``), and the
-    one returned is re-verified by ``factor.verify``.
+    in the product oracle's stacked system (see ``_product_test``).  The
+    witness is the relation on the rows of the first candidate that passes,
+    re-verified by ``factor.verify``.
     """
     factor._require_shared_target(a, b)
     return _search(a, b, "right", (a.dim_x, b.dim_x), bound)

@@ -117,9 +117,10 @@ def _operator_iff_sweep(side):
 
 
 # Wall-clock budget of one brute-force sweep.  On a 2-core VM with CPython
-# 3.11.7 the right sweep takes 0.29-0.44 s, the (2, 2) candidate grid build
-# included (it runs first), and the left sweep 0.10-0.16 s.
-BRUTE_FORCE_SWEEP_BUDGET_S = 25
+# 3.11.7 the right sweep takes 0.32-0.44 s, the (2, 2) candidate grid build
+# included (it runs first), and the left sweep 0.13-0.24 s: the budget is
+# about 10 times the slowest.
+BRUTE_FORCE_SWEEP_BUDGET_S = 5
 
 
 def _brute_force_sweep(side, violating_kinds, base_seed):

@@ -2,6 +2,7 @@ import ast
 import dataclasses
 import hashlib
 import random
+import tracemalloc
 from collections import Counter
 from itertools import combinations, product as iter_product
 from pathlib import Path
@@ -223,7 +224,7 @@ class TestBruteForce:
             operator_graph_candidates(*args)
 
     def test_candidates_are_operators(self):
-        for rel in operator_graph_candidates(1, 1, 1):
+        for rel in candidate_relations(1, 1, 1):
             assert profile(rel).is_operator
 
     def test_candidate_order_is_pinned(self):
@@ -233,8 +234,8 @@ class TestBruteForce:
         for bound in (1, 2):
             for dim_x in range(3):
                 for dim_y in range(3):
-                    for rel in operator_graph_candidates(dim_x, dim_y, bound):
-                        digest.update(f"{dim_x} {dim_y} {bound}: {rel.graph.rows}\n".encode())
+                    for rows in operator_graph_candidates(dim_x, dim_y, bound):
+                        digest.update(f"{dim_x} {dim_y} {bound}: {rows}\n".encode())
         assert digest.hexdigest() == EXPECTED_CANDIDATE_DIGEST
 
     @pytest.mark.parametrize("bound", [1, 2])
@@ -242,11 +243,9 @@ class TestBruteForce:
     @pytest.mark.parametrize("dim_y", range(3))
     def test_grid_matches_the_eliminated_spans(self, dim_x, dim_y, bound):
         grid = operator_graph_candidates(dim_x, dim_y, bound)
-        reference = reference_grid(dim_x, dim_y, bound)
-        assert len(grid) == len(reference)
-        for t, r in zip(grid, reference):
-            assert t == r
-            check_canonical(t.graph.rows, dim_x + dim_y)
+        assert grid == reference_grid(dim_x, dim_y, bound)
+        for rows in grid:
+            check_canonical(rows, dim_x + dim_y)
 
     def test_grid_builds_no_fraction_and_eliminates_nothing(self, monkeypatch):
         def refuse(*args):
@@ -258,6 +257,20 @@ class TestBruteForce:
             monkeypatch.setattr(harness, name, refuse, raising=False)
         harness._operator_graph_candidates.cache_clear()
         assert len(operator_graph_candidates(2, 2, 2)) == 16306
+
+    def test_grid_holds_shared_rows_not_relations(self):
+        # built as 16 306 relations, the (2, 2) grid peaked near 10 MB
+        harness._operator_graph_candidates.cache_clear()
+        tracemalloc.start()
+        try:
+            grid = operator_graph_candidates(2, 2, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000
+        assert all(type(rows) is tuple and all(type(row) is tuple for row in rows) for rows in grid)
+        # equal rows are one object across the grid
+        assert len({id(row) for rows in grid for row in rows}) == len({row for rows in grid for row in rows}) == 1816
 
     @pytest.mark.parametrize("side, message", [
         ("right", "target dimensions differ: 1 vs 2"),
@@ -291,9 +304,9 @@ class TestBruteForce:
 
 def reference_grid(dim_x, dim_y, bound):
     """The candidate grid as first built: every span of up to dim_x grid
-    lines reduced by ``exact.echelon_rows``, and the single-valued ones kept
-    in the order of their first span.  Lines are ordered by their reduced
-    echelon forms, as Fractions."""
+    lines reduced by ``exact.echelon_rows``, and the rows of the
+    single-valued ones kept in the order of their first span.  Lines are
+    ordered by their reduced echelon forms, as Fractions."""
     ambient = dim_x + dim_y
     grid = (e for e in iter_product(range(-bound, bound + 1), repeat=ambient) if any(e))
     lines = {exact.echelon_rows([e], ambient)[0][0] for e in grid}
@@ -303,7 +316,16 @@ def reference_grid(dim_x, dim_y, bound):
         for span in combinations(reps, k):
             rows, pivots = exact.echelon_rows(list(span), ambient)
             seen.setdefault(rows, all(p < dim_x for p in pivots))
-    return [LinearRelation(dim_x, dim_y, Subspace(ambient, rows)) for rows, single in seen.items() if single]
+    return tuple(rows for rows, single in seen.items() if single)
+
+
+def candidate_relations(dim_x, dim_y, bound=2, step=1):
+    """Every ``step``-th grid candidate as a relation, its rows checked
+    canonical by the ``Subspace`` constructor."""
+    return [
+        LinearRelation(dim_x, dim_y, Subspace(dim_x + dim_y, rows))
+        for rows in operator_graph_candidates(dim_x, dim_y, bound)[::step]
+    ]
 
 
 def reference_witness(a, b, side, bound=2):
@@ -311,12 +333,12 @@ def reference_witness(a, b, side, bound=2):
     ``oracle_product_membership``, then ``compose`` on each survivor."""
     probes = [(g[: a.dim_x], g[a.dim_x :]) for g in a.graph.basis.column_tuples()]
     if side == "right":
-        for t in operator_graph_candidates(a.dim_x, b.dim_x, bound):
+        for t in candidate_relations(a.dim_x, b.dim_x, bound):
             if all(oracle_product_membership(t, b, x, z) for x, z in probes):
                 if compose(b, t) == a:
                     return t
     else:
-        for t in operator_graph_candidates(b.dim_y, a.dim_y, bound):
+        for t in candidate_relations(b.dim_y, a.dim_y, bound):
             if all(oracle_product_membership(b, t, x, y) for x, y in probes):
                 if compose(t, b) == a:
                     return t
@@ -456,7 +478,7 @@ class TestBruteForceAgainstReference:
                 admits = harness._product_test(a, b, side)
                 ruled_out += admits is None
                 candidates = operator_graph_candidates(*shape, 2)[:: 11 if shape == (2, 2) else 1]
-                verdicts = bytes(admits is not None and admits(t.graph.rows) for t in candidates)
+                verdicts = bytes(admits is not None and admits(rows) for rows in candidates)
                 admitted += sum(verdicts)
                 digest.update(f"{side} {kind} {shape}: ".encode() + verdicts + b"\n")
         assert admitted and ruled_out
@@ -505,9 +527,9 @@ class TestBruteForceAgainstReference:
         monkeypatch.setattr(exact, "_eliminate", spy_eliminate)
 
         candidates = operator_graph_candidates(2, 1, 2)
-        distinct = {t for c in candidates for t in c.graph.rows}
-        paired = {t for c in candidates if c.graph.dim == 2 for t in c.graph.rows}
-        assert (len(candidates), sum(c.graph.dim for c in candidates), len(distinct)) == (390, 730, 128)
+        distinct = {t for c in candidates for t in c}
+        paired = {t for c in candidates if len(c) == 2 for t in c}
+        assert (len(candidates), sum(map(len, candidates)), len(distinct)) == (390, 730, 128)
         assert len(paired) < len(distinct)
         assert brute_force_right_witness(a, b, 2) is None
         assert set(reduced) == distinct
@@ -522,12 +544,30 @@ class TestBruteForceAgainstReference:
         lined.clear()
         shape = (1, 2)
         candidates = operator_graph_candidates(1, 2, 2)
-        assert {c.graph.dim for c in candidates} == {0, 1}
+        assert set(map(len, candidates)) == {0, 1}
         assert brute_force_right_witness(*one_row, 2) is None
-        assert set(reduced) == {t for c in candidates for t in c.graph.rows}
+        assert set(reduced) == {t for c in candidates for t in c}
         assert set(reduced.values()) == {1}
         assert lined == Counter()
         assert eliminated == []
+
+
+    def test_left_set_up_eliminates_once(self, monkeypatch):
+        """The left set-up inverts B, whose echelon rows the reduction
+        needs, and reads (A⁻¹)^⊥ off A's rows with their blocks swapped:
+        one elimination, where inverting A as well would run two."""
+        a = LinearRelation.from_generators(2, 1, [(1, 2, 1), (0, 1, -1)])
+        b = LinearRelation.from_generators(2, 2, [(1, 0, 1, 1), (0, 1, 0, 2)])
+        eliminated = []
+        eliminate = exact._eliminate
+
+        def spy_eliminate(data, cols):
+            eliminated.append(len(data))
+            return eliminate(data, cols)
+
+        monkeypatch.setattr(exact, "_eliminate", spy_eliminate)
+        assert harness._product_test(a, b, "left") is not None
+        assert eliminated == [2]
 
 
 @st.composite
@@ -630,7 +670,7 @@ def family_verdicts(a, b, t0):
     dom_a = profile(a).dom
     admits = harness._product_test(a, b, "right")
     counts = Counter()
-    for t in operator_graph_candidates(a.dim_x, b.dim_x, 2):
+    for t in candidate_relations(a.dim_x, b.dim_x):
         if t.graph.dim != dom_a.dim or t.graph.split(a.dim_x)[0] != dom_a:
             continue
         verdict = admits(t.graph.rows)
@@ -646,7 +686,7 @@ def verdicts_match_compose(a, b, side, step, shown):
     the product and with the product strictly inside A."""
     admits = harness._product_test(a, b, side)
     a_inside = product_inside = 0
-    for t in operator_graph_candidates(*grid_shape(a, b, side), 2)[::step]:
+    for t in candidate_relations(*grid_shape(a, b, side), step=step):
         product = compose(b, t) if side == "right" else compose(t, b)
         verdict = admits is not None and admits(t.graph.rows)
         assert verdict == (product == a), (shown, serialize_relation(t), serialize_relation(a))
