@@ -1,7 +1,12 @@
 """Seeded relation generators, definitional oracles, and invariant suites.
 
-Generation is profile-targeted rather than rejection-sampled: iff suites need
-abundant condition-violating pairs, which uniform sampling rarely produces.
+Generation is profile-targeted: iff suites need abundant condition-violating
+pairs, which uniform sampling rarely produces, so the pair makers build each
+kind's violation in.  They still redraw an attempt whose B cannot carry it
+(a B onto its whole target leaves no room for violate_ran).  Such an attempt
+draws every number a kept one would, so the draws after it stay in place,
+and builds nothing past B and B's profile: T is built from its draws, and
+composed with B, only in the attempt that is kept.
 Determinism is per-implementation: the PRNG is Python's Mersenne Twister
 (``random.Random``) with documented sub-seed derivation, so equal (spec, seed)
 always reproduce identical canonical relations within this implementation.
@@ -116,9 +121,16 @@ def random_full_rank(rng: random.Random, rows: int, cols: int, bound: int = 3) -
 
 
 def random_subspace(rng: random.Random, ambient: int, dim: int, bound: int = 3) -> Subspace:
+    """The span of ``random_full_rank``'s columns, drawn as it draws them;
+    the span's own dimension decides each redraw, so a draw eliminates once."""
     if not 0 <= dim <= ambient:
         raise ValueError(f"dimension {dim} not within ambient {ambient}")
-    return Subspace.from_vectors(ambient, random_full_rank(rng, ambient, dim, bound))
+    for _ in range(1000):
+        data = [[rng.randint(-bound, bound) for _ in range(dim)] for _ in range(ambient)]
+        sub = Subspace.from_vectors(ambient, zip(*data))
+        if sub.dim == dim:
+            return sub
+    raise RuntimeError("failed to sample a full-rank matrix")
 
 
 def random_plain_relation(
@@ -129,19 +141,26 @@ def random_plain_relation(
     return LinearRelation.from_generators(dim_x, dim_y, gens)
 
 
-def _targeted_relation(
+def _draw_targeted(
     rng: random.Random, dim_x: int, dim_y: int, dd: int, dm: int, dk: int, bound: int
-) -> LinearRelation:
-    """cw-sum of {0} x (random multivalued space) and a random single-valued
-    part with prescribed domain and kernel dimensions."""
+) -> Callable[[], LinearRelation]:
+    """Draw a cw-sum of {0} x (random multivalued space) and a random
+    single-valued part with prescribed domain and kernel dimensions, and
+    return the function that builds it.  Every number, and every rank check
+    that decides a redraw, is taken here; the build draws nothing, so a
+    caller that drops the relation unbuilt leaves later draws in place."""
     mul_space = random_subspace(rng, dim_y, dm, bound)
-    window = Subspace.full(dim_x).product(mul_space.ortho_complement())
     dom_cols = random_full_rank(rng, dim_x, dd, bound)
     image_coeffs = [(0,) * (dim_y - dm)] * dk
     image_coeffs += random_full_rank(rng, dim_y - dm, dd - dk, bound)
-    gens = [window.point(x + c) for x, c in zip(dom_cols, image_coeffs)]
-    gens += [(0,) * dim_x + r for r in mul_space.rows]
-    return LinearRelation.from_generators(dim_x, dim_y, gens)
+
+    def build() -> LinearRelation:
+        window = Subspace.full(dim_x).product(mul_space.ortho_complement())
+        gens = [window.point(x + c) for x, c in zip(dom_cols, image_coeffs)]
+        gens += [(0,) * dim_x + r for r in mul_space.rows]
+        return LinearRelation.from_generators(dim_x, dim_y, gens)
+
+    return build
 
 
 def random_relation(spec: RelationSpec) -> LinearRelation:
@@ -150,15 +169,20 @@ def random_relation(spec: RelationSpec) -> LinearRelation:
     rng = random.Random(spec.seed)
     if not spec.has_targets():
         return random_plain_relation(rng, spec.dim_x, spec.dim_y, spec.coeff_bound)
-    return _targeted_relation(
+    return _draw_targeted(
         rng, spec.dim_x, spec.dim_y, spec.dim_dom, spec.dim_mul, spec.dim_ker, spec.coeff_bound
-    )
+    )()
 
 
 def random_operator(rng: random.Random, dim_x: int, dim_y: int, bound: int = 3) -> LinearRelation:
+    return _draw_operator(rng, dim_x, dim_y, bound)()
+
+
+def _draw_operator(rng: random.Random, dim_x: int, dim_y: int, bound: int) -> Callable[[], LinearRelation]:
+    """``random_operator``'s draws; the returned function builds the operator."""
     dd = rng.randint(0, dim_x)
     rk = rng.randint(0, min(dd, dim_y))
-    return _targeted_relation(rng, dim_x, dim_y, dd, 0, dd - rk, bound)
+    return _draw_targeted(rng, dim_x, dim_y, dd, 0, dd - rk, bound)
 
 
 def random_mixed_relation(
@@ -169,7 +193,7 @@ def random_mixed_relation(
     dd = rng.randint(0, dim_x)
     dm = rng.randint(0, dim_y)
     rk = rng.randint(0, min(dd, dim_y - dm))
-    return _targeted_relation(rng, dim_x, dim_y, dd, dm, dd - rk, bound)
+    return _draw_targeted(rng, dim_x, dim_y, dd, dm, dd - rk, bound)()
 
 
 def random_selfadjoint(rng: random.Random, dim: int, bound: int = 3) -> LinearRelation:
@@ -206,16 +230,25 @@ def oracle_product_membership(
     points (x, y - y', z), so the answer is whether (x, 0, z) lies in their
     span.  Deliberately independent of ``compose``: the span is reduced in
     full and tested, where ``compose`` keeps the slice of a ``split_span``.
+    Each call builds the span again; ``_product_oracle`` builds it once for
+    many probes of one pair, which the compose_oracle suite makes.
     """
     if inner.dim_y != outer.dim_x:
         raise ValueError(f"interface dimensions differ: {inner.dim_y} vs {outer.dim_x}")
     x, z = tuple(x), tuple(z)
     if len(x) != inner.dim_x or len(z) != outer.dim_y:
         raise ValueError("probe lengths do not match the relation dimensions")
+    return _product_oracle(inner, outer)(x, z)
+
+
+def _product_oracle(inner: LinearRelation, outer: LinearRelation) -> Callable[[tuple, tuple], bool]:
+    """``oracle_product_membership`` for one pair, on its stacked span built
+    once, with no checks of the interface or of the probes' lengths."""
     n, m, k = inner.dim_x, inner.dim_y, outer.dim_y
     gens = [g + (0,) * k for g in inner.graph.rows]
     gens += [(0,) * n + tuple(-v for v in g[:m]) + g[m:] for g in outer.graph.rows]
-    return Subspace.from_vectors(n + m + k, gens).contains_vector(x + (0,) * m + z)
+    span = Subspace.from_vectors(n + m + k, gens)
+    return lambda x, z: span.contains_vector(x + (0,) * m + z)
 
 
 # ---------------------------------------------------------------------------
@@ -466,23 +499,22 @@ def targeted_right_pair(
         pb = profile(b)
         if kind == "free":
             return random_plain_relation(rng, nx, nz, bound), b
-        base = compose(b, random_operator(rng, nx, ny, bound))
+        build_t = _draw_operator(rng, nx, ny, bound)
+        if (kind == "violate_ran" and pb.ran.dim == nz
+                or kind == "violate_mul_gain" and pb.ran.dim <= pb.mul.dim
+                or kind == "violate_mul_loss" and pb.mul.dim == 0):
+            continue
+        base = compose(b, build_t())
         if kind == "satisfy":
             return base, b
         if kind == "violate_ran":
-            if pb.ran.dim == nz:
-                continue
             z0 = _vector_in_gap(rng, Subspace.full(nz), pb.ran, bound)
             x0 = tuple(rng.randint(-bound, bound) for _ in range(nx))
             return LinearRelation.from_generators(nx, nz, base.graph.rows + (x0 + z0,)), b
         if kind == "violate_mul_gain":
-            if pb.ran.dim <= pb.mul.dim:
-                continue
             z0 = _vector_in_gap(rng, pb.ran, pb.mul, bound)
             return LinearRelation.from_generators(nx, nz, base.graph.rows + ((0,) * nx + z0,)), b
         if kind == "violate_mul_loss":
-            if pb.mul.dim == 0:
-                continue
             return base.reduce_operator_part(), b
     raise RuntimeError(f"failed to construct a right pair of kind {kind!r}")
 
@@ -501,26 +533,25 @@ def targeted_left_pair(
         pb = profile(b)
         if kind == "free":
             return random_plain_relation(rng, nx, ny, bound), b
-        base = compose(random_operator(rng, nz, ny, bound), b)
-        if kind == "satisfy":
-            return base, b
-        if kind == "violate_dom":
-            if pb.dom.dim == nx:
-                continue
-            x0 = _vector_in_gap(rng, Subspace.full(nx), pb.dom, bound)
-            y0 = tuple(rng.randint(-bound, bound) for _ in range(ny))
-            return LinearRelation.from_generators(nx, ny, base.graph.rows + (x0 + y0,)), b
-        if kind == "violate_ker":
-            if pb.ker.dim == 0 or pb.dom.dim > ny:
-                continue
+        build_t = _draw_operator(rng, nz, ny, bound)
+        if (kind == "violate_dom" and pb.dom.dim == nx
+                or kind == "violate_ker" and (pb.ker.dim == 0 or pb.dom.dim > ny)
+                or kind == "violate_mul_dim" and pb.mul.dim >= ny):
+            continue
+        if kind == "violate_ker":  # builds no T: A is not a product
             # e_i ⊕ y_i joins basis vector i of dom(B) to the image y_i
             window, r = pb.dom.product(Subspace.full(ny)), pb.dom.dim
             images = random_full_rank(rng, ny, r, bound)
             gens = [window.point([int(j == i) for j in range(r)] + list(y)) for i, y in enumerate(images)]
             return LinearRelation.from_generators(nx, ny, gens), b
+        base = compose(build_t(), b)
+        if kind == "satisfy":
+            return base, b
+        if kind == "violate_dom":
+            x0 = _vector_in_gap(rng, Subspace.full(nx), pb.dom, bound)
+            y0 = tuple(rng.randint(-bound, bound) for _ in range(ny))
+            return LinearRelation.from_generators(nx, ny, base.graph.rows + (x0 + y0,)), b
         if kind == "violate_mul_dim":
-            if pb.mul.dim >= ny:
-                continue
             extra = random_subspace(rng, ny, pb.mul.dim + 1, bound)
             return cw_sum(base, zero_times(nx, extra))[0], b
     raise RuntimeError(f"failed to construct a left pair of kind {kind!r}")
@@ -635,9 +666,9 @@ def _suite_compose_oracle(rng: random.Random) -> Optional[str]:
         probes.append((x, tuple(rng.randint(-3, 3) for _ in range(k))))
 
     def checks():
-        ba = compose(b, a)
+        ba, oracle = compose(b, a), _product_oracle(a, b)
         for x, z in probes:
-            yield f"probe x={x} z={z} disagrees", oracle_product_membership(a, b, x, z) == ba.membership(x, z)
+            yield f"probe x={x} z={z} disagrees", oracle(x, z) == ba.membership(x, z)
 
     return _first_failure(checks(), a, b)
 

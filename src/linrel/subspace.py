@@ -17,7 +17,8 @@ hand them to one of two constructors, their only paths into the kernel:
 ``from_vectors`` reduces in full, and ``split_span`` is
 ``from_vectors(...).split(n)``, reducing only the rows each side keeps.
 ``split``, ``ortho_generators`` and ``contains`` read their answers off the
-rows without eliminating.  ``_annihilated_by`` is the one cut of U by rows
+rows without eliminating, as ``ortho_complement`` does for 0 and the whole
+space.  ``_annihilated_by`` is the one cut of U by rows
 that must vanish on it: ``intersect`` and the operator witnesses use it.
 """
 
@@ -157,7 +158,12 @@ class Subspace:
         return Subspace.split_span(len(rows) + self.ambient_dim, stacked, len(rows), head=False)[1]
 
     def ortho_complement(self) -> "Subspace":
-        """U^⊥ for the standard dot product: ``ortho_generators``, canonicalized."""
+        """U^⊥ for the standard dot product: ``ortho_generators``, canonicalized,
+        or read off with no elimination when U is 0 or the whole space."""
+        if not self.rows:
+            return Subspace.full(self.ambient_dim)
+        if self.dim == self.ambient_dim:
+            return Subspace.zero(self.ambient_dim)
         return Subspace.from_vectors(self.ambient_dim, self.ortho_generators())
 
     def ortho_generators(self) -> Rows:

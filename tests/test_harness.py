@@ -127,6 +127,36 @@ class TestRandomRelation:
         p = profile(rel)
         assert (p.dom.dim, p.mul.dim, p.ker.dim) == (2, 1, 1)
 
+    def test_random_subspace_eliminates_once_per_draw(self, monkeypatch):
+        """The span it returns decides each redraw, with no separate rank
+        check: one elimination per 2 x 2 draw, redrawn draws included."""
+        eliminated = []
+        eliminate = exact._eliminate
+
+        def spy_eliminate(data, cols):
+            eliminated.append(len(data))
+            return eliminate(data, cols)
+
+        class Counted(random.Random):
+            """Counts the entries drawn."""
+            entries = 0
+
+            def randint(self, a, b):
+                self.entries += 1
+                return super().randint(a, b)
+
+        monkeypatch.setattr(exact, "_eliminate", spy_eliminate)
+        monkeypatch.setattr(harness, "_eliminate", spy_eliminate)
+        redrawn = 0
+        for seed in range(20):
+            eliminated.clear()
+            rng = Counted(seed)
+            assert harness.random_subspace(rng, 2, 2, bound=1) == Subspace.full(2)
+            draws, rest = divmod(rng.entries, 4)
+            assert rest == 0 and len(eliminated) == draws, seed
+            redrawn += draws > 1
+        assert redrawn
+
 
 class TestOracle:
     def test_identity_chain(self):
@@ -198,6 +228,36 @@ class TestPairGenerators:
                 assert not pa.ker.contains(pb.ker)
             elif kind == "violate_mul_dim":
                 assert pa.mul.dim > pb.mul.dim
+
+    @pytest.mark.parametrize("make, kinds", [(targeted_right_pair, RIGHT_KINDS),
+                                             (targeted_left_pair, LEFT_KINDS)])
+    def test_redrawn_attempts_build_no_operator(self, monkeypatch, make, kinds):
+        """An attempt whose B cannot break the kind's condition is redrawn
+        before T is built: ``compose`` runs once per returned pair, and never
+        for free or violate_ker, whose A is not a product.  Every violating
+        kind redraws on some of the seeds."""
+        attempts, composed = [], []
+        mixed, compose_ = harness.random_mixed_relation, harness.compose
+
+        def spy_mixed(*args):
+            attempts.append(args)  # B, once per attempt
+            return mixed(*args)
+
+        def spy_compose(outer, inner):
+            composed.append((outer, inner))
+            return compose_(outer, inner)
+
+        monkeypatch.setattr(harness, "random_mixed_relation", spy_mixed)
+        monkeypatch.setattr(harness, "compose", spy_compose)
+        for kind in kinds:
+            redrawn = 0
+            for seed in range(30):
+                attempts.clear()
+                composed.clear()
+                make(random.Random(seed), kind)
+                assert len(composed) == (kind not in ("free", "violate_ker")), (kind, seed)
+                redrawn += len(attempts) > 1
+            assert redrawn or not kind.startswith("violate_"), kind
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
@@ -738,6 +798,34 @@ class TestRunSuite:
         result = run_suite(name, 40, seed=3)
         assert result.failed == 0, result.counterexample
         assert len(outside) == 2 * 40
+
+    def test_compose_oracle_builds_one_stacked_span_per_case(self, monkeypatch):
+        """A compose_oracle case tests all its probes on one span of the
+        points (x, y - y', z), of width n + m + k, which no other span of
+        the case has once n, m, k >= 1."""
+        dims, widths = [], []
+        mixed, from_vectors = harness.random_mixed_relation, Subspace.from_vectors.__func__
+
+        def spy_mixed(rng, dim_x, dim_y, bound):
+            dims.append((dim_x, dim_y))  # A: n -> m, then B: m -> k
+            return mixed(rng, dim_x, dim_y, bound)
+
+        def spy_from_vectors(cls, ambient_dim, vectors):
+            widths.append(ambient_dim)
+            return from_vectors(cls, ambient_dim, vectors)
+
+        monkeypatch.setattr(harness, "random_mixed_relation", spy_mixed)
+        monkeypatch.setattr(Subspace, "from_vectors", classmethod(spy_from_vectors))
+        checked = 0
+        for index in range(40):
+            dims.clear()
+            widths.clear()
+            assert harness._suite_compose_oracle(random.Random(derive_seed(3, index))) is None
+            (n, m), (_, k) = dims
+            if min(n, m, k) >= 1:
+                assert widths.count(n + m + k) == 1, index
+                checked += 1
+        assert checked >= 10
 
     def test_result_is_frozen(self):
         result = run_suite("determinism", 1)

@@ -14,7 +14,9 @@ on dense pairs at d = 16 and d = 24, whose products have entries of 208
 and 351 bits.  A companion test pins ``repr`` of the same subspaces.
 
 The third pins the seeded generators of ``linrel.harness``, which feed
-``linrel gen``, the invariant suites and the benchmark inputs, the fourth
+``linrel gen``, the invariant suites and the benchmark inputs; a companion
+test pins the benchmark's generator calls at the dimensions and bounds the
+third does not use.  The fourth pins
 the stdout of ``scripts/demo_factorization.py``, the README's worked
 example, and the fifth the text output of ``linrel check --suite full
 --seed 0``.  That text holds only suite names and case counts, so the
@@ -77,6 +79,8 @@ EXPECTED_CANONICAL_DIGEST = "a9b1cfa50d51211eca55f53f7c1bcb94ff012ab2df0a472135a
 EXPECTED_REPR_DIGEST = "efaff8ccff3fb124b30b857bdd66864be101138e9b45010a3c48847dc7005aa5"
 
 EXPECTED_GENERATOR_DIGEST = "dc1210423cea32a82b136b9bfdc138cd5cb976bcef18c89ff4f99f053db22088"
+
+EXPECTED_BENCHMARK_INPUT_DIGEST = "26235f9004f6aae09bf8454f45f43261eb05da762c9da5e846679dd20775c97f"
 
 EXPECTED_DEMO_DIGEST = "11c3437acaba47a2ba6ad6c70e0ebda31fc1dfebc31cc9546bb9eac0960bfc1e"
 
@@ -246,6 +250,28 @@ def test_generated_relations_are_byte_identical():
         digest.update(serialize_relation(rel).encode("ascii"))
         digest.update(b"\0")
     assert digest.hexdigest() == EXPECTED_GENERATOR_DIGEST
+
+
+def _benchmark_inputs():
+    """The generator calls of ``perfbench/workloads.py`` that ``_generated``
+    does not make: both pair makers at ``max_dim=2, bound=2`` for every
+    violating kind (brute_confirm) and ``random_square_pair`` at
+    ``max_dim=6`` (solve_mix's adjoint items)."""
+    rng = random.Random(GENERATOR_SEED + 1)
+    violating = [(targeted_right_pair, kind) for kind in RIGHT_KINDS if kind.startswith("violate_")]
+    violating += [(targeted_left_pair, kind) for kind in LEFT_KINDS if kind.startswith("violate_")]
+    for _ in range(GENERATOR_ROUNDS):
+        for make, kind in violating:
+            yield from make(random.Random(rng.getrandbits(32)), kind, max_dim=2, bound=2)
+        yield from random_square_pair(random.Random(rng.getrandbits(32)), max_dim=6)
+
+
+def test_benchmark_inputs_are_byte_identical():
+    digest = hashlib.sha256()
+    for rel in _benchmark_inputs():
+        digest.update(serialize_relation(rel).encode("ascii"))
+        digest.update(b"\0")
+    assert digest.hexdigest() == EXPECTED_BENCHMARK_INPUT_DIGEST
 
 
 def test_demo_output_is_byte_identical(source_env):

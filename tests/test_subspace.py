@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from linrel import LinearRelation, Matrix, Subspace, canonical_echelon, profile
+from linrel import LinearRelation, Matrix, Subspace, canonical_echelon, exact, profile
 
 from strategies import matrices, sp, subspaces
 
@@ -215,6 +215,22 @@ class TestOrthoComplement:
 
     def test_diagonal(self):
         assert sp(2, (1, 1)).ortho_complement() == sp(2, (1, -1))
+
+    @pytest.mark.parametrize("d", range(5))
+    @pytest.mark.parametrize("trivial, other", [(Subspace.zero, Subspace.full),
+                                                (Subspace.full, Subspace.zero)])
+    def test_trivial_spaces_are_read_off(self, monkeypatch, trivial, other, d):
+        """0 and Q^d give each other with no elimination, as the eliminated
+        complement would; at d = 0 they are one space, so both read-offs
+        must agree there."""
+        u = trivial(d)
+        eliminated = Subspace.from_vectors(d, u.ortho_generators())
+
+        def refuse(data, cols):
+            raise AssertionError("the complement of a trivial space was eliminated")
+
+        monkeypatch.setattr(exact, "_eliminate", refuse)
+        assert u.ortho_complement() == eliminated == other(d)
 
     @given(subspaces())
     def test_involution_and_dimension(self, u):
