@@ -5,7 +5,10 @@ take integer rows and return canonical rows: the rows of the reduced row
 echelon form, each scaled to the primitive integer vector with a positive
 leading entry.  That form is unique per row space and pivoting is
 deterministic, so subspace equality downstream is a genuine decision, and
-every canonical form is reproducible byte for byte.  ``complement_rows``
+every canonical form is reproducible byte for byte.  Forward elimination
+(``_eliminate``) is shared; ``echelon_rows`` then reduces small systems by
+cancelling pivot columns row against row, and systems of larger rank in one
+pass per row over the free columns.  ``complement_rows``
 reads a basis of the orthogonal complement off that form, and ``text_rows``
 prints its reduced echelon rows from the integers alone.  ``Fraction``s exist
 only at the public ``Matrix`` API (``fraction_rows``).
@@ -310,6 +313,9 @@ def _back_substitute(data: list[Sequence[int]], pivots: Sequence[int]) -> None:
 
 Rows = tuple[tuple[int, ...], ...]
 
+# The rank from which ``echelon_rows`` back-substitutes in one pass per row.
+ONE_PASS_RANK = 8
+
 
 def primitive_rows(data: Sequence[Sequence[int]], pivots: Sequence[int]) -> Rows:
     """Each row divided by the gcd of its entries, with the sign that makes
@@ -323,12 +329,69 @@ def primitive_rows(data: Sequence[Sequence[int]], pivots: Sequence[int]) -> Rows
     return tuple(out)
 
 
+def _one_pass_rows(data: Sequence[Sequence[int]], pivots: Sequence[int], cols: int) -> Rows:
+    """The canonical rows of rows that forward elimination left in echelon
+    form with these pivot columns, built bottom-up, one pass per row over
+    the free (non-pivot) columns only.
+
+    Row r is zero left of its pivot p_r.  Let u_j be its entries at the later
+    pivots p_j, and F its free part.  The canonical rows j > r, already
+    built, lead with q_j and have free parts N_j; with s the lcm of the q_j
+    where u_j ≠ 0, s·row − Σ u_j·(s/q_j)·(row j) is zero at every pivot but
+    p_r, where it holds s·u_r, and its free part is s·F − Σ u_j·(s/q_j)·N_j.
+    One gcd and a sign make it primitive with a positive lead; a row that is
+    zero at every later pivot is only made primitive.
+    """
+    rank = len(pivots)
+    taken = set(pivots)
+    free = [c for c in range(cols) if c not in taken]
+    leads, parts, out = [0] * rank, [None] * rank, [()] * rank
+    for r in range(rank - 1, -1, -1):
+        row, p = data[r], pivots[r]
+        terms = []
+        for j in range(r + 1, rank):
+            if u := row[pivots[j]]:
+                terms.append((u, j))
+        if terms:
+            s = lcm(*[leads[j] for _, j in terms])
+            part = [row[c] for c in free]
+            if s > 1:
+                part = [s * x for x in part]
+            for u, j in terms:
+                if parts[j] is None:
+                    parts[j] = [out[j][c] for c in free]
+                m = u * (s // leads[j])
+                part = [x - m * y for x, y in zip(part, parts[j])]
+            lead, row = s * row[p], [0] * cols
+            row[p] = lead
+            for c, x in zip(free, part):
+                row[c] = x
+        g = gcd(*row)
+        if row[p] < 0:
+            g = -g
+        out[r] = row = tuple(row) if g == 1 else tuple([x // g for x in row])
+        leads[r] = row[p]
+    return tuple(out)
+
+
 def echelon_rows(data: list[Sequence[int]], cols: int) -> tuple[Rows, list[int]]:
     """Canonical rows of the row space of the integer rows ``data`` (each of
-    ``cols`` entries), and their pivot columns.  ``data`` is consumed."""
+    ``cols`` entries), and their pivot columns.  ``data`` is consumed.
+
+    Below rank ``ONE_PASS_RANK`` the echelon rows are back-substituted by
+    ``_back_substitute`` and made primitive; from it on ``_one_pass_rows``
+    builds each canonical row in one pass.  The rank was chosen on recorded
+    calls, each route timed on the same rows in one process: the one pass
+    breaks even at rank 6–7 on the calls of ``check --suite full`` and is
+    10–30% faster from rank 8 on; already reduced rows (the parser's input
+    is canonical text) are about 10% slower through it at any rank; dense
+    d×2d rows at d = 16 and 24 take about half the back-substitution time.
+    """
     pivots = _eliminate(data, cols)
-    _back_substitute(data, pivots)
-    return primitive_rows(data, pivots), pivots
+    if len(pivots) < ONE_PASS_RANK:
+        _back_substitute(data, pivots)
+        return primitive_rows(data, pivots), pivots
+    return _one_pass_rows(data, pivots, cols), pivots
 
 
 def split_echelon_rows(

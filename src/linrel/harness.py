@@ -110,9 +110,12 @@ def random_matrix(rng: random.Random, rows: int, cols: int, bound: int = 3) -> M
 
 def random_full_rank(rng: random.Random, rows: int, cols: int, bound: int = 3) -> list[tuple]:
     """The integer columns of a rows x cols matrix drawn row by row, redrawn
-    until they are independent."""
+    until they are independent.  No columns take no numbers and no
+    elimination."""
     if cols > rows:
         raise ValueError("full column rank needs cols <= rows")
+    if cols == 0:
+        return []
     for _ in range(1000):
         data = [[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(rows)]
         if len(_eliminate(data[:], cols)) == cols:
@@ -122,9 +125,12 @@ def random_full_rank(rng: random.Random, rows: int, cols: int, bound: int = 3) -
 
 def random_subspace(rng: random.Random, ambient: int, dim: int, bound: int = 3) -> Subspace:
     """The span of ``random_full_rank``'s columns, drawn as it draws them;
-    the span's own dimension decides each redraw, so a draw eliminates once."""
+    the span's own dimension decides each redraw, so a draw eliminates once,
+    and the zero span takes no numbers and no elimination."""
     if not 0 <= dim <= ambient:
         raise ValueError(f"dimension {dim} not within ambient {ambient}")
+    if dim == 0:
+        return Subspace.zero(ambient)
     for _ in range(1000):
         data = [[rng.randint(-bound, bound) for _ in range(dim)] for _ in range(ambient)]
         sub = Subspace.from_vectors(ambient, zip(*data))

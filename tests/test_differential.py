@@ -6,15 +6,18 @@ linear combinations of earlier rows (so ranks fall short), and zero-extent
 shapes, which the small-integer strategies of the other tests never reach.
 ``split_span`` is drawn mostly with no more rows than the cut, where the
 kernel eliminates the heads alone before it decides whether the tails matter.
+``echelon_rows`` is drawn around the rank where its back substitution
+changes route, with entries of hundreds of digits, and on dense d×2d rows.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
-from linrel import Matrix, Subspace, canonical_echelon, nullspace, rank, solve_linear
+from linrel import Matrix, Subspace, canonical_echelon, exact, files, nullspace, rank, solve_linear
 
 sympy = pytest.importorskip("sympy")
 
@@ -195,3 +198,88 @@ def test_split_span_matches_sympy(drawn):
         assert top.basis.transpose() == sympy_rows([list(heads.row(i)) for i in range(len(rows))], cut)
     else:
         assert top is None
+
+
+ONE_PASS_RANK = exact.ONE_PASS_RANK
+
+
+def check_echelon_rows(rows, cols):
+    """``exact.echelon_rows`` on the integer ``rows`` gives sympy's pivots
+    and, each row divided by its lead, the nonzero rows of sympy's RREF."""
+    got, pivots = exact.echelon_rows([list(r) for r in rows], cols)
+    reference, expected = sympy.Matrix(len(rows), cols, [x for r in rows for x in r]).rref()
+    assert pivots == list(expected)
+    assert exact.fraction_rows(got) == [tuple(fraction(x) for x in reference.row(i)) for i in range(len(pivots))]
+    exact.check_canonical(got, cols)
+    return pivots
+
+
+HUGE = st.integers(10**300, 10**400)
+signed = st.builds(lambda x, negative: -x if negative else x, st.one_of(st.integers(1, 3), HUGE), st.booleans())
+integer_entries = st.one_of(st.just(0), st.integers(-3, 3), signed)
+
+
+@st.composite
+def systems_of_rank(draw, rank):
+    """(rows, cols) of integer rows of exactly ``rank``: echelon rows that
+    lead with either sign, some columns zero throughout, entries of up to
+    400 digits, each row plus multiples of the rows below it (so the back
+    substitution has work), then up to two combinations of them (the rank
+    falls short of the row count), shuffled."""
+    cols = rank + draw(st.integers(0, 2)) + draw(st.integers(0, 4))
+    order = draw(st.permutations(range(cols)))
+    pivots = sorted(order[:rank])
+    zero = set(order[rank : rank + draw(st.integers(0, cols - rank))])
+    rows = [
+        [0] * p + [draw(signed)] + [0 if c in zero else draw(integer_entries) for c in range(p + 1, cols)]
+        for p in pivots
+    ]
+    for i in range(rank):
+        for j in range(i + 1, rank):
+            if draw(st.booleans()):
+                w = draw(st.integers(-3, 3))
+                rows[i] = [x + w * y for x, y in zip(rows[i], rows[j])]
+    for _ in range(draw(st.integers(0, 2))):
+        weights = [draw(st.integers(-2, 2)) for _ in rows[:rank]]
+        rows.append([sum(w * r[c] for w, r in zip(weights, rows)) for c in range(cols)])
+    return draw(st.permutations(rows)), cols
+
+
+@settings(max_examples=60)
+@given(st.sampled_from([ONE_PASS_RANK - 1, ONE_PASS_RANK, ONE_PASS_RANK + 1]).flatmap(systems_of_rank))
+def test_echelon_rows_matches_sympy_around_the_crossover(drawn):
+    rows, cols = drawn
+    assert len(check_echelon_rows(rows, cols)) >= ONE_PASS_RANK - 1
+
+
+@pytest.mark.parametrize("d, bound", [(16, 3), (24, 3), (8, 10**300)], ids=["16x32", "24x48", "8x16-huge"])
+def test_echelon_rows_matches_sympy_on_dense_rows(d, bound):
+    """Dense d×2d rows, one of them a combination of two others."""
+    rng = random.Random(d)
+    rows = [[rng.randint(-bound, bound) for _ in range(2 * d)] for _ in range(d)]
+    rows.insert(d // 2, [3 * x - y for x, y in zip(rows[0], rows[-1])])
+    assert len(check_echelon_rows(rows, 2 * d)) == d
+
+
+def relation_text(d, count, seed):
+    rng = random.Random(seed)
+    gens = [" ".join(str(rng.randint(-3, 3)) for _ in range(2 * d)) for _ in range(count)]
+    return "\n".join([f"dim_x={d}", f"dim_y={d}", *gens]) + "\n"
+
+
+@pytest.mark.parametrize("count", [16, ONE_PASS_RANK - 1])
+def test_parse_takes_the_one_pass_route_from_the_crossover(monkeypatch, count):
+    """A parse of 16 dense generators in Q^32 back-substitutes in one pass;
+    a parse of fewer generators than the crossover rank does not."""
+    text = relation_text(16, count, seed=count)
+    expected = files.parse_relation_text(text)
+    one_pass, ranks = exact._one_pass_rows, []
+
+    def spy(data, pivots, cols):
+        ranks.append(len(pivots))
+        return one_pass(data, pivots, cols)
+
+    monkeypatch.setattr(exact, "_one_pass_rows", spy)
+    assert files.parse_relation_text(text) == expected
+    assert expected.graph.dim == count
+    assert ranks == ([16] if count >= ONE_PASS_RANK else [])

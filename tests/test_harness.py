@@ -157,6 +157,27 @@ class TestRandomRelation:
             redrawn += draws > 1
         assert redrawn
 
+    @pytest.mark.parametrize("draw", ["full_rank", "subspace"])
+    def test_empty_draws_eliminate_nothing(self, monkeypatch, draw):
+        """No columns, or the zero span, take no numbers, so the next draw
+        is the same as without them, and run no elimination."""
+        eliminated = []
+        eliminate = exact._eliminate
+
+        def spy_eliminate(data, cols):
+            eliminated.append(cols)
+            return eliminate(data, cols)
+
+        monkeypatch.setattr(exact, "_eliminate", spy_eliminate)
+        monkeypatch.setattr(harness, "_eliminate", spy_eliminate)
+        rng, fresh = random.Random(7), random.Random(7)
+        if draw == "full_rank":
+            assert harness.random_full_rank(rng, 4, 0) == []
+        else:
+            assert harness.random_subspace(rng, 4, 0) == Subspace.zero(4)
+        assert eliminated == []
+        assert rng.random() == fresh.random()
+
 
 class TestOracle:
     def test_identity_chain(self):
