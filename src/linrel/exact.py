@@ -5,13 +5,15 @@ take integer rows and return canonical rows: the rows of the reduced row
 echelon form, each scaled to the primitive integer vector with a positive
 leading entry.  That form is unique per row space and pivoting is
 deterministic, so subspace equality downstream is a genuine decision, and
-every canonical form is reproducible byte for byte.  Forward elimination
-(``_eliminate``) is shared; ``echelon_rows`` then reduces small systems by
-cancelling pivot columns row against row, and systems of larger rank in one
-pass per row over the free columns.  ``complement_rows``
-reads a basis of the orthogonal complement off that form, and ``text_rows``
-prints its reduced echelon rows from the integers alone.  ``Fraction``s exist
-only at the public ``Matrix`` API (``fraction_rows``).
+every canonical form is reproducible byte for byte.  Both share one forward
+elimination (``_eliminate``).  ``split_echelon_rows``, and ``echelon_rows``
+below rank ``ONE_PASS_RANK``, then clear each pivot column above its pivot
+row against row (``_back_substitute``); from that rank on ``echelon_rows``
+builds each canonical row in one pass over the free columns
+(``_one_pass_rows``).  ``complement_rows`` reads a basis of the orthogonal
+complement off that form, and ``text_rows`` prints its reduced echelon rows
+from the integers alone.  ``Fraction``s exist only at the public ``Matrix``
+API (``fraction_rows``).
 """
 
 from __future__ import annotations
@@ -313,7 +315,7 @@ def _back_substitute(data: list[Sequence[int]], pivots: Sequence[int]) -> None:
 
 Rows = tuple[tuple[int, ...], ...]
 
-# The rank from which ``echelon_rows`` back-substitutes in one pass per row.
+# The crossover rank of ``echelon_rows``; its docstring gives the measurement.
 ONE_PASS_RANK = 8
 
 
@@ -378,14 +380,14 @@ def echelon_rows(data: list[Sequence[int]], cols: int) -> tuple[Rows, list[int]]
     """Canonical rows of the row space of the integer rows ``data`` (each of
     ``cols`` entries), and their pivot columns.  ``data`` is consumed.
 
-    Below rank ``ONE_PASS_RANK`` the echelon rows are back-substituted by
-    ``_back_substitute`` and made primitive; from it on ``_one_pass_rows``
-    builds each canonical row in one pass.  The rank was chosen on recorded
-    calls, each route timed on the same rows in one process: the one pass
-    breaks even at rank 6–7 on the calls of ``check --suite full`` and is
-    10–30% faster from rank 8 on; already reduced rows (the parser's input
-    is canonical text) are about 10% slower through it at any rank; dense
-    d×2d rows at d = 16 and 24 take about half the back-substitution time.
+    ``ONE_PASS_RANK`` was chosen on the recorded calls of the benchmark
+    workloads, both routes timed on the same echelon rows in one process.
+    On the calls of ``check --suite full`` the one pass costs 1.2–2× the
+    row-against-row route below rank 5, breaks even at ranks 6–7 and saves
+    13–29% from rank 8 on.  Rows that are already reduced, as the parser's
+    canonical text gives, take 1.1–1.35× as long through it at any rank, but
+    such calls are short.  Dense d×2d rows at d = 16 and 24 take about half
+    the back-substitution time.
     """
     pivots = _eliminate(data, cols)
     if len(pivots) < ONE_PASS_RANK:

@@ -110,8 +110,8 @@ def random_matrix(rng: random.Random, rows: int, cols: int, bound: int = 3) -> M
 
 def random_full_rank(rng: random.Random, rows: int, cols: int, bound: int = 3) -> list[tuple]:
     """The integer columns of a rows x cols matrix drawn row by row, redrawn
-    until they are independent.  No columns take no numbers and no
-    elimination."""
+    until they are independent.  With no columns it draws nothing and
+    eliminates nothing."""
     if cols > rows:
         raise ValueError("full column rank needs cols <= rows")
     if cols == 0:
@@ -125,8 +125,8 @@ def random_full_rank(rng: random.Random, rows: int, cols: int, bound: int = 3) -
 
 def random_subspace(rng: random.Random, ambient: int, dim: int, bound: int = 3) -> Subspace:
     """The span of ``random_full_rank``'s columns, drawn as it draws them;
-    the span's own dimension decides each redraw, so a draw eliminates once,
-    and the zero span takes no numbers and no elimination."""
+    the span's own dimension decides each redraw, so a draw eliminates once.
+    The zero span draws nothing and eliminates nothing."""
     if not 0 <= dim <= ambient:
         raise ValueError(f"dimension {dim} not within ambient {ambient}")
     if dim == 0:
