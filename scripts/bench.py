@@ -2,10 +2,10 @@
 """Time the canonicalization kernel, ``exact.echelon_rows``, on dense rows.
 
     python3 scripts/bench.py --out BENCH_<n>.json [--tree LABEL=SRC ...]
-                             [--dims 3,6,10,16,24] [--inputs 10] [--repeats 7]
+                             [--dims 3,6,10,16,24] [--repeats 15]
 
-For each d in ``--dims`` it draws ``--inputs`` seeded d×2d integer matrices
-with entries in [-3, 3] (the shape of the rows ``linrel`` parses for a d/d
+For each d in ``--dims`` it draws ``INPUTS`` seeded d×2d integer matrices
+with entries in [-BOUND, BOUND] (the shape of the rows ``linrel`` parses for a d/d
 relation) and times one ``echelon_rows`` call on each, copying the rows
 outside the timed region.  Each of ``--repeats`` passes times every input
 once; the figure is the median over the passes of the mean time per call.
@@ -16,8 +16,7 @@ measured (by default one tree, ``current``, the ``src`` beside this script).
 All trees are imported into one process and their passes alternate, the
 order reversed on every other pass, so a shared host that slows down for a
 while slows every tree alike.  The figures go under ``runs[<label>]`` in the
-JSON file ``--out``; runs already in that file under other labels are kept.
-Standard library only.
+JSON file ``--out``, which is written afresh.  Standard library only.
 """
 
 from __future__ import annotations
@@ -35,6 +34,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 BOUND = 3
+INPUTS = 10
 
 
 def dense_rows(d: int, seed: int) -> list[list[int]]:
@@ -56,9 +56,9 @@ def load_kernel(src: Path, index: int):
     return importlib.import_module(f"{name}.exact").echelon_rows
 
 
-def measure(kernels: dict, d: int, inputs: int, repeats: int) -> dict:
+def measure(kernels: dict, d: int, repeats: int) -> dict:
     """label -> the figures of d for each kernel, the passes interleaved."""
-    cases = [dense_rows(d, seed) for seed in range(inputs)]
+    cases = [dense_rows(d, seed) for seed in range(INPUTS)]
     passes: dict = {label: [] for label in kernels}
     order = list(kernels)
     for _ in range(repeats):
@@ -67,7 +67,7 @@ def measure(kernels: dict, d: int, inputs: int, repeats: int) -> dict:
             start = time.perf_counter()
             for rows in copies:
                 kernels[label](rows, 2 * d)
-            passes[label].append((time.perf_counter() - start) / inputs)
+            passes[label].append((time.perf_counter() - start) / INPUTS)
         order.reverse()
     figures = {}
     for label, echelon_rows in kernels.items():
@@ -76,7 +76,7 @@ def measure(kernels: dict, d: int, inputs: int, repeats: int) -> dict:
             "d": d,
             "rows": d,
             "cols": 2 * d,
-            "inputs": inputs,
+            "inputs": INPUTS,
             "repeats": repeats,
             "median_ms": round(statistics.median(passes[label]) * 1e3, 4),
             "max_entry_bits": max(abs(x).bit_length() for rows in canonical for row in rows for x in row),
@@ -86,29 +86,31 @@ def measure(kernels: dict, d: int, inputs: int, repeats: int) -> dict:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--out", type=Path, required=True, help="JSON file to write or update")
+    parser.add_argument("--out", type=Path, required=True, help="JSON file to write")
     parser.add_argument("--tree", action="append", metavar="LABEL=SRC", help="a src directory to measure")
     parser.add_argument("--dims", default="3,6,10,16,24", help="comma-separated values of d")
-    parser.add_argument("--inputs", type=int, default=10, help="seeded inputs per d")
-    parser.add_argument("--repeats", type=int, default=7, help="timed passes per d and tree")
+    parser.add_argument("--repeats", type=int, default=15, help="timed passes per d and tree")
     args = parser.parse_args(argv)
     dims = [int(d) for d in args.dims.split(",")]
-    if min(dims) < 1 or args.inputs < 1 or args.repeats < 1:
-        parser.error("--dims, --inputs and --repeats must be positive")
+    if min(dims) < 1 or args.repeats < 1:
+        parser.error("--dims and --repeats must be positive")
     trees = [tree.partition("=")[::2] for tree in args.tree or [f"current={ROOT / 'src'}"]]
     if any(not label or not src for label, src in trees) or len({label for label, _ in trees}) < len(trees):
         parser.error("each --tree is LABEL=SRC, with a label of its own")
     kernels = {label: load_kernel(Path(src), i) for i, (label, src) in enumerate(trees)}
 
-    report = json.loads(args.out.read_text()) if args.out.exists() else {}
-    report["benchmark"] = "exact.echelon_rows on seeded dense d x 2d integer rows, entries in [-3, 3]"
-    runs = report.setdefault("runs", {})
-    for label in kernels:
-        runs[label] = {"python": platform.python_version(), "machine": platform.machine(), "results": []}
+    runs = {
+        label: {"python": platform.python_version(), "machine": platform.machine(), "results": []}
+        for label in kernels
+    }
     for d in dims:
-        for label, row in measure(kernels, d, args.inputs, args.repeats).items():
+        for label, row in measure(kernels, d, args.repeats).items():
             runs[label]["results"].append(row)
             print(f"{label} d={d} median_ms={row['median_ms']} max_entry_bits={row['max_entry_bits']}")
+    report = {
+        "benchmark": f"exact.echelon_rows on seeded dense d x 2d integer rows, entries in [-{BOUND}, {BOUND}]",
+        "runs": runs,
+    }
     args.out.write_text(json.dumps(report, indent=2) + "\n")
     return 0
 

@@ -345,8 +345,7 @@ def _one_pass_rows(data: Sequence[Sequence[int]], pivots: Sequence[int], cols: i
     zero at every later pivot is only made primitive.
     """
     rank = len(pivots)
-    taken = set(pivots)
-    free = [c for c in range(cols) if c not in taken]
+    free = None
     leads, parts, out = [0] * rank, [None] * rank, [()] * rank
     for r in range(rank - 1, -1, -1):
         row, p = data[r], pivots[r]
@@ -355,6 +354,9 @@ def _one_pass_rows(data: Sequence[Sequence[int]], pivots: Sequence[int], cols: i
             if u := row[pivots[j]]:
                 terms.append((u, j))
         if terms:
+            if free is None:
+                taken = set(pivots)
+                free = [c for c in range(cols) if c not in taken]
             s = lcm(*[leads[j] for _, j in terms])
             part = [row[c] for c in free]
             if s > 1:
@@ -385,9 +387,9 @@ def echelon_rows(data: list[Sequence[int]], cols: int) -> tuple[Rows, list[int]]
     On the calls of ``check --suite full`` the one pass costs 1.2–2× the
     row-against-row route below rank 5, breaks even at ranks 6–7 and saves
     13–29% from rank 8 on.  Rows that are already reduced, as the parser's
-    canonical text gives, take 1.1–1.35× as long through it at any rank, but
-    such calls are short.  Dense d×2d rows at d = 16 and 24 take about half
-    the back-substitution time.
+    canonical text gives, take about 1.1× as long through it at ranks 8–16
+    (it lists the free columns only once a row needs them).  Dense d×2d rows
+    at d = 16 and 24 take about half the back-substitution time.
     """
     pivots = _eliminate(data, cols)
     if len(pivots) < ONE_PASS_RANK:

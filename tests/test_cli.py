@@ -501,18 +501,16 @@ class TestRunAllSuitesScript:
 
 def test_bench_script_writes_its_figures(tmp_path):
     """A smoke run of ``scripts/bench.py`` at small d with one pass: two
-    trees measured in one run land under their labels, and a later run of
-    the default tree keeps them."""
+    trees measured in one run land under their labels."""
     out, src = tmp_path / "bench.json", str(ROOT / "src")
-    for trees in (["--tree", f"a={src}", "--tree", f"b={src}"], []):
-        done = subprocess.run(
-            [sys.executable, str(ROOT / "scripts" / "bench.py"), "--out", str(out), *trees,
-             "--dims", "3,6", "--inputs", "2", "--repeats", "1"],
-            capture_output=True, text=True, timeout=60,
-        )
-        assert done.returncode == 0, done.stderr
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "bench.py"), "--out", str(out),
+         "--tree", f"a={src}", "--tree", f"b={src}", "--dims", "3,6", "--repeats", "1"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
     report = json.loads(out.read_text())
-    assert set(report["runs"]) == {"a", "b", "current"}
+    assert set(report["runs"]) == {"a", "b"}
     for run in report["runs"].values():
         assert [row["d"] for row in run["results"]] == [3, 6]
         assert all(row["median_ms"] > 0 and row["max_entry_bits"] > 0 for row in run["results"])
