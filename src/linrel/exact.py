@@ -6,14 +6,14 @@ echelon form, each scaled to the primitive integer vector with a positive
 leading entry.  That form is unique per row space and pivoting is
 deterministic, so subspace equality downstream is a genuine decision, and
 every canonical form is reproducible byte for byte.  Both share one forward
-elimination (``_eliminate``).  ``split_echelon_rows``, and ``echelon_rows``
-below rank ``ONE_PASS_RANK``, then clear each pivot column above its pivot
-row against row (``_back_substitute``); from that rank on ``echelon_rows``
-builds each canonical row in one pass over the free columns
-(``_one_pass_rows``).  ``complement_rows`` reads a basis of the orthogonal
-complement off that form, and ``text_rows`` prints its reduced echelon rows
-from the integers alone.  ``Fraction``s exist only at the public ``Matrix``
-API (``fraction_rows``).
+elimination (``_eliminate``) and one finishing step (``_canonical_rows``),
+routed by rank alone: full rank gives ``unit_rows``, a rank below
+``ONE_PASS_RANK`` clears each pivot column above its pivot row against row
+(``_back_substitute``), and a higher rank builds each canonical row in one
+pass over the free columns (``_one_pass_rows``).  ``complement_rows`` reads
+a basis of the orthogonal complement off that form, and ``text_rows`` prints
+its reduced echelon rows from the integers alone.  ``Fraction``s exist only
+at the public ``Matrix`` API (``fraction_rows``).
 """
 
 from __future__ import annotations
@@ -79,9 +79,12 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(*parse_ratio(text))
 
 
+_ENTRY_TYPES = frozenset({Fraction, int})
+
+
 def _ratio(value: Scalar) -> tuple[int, int]:
-    """``(p, q)`` with q > 0 for an exact scalar; text is read by ``parse_ratio``."""
-    if isinstance(value, (int, Fraction)):
+    """``(p, q)``, q > 0, for an exact scalar (not a bool); text is read by ``parse_ratio``."""
+    if type(value) in _ENTRY_TYPES:
         return value.as_integer_ratio()
     if isinstance(value, str):
         return parse_ratio(value)
@@ -90,9 +93,6 @@ def _ratio(value: Scalar) -> tuple[int, int]:
 
 def vector(values: Iterable[Scalar]) -> tuple[Fraction, ...]:
     return tuple(v if isinstance(v, Fraction) else Fraction(*_ratio(v)) for v in values)
-
-
-_ENTRY_TYPES = frozenset({Fraction, int})
 
 
 @dataclass(frozen=True)
@@ -274,7 +274,7 @@ def _eliminate(data: list[Sequence[int]], cols: int) -> list[int]:
     Forward elimination clears each pivot column below its pivot; pivot
     choice is the first row with a nonzero entry in column order, so equal
     input gives equal output.  The rank is the number of pivots, and
-    ``_back_substitute`` then gives the reduced form.  Every row that is
+    ``_canonical_rows`` then gives the canonical rows.  Every row that is
     cancelled against another comes out primitive; the rows are replaced,
     never mutated.
     """
@@ -315,8 +315,14 @@ def _back_substitute(data: list[Sequence[int]], pivots: Sequence[int]) -> None:
 
 Rows = tuple[tuple[int, ...], ...]
 
-# The crossover rank of ``echelon_rows``; its docstring gives the measurement.
+# The crossover rank of ``_canonical_rows``; its docstring gives the measurement.
 ONE_PASS_RANK = 8
+
+
+def unit_rows(n: int) -> Rows:
+    """The canonical rows of all of Q^n, e_0 to e_{n-1}, sliced from one row."""
+    line = (0,) * (n - 1) + (1,) + (0,) * (n - 1)
+    return tuple(line[n - 1 - i : 2 * n - 1 - i] for i in range(n))
 
 
 def primitive_rows(data: Sequence[Sequence[int]], pivots: Sequence[int]) -> Rows:
@@ -378,24 +384,31 @@ def _one_pass_rows(data: Sequence[Sequence[int]], pivots: Sequence[int], cols: i
     return tuple(out)
 
 
-def echelon_rows(data: list[Sequence[int]], cols: int) -> tuple[Rows, list[int]]:
-    """Canonical rows of the row space of the integer rows ``data`` (each of
-    ``cols`` entries), and their pivot columns.  ``data`` is consumed.
+def _canonical_rows(data: list[Sequence[int]], pivots: Sequence[int], cols: int) -> Rows:
+    """Canonical rows of the rows ``data`` of ``cols`` ints, which ``_eliminate``
+    left in echelon form with these pivot columns; ``data`` is consumed.  The
+    rank alone picks the route (module docstring); every route gives the same rows.
 
-    ``ONE_PASS_RANK`` was chosen on the recorded calls of the benchmark
-    workloads, both routes timed on the same echelon rows in one process.
-    On the calls of ``check --suite full`` the one pass costs 1.2–2× the
-    row-against-row route below rank 5, breaks even at ranks 6–7 and saves
-    13–29% from rank 8 on.  Rows that are already reduced, as the parser's
-    canonical text gives, take about 1.1× as long through it at ranks 8–16
-    (it lists the free columns only once a row needs them).  Dense d×2d rows
-    at d = 16 and 24 take about half the back-substitution time.
+    ``ONE_PASS_RANK`` is where the one pass starts to pay on the workloads'
+    recorded calls, both routes timed on the same rows in one process: it
+    costs 1.2–2× the row-against-row route below rank 5 and saves 13–29% from
+    rank 8 on (about half on dense d×2d rows, d = 16 and 24), while rows that
+    are already reduced, as the parser's canonical text gives, take about
+    1.1× as long through it at ranks 8–16.
     """
-    pivots = _eliminate(data, cols)
+    if len(pivots) == cols:
+        return unit_rows(cols)
     if len(pivots) < ONE_PASS_RANK:
         _back_substitute(data, pivots)
-        return primitive_rows(data, pivots), pivots
-    return _one_pass_rows(data, pivots, cols), pivots
+        return primitive_rows(data, pivots)
+    return _one_pass_rows(data, pivots, cols)
+
+
+def echelon_rows(data: list[Sequence[int]], cols: int) -> tuple[Rows, list[int]]:
+    """Canonical rows and pivot columns of the row space of ``data``, rows of
+    ``cols`` ints; ``data`` is consumed."""
+    pivots = _eliminate(data, cols)
+    return _canonical_rows(data, pivots, cols), pivots
 
 
 def split_echelon_rows(
@@ -410,29 +423,18 @@ def split_echelon_rows(
     Otherwise one forward elimination puts the rows in echelon form.  The
     rows that pivot before ``cut`` span the projection once cut to their
     first ``cut`` entries, and the others span the slice once cut to the
-    rest; each side is back-substituted among its own rows only.
+    rest; each side is finished among its own rows only.
     """
     if len(data) <= cut:
         heads = [row[:cut] for row in data]
         pivots = _eliminate(heads, cut)
         if len(pivots) == len(data):
-            if not head:
-                return None, ()
-            if len(pivots) == cut:
-                return tuple(tuple(int(i == j) for j in range(cut)) for i in range(cut)), ()
-            _back_substitute(heads, pivots)
-            return primitive_rows(heads, pivots), ()
+            return (_canonical_rows(heads, pivots, cut) if head else None), ()
     pivots = _eliminate(data, cols)
     h = bisect_left(pivots, cut)
-    top = None
-    if head:
-        top = [row[:cut] for row in data[:h]]
-        _back_substitute(top, pivots[:h])
-        top = primitive_rows(top, pivots[:h])
+    top = _canonical_rows([row[:cut] for row in data[:h]], pivots[:h], cut) if head else None
     bottom = [row[cut:] for row in data[h : len(pivots)]]
-    shifted = [p - cut for p in pivots[h:]]
-    _back_substitute(bottom, shifted)
-    return top, primitive_rows(bottom, shifted)
+    return top, _canonical_rows(bottom, [p - cut for p in pivots[h:]], cols - cut)
 
 
 def complement_rows(rows: Sequence[Sequence[int]], pivots: Sequence[int], cols: int) -> Rows:

@@ -36,7 +36,7 @@ from operator import mul
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from . import factor
-from .exact import Matrix, Rows, _eliminate, _reduce, primitive_rows, require_int
+from .exact import Matrix, Rows, _eliminate, _reduce, require_int
 from .files import check_ambient_limit, serialize_relation
 from .relation import (
     LinearRelation,
@@ -103,9 +103,9 @@ class RelationSpec:
             )
 
 
-def random_matrix(rng: random.Random, rows: int, cols: int, bound: int = 3) -> Matrix:
-    """Entries drawn row by row, kept as ints, which the kernel takes as they are."""
-    return Matrix(rows, cols, tuple(rng.randint(-bound, bound) for _ in range(rows * cols)))
+def random_matrix(rng: random.Random, rows: int, cols: int) -> Matrix:
+    """Entries in [-3, 3] drawn row by row, kept as ints, which the kernel takes as they are."""
+    return Matrix(rows, cols, tuple(rng.randint(-3, 3) for _ in range(rows * cols)))
 
 
 def random_full_rank(rng: random.Random, rows: int, cols: int, bound: int = 3) -> list[tuple]:
@@ -202,10 +202,10 @@ def random_mixed_relation(
     return _draw_targeted(rng, dim_x, dim_y, dd, dm, dd - rk, bound)()
 
 
-def random_selfadjoint(rng: random.Random, dim: int, bound: int = 3) -> LinearRelation:
+def random_selfadjoint(rng: random.Random, dim: int) -> LinearRelation:
     """Self-adjoint relation {(P a, y) : Pᵀ y = S a} for a random subspace D,
-    P the matrix of D's reduced echelon basis and S a random symmetric
-    matrix: a symmetric map on D, made multivalued along D^⊥ = ker Pᵀ.
+    P the matrix of D's reduced echelon basis and S = W + Wᵀ for W drawn in
+    [-3, 3]: a symmetric map on D, made multivalued along D^⊥ = ker Pᵀ.
 
     Canonical row R_j of D leads with q_j in column p_j, where the other rows
     are zero, so column k of P has entry δ_ik in column p_i and R_j = P (q_j e_j).
@@ -214,8 +214,8 @@ def random_selfadjoint(rng: random.Random, dim: int, bound: int = 3) -> LinearRe
     D^⊥, span the relation, read off D's rows without solving anything.
     """
     r = rng.randint(0, dim)
-    dom = random_subspace(rng, dim, r, bound)
-    raw = [[rng.randint(-bound, bound) for _ in range(r)] for _ in range(r)]
+    dom = random_subspace(rng, dim, r)
+    raw = [[rng.randint(-3, 3) for _ in range(r)] for _ in range(r)]
     leads = dom._leads()
     gens = []
     for j, row in enumerate(dom.rows):
@@ -292,10 +292,9 @@ def operator_graph_candidates(dim_x: int, dim_y: int, bound: int = 2) -> tuple[R
 @lru_cache(maxsize=None)
 def _operator_graph_candidates(dim_x: int, dim_y: int, bound: int) -> tuple[Rows, ...]:
     grid = [e for e in iter_product(range(-bound, bound + 1), repeat=dim_x + dim_y) if any(e)]
-    # each grid line once, as its primitive row with a positive lead, in the
-    # order of the lines' reduced echelon forms: a lead is at most ``bound``,
-    # so each row scaled by scale // lead is its reduced form times scale
-    lines = set(primitive_rows(grid, [next(j for j, x in enumerate(e) if x) for e in grid]))
+    # each grid line once, in the order of the lines' reduced echelon forms: a
+    # lead is at most ``bound``, so a line times scale // lead is its form times scale
+    lines = set(map(_line, grid))
     scale = lcm(*range(1, bound + 1))
     line_reps = sorted(lines, key=lambda row: tuple(x * (scale // next(filter(None, row))) for x in row))
     # first occurrence decides the order, since the search returns the first
@@ -308,10 +307,8 @@ def _operator_graph_candidates(dim_x: int, dim_y: int, bound: int) -> tuple[Rows
         shared = {rep: rep for rep in line_reps}
         for u, v in combinations(line_reps, 2):
             if u[0] * v[1] != u[1] * v[0]:
-                r0, r1 = primitive_rows(
-                    ([v[1] * a - u[1] * b for a, b in zip(u, v)], [u[0] * b - v[0] * a for a, b in zip(u, v)]),
-                    (0, 1),
-                )
+                r0 = _line([v[1] * a - u[1] * b for a, b in zip(u, v)])
+                r1 = _line([u[0] * b - v[0] * a for a, b in zip(u, v)])
                 spans.setdefault((shared.setdefault(r0, r0), shared.setdefault(r1, r1)))
     return tuple(spans)
 
@@ -681,8 +678,8 @@ def _suite_compose_oracle(rng: random.Random) -> Optional[str]:
 
 def _suite_graph_compose(rng: random.Random) -> Optional[str]:
     n, m, k = rng.randint(0, 4), rng.randint(0, 4), rng.randint(0, 4)
-    ma = random_matrix(rng, m, n, 3)
-    mb = random_matrix(rng, k, m, 3)
+    ma = random_matrix(rng, m, n)
+    mb = random_matrix(rng, k, m)
     a, b = LinearRelation.graph_of_matrix(ma), LinearRelation.graph_of_matrix(mb)
     same = compose(b, a) == LinearRelation.graph_of_matrix(mb @ ma)
     return _first_failure([("graph composition mismatch", same)], a, b)
@@ -713,7 +710,7 @@ def _suite_adjoint_identities(rng: random.Random) -> Optional[str]:
         yield "double adjoint", adj.adjoint() == rel
 
     def matrix_failure():
-        m = random_matrix(rng, d, d, 3)
+        m = random_matrix(rng, d, d)
         graph = LinearRelation.graph_of_matrix(m)
         same = graph.adjoint() == LinearRelation.graph_of_matrix(m.transpose())
         return _first_failure([("adjoint of a matrix graph is not the transpose graph", same)], graph)

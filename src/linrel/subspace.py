@@ -45,6 +45,7 @@ from .exact import (
     require_int,
     split_echelon_rows,
     text_rows,
+    unit_rows,
 )
 
 
@@ -125,8 +126,7 @@ class Subspace:
 
     @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
-        unit = range(require_int("ambient dimension", ambient_dim, 0))
-        return cls._make(ambient_dim, tuple(tuple(int(i == j) for j in unit) for i in unit))
+        return cls._make(ambient_dim, unit_rows(require_int("ambient dimension", ambient_dim, 0)))
 
     def _check_ambient(self, other: "Subspace") -> None:
         if self.ambient_dim != other.ambient_dim:

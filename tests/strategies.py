@@ -25,13 +25,6 @@ def matrices(draw, min_rows=0, max_rows=4, min_cols=0, max_cols=4):
 
 
 @st.composite
-def square_matrices(draw, max_dim=4):
-    d = draw(st.integers(0, max_dim))
-    data = [[draw(entries) for _ in range(d)] for _ in range(d)]
-    return Matrix.from_rows(data, cols=d)
-
-
-@st.composite
 def subspaces(draw, max_dim=4, ambient=None):
     d = ambient if ambient is not None else draw(st.integers(0, max_dim))
     count = draw(st.integers(0, d + 1))

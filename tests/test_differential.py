@@ -6,8 +6,9 @@ linear combinations of earlier rows (so ranks fall short), and zero-extent
 shapes, which the small-integer strategies of the other tests never reach.
 ``split_span`` is drawn mostly with no more rows than the cut, where the
 kernel eliminates the heads alone before it decides whether the tails matter.
-``echelon_rows`` is drawn around the rank where its back substitution
-changes route, with entries of hundreds of digits, and on dense d×2d rows.
+``echelon_rows``, and the projections and slices of ``split_span``, are
+drawn around the rank where the back substitution changes route, with
+entries of hundreds of digits; ``echelon_rows`` also on dense d×2d rows.
 """
 
 import random
@@ -187,7 +188,12 @@ def sympy_rows(vectors, width):
 @example((3, 2, [[3, 1, 5], [Fraction(1, 2), 2, -7]], True))
 @example((4, 3, [[1, 1, 0, 5], [0, 1, 1, 7]], True))
 def test_split_span_matches_sympy(drawn):
-    cols, cut, rows, head = drawn
+    check_split_span(*drawn)
+
+
+def check_split_span(cols, cut, rows, head):
+    """``Subspace.split_span`` gives the projection and the slice that sympy
+    computes; returns them."""
     top, bottom = Subspace.split_span(cols, rows, cut, head)
     m = sympy.Matrix(len(rows), cols, [sympy.Rational(x.numerator, x.denominator) for r in rows for x in r])
     heads, tails = m[:, :cut], m[:, cut:]
@@ -198,6 +204,7 @@ def test_split_span_matches_sympy(drawn):
         assert top.basis.transpose() == sympy_rows([list(heads.row(i)) for i in range(len(rows))], cut)
     else:
         assert top is None
+    return top, bottom
 
 
 ONE_PASS_RANK = exact.ONE_PASS_RANK
@@ -250,6 +257,42 @@ def systems_of_rank(draw, rank):
 def test_echelon_rows_matches_sympy_around_the_crossover(drawn):
     rows, cols = drawn
     assert len(check_echelon_rows(rows, cols)) >= ONE_PASS_RANK - 1
+
+
+@st.composite
+def split_systems_of_rank(draw, rank):
+    """(cols, cut, rows, side, rank) for ``Subspace.split_span`` whose
+    projection (``side`` "head") or slice (``side`` "slice") is the span of
+    the rows of a ``systems_of_rank`` draw.  The other side's rows have independent parts
+    there, so they leave that span alone; then rows are added to one
+    another, which changes neither side, and shuffled."""
+    inner, width = draw(systems_of_rank(rank))
+    count = draw(st.integers(0, 3))
+    outer = draw(independent_heads(count, count + draw(st.integers(0, 2))))
+    other = len(outer[0]) if outer else draw(st.integers(0, 2))
+    side = draw(st.sampled_from(["head", "slice"]))
+    if side == "head":
+        cut = width
+        rows = [r + [draw(integer_entries) for _ in range(other)] for r in inner]
+        rows += [[0] * width + o for o in outer]
+    else:
+        cut = other
+        rows = [[0] * other + r for r in inner]
+        rows += [o + [draw(integer_entries) for _ in range(width)] for o in outer]
+    for _ in range(draw(st.integers(0, 4))):
+        i, j = draw(st.permutations(range(len(rows))))[:2]
+        w = draw(st.integers(-3, 3))
+        rows[i] = [x + w * y for x, y in zip(rows[i], rows[j])]
+    return width + other, cut, draw(st.permutations(rows)), side, rank
+
+
+@settings(max_examples=60)
+@given(st.sampled_from([ONE_PASS_RANK - 1, ONE_PASS_RANK, ONE_PASS_RANK + 1]).flatmap(split_systems_of_rank))
+def test_split_span_matches_sympy_around_the_crossover(drawn):
+    """A projection or a slice whose rank is around ``ONE_PASS_RANK``."""
+    cols, cut, rows, side, rank = drawn
+    top, bottom = check_split_span(cols, cut, rows, head=True)
+    assert (top if side == "head" else bottom).dim == rank
 
 
 @pytest.mark.parametrize("d, bound", [(16, 3), (24, 3), (8, 10**300)], ids=["16x32", "24x48", "8x16-huge"])

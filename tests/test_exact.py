@@ -17,7 +17,8 @@ from linrel import (
     vector,
 )
 
-from linrel.exact import echelon_rows, fraction_rows, text_rows
+from linrel import exact
+from linrel.exact import ONE_PASS_RANK, echelon_rows, fraction_rows, text_rows
 from strategies import matrices
 
 
@@ -73,6 +74,22 @@ class TestScalarGrammar:
             with pytest.raises(ValueError, match="bad rational"):
                 call()
 
+    @pytest.mark.parametrize("value", [True, False])
+    def test_every_entry_point_rejects_a_bool(self, value):
+        # a bool is an int to isinstance, but no exact scalar to the Matrix constructor
+        rel = LinearRelation.full_relation(1, 1)
+        calls = (
+            lambda: vector([value]),
+            lambda: Subspace.from_vectors(1, [(value,)]),
+            lambda: Matrix.from_rows([[value]]),
+            lambda: Matrix(1, 1, (value,)),
+            lambda: rel.membership((value,), (0,)),
+            lambda: solve_linear(Matrix(1, 1, (1,)), [value]),
+        )
+        for call in calls:
+            with pytest.raises(TypeError, match=repr(value)):
+                call()
+
     def test_exact_scalars_are_accepted(self):
         values = ("3/4", " -2 ", Fraction(1, 3), 5)
         expected = (Fraction(3, 4), Fraction(-2), Fraction(1, 3), Fraction(5))
@@ -124,6 +141,47 @@ class TestCanonicalEchelon:
                     assert reduced[other, p] == 0
         for r in range(rk, m.rows):
             assert not any(reduced.row(r))
+
+
+class TestFullRank:
+    """A row space of full rank has the unit rows as its canonical rows,
+    and every canonicalization returns them without a back substitution,
+    at ranks on both sides of ``ONE_PASS_RANK``."""
+
+    @pytest.fixture(autouse=True)
+    def refuse_back_substitution(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a back substitution ran")
+
+        monkeypatch.setattr(exact, "_back_substitute", refuse)
+        monkeypatch.setattr(exact, "_one_pass_rows", refuse)
+
+    @staticmethod
+    def vandermonde(n):
+        """n dense rows of rank n: row i is (1, a, a², ...) for a = i + 2."""
+        return [[(i + 2) ** j for j in range(n)] for i in range(n)]
+
+    @pytest.mark.parametrize("n", [0, 1, 3, ONE_PASS_RANK + 2])
+    def test_unit_rows_are_the_identity(self, n):
+        assert exact.unit_rows(n) == tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+        assert Subspace.full(n).rows == exact.unit_rows(n)
+
+    @pytest.mark.parametrize("n", [3, ONE_PASS_RANK + 2])
+    def test_echelon_rows(self, n):
+        assert echelon_rows(self.vandermonde(n), n) == (exact.unit_rows(n), list(range(n)))
+
+    @pytest.mark.parametrize("n", [3, ONE_PASS_RANK + 2])
+    def test_split_heads_alone(self, n):
+        rows = [v + [i] for i, v in enumerate(self.vandermonde(n))]
+        assert exact.split_echelon_rows(rows, n + 1, n) == (exact.unit_rows(n), ())
+
+    @pytest.mark.parametrize("n", [3, ONE_PASS_RANK + 2])
+    def test_split_projection_and_slice(self, n):
+        # n + 1 rows past a cut at n (or at 1): both sides are whole spaces
+        rows = [v + [1] for v in self.vandermonde(n)] + [[0] * n + [1]]
+        assert exact.split_echelon_rows(rows, n + 1, n) == (exact.unit_rows(n), ((1,),))
+        rows = [[1] + v for v in self.vandermonde(n)] + [[1] + [0] * n]
+        assert exact.split_echelon_rows(rows, n + 1, 1) == (((1,),), exact.unit_rows(n))
 
 
 class TestNullspace:
@@ -199,7 +257,7 @@ class TestMatrixBasics:
         with pytest.raises(TypeError, match="0.1"):
             Matrix(1, 1, (0.1,))
 
-    @pytest.mark.parametrize("value", [0.1, None, 1j])
+    @pytest.mark.parametrize("value", [0.1, None, 1j, True])
     def test_vector_rejects_non_exact_scalar(self, value):
         with pytest.raises(TypeError, match=re.escape(repr(value))):
             vector([1, value])

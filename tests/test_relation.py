@@ -31,7 +31,6 @@ from strategies import (
     matrices,
     relations,
     sp,
-    square_matrices,
     square_relations,
     subspaces,
 )
@@ -306,23 +305,6 @@ class TestAdjoint:
     def test_rectangular_zero_flips_to_full(self):
         # the adjoint needs no square: a relation from Q^1 to Q^2 has one from Q^2 to Q^1
         assert LinearRelation.zero_relation(1, 2).adjoint() == LinearRelation.full_relation(2, 1)
-
-    @given(square_relations())
-    def test_double_adjoint(self, rel):
-        assert rel.adjoint().adjoint() == rel
-
-    @given(square_relations())
-    def test_mul_and_ker_identities(self, rel):
-        p = profile(rel)
-        q = profile(rel.adjoint())
-        assert q.mul == p.dom.ortho_complement()
-        assert q.ker == p.ran.ortho_complement()
-
-    @given(square_matrices())
-    def test_graph_adjoint_is_transpose(self, m):
-        assert LinearRelation.graph_of_matrix(m).adjoint() == LinearRelation.graph_of_matrix(
-            m.transpose()
-        )
 
     @given(relations())
     def test_rectangular_double_adjoint(self, rel):
