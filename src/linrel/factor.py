@@ -4,9 +4,11 @@ Each solver evaluates a named set of necessary-and-sufficient conditions on
 the profiles of A and B.  Only when every condition holds does ``_report``
 build an explicit witness and re-verify it by exact composition; an
 unsolvable answer composes nothing.  Every witness is read off A, B and
-the relation-level candidate B⁻¹∘A (right) or A∘B⁻¹ (left); the adjoint
-solvers hand A* and B* to the operator builders as they are, so neither is
-profiled.  Reports never claim witness uniqueness; ``verify`` is the contract.
+the relation-level candidate B⁻¹∘A (right) or A∘B⁻¹ (left), one stacked
+product of rows that ``relation`` lays out, so no line here splits a row
+into its blocks; the adjoint solvers hand A* and B* to the operator
+builders as they are, so neither is profiled.  Reports never claim witness
+uniqueness; ``verify`` is the contract.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .exact import text_rows
-from .relation import LinearRelation, RelationProfile, _stacked_product, compose, profile
+from .relation import LinearRelation, RelationProfile, _stacked_product, _swapped_rows, compose, profile
 from .subspace import Subspace
 
 MUL_EQUAL = "mul_equal"
@@ -123,12 +125,13 @@ def _subset(part: str, pa: RelationProfile, pb: RelationProfile, *, a_inside_b: 
 
 
 def _candidate(a: LinearRelation, b: LinearRelation, side: str) -> LinearRelation:
-    """The relation-level candidate: B⁻¹∘A for ``right``, A∘B⁻¹ for ``left``,
-    one stacked system each, fed B's rows with their blocks swapped, so B is
-    never inverted on its own."""
+    """The relation-level candidate B⁻¹∘A for ``right`` or A∘B⁻¹ for
+    ``left``, one ``_stacked_product`` each, so B is never inverted on its
+    own.  B⁻¹∘A takes the swapped rows of A and of B, which span A⁻¹ and
+    B⁻¹; A∘B⁻¹ takes B's rows, which span (B⁻¹)⁻¹, and A's rows."""
     if side == "right":
-        return _stacked_product(b, a, invert_outer=True)
-    return _stacked_product(a, b, invert_inner=True)
+        return _stacked_product(a.dim_x, a.dim_y, b.dim_x, _swapped_rows(a), _swapped_rows(b))
+    return _stacked_product(b.dim_y, b.dim_x, a.dim_y, b.graph.rows, a.graph.rows)
 
 
 def _right_operator_witness(a: LinearRelation, b: LinearRelation) -> tuple[LinearRelation, bool]:

@@ -17,12 +17,9 @@ matrix: it tests one vector against a span.  Only the suites that test
 ``_first_failure``, at the first of its checks that fails, and only the
 ``generator_honesty`` suite checks that generated profiles are as requested.
 
-The brute-force witness search is definitional as well: it decides each
-grid candidate on the product oracle's stacked system (``_product_test``),
-and the one witness it returns is re-verified by ``factor.verify``.  Each
-candidate row is reduced in that system once per pair, and the rank of two
-reduced rows is read off their lines, the rows made primitive with a positive
-first nonzero entry, which are equal exactly when the rows are dependent.
+The brute-force witness search is definitional as well: ``_product_test``
+decides each grid candidate, and the one witness it returns is re-verified
+by ``factor.verify``.
 """
 
 from __future__ import annotations
@@ -424,8 +421,7 @@ def _search(
     a: LinearRelation, b: LinearRelation, side: str, dims: tuple[int, int], bound: int
 ) -> Optional[LinearRelation]:
     """The first grid candidate of shape ``dims`` that ``_product_test``
-    admits, or None.  Candidates are decided on their canonical rows, and a
-    relation is built only of the one that passes, then re-verified."""
+    admits, built as a relation and re-verified, or None."""
     # gated even when B rules all out
     candidates = operator_graph_candidates(*dims, bound)
     admits = _product_test(a, b, side)
@@ -443,13 +439,8 @@ def _search(
 def brute_force_right_witness(
     a: LinearRelation, b: LinearRelation, bound: int = 2
 ) -> Optional[LinearRelation]:
-    """The first candidate of the grid that is a single-valued T with B∘T = A.
-
-    Definitional: each candidate is decided from the ranks of its rows reduced
-    in the product oracle's stacked system (see ``_product_test``).  The
-    witness is the relation on the rows of the first candidate that passes,
-    re-verified by ``factor.verify``.
-    """
+    """The first candidate of the grid that is a single-valued T with B∘T = A,
+    or None, found by ``_search``."""
     factor._require_shared_target(a, b)
     return _search(a, b, "right", (a.dim_x, b.dim_x), bound)
 
@@ -457,10 +448,8 @@ def brute_force_right_witness(
 def brute_force_left_witness(
     a: LinearRelation, b: LinearRelation, bound: int = 2
 ) -> Optional[LinearRelation]:
-    """The first candidate of the grid that is a single-valued T with T∘B = A.
-
-    Decided and re-verified as in ``brute_force_right_witness``.
-    """
+    """The first candidate of the grid that is a single-valued T with T∘B = A,
+    or None, found by ``_search``."""
     factor._require_shared_source(a, b)
     return _search(a, b, "left", (b.dim_y, a.dim_y), bound)
 
@@ -560,11 +549,10 @@ def targeted_left_pair(
     raise RuntimeError(f"failed to construct a left pair of kind {kind!r}")
 
 
-def random_square_pair(
-    rng: random.Random, max_dim: int = 3, bound: int = 3
-) -> tuple[LinearRelation, LinearRelation]:
+def random_square_pair(rng: random.Random, max_dim: int = 3) -> tuple[LinearRelation, LinearRelation]:
+    """Two ``random_mixed_relation`` draws on Q^d, d in [0, max_dim], at coefficient bound 3."""
     d = rng.randint(0, max_dim)
-    return random_mixed_relation(rng, d, d, bound), random_mixed_relation(rng, d, d, bound)
+    return random_mixed_relation(rng, d, d), random_mixed_relation(rng, d, d)
 
 
 # ---------------------------------------------------------------------------

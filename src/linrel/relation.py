@@ -65,8 +65,7 @@ class LinearRelation:
     def inverse(self) -> "LinearRelation":
         """Coordinate swap of the graph; always exists."""
         n, m = self.dim_x, self.dim_y
-        rows = [r[n:] + r[:n] for r in self.graph.rows]
-        return LinearRelation(m, n, Subspace.from_vectors(m + n, rows))
+        return LinearRelation(m, n, Subspace.from_vectors(m + n, _swapped_rows(self)))
 
     def reduce_operator_part(self) -> "LinearRelation":
         """The single-valued summand A ∩ (Q^n × mul(A)^⊥); dom is preserved.
@@ -139,8 +138,7 @@ def profile(rel: LinearRelation) -> RelationProfile:
     """
     n, m = rel.dim_x, rel.dim_y
     dom, mul = rel.graph.split(n)
-    swapped = [r[n:] + r[:n] for r in rel.graph.rows]
-    ran, ker = Subspace.split_span(m + n, swapped, m)
+    ran, ker = Subspace.split_span(m + n, _swapped_rows(rel), m)
     return RelationProfile(dom=dom, ran=ran, ker=ker, mul=mul)
 
 
@@ -158,8 +156,9 @@ def compose(outer: LinearRelation, inner: LinearRelation) -> LinearRelation:
     (s·x, Σ_i y_i·(s/p_i)·b_i) over inner's rows (x, y), one ``from_vectors``
     whose rows are already in echelon form when inner is an operator graph.
 
-    Otherwise the product is ``_stacked_product`` of the two graphs' rows.
-    No single-valuedness is assumed, so genuinely multivalued inputs compose
+    Otherwise the product is ``_stacked_product`` of inner's swapped rows
+    (``_swapped_rows``, which span inner⁻¹) and outer's rows.  No
+    single-valuedness is assumed, so genuinely multivalued inputs compose
     correctly.  Both routes end in the canonical form, so they agree exactly.
     """
     if inner.dim_y != outer.dim_x:
@@ -178,32 +177,31 @@ def compose(outer: LinearRelation, inner: LinearRelation) -> LinearRelation:
             for r in inner.graph.rows
         ]
         return LinearRelation(n, k, Subspace.from_vectors(n + k, image))
-    return _stacked_product(outer, inner)
+    return _stacked_product(n, m, k, _swapped_rows(inner), outer_rows)
+
+
+def _swapped_rows(rel: LinearRelation) -> list[tuple]:
+    """The graph rows (x, y) of ``rel`` with their blocks swapped, (y, x):
+    they span rel⁻¹, though not in echelon form."""
+    n = rel.dim_x
+    return [r[n:] + r[:n] for r in rel.graph.rows]
 
 
 def _stacked_product(
-    outer: LinearRelation, inner: LinearRelation, invert_outer: bool = False, invert_inner: bool = False
+    n: int, m: int, k: int, inner_inverse_rows: Sequence[tuple], outer_rows: Sequence[tuple]
 ) -> LinearRelation:
-    """outer∘inner by the stacked route, with either relation taken inverted
-    when its flag is set: the rows of a relation with their blocks swapped
-    span its inverse, and the route needs only rows that span each factor.
+    """outer∘inner from Q^n to Q^k through Q^m, given rows (y, x) that span
+    inner⁻¹ and rows (y', z) that span outer; neither needs to be canonical,
+    so a caller passes ``_swapped_rows`` of a relation for its inverse and
+    its graph rows for itself.
 
     In (y, x, z) coordinates, the points (0, x, z) of the span of (y, x, 0)
-    over inner's rows (x, y) and (-y', 0, z) over outer's rows (y', z) are
-    exactly those with y = y', so the slice that ``split_span`` keeps is the
-    product.
+    and (-y', 0, z) are exactly those with y = y', so the slice that
+    ``split_span`` keeps is the product.
     """
-    n, m = (inner.dim_y, inner.dim_x) if invert_inner else (inner.dim_x, inner.dim_y)
-    k = outer.dim_x if invert_outer else outer.dim_y
     pad, gap = (0,) * k, (0,) * n
-    if invert_inner:  # inner's row is a row (y, x) of its inverse
-        rows = [r + pad for r in inner.graph.rows]
-    else:
-        rows = [r[n:] + r[:n] + pad for r in inner.graph.rows]
-    if invert_outer:  # outer's row is a row (z, y') of its inverse
-        rows += [tuple(-v for v in r[k:]) + gap + r[:k] for r in outer.graph.rows]
-    else:
-        rows += [tuple(-v for v in r[:m]) + gap + r[m:] for r in outer.graph.rows]
+    rows = [r + pad for r in inner_inverse_rows]
+    rows += [tuple(-v for v in r[:m]) + gap + r[m:] for r in outer_rows]
     return LinearRelation(n, k, Subspace.split_span(m + n + k, rows, m, head=False)[1])
 
 

@@ -192,7 +192,8 @@ def test_criterion_7_cli_contract(capsys):
     def body():
         fixtures = sorted(FIXTURES.glob("roundtrip_*.rel"))
         assert len(fixtures) == 20
-        assert len({path.read_text() for path in fixtures}) == 20
+        texts = [path.read_text() for path in FIXTURES.glob("*.rel")]
+        assert len(set(texts)) == len(texts), "two fixtures hold the same text"
         for path in fixtures:
             text = path.read_text()
             assert serialize_relation(parse_relation_text(text, source=str(path))) == text

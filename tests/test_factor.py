@@ -507,6 +507,34 @@ class TestUnsolvableComposesNothing:
         }
 
 
+class TestSolvableComposesOnce:
+    @pytest.mark.parametrize("solver", [
+        solve_right_relation, solve_right_operator, solve_left_relation,
+        solve_left_operator, solve_adjoint_right, solve_adjoint_left,
+    ], ids=lambda solver: solver.__name__)
+    def test_one_stacked_candidate_and_one_compose(self, solver):
+        """A solvable solve builds its candidate B⁻¹∘A or A∘B⁻¹ as one stacked
+        product and checks its witness with one compose.  ``satisfy`` pairs
+        are solvable at every level, and an adjoint solver gets their
+        adjoints, so that its A* and B* are such a pair."""
+        name = solver.__name__
+        sampler = harness.targeted_right_pair if "right" in name else harness.targeted_left_pair
+        rng = random.Random(34)
+        for _ in range(30):
+            a, b = sampler(rng, "satisfy")
+            if "adjoint" in name:
+                a, b = a.adjoint(), b.adjoint()
+            with mock.patch.object(factor, "compose", wraps=compose) as counted, \
+                    mock.patch.object(factor, "_stacked_product", wraps=factor._stacked_product) as stacked:
+                report = solver(a, b)
+            assert report.solvable and report.verified
+            assert (stacked.call_count, counted.call_count) == (1, 1), serialize_relation(a)
+            if solver is solve_right_relation:
+                assert report.witness == compose(b.inverse(), a)
+            if solver is solve_left_relation:
+                assert report.witness == compose(a, b.inverse())
+
+
 class TestWitnessCost:
     @pytest.mark.parametrize("solver, sampler, bound", [
         (solve_right_operator, harness.targeted_right_pair, 3.0),
