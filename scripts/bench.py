@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Time the canonicalization kernel, ``exact.echelon_rows``, on dense rows.
+"""Time the canonicalization kernel, ``exact.echelon_rows``, on dense rows,
+and weigh the entries of the profile memo.
 
     python3 scripts/bench.py --out BENCH_<n>.json [--tree LABEL=SRC ...]
                              [--dims 3,6,10,16,24] [--repeats 15]
@@ -10,6 +11,14 @@ relation) and times one ``echelon_rows`` call on each, copying the rows
 outside the timed region.  Each of ``--repeats`` passes times every input
 once; the figure is the median over the passes of the mean time per call.
 It also records the largest bit length of an entry of the canonical rows.
+
+Beside the timings, ``profile_memo`` gives the bytes that the memo of
+``relation.profile`` retains per entry, as tracemalloc counts them: the
+tree's own ``harness.random_mixed_relation`` draws ``MEMO_RELATIONS`` seeded
+relations up to ``MEMO_DIM`` × ``MEMO_DIM``, held outside the measured
+region, and the memo, cleared first, is filled with their profiles.  A full
+garbage collection before each reading empties the interpreter's free
+lists, so a block parked there counts neither as kept nor as freed.
 
 Each ``--tree LABEL=SRC`` names a ``src`` directory whose ``linrel`` is
 measured (by default one tree, ``current``, the ``src`` beside this script).
@@ -22,6 +31,7 @@ JSON file ``--out``, which is written afresh.  Standard library only.
 from __future__ import annotations
 
 import argparse
+import gc
 import importlib
 import importlib.util
 import json
@@ -30,11 +40,14 @@ import random
 import statistics
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 BOUND = 3
 INPUTS = 10
+MEMO_RELATIONS = 500
+MEMO_DIM = 4
 
 
 def dense_rows(d: int, seed: int) -> list[list[int]]:
@@ -42,9 +55,9 @@ def dense_rows(d: int, seed: int) -> list[list[int]]:
     return [[rng.randint(-BOUND, BOUND) for _ in range(2 * d)] for _ in range(d)]
 
 
-def load_kernel(src: Path, index: int):
-    """``echelon_rows`` of the ``linrel`` package under ``src``, imported
-    under a name of its own so that several trees load side by side."""
+def load_tree(src: Path, index: int):
+    """The ``linrel`` package under ``src``, imported under a name of its own
+    so that several trees load side by side."""
     name = f"bench_tree_{index}"
     package = src.resolve() / "linrel"
     spec = importlib.util.spec_from_file_location(
@@ -53,7 +66,27 @@ def load_kernel(src: Path, index: int):
     module = importlib.util.module_from_spec(spec)
     sys.modules[name] = module
     spec.loader.exec_module(module)
-    return importlib.import_module(f"{name}.exact").echelon_rows
+    return module
+
+
+def memo_bytes(package) -> dict:
+    """The bytes the profile memo of ``package`` retains per entry."""
+    harness, relation = package.harness, package.relation
+    rng = random.Random("bench/memo")
+    dims = [(rng.randint(0, MEMO_DIM), rng.randint(0, MEMO_DIM)) for _ in range(MEMO_RELATIONS)]
+    relations = [harness.random_mixed_relation(rng, n, m) for n, m in dims]
+    relation.profile.cache_clear()
+    gc.collect()
+    tracemalloc.start()
+    before = tracemalloc.get_traced_memory()[0]
+    for rel in relations:
+        relation.profile(rel)
+    gc.collect()
+    retained = tracemalloc.get_traced_memory()[0] - before
+    tracemalloc.stop()
+    entries = relation.profile.cache_info().currsize
+    relation.profile.cache_clear()
+    return {"relations": MEMO_RELATIONS, "entries": entries, "bytes_per_entry": round(retained / entries)}
 
 
 def measure(kernels: dict, d: int, repeats: int) -> dict:
@@ -97,18 +130,23 @@ def main(argv=None) -> int:
     trees = [tree.partition("=")[::2] for tree in args.tree or [f"current={ROOT / 'src'}"]]
     if any(not label or not src for label, src in trees) or len({label for label, _ in trees}) < len(trees):
         parser.error("each --tree is LABEL=SRC, with a label of its own")
-    kernels = {label: load_kernel(Path(src), i) for i, (label, src) in enumerate(trees)}
+    packages = {label: load_tree(Path(src), i) for i, (label, src) in enumerate(trees)}
+    kernels = {label: package.exact.echelon_rows for label, package in packages.items()}
 
     runs = {
         label: {"python": platform.python_version(), "machine": platform.machine(), "results": []}
         for label in kernels
     }
+    for label, package in packages.items():
+        runs[label]["profile_memo"] = memo = memo_bytes(package)
+        print(f"{label} profile_memo entries={memo['entries']} bytes_per_entry={memo['bytes_per_entry']}")
     for d in dims:
         for label, row in measure(kernels, d, args.repeats).items():
             runs[label]["results"].append(row)
             print(f"{label} d={d} median_ms={row['median_ms']} max_entry_bits={row['max_entry_bits']}")
     report = {
-        "benchmark": f"exact.echelon_rows on seeded dense d x 2d integer rows, entries in [-{BOUND}, {BOUND}]",
+        "benchmark": f"exact.echelon_rows on seeded dense d x 2d integer rows, entries in [-{BOUND}, {BOUND}]; "
+        f"bytes the relation.profile memo retains per entry over {MEMO_RELATIONS} seeded relations",
         "runs": runs,
     }
     args.out.write_text(json.dumps(report, indent=2) + "\n")

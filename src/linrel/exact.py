@@ -95,7 +95,7 @@ def vector(values: Iterable[Scalar]) -> tuple[Fraction, ...]:
     return tuple(v if isinstance(v, Fraction) else Fraction(*_ratio(v)) for v in values)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Matrix:
     """Dense rational matrix, row-major.  Zero-extent shapes are legal."""
 
@@ -463,7 +463,10 @@ def check_canonical(rows: Sequence[Sequence[int]], cols: int) -> None:
     """Raise ``ValueError`` naming the first of ``rows`` that is not in the
     form ``echelon_rows`` returns: a tuple of ``cols`` ints, primitive, with
     a positive leading entry right of the row above's, and zero in every
-    other row's leading column.  Reads the rows; eliminates nothing."""
+    other row's leading column.  ``rows`` itself must be a tuple, since a
+    ``Subspace`` hashes it.  Reads the rows; eliminates nothing."""
+    if type(rows) is not tuple:
+        raise ValueError(f"rows must be a tuple, not a {type(rows).__name__}: {rows!r}")
     leads = []
     for i, row in enumerate(rows):
         if type(row) is not tuple or len(row) != cols or not _INT_ONLY.issuperset(map(type, row)):

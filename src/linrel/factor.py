@@ -25,7 +25,7 @@ MUL_DIM_LE = "mul_dim_le"
 DOM_PERP_DIM_LE = "dom_perp_dim_le"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Condition:
     name: str
     held: bool
@@ -35,7 +35,7 @@ class Condition:
         return {"name": self.name, "held": self.held, "evidence": dict(sorted(self.evidence.items()))}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FactorizationReport:
     side: str
     level: str

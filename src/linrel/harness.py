@@ -55,7 +55,7 @@ def derive_seed(seed: int, index: int) -> int:
     return (seed * 6364136223846793005 + (index + 1) * 1442695040888963407) & _MASK64
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RelationSpec:
     """Request for a random relation, optionally with prescribed profile dims.
 
@@ -558,7 +558,7 @@ def random_square_pair(rng: random.Random, max_dim: int = 3) -> tuple[LinearRela
 # ---------------------------------------------------------------------------
 # Named invariant suites.
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SuiteResult:
     suite: str
     cases: int

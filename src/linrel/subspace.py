@@ -3,7 +3,9 @@
 A subspace is stored once, as its canonical integer rows (see ``exact``):
 row i leads in column p_i, the p_i increase, and every row is zero in the
 other rows' leading columns.  The form is unique per subspace, so dataclass
-equality is set equality and hashing works on ints.  The constructor
+equality is set equality and hashing works on ints.  Nothing is cached on
+a subspace: its class has slots for the dimension and the rows and no
+``__dict__``, so it cannot hold anything else.  The constructor
 rejects rows in any other form (``exact.check_canonical``); code whose rows
 are canonical by construction builds through ``_make``, which skips the
 check.  ``basis``, the same rows divided by their leading entries as the
@@ -49,12 +51,13 @@ from .exact import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Subspace:
     """A subspace of Q^ambient_dim given by its canonical integer ``rows``,
-    and nothing else: nothing is cached on it.  The constructor rejects rows
-    not in that form (``exact.check_canonical``), naming the first bad row;
-    the constructors below build it from any generators."""
+    and nothing else: the two slots are all it holds, so nothing is cached
+    on it.  The constructor rejects rows not in that form, or not in a tuple
+    (``exact.check_canonical``), naming the first bad row; the constructors
+    below build it from any generators."""
 
     ambient_dim: int
     rows: Rows

@@ -501,7 +501,8 @@ class TestRunAllSuitesScript:
 
 def test_bench_script_writes_its_figures(tmp_path):
     """A smoke run of ``scripts/bench.py`` at small d with one pass: two
-    trees measured in one run land under their labels."""
+    trees measured in one run land under their labels, each with the bytes
+    its profile memo retains per entry, equal for equal trees."""
     out, src = tmp_path / "bench.json", str(ROOT / "src")
     done = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "bench.py"), "--out", str(out),
@@ -514,3 +515,6 @@ def test_bench_script_writes_its_figures(tmp_path):
     for run in report["runs"].values():
         assert [row["d"] for row in run["results"]] == [3, 6]
         assert all(row["median_ms"] > 0 and row["max_entry_bits"] > 0 for row in run["results"])
+    memos = [run["profile_memo"] for run in report["runs"].values()]
+    assert memos[0] == memos[1]
+    assert 0 < memos[0]["entries"] <= memos[0]["relations"] and memos[0]["bytes_per_entry"] > 0

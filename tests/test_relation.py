@@ -18,7 +18,7 @@ from linrel import (
     profile,
     zero_times,
 )
-from linrel import exact, subspace
+from linrel import exact, factor, harness, relation, subspace
 from linrel.factor import solve_right_operator
 from linrel.files import serialize_relation
 from linrel.relation import RelationProfile
@@ -162,8 +162,8 @@ def test_graph_maps_read_their_rows_off(monkeypatch):
 
 
 def test_output_leaves_only_the_rows():
-    """Printing a relation caches nothing on its subspaces: the dataclass
-    fields are all a Subspace holds."""
+    """Printing a relation caches nothing on its subspaces: a Subspace has
+    no ``__dict__``, so its two slots are all it can hold."""
     a = graph([[1, 2], [0, 3]])
     b = LinearRelation.identity(2)
     report = solve_right_operator(a, b)
@@ -175,7 +175,23 @@ def test_output_leaves_only_the_rows():
     for sub in subs:
         repr(sub)
         exact.text_rows(sub.rows)
-    assert all(vars(sub).keys() == {"ambient_dim", "rows"} for sub in subs)
+    assert not any(hasattr(sub, "__dict__") for sub in subs)
+    assert Subspace.__slots__ == ("ambient_dim", "rows")
+
+
+@pytest.mark.parametrize("module", [exact, subspace, relation, factor, harness], ids=lambda m: m.__name__)
+def test_value_types_hold_only_their_fields(module):
+    """Every dataclass of the package declares ``__slots__``, so no instance
+    carries a per-instance ``__dict__``: a new value type cannot bring that
+    storage back into the profile memo's entries."""
+    classes = [
+        cls for cls in vars(module).values()
+        if isinstance(cls, type) and dataclasses.is_dataclass(cls) and cls.__module__ == module.__name__
+    ]
+    assert classes
+    for cls in classes:
+        assert "__slots__" in vars(cls), cls
+        assert not hasattr(object.__new__(cls), "__dict__"), cls
 
 
 class TestInverse:

@@ -121,6 +121,14 @@ class TestCanonicalCheck:
         with pytest.raises(ValueError, match=f"^row {first_bad} "):
             Subspace(ambient, rows)
 
+    def test_rejects_rows_not_in_a_tuple(self):
+        # a list of canonical rows would build a Subspace that equals no span
+        # of the same generators and cannot be hashed
+        with pytest.raises(ValueError, match=r"^rows must be a tuple, not a list: \[\(1, 0\)\]$"):
+            Subspace(2, [(1, 0)])
+        with pytest.raises(ValueError, match="^rows must be a tuple, not a list"):
+            Subspace(2, [])
+
     def test_profile_probe_raises(self):
         # the rows once gave a two-row dom inside Q^1
         with pytest.raises(ValueError):
