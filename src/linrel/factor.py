@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .exact import text_rows
-from .relation import LinearRelation, RelationProfile, _stacked_product, _swapped_rows, compose, profile
+from .relation import LinearRelation, RelationProfile, _stacked_product, _swapped, compose, profile
 from .subspace import Subspace
 
 MUL_EQUAL = "mul_equal"
@@ -129,8 +129,9 @@ def _candidate(a: LinearRelation, b: LinearRelation, side: str) -> LinearRelatio
     ``left``, one ``_stacked_product`` each, so B is never inverted on its
     own.  B⁻¹∘A takes the swapped rows of A and of B, which span A⁻¹ and
     B⁻¹; A∘B⁻¹ takes B's rows, which span (B⁻¹)⁻¹, and A's rows."""
+    n, m = a.dim_x, b.dim_x
     if side == "right":
-        return _stacked_product(a.dim_x, a.dim_y, b.dim_x, _swapped_rows(a), _swapped_rows(b))
+        return _stacked_product(n, a.dim_y, m, _swapped(a.graph.rows, n), _swapped(b.graph.rows, m))
     return _stacked_product(b.dim_y, b.dim_x, a.dim_y, b.graph.rows, a.graph.rows)
 
 

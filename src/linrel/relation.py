@@ -65,7 +65,7 @@ class LinearRelation:
     def inverse(self) -> "LinearRelation":
         """Coordinate swap of the graph; always exists."""
         n, m = self.dim_x, self.dim_y
-        return LinearRelation(m, n, Subspace.from_vectors(m + n, _swapped_rows(self)))
+        return LinearRelation(m, n, Subspace.from_vectors(m + n, _swapped(self.graph.rows, n)))
 
     def reduce_operator_part(self) -> "LinearRelation":
         """The single-valued summand A ∩ (Q^n × mul(A)^⊥); dom is preserved.
@@ -140,7 +140,7 @@ def profile(rel: LinearRelation) -> RelationProfile:
     """
     n, m = rel.dim_x, rel.dim_y
     dom, mul = rel.graph.split(n)
-    ran, ker = Subspace.split_span(m + n, _swapped_rows(rel), m)
+    ran, ker = Subspace.split_span(m + n, _swapped(rel.graph.rows, n), m)
     return RelationProfile(dom=dom, ran=ran, ker=ker, mul=mul)
 
 
@@ -158,10 +158,10 @@ def compose(outer: LinearRelation, inner: LinearRelation) -> LinearRelation:
     (s·x, Σ_i y_i·(s/p_i)·b_i) over inner's rows (x, y), one ``from_vectors``
     whose rows are already in echelon form when inner is an operator graph.
 
-    Otherwise the product is ``_stacked_product`` of inner's swapped rows
-    (``_swapped_rows``, which span inner⁻¹) and outer's rows.  No
-    single-valuedness is assumed, so genuinely multivalued inputs compose
-    correctly.  Both routes end in the canonical form, so they agree exactly.
+    Otherwise the product is ``_stacked_product`` of inner's swapped rows,
+    which span inner⁻¹, and outer's rows.  No single-valuedness is assumed,
+    so genuinely multivalued inputs compose correctly.  Both routes end in
+    the canonical form, so they agree exactly.
     """
     if inner.dim_y != outer.dim_x:
         raise ValueError(
@@ -179,31 +179,34 @@ def compose(outer: LinearRelation, inner: LinearRelation) -> LinearRelation:
             for r in inner.graph.rows
         ]
         return LinearRelation(n, k, Subspace.from_vectors(n + k, image))
-    return _stacked_product(n, m, k, _swapped_rows(inner), outer_rows)
+    return _stacked_product(n, m, k, _swapped(inner.graph.rows, n), outer_rows)
 
 
-def _swapped_rows(rel: LinearRelation) -> list[tuple]:
-    """The graph rows (x, y) of ``rel`` with their blocks swapped, (y, x):
-    they span rel⁻¹, though not in echelon form."""
-    n = rel.dim_x
-    return [r[n:] + r[:n] for r in rel.graph.rows]
+def _swapped(rows: Iterable[tuple], n: int) -> list[tuple]:
+    """Each row (x, y), x of length n, as (y, x): a relation's graph rows so
+    swapped span its inverse, though not in echelon form."""
+    return [r[n:] + r[:n] for r in rows]
+
+
+def _stacked_rows(
+    n: int, m: int, k: int, inner_inverse_rows: Iterable[tuple], outer_rows: Iterable[tuple]
+) -> list[tuple]:
+    """The stacked system of outer∘inner from Q^n to Q^k through Q^m, in
+    (y, x, z) coordinates: (y, x, 0) for each row (y, x) that spans inner⁻¹
+    (a relation's ``_swapped`` graph rows) and (−y', 0, z) for each row
+    (y', z) that spans outer.  A point (0, x, z) of its span is one where
+    y = y', so its slice at y = 0 is the product.  No row need be canonical,
+    and a canonical outer's rows stay in echelon form."""
+    pad, gap = (0,) * k, (0,) * n
+    stacked = [r + pad for r in inner_inverse_rows]
+    return stacked + [tuple(-v for v in r[:m]) + gap + r[m:] for r in outer_rows]
 
 
 def _stacked_product(
-    n: int, m: int, k: int, inner_inverse_rows: Sequence[tuple], outer_rows: Sequence[tuple]
+    n: int, m: int, k: int, inner_inverse_rows: Iterable[tuple], outer_rows: Iterable[tuple]
 ) -> LinearRelation:
-    """outer∘inner from Q^n to Q^k through Q^m, given rows (y, x) that span
-    inner⁻¹ and rows (y', z) that span outer; neither needs to be canonical,
-    so a caller passes ``_swapped_rows`` of a relation for its inverse and
-    its graph rows for itself.
-
-    In (y, x, z) coordinates, the points (0, x, z) of the span of (y, x, 0)
-    and (-y', 0, z) are exactly those with y = y', so the slice that
-    ``split_span`` keeps is the product.
-    """
-    pad, gap = (0,) * k, (0,) * n
-    rows = [r + pad for r in inner_inverse_rows]
-    rows += [tuple(-v for v in r[:m]) + gap + r[m:] for r in outer_rows]
+    """outer∘inner, the slice that ``split_span`` keeps of ``_stacked_rows``."""
+    rows = _stacked_rows(n, m, k, inner_inverse_rows, outer_rows)
     return LinearRelation(n, k, Subspace.split_span(m + n + k, rows, m, head=False)[1])
 
 

@@ -419,7 +419,7 @@ class TestAdjointConsistency:
         for _ in range(20):
             d = rng.randint(1, 4)
             b = harness.random_mixed_relation(rng, d, d, 3)
-            t = harness.random_operator(rng, d, d, 3)
+            t = harness._draw_operator(rng, d, d, 3)()
             outer, inner = (b.adjoint(), t) if solver is solve_adjoint_right else (t, b.adjoint())
             a = compose(outer, inner).adjoint()
             with mock.patch.object(factor, "profile", wraps=profile) as counted:

@@ -734,7 +734,7 @@ class TestRightSolutionFamily:
         for _ in range(30):
             n, m, p = (rng.choice((1, 1, 2)) for _ in range(3))
             b = harness.random_mixed_relation(rng, n, p, 2)
-            a = compose(b.adjoint(), harness.random_operator(rng, m, p, 2)).adjoint()
+            a = compose(b.adjoint(), harness._draw_operator(rng, m, p, 2)()).adjoint()
             report = solve_adjoint_right(a, b)
             assert report.solvable, (serialize_relation(a), serialize_relation(b))
             counts += family_verdicts(a.adjoint(), b.adjoint(), report.witness)

@@ -3,6 +3,7 @@ value with a ``ValueError`` that names the argument (``exact.require_int``),
 and every way to ask for a relation obeys the one coordinate cap
 (``files.check_ambient_limit``)."""
 
+import random
 import re
 from fractions import Fraction
 
@@ -10,9 +11,18 @@ import pytest
 
 from linrel import LinearRelation, Matrix, RelationSpec, Subspace, list_suites, run_suite
 from linrel.files import MAX_AMBIENT_DIM
-from linrel.harness import operator_graph_candidates
+from linrel.harness import (
+    operator_graph_candidates,
+    random_full_rank,
+    random_square_pair,
+    random_subspace,
+    targeted_left_pair,
+    targeted_right_pair,
+)
 
 PLANE = Subspace.full(2)
+# every rejection comes before the first draw, so one generator serves all
+RNG = random.Random(0)
 
 ENTRY_POINTS = {
     "Matrix rows": ("rows", lambda v: Matrix(v, 0, ())),
@@ -34,6 +44,15 @@ ENTRY_POINTS = {
     "operator_graph_candidates dim_x": ("dim_x", lambda v: operator_graph_candidates(v, 1)),
     "operator_graph_candidates dim_y": ("dim_y", lambda v: operator_graph_candidates(1, v)),
     "operator_graph_candidates bound": ("bound", lambda v: operator_graph_candidates(1, 1, v)),
+    "targeted_right_pair max_dim": ("max_dim", lambda v: targeted_right_pair(RNG, "satisfy", max_dim=v)),
+    "targeted_right_pair bound": ("bound", lambda v: targeted_right_pair(RNG, "satisfy", bound=v)),
+    "targeted_left_pair max_dim": ("max_dim", lambda v: targeted_left_pair(RNG, "satisfy", max_dim=v)),
+    "targeted_left_pair bound": ("bound", lambda v: targeted_left_pair(RNG, "satisfy", bound=v)),
+    "random_square_pair max_dim": ("max_dim", lambda v: random_square_pair(RNG, v)),
+    "random_subspace ambient": ("ambient", lambda v: random_subspace(RNG, v, 0)),
+    "random_subspace dim": ("dim", lambda v: random_subspace(RNG, 2, v)),
+    "random_full_rank rows": ("rows", lambda v: random_full_rank(RNG, v, 0)),
+    "random_full_rank cols": ("cols", lambda v: random_full_rank(RNG, 2, v)),
     "run_suite cases": ("cases", lambda v: run_suite(list_suites()[0], v)),
     "run_suite seed": ("seed", lambda v: run_suite(list_suites()[0], 1, v)),
 }
@@ -51,3 +70,27 @@ def test_relation_spec_obeys_the_coordinate_cap():
     with pytest.raises(ValueError, match=rf"^dim_x 600 and dim_y 600 .* limit {MAX_AMBIENT_DIM}\Z"):
         RelationSpec(600, 600).validate()
     RelationSpec(MAX_AMBIENT_DIM, 0).validate()
+
+
+# each maker's smallest max_dim, and the maker
+PAIR_MAKERS = {
+    "targeted_right_pair": (1, lambda rng, d: targeted_right_pair(rng, "satisfy", max_dim=d)),
+    "targeted_left_pair": (1, lambda rng, d: targeted_left_pair(rng, "satisfy", max_dim=d)),
+    "random_square_pair": (0, lambda rng, d: random_square_pair(rng, d)),
+}
+
+
+@pytest.mark.parametrize("maker", list(PAIR_MAKERS))
+def test_pair_makers_obey_the_coordinate_cap(maker):
+    """A max_dim below the smallest is refused by name, not left to
+    ``randrange``, and each relation a pair maker draws has up to
+    2 * max_dim coordinates, so one past half the cap is refused; both
+    before anything is drawn."""
+    low, make = PAIR_MAKERS[maker]
+    rng = random.Random(0)
+    state = rng.getstate()
+    with pytest.raises(ValueError, match=rf"^max_dim must be at least {low}, got {low - 1}\Z"):
+        make(rng, low - 1)
+    with pytest.raises(ValueError, match=rf"^2 \* max_dim {MAX_AMBIENT_DIM + 2} .* limit {MAX_AMBIENT_DIM}\Z"):
+        make(rng, MAX_AMBIENT_DIM // 2 + 1)
+    assert rng.getstate() == state
