@@ -116,6 +116,8 @@ class Matrix:
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[Scalar]], cols: Optional[int] = None) -> "Matrix":
+        if cols is not None:
+            require_int("cols", cols, 0)
         data = [vector(r) for r in rows]
         if data:
             width = len(data[0])
@@ -130,15 +132,18 @@ class Matrix:
 
     @classmethod
     def from_cols(cls, cols: Sequence[Sequence[Scalar]], rows: Optional[int] = None) -> "Matrix":
+        if rows is not None:
+            require_int("rows", rows, 0)
         return cls.from_rows(cols, rows).transpose()
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
+        require_int("n", n, 0)
         return cls(n, n, tuple(_ONE if i == j else _ZERO for i in range(n) for j in range(n)))
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "Matrix":
-        return cls(rows, cols, (_ZERO,) * (rows * cols))
+        return cls(rows, cols, (_ZERO,) * (require_int("rows", rows, 0) * require_int("cols", cols, 0)))
 
     @property
     def shape(self) -> tuple[int, int]:

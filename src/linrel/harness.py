@@ -102,7 +102,7 @@ class RelationSpec:
             )
 
 
-def random_matrix(rng: random.Random, rows: int, cols: int) -> Matrix:
+def _random_matrix(rng: random.Random, rows: int, cols: int) -> Matrix:
     """Entries in [-3, 3] drawn row by row, kept as ints, which the kernel takes as they are."""
     return Matrix(rows, cols, tuple(rng.randint(-3, 3) for _ in range(rows * cols)))
 
@@ -113,6 +113,7 @@ def random_full_rank(rng: random.Random, rows: int, cols: int, bound: int = 3) -
     eliminates nothing."""
     if require_int("cols", cols, 0) > require_int("rows", rows, 0):
         raise ValueError("full column rank needs cols <= rows")
+    require_int("bound", bound, 1)
     if cols == 0:
         return []
     for _ in range(1000):
@@ -126,8 +127,9 @@ def random_subspace(rng: random.Random, ambient: int, dim: int, bound: int = 3) 
     """The span of ``random_full_rank``'s columns, drawn as it draws them;
     the span's own dimension decides each redraw, so a draw eliminates once.
     The zero span draws nothing and eliminates nothing."""
-    if not 0 <= require_int("dim", dim) <= require_int("ambient", ambient):
+    if require_int("dim", dim, 0) > require_int("ambient", ambient, 0):
         raise ValueError(f"dimension {dim} not within ambient {ambient}")
+    require_int("bound", bound, 1)
     if dim == 0:
         return Subspace.zero(ambient)
     for _ in range(1000):
@@ -138,9 +140,7 @@ def random_subspace(rng: random.Random, ambient: int, dim: int, bound: int = 3) 
     raise RuntimeError("failed to sample a full-rank matrix")
 
 
-def random_plain_relation(
-    rng: random.Random, dim_x: int, dim_y: int, bound: int = 3
-) -> LinearRelation:
+def _random_plain_relation(rng: random.Random, dim_x: int, dim_y: int, bound: int) -> LinearRelation:
     count = rng.randint(0, dim_x + dim_y)
     gens = [[rng.randint(-bound, bound) for _ in range(dim_x + dim_y)] for _ in range(count)]
     return LinearRelation.from_generators(dim_x, dim_y, gens)
@@ -172,7 +172,7 @@ def random_relation(spec: RelationSpec) -> LinearRelation:
     spec.validate()
     rng = random.Random(spec.seed)
     if not spec.has_targets():
-        return random_plain_relation(rng, spec.dim_x, spec.dim_y, spec.coeff_bound)
+        return _random_plain_relation(rng, spec.dim_x, spec.dim_y, spec.coeff_bound)
     return _draw_targeted(
         rng, spec.dim_x, spec.dim_y, spec.dim_dom, spec.dim_mul, spec.dim_ker, spec.coeff_bound
     )()
@@ -188,8 +188,10 @@ def _draw_operator(rng: random.Random, dim_x: int, dim_y: int, bound: int) -> Ca
 def random_mixed_relation(
     rng: random.Random, dim_x: int, dim_y: int, bound: int = 3
 ) -> LinearRelation:
+    check_ambient_limit({"dim_x": require_int("dim_x", dim_x, 0), "dim_y": require_int("dim_y", dim_y, 0)})
+    require_int("bound", bound, 1)
     if rng.random() < 0.5:
-        return random_plain_relation(rng, dim_x, dim_y, bound)
+        return _random_plain_relation(rng, dim_x, dim_y, bound)
     dd = rng.randint(0, dim_x)
     dm = rng.randint(0, dim_y)
     rk = rng.randint(0, min(dd, dim_y - dm))
@@ -207,6 +209,7 @@ def random_selfadjoint(rng: random.Random, dim: int) -> LinearRelation:
     Pᵀ y_j = S (q_j e_j): the points (R_j, y_j), with (0, h) for h spanning
     D^⊥, span the relation, read off D's rows without solving anything.
     """
+    check_ambient_limit({"2 * dim": 2 * require_int("dim", dim, 0)})
     r = rng.randint(0, dim)
     dom = random_subspace(rng, dim, r)
     raw = [[rng.randint(-3, 3) for _ in range(r)] for _ in range(r)]
@@ -450,11 +453,10 @@ RIGHT_KINDS = ("satisfy", "violate_ran", "violate_mul_gain", "violate_mul_loss",
 LEFT_KINDS = ("satisfy", "violate_dom", "violate_ker", "violate_mul_dim", "free")
 
 
-def _check_pair_args(max_dim: int, low: int, bound: int = 1) -> None:
-    """Check a pair maker's integer arguments before it draws: each of its
+def _check_pair_args(max_dim: int, low: int) -> None:
+    """Check a pair maker's ``max_dim`` before it draws: each of its
     relations has up to 2·max_dim coordinates, under the file format's cap."""
     require_int("max_dim", max_dim, low)
-    require_int("bound", bound, 1)
     check_ambient_limit({"2 * max_dim": 2 * max_dim})
 
 
@@ -480,13 +482,14 @@ def targeted_right_pair(
     """
     if kind not in RIGHT_KINDS:
         raise ValueError(f"unknown pair kind {kind!r}")
-    _check_pair_args(max_dim, 1, bound)
+    _check_pair_args(max_dim, 1)
+    require_int("bound", bound, 1)
     for _ in range(500):
         nx, ny, nz = (rng.randint(1, max_dim) for _ in range(3))
         b = random_mixed_relation(rng, ny, nz, bound)
         pb = profile(b)
         if kind == "free":
-            return random_plain_relation(rng, nx, nz, bound), b
+            return _random_plain_relation(rng, nx, nz, bound), b
         build_t = _draw_operator(rng, nx, ny, bound)
         if (kind == "violate_ran" and pb.ran.dim == nz
                 or kind == "violate_mul_gain" and pb.ran.dim <= pb.mul.dim
@@ -513,13 +516,14 @@ def targeted_left_pair(
     """(A, B) with A from X to Y and B from X to Z, steered toward ``kind``."""
     if kind not in LEFT_KINDS:
         raise ValueError(f"unknown pair kind {kind!r}")
-    _check_pair_args(max_dim, 1, bound)
+    _check_pair_args(max_dim, 1)
+    require_int("bound", bound, 1)
     for _ in range(500):
         nx, ny, nz = (rng.randint(1, max_dim) for _ in range(3))
         b = random_mixed_relation(rng, nx, nz, bound)
         pb = profile(b)
         if kind == "free":
-            return random_plain_relation(rng, nx, ny, bound), b
+            return _random_plain_relation(rng, nx, ny, bound), b
         build_t = _draw_operator(rng, nz, ny, bound)
         if (kind == "violate_dom" and pb.dom.dim == nx
                 or kind == "violate_ker" and (pb.ker.dim == 0 or pb.dom.dim > ny)
@@ -662,8 +666,8 @@ def _suite_compose_oracle(rng: random.Random) -> Optional[str]:
 
 def _suite_graph_compose(rng: random.Random) -> Optional[str]:
     n, m, k = rng.randint(0, 4), rng.randint(0, 4), rng.randint(0, 4)
-    ma = random_matrix(rng, m, n)
-    mb = random_matrix(rng, k, m)
+    ma = _random_matrix(rng, m, n)
+    mb = _random_matrix(rng, k, m)
     a, b = LinearRelation.graph_of_matrix(ma), LinearRelation.graph_of_matrix(mb)
     same = compose(b, a) == LinearRelation.graph_of_matrix(mb @ ma)
     return _first_failure([("graph composition mismatch", same)], a, b)
@@ -694,7 +698,7 @@ def _suite_adjoint_identities(rng: random.Random) -> Optional[str]:
         yield "double adjoint", adj.adjoint() == rel
 
     def matrix_failure():
-        m = random_matrix(rng, d, d)
+        m = _random_matrix(rng, d, d)
         graph = LinearRelation.graph_of_matrix(m)
         same = graph.adjoint() == LinearRelation.graph_of_matrix(m.transpose())
         return _first_failure([("adjoint of a matrix graph is not the transpose graph", same)], graph)

@@ -37,7 +37,8 @@ class LinearRelation:
         cls, dim_x: int, dim_y: int, generators: Iterable[Sequence[Scalar]]
     ) -> "LinearRelation":
         """Relation spanned by (x; y)-generator vectors of length dim_x + dim_y."""
-        return cls(dim_x, dim_y, Subspace.from_vectors(dim_x + dim_y, generators))
+        ambient = require_int("dim_x", dim_x, 0) + require_int("dim_y", dim_y, 0)
+        return cls(dim_x, dim_y, Subspace.from_vectors(ambient, generators))
 
     @classmethod
     def graph_of_matrix(cls, m: Matrix) -> "LinearRelation":
@@ -52,15 +53,17 @@ class LinearRelation:
 
     @classmethod
     def identity(cls, n: int) -> "LinearRelation":
-        return identity_on(Subspace.full(n))
+        return identity_on(Subspace.full(require_int("n", n, 0)))
 
     @classmethod
     def zero_relation(cls, dim_x: int, dim_y: int) -> "LinearRelation":
-        return cls(dim_x, dim_y, Subspace.zero(dim_x + dim_y))
+        ambient = require_int("dim_x", dim_x, 0) + require_int("dim_y", dim_y, 0)
+        return cls(dim_x, dim_y, Subspace.zero(ambient))
 
     @classmethod
     def full_relation(cls, dim_x: int, dim_y: int) -> "LinearRelation":
-        return cls(dim_x, dim_y, Subspace.full(dim_x + dim_y))
+        ambient = require_int("dim_x", dim_x, 0) + require_int("dim_y", dim_y, 0)
+        return cls(dim_x, dim_y, Subspace.full(ambient))
 
     def inverse(self) -> "LinearRelation":
         """Coordinate swap of the graph; always exists."""
@@ -89,7 +92,7 @@ class LinearRelation:
         return LinearRelation(m, n, Subspace.from_vectors(m + n, turned))
 
     def is_selfadjoint(self) -> bool:
-        return self == self.adjoint()
+        return self.dim_x == self.dim_y == self.graph.dim and self == self.adjoint()
 
     def membership(self, x: Sequence[Scalar], y: Sequence[Scalar]) -> bool:
         """Whether (x; y) lies in the graph (``Subspace.contains_vector``)."""
@@ -255,4 +258,5 @@ def identity_on(sub: Subspace) -> LinearRelation:
 
 def zero_times(dim_x: int, values: Subspace) -> LinearRelation:
     """The purely multivalued relation {0} × values inside Q^dim_x × ambient."""
-    return LinearRelation(dim_x, values.ambient_dim, Subspace.zero(dim_x).product(values))
+    zero = Subspace.zero(require_int("dim_x", dim_x, 0))
+    return LinearRelation(dim_x, values.ambient_dim, zero.product(values))

@@ -3,17 +3,22 @@ value with a ``ValueError`` that names the argument (``exact.require_int``),
 and every way to ask for a relation obeys the one coordinate cap
 (``files.check_ambient_limit``)."""
 
+import inspect
 import random
 import re
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
-from linrel import LinearRelation, Matrix, RelationSpec, Subspace, list_suites, run_suite
+from linrel import LinearRelation, Matrix, RelationSpec, Subspace, harness, list_suites, run_suite, zero_times
 from linrel.files import MAX_AMBIENT_DIM
 from linrel.harness import (
     operator_graph_candidates,
     random_full_rank,
+    random_mixed_relation,
+    random_relation,
+    random_selfadjoint,
     random_square_pair,
     random_subspace,
     targeted_left_pair,
@@ -23,12 +28,51 @@ from linrel.harness import (
 PLANE = Subspace.full(2)
 # every rejection comes before the first draw, so one generator serves all
 RNG = random.Random(0)
+BAD_INTS = [True, 1.0, Fraction(1, 2)]
+
+# every public draw of ``harness``, by each of its integer parameters: the
+# name its messages give, the smallest value it takes, and a call on a
+# generator with the other arguments valid
+DRAWS = {
+    "random_full_rank rows": ("rows", 0, lambda rng, v: random_full_rank(rng, v, 0)),
+    "random_full_rank cols": ("cols", 0, lambda rng, v: random_full_rank(rng, 2, v)),
+    "random_full_rank bound": ("bound", 1, lambda rng, v: random_full_rank(rng, 2, 1, v)),
+    "random_subspace ambient": ("ambient", 0, lambda rng, v: random_subspace(rng, v, 0)),
+    "random_subspace dim": ("dim", 0, lambda rng, v: random_subspace(rng, 2, v)),
+    "random_subspace bound": ("bound", 1, lambda rng, v: random_subspace(rng, 2, 1, v)),
+    "random_relation dim_x": ("dim_x", 0, lambda rng, v: random_relation(RelationSpec(v, 1))),
+    "random_relation coeff_bound": (
+        "coeff_bound", 1, lambda rng, v: random_relation(RelationSpec(1, 1, coeff_bound=v))
+    ),
+    "random_mixed_relation dim_x": ("dim_x", 0, lambda rng, v: random_mixed_relation(rng, v, 1)),
+    "random_mixed_relation dim_y": ("dim_y", 0, lambda rng, v: random_mixed_relation(rng, 1, v)),
+    "random_mixed_relation bound": ("bound", 1, lambda rng, v: random_mixed_relation(rng, 1, 1, v)),
+    "random_selfadjoint dim": ("dim", 0, random_selfadjoint),
+    "targeted_right_pair max_dim": ("max_dim", 1, lambda rng, v: targeted_right_pair(rng, "satisfy", max_dim=v)),
+    "targeted_right_pair bound": ("bound", 1, lambda rng, v: targeted_right_pair(rng, "satisfy", bound=v)),
+    "targeted_left_pair max_dim": ("max_dim", 1, lambda rng, v: targeted_left_pair(rng, "satisfy", max_dim=v)),
+    "targeted_left_pair bound": ("bound", 1, lambda rng, v: targeted_left_pair(rng, "satisfy", bound=v)),
+    "random_square_pair max_dim": ("max_dim", 0, random_square_pair),
+}
 
 ENTRY_POINTS = {
     "Matrix rows": ("rows", lambda v: Matrix(v, 0, ())),
     "Matrix cols": ("cols", lambda v: Matrix(0, v, ())),
+    "Matrix.identity": ("n", Matrix.identity),
+    "Matrix.zero rows": ("rows", lambda v: Matrix.zero(v, 1)),
+    "Matrix.zero cols": ("cols", lambda v: Matrix.zero(1, v)),
+    "Matrix.from_rows cols": ("cols", lambda v: Matrix.from_rows([[0]], v)),
+    "Matrix.from_cols rows": ("rows", lambda v: Matrix.from_cols([], v)),
     "LinearRelation dim_x": ("dim_x", lambda v: LinearRelation(v, 0, Subspace.zero(0))),
     "LinearRelation dim_y": ("dim_y", lambda v: LinearRelation(0, v, Subspace.zero(0))),
+    "LinearRelation.from_generators dim_x": ("dim_x", lambda v: LinearRelation.from_generators(v, 1, [])),
+    "LinearRelation.from_generators dim_y": ("dim_y", lambda v: LinearRelation.from_generators(1, v, [])),
+    "LinearRelation.identity": ("n", LinearRelation.identity),
+    "LinearRelation.zero_relation dim_x": ("dim_x", lambda v: LinearRelation.zero_relation(v, 1)),
+    "LinearRelation.zero_relation dim_y": ("dim_y", lambda v: LinearRelation.zero_relation(1, v)),
+    "LinearRelation.full_relation dim_x": ("dim_x", lambda v: LinearRelation.full_relation(v, 1)),
+    "LinearRelation.full_relation dim_y": ("dim_y", lambda v: LinearRelation.full_relation(1, v)),
+    "zero_times": ("dim_x", lambda v: zero_times(v, PLANE)),
     "Subspace.zero": ("ambient dimension", Subspace.zero),
     "Subspace.full": ("ambient dimension", Subspace.full),
     "Subspace.from_vectors": ("ambient dimension", lambda v: Subspace.from_vectors(v, [])),
@@ -44,26 +88,47 @@ ENTRY_POINTS = {
     "operator_graph_candidates dim_x": ("dim_x", lambda v: operator_graph_candidates(v, 1)),
     "operator_graph_candidates dim_y": ("dim_y", lambda v: operator_graph_candidates(1, v)),
     "operator_graph_candidates bound": ("bound", lambda v: operator_graph_candidates(1, 1, v)),
-    "targeted_right_pair max_dim": ("max_dim", lambda v: targeted_right_pair(RNG, "satisfy", max_dim=v)),
-    "targeted_right_pair bound": ("bound", lambda v: targeted_right_pair(RNG, "satisfy", bound=v)),
-    "targeted_left_pair max_dim": ("max_dim", lambda v: targeted_left_pair(RNG, "satisfy", max_dim=v)),
-    "targeted_left_pair bound": ("bound", lambda v: targeted_left_pair(RNG, "satisfy", bound=v)),
-    "random_square_pair max_dim": ("max_dim", lambda v: random_square_pair(RNG, v)),
-    "random_subspace ambient": ("ambient", lambda v: random_subspace(RNG, v, 0)),
-    "random_subspace dim": ("dim", lambda v: random_subspace(RNG, 2, v)),
-    "random_full_rank rows": ("rows", lambda v: random_full_rank(RNG, v, 0)),
-    "random_full_rank cols": ("cols", lambda v: random_full_rank(RNG, 2, v)),
     "run_suite cases": ("cases", lambda v: run_suite(list_suites()[0], v)),
     "run_suite seed": ("seed", lambda v: run_suite(list_suites()[0], 1, v)),
+    **{entry: (name, partial(draw, RNG)) for entry, (name, _, draw) in DRAWS.items()},
 }
 
 
-@pytest.mark.parametrize("value", [True, 1.0, Fraction(1, 2)], ids=repr)
+def _not_an_int(name, value):
+    return pytest.raises(ValueError, match=rf"^{re.escape(name)} must be an int, got {re.escape(repr(value))}\Z")
+
+
+@pytest.mark.parametrize("value", BAD_INTS, ids=repr)
 @pytest.mark.parametrize("entry", list(ENTRY_POINTS))
 def test_integer_arguments_reject_other_values(entry, value):
     name, call = ENTRY_POINTS[entry]
-    with pytest.raises(ValueError, match=rf"^{re.escape(name)} must be an int, got {re.escape(repr(value))}\Z"):
+    with _not_an_int(name, value):
         call(value)
+
+
+def test_every_public_draw_checks_its_arguments():
+    """A function of ``harness`` named as a draw has its rows in DRAWS, so a
+    new public draw that does not check its arguments fails here."""
+    draws = {
+        name for name, fn in inspect.getmembers(harness, inspect.isfunction)
+        if fn.__module__ == harness.__name__ and name.startswith(("random_", "targeted_"))
+    }
+    assert draws == {entry.split()[0] for entry in DRAWS}
+
+
+@pytest.mark.parametrize("entry", list(DRAWS))
+def test_draws_check_their_arguments_before_drawing(entry):
+    """Each draw refuses a value that is not an int, or is below the
+    parameter's floor, by the parameter's name and before it draws."""
+    name, low, draw = DRAWS[entry]
+    rng = random.Random(0)
+    state = rng.getstate()
+    for value in BAD_INTS:
+        with _not_an_int(name, value):
+            draw(rng, value)
+    with pytest.raises(ValueError, match=rf"^{name} must be at least {low}, got {low - 1}\Z"):
+        draw(rng, low - 1)
+    assert rng.getstate() == state
 
 
 def test_relation_spec_obeys_the_coordinate_cap():
@@ -78,6 +143,29 @@ PAIR_MAKERS = {
     "targeted_left_pair": (1, lambda rng, d: targeted_left_pair(rng, "satisfy", max_dim=d)),
     "random_square_pair": (0, lambda rng, d: random_square_pair(rng, d)),
 }
+
+
+# each relation draw, the call one coordinate past the cap, and what its message names
+RELATION_DRAWS = {
+    "random_mixed_relation": (
+        lambda rng: random_mixed_relation(rng, MAX_AMBIENT_DIM, 1),
+        rf"dim_x {MAX_AMBIENT_DIM} and dim_y 1 make",
+    ),
+    "random_selfadjoint": (
+        lambda rng: random_selfadjoint(rng, MAX_AMBIENT_DIM // 2 + 1),
+        rf"2 \* dim {MAX_AMBIENT_DIM + 2} makes",
+    ),
+}
+
+
+@pytest.mark.parametrize("draw", list(RELATION_DRAWS))
+def test_relation_draws_obey_the_coordinate_cap(draw):
+    make, named = RELATION_DRAWS[draw]
+    rng = random.Random(0)
+    state = rng.getstate()
+    with pytest.raises(ValueError, match=rf"^{named} dim_x \+ dim_y exceed the limit {MAX_AMBIENT_DIM}\Z"):
+        make(rng)
+    assert rng.getstate() == state
 
 
 @pytest.mark.parametrize("maker", list(PAIR_MAKERS))

@@ -1,5 +1,6 @@
 import dataclasses
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -363,6 +364,18 @@ class TestSelfAdjoint:
         # a relation and its adjoint lie in Q^n × Q^m and Q^m × Q^n
         assert not LinearRelation.zero_relation(2, 1).is_selfadjoint()
         assert not graph([[1, 2]]).is_selfadjoint()
+
+    def test_dimension_gate_builds_no_adjoint(self):
+        # A* has dimension dim_x + dim_y - dim A, so A = A* needs dim A = dim_x = dim_y
+        rels = [
+            LinearRelation.zero_relation(2, 2),
+            LinearRelation.full_relation(2, 2),
+            LinearRelation.from_generators(2, 2, [(1, 0, 0, 1)]),
+            LinearRelation.from_generators(2, 2, [(1, 0, 0, 1), (0, 1, 1, 0), (0, 0, 1, 1)]),
+        ]
+        with mock.patch.object(exact, "_eliminate", wraps=exact._eliminate) as counted:
+            assert not any(rel.is_selfadjoint() for rel in rels)
+        assert counted.call_count == 0
 
 
 class TestGraphMaps:
