@@ -13,7 +13,9 @@ routed by rank alone: full rank gives ``unit_rows``, a rank below
 pass over the free columns (``_one_pass_rows``).  ``complement_rows`` reads
 a basis of the orthogonal complement off that form, and ``text_rows`` prints
 its reduced echelon rows from the integers alone.  ``Fraction``s exist only
-at the public ``Matrix`` API (``fraction_rows``).
+at the public ``Matrix`` API (``fraction_rows``).  Every vector argument goes
+through ``require_vector``, where a ``str`` is one scalar, never a vector of
+its characters.
 """
 
 from __future__ import annotations
@@ -47,6 +49,18 @@ def require_int(name: str, value, low: Optional[int] = None) -> int:
         raise ValueError(f"{name} must be an int, got {value!r}")
     if low is not None and value < low:
         raise ValueError(f"{name} must be at least {low}, got {value}")
+    return value
+
+
+def require_vector(name: str, value, length: Optional[int] = None) -> tuple:
+    """``value`` as a tuple, if it is an iterable other than a ``str`` with ``length``
+    entries, if given; otherwise a ``TypeError``, or a ``ValueError`` for the length,
+    that names it as ``name``.  The one check of every vector argument in the package."""
+    if isinstance(value, str) or not isinstance(value, Iterable):
+        raise TypeError(f"{name} must be an iterable of scalars, got {value!r}")
+    value = tuple(value)
+    if length is not None and len(value) != length:
+        raise ValueError(f"{name} length {len(value)} does not match {length}")
     return value
 
 
@@ -92,6 +106,8 @@ def _ratio(value: Scalar) -> tuple[int, int]:
 
 
 def vector(values: Iterable[Scalar]) -> tuple[Fraction, ...]:
+    """``values``, checked by ``require_vector``, as Fractions."""
+    values = require_vector("vector", values)
     return tuple(v if isinstance(v, Fraction) else Fraction(*_ratio(v)) for v in values)
 
 
@@ -156,10 +172,14 @@ class Matrix:
         return self.entries[i * self.cols + j]
 
     def row(self, i: int) -> tuple[Fraction, ...]:
+        if not 0 <= i < self.rows:
+            raise IndexError(f"row {i} out of range for {self.rows}x{self.cols}")
         return self.entries[i * self.cols : (i + 1) * self.cols]
 
     def col(self, j: int) -> tuple[Fraction, ...]:
-        return self.entries[j :: self.cols] if self.cols else ()
+        if not 0 <= j < self.cols:
+            raise IndexError(f"column {j} out of range for {self.rows}x{self.cols}")
+        return self.entries[j :: self.cols]
 
     def column_tuples(self) -> list[tuple[Fraction, ...]]:
         return [self.col(j) for j in range(self.cols)]
@@ -199,9 +219,7 @@ class Matrix:
         return Matrix(self.rows, ocols, tuple(flat))
 
     def matvec(self, v: Sequence[Scalar]) -> tuple[Fraction, ...]:
-        x = vector(v)
-        if len(x) != self.cols:
-            raise ValueError(f"vector length {len(x)} does not match {self.cols} columns")
+        x = vector(require_vector("v", v, self.cols))
         out = []
         for i in range(self.rows):
             acc = _ZERO
@@ -238,11 +256,14 @@ def integer_row(ratios: Sequence[tuple[int, int]]) -> list[int]:
     return [x // g for x in ints] if g > 1 else ints
 
 
-def _integer_rows(rows: Iterable[Iterable[Scalar]]) -> list[Sequence[int]]:
-    """Rows of exact scalars as integer rows on the same lines.  A row of
-    ints is taken as it is; any other row goes through ``integer_row``."""
+def _integer_rows(rows: Iterable[Iterable[Scalar]], width: int) -> list[Sequence[int]]:
+    """Rows of ``width`` exact scalars as integer rows on the same lines; a row
+    that is not a tuple of that width goes through ``require_vector`` as a
+    ``generator``.  A row of ints is taken as it is, any other through ``integer_row``."""
     out = []
-    for row in map(tuple, rows):
+    for row in rows:
+        if type(row) is not tuple or len(row) != width:
+            row = require_vector("generator", row, width)
         if not _INT_ONLY.issuperset(map(type, row)):
             row = integer_row([_ratio(x) for x in row])
         out.append(row)
@@ -512,14 +533,14 @@ def text_rows(rows: Iterable[Sequence[int]]) -> list[list[str]]:
 
 def canonical_echelon(m: Matrix) -> EchelonForm:
     """Reduced row echelon form of ``m``, with rank and pivot columns."""
-    rows, pivots = echelon_rows(_integer_rows(map(m.row, range(m.rows))), m.cols)
+    rows, pivots = echelon_rows(_integer_rows(map(m.row, range(m.rows)), m.cols), m.cols)
     flat = [x for row in fraction_rows(rows) for x in row]
     flat += [_ZERO] * ((m.rows - len(rows)) * m.cols)
     return EchelonForm(Matrix(m.rows, m.cols, tuple(flat)), len(pivots), tuple(pivots))
 
 
 def rank(m: Matrix) -> int:
-    return len(_eliminate(_integer_rows(map(m.row, range(m.rows))), m.cols))
+    return len(_eliminate(_integer_rows(map(m.row, range(m.rows)), m.cols), m.cols))
 
 
 def nullspace(m: Matrix) -> Matrix:
@@ -530,7 +551,7 @@ def nullspace(m: Matrix) -> Matrix:
     position f, the negated reduced entries in the pivot positions, and zeros
     elsewhere.  Column count is always ``cols - rank``.
     """
-    rows, pivots = echelon_rows(_integer_rows(map(m.row, range(m.rows))), m.cols)
+    rows, pivots = echelon_rows(_integer_rows(map(m.row, range(m.rows)), m.cols), m.cols)
     free = sorted(set(range(m.cols)).difference(pivots))
     gens = complement_rows(rows, pivots, m.cols)
     cols = [[Fraction(x, g[f]) if x else _ZERO for x in g] for g, f in zip(gens, free)]
@@ -542,10 +563,9 @@ def solve_linear(m: Matrix, b: Sequence[Scalar]) -> Optional[tuple[Fraction, ...
 
     None is returned exactly when the system is inconsistent.
     """
-    rhs = tuple(b)
-    if len(rhs) != m.rows:
-        raise ValueError(f"right-hand side length {len(rhs)} does not match {m.rows} rows")
-    rows, pivots = echelon_rows(_integer_rows(m.row(i) + (rhs[i],) for i in range(m.rows)), m.cols + 1)
+    rhs = require_vector("b", b, m.rows)
+    augmented = _integer_rows([m.row(i) + (rhs[i],) for i in range(m.rows)], m.cols + 1)
+    rows, pivots = echelon_rows(augmented, m.cols + 1)
     if pivots and pivots[-1] == m.cols:
         return None
     x = [_ZERO] * m.cols

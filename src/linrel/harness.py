@@ -33,7 +33,7 @@ from operator import mul
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from . import factor
-from .exact import Matrix, Rows, _eliminate, _reduce, require_int
+from .exact import Matrix, Rows, _eliminate, _reduce, require_int, require_vector
 from .files import check_ambient_limit, serialize_relation
 from .relation import (
     LinearRelation,
@@ -52,7 +52,7 @@ from .subspace import Subspace
 _MASK64 = (1 << 64) - 1
 
 
-def derive_seed(seed: int, index: int) -> int:
+def _derive_seed(seed: int, index: int) -> int:
     """Stable per-case sub-seed: a 64-bit LCG-style mix of seed and index."""
     return (seed * 6364136223846793005 + (index + 1) * 1442695040888963407) & _MASK64
 
@@ -231,9 +231,7 @@ def oracle_product_membership(
     ``_product_oracle``, which each call builds again."""
     if inner.dim_y != outer.dim_x:
         raise ValueError(f"interface dimensions differ: {inner.dim_y} vs {outer.dim_x}")
-    x, z = tuple(x), tuple(z)
-    if len(x) != inner.dim_x or len(z) != outer.dim_y:
-        raise ValueError("probe lengths do not match the relation dimensions")
+    x, z = require_vector("x", x, inner.dim_x), require_vector("z", z, outer.dim_y)
     return _product_oracle(inner, outer)(x, z)
 
 
@@ -933,7 +931,7 @@ def run_suite(name: str, cases: Optional[int] = None, seed: int = 0) -> SuiteRes
     passed = failed = 0
     counterexample = None
     for index in range(total):
-        rng = random.Random(derive_seed(seed, index))
+        rng = random.Random(_derive_seed(seed, index))
         message = fn(rng)
         if message is None:
             passed += 1

@@ -14,7 +14,7 @@ from functools import lru_cache
 from math import lcm
 from typing import Iterable, Sequence
 
-from .exact import Matrix, Scalar, integer_row, require_int
+from .exact import Matrix, Scalar, integer_row, require_int, require_vector
 from .subspace import Subspace
 
 
@@ -96,11 +96,8 @@ class LinearRelation:
 
     def membership(self, x: Sequence[Scalar], y: Sequence[Scalar]) -> bool:
         """Whether (x; y) lies in the graph (``Subspace.contains_vector``)."""
-        if len(x) != self.dim_x or len(y) != self.dim_y:
-            raise ValueError(
-                f"point lengths ({len(x)}, {len(y)}) do not match dims ({self.dim_x}, {self.dim_y})"
-            )
-        return self.graph.contains_vector(tuple(x) + tuple(y))
+        x, y = require_vector("x", x, self.dim_x), require_vector("y", y, self.dim_y)
+        return self.graph.contains_vector(x + y)
 
     def __matmul__(self, other: "LinearRelation") -> "LinearRelation":
         return compose(self, other)

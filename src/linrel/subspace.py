@@ -45,6 +45,7 @@ from .exact import (
     fraction_rows,
     primitive_rows,
     require_int,
+    require_vector,
     split_echelon_rows,
     text_rows,
     unit_rows,
@@ -53,9 +54,8 @@ from .exact import (
 
 @dataclass(frozen=True, slots=True)
 class Subspace:
-    """A subspace of Q^ambient_dim given by its canonical integer ``rows``,
-    and nothing else: the two slots are all it holds, so nothing is cached
-    on it.  The constructor rejects rows not in that form, or not in a tuple
+    """A subspace of Q^ambient_dim given by its canonical integer ``rows``.
+    The constructor rejects rows not in that form, or not in a tuple
     (``exact.check_canonical``), naming the first bad row; the constructors
     below build it from any generators."""
 
@@ -83,12 +83,11 @@ class Subspace:
         row j divided by its leading entry, so it leads with a 1."""
         return Matrix.from_cols(fraction_rows(self.rows), rows=self.ambient_dim)
 
-    def point(self, coeffs: Sequence[int]) -> tuple[int, ...]:
-        """An integer vector on the line through Σ_j coeffs[j]·b_j, b_j column j
-        of ``basis``: row j is q_j·b_j with q_j > 0 its leading entry, so with
-        s = lcm(q_j) this is s·Σ_j coeffs[j]·b_j = Σ_j coeffs[j]·(s/q_j)·row_j."""
-        if len(coeffs) != self.dim:
-            raise ValueError(f"{len(coeffs)} coefficients for a subspace of dimension {self.dim}")
+    def point(self, coefficients: Sequence[int]) -> tuple[int, ...]:
+        """An integer vector on the line through Σ_j c_j·b_j, c_j = ``coefficients[j]``
+        and b_j column j of ``basis``: row j is q_j·b_j with q_j > 0 its leading
+        entry, so with s = lcm(q_j) this is s·Σ_j c_j·b_j = Σ_j c_j·(s/q_j)·row_j."""
+        coeffs = require_vector("coefficients", coefficients, self.dim)
         coeffs = [require_int("coefficient", c) for c in coeffs]
         leads = [next(filter(None, row)) for row in self.rows]
         scale = lcm(*leads)
@@ -107,7 +106,8 @@ class Subspace:
     @classmethod
     def from_vectors(cls, ambient_dim: int, vectors: Iterable[Sequence[Scalar]]) -> "Subspace":
         """Canonical subspace spanned by ``vectors``, each of length ``ambient_dim``."""
-        rows, _ = echelon_rows(_generators(ambient_dim, vectors), ambient_dim)
+        rows = _integer_rows(vectors, require_int("ambient dimension", ambient_dim, 0))
+        rows, _ = echelon_rows(rows, ambient_dim)
         return cls._make(ambient_dim, rows)
 
     @classmethod
@@ -117,7 +117,7 @@ class Subspace:
         """``from_vectors(ambient_dim, vectors).split(n)``, reducing only the
         rows each side keeps; without ``head`` the projection is skipped and
         comes back as None."""
-        rows = _generators(ambient_dim, vectors)
+        rows = _integer_rows(vectors, require_int("ambient dimension", ambient_dim, 0))
         if not 0 <= require_int("split", n) <= ambient_dim:
             raise ValueError(f"split at {n} not within ambient dimension {ambient_dim}")
         top, bottom = split_echelon_rows(rows, ambient_dim, n, head)
@@ -185,9 +185,7 @@ class Subspace:
         return all(self._holds(row, leads) for row in other.rows)
 
     def contains_vector(self, v: Sequence[Scalar]) -> bool:
-        (x,) = _integer_rows([v])
-        if len(x) != self.ambient_dim:
-            raise ValueError(f"vector length {len(x)} does not match ambient {self.ambient_dim}")
+        (x,) = _integer_rows([require_vector("v", v, self.ambient_dim)], self.ambient_dim)
         return self._holds(x, self._leads())
 
     def block_project(self, start: int, stop: int) -> "Subspace":
@@ -229,14 +227,3 @@ class Subspace:
     def __repr__(self) -> str:
         cols = ["(" + " ".join(row) + ")" for row in text_rows(self.rows)]
         return f"Subspace(Q^{self.ambient_dim}: {', '.join(cols) if cols else '0'})"
-
-
-def _generators(ambient_dim: int, vectors: Iterable[Sequence[Scalar]]) -> list[Sequence[int]]:
-    require_int("ambient dimension", ambient_dim, 0)
-    rows = _integer_rows(vectors)
-    for row in rows:
-        if len(row) != ambient_dim:
-            raise ValueError(
-                f"generator length {len(row)} does not match ambient dimension {ambient_dim}"
-            )
-    return rows

@@ -23,7 +23,7 @@ from linrel.cli import main
 from linrel.harness import (
     LEFT_KINDS,
     RIGHT_KINDS,
-    derive_seed,
+    _derive_seed,
     run_suite,
     targeted_left_pair,
     targeted_right_pair,
@@ -82,7 +82,7 @@ def _operator_iff_sweep(side):
     buckets = {}
     base_seed = 401 if side == "right" else 501
     for index in range(500):
-        rng = random.Random(derive_seed(base_seed, index))
+        rng = random.Random(_derive_seed(base_seed, index))
         kind = kinds[index % len(kinds)]
         a, b = pair_fn(rng, kind)
         pa, pb = profile(a), profile(b)
@@ -128,7 +128,7 @@ def _brute_force_sweep(side, violating_kinds, base_seed):
     confirmed = 0
     index = 0
     while confirmed < 50:
-        rng = random.Random(derive_seed(base_seed, index))
+        rng = random.Random(_derive_seed(base_seed, index))
         kind = violating_kinds[index % len(violating_kinds)]
         index += 1
         if side == "right":

@@ -236,6 +236,24 @@ class TestMatrixBasics:
         b = Matrix.zero(0, 3)
         assert (a @ b) == Matrix.zero(2, 3)
 
+    def test_index_must_be_in_range(self):
+        """``row``, ``col`` and ``m[i, j]`` read only inside the matrix: an
+        index past the end, or a negative one, raises rather than reading
+        a neighbouring row or nothing."""
+        m = Matrix.from_rows([[1, 2], [3, 4]])
+        assert (m.row(1), m.col(1), m[1, 0]) == ((F(3), F(4)), (F(2), F(4)), F(3))
+        for bad in (-1, 2, 3, 5):
+            with pytest.raises(IndexError, match=rf"^row {bad} out of range for 2x2\Z"):
+                m.row(bad)
+            with pytest.raises(IndexError, match=rf"^column {bad} out of range for 2x2\Z"):
+                m.col(bad)
+            with pytest.raises(IndexError, match=r"^index .* out of range for 2x2\Z"):
+                m[bad, 0]
+        flat = Matrix.zero(2, 0)
+        assert flat.row(1) == () and flat.column_tuples() == []
+        with pytest.raises(IndexError, match=r"^column 0 out of range for 2x0\Z"):
+            flat.col(0)
+
     def test_transpose_involution(self):
         m = Matrix.from_rows([[1, 2, 3], [4, 5, 6]])
         assert m.transpose().transpose() == m

@@ -34,7 +34,7 @@ from linrel import exact, harness
 from linrel.harness import (
     LEFT_KINDS,
     RIGHT_KINDS,
-    derive_seed,
+    _derive_seed,
     operator_graph_candidates,
     random_selfadjoint,
     targeted_left_pair,
@@ -841,7 +841,7 @@ class TestRunSuite:
         for index in range(40):
             dims.clear()
             widths.clear()
-            assert harness._suite_compose_oracle(random.Random(derive_seed(3, index))) is None
+            assert harness._suite_compose_oracle(random.Random(_derive_seed(3, index))) is None
             (n, m), (_, k) = dims
             if min(n, m, k) >= 1:
                 assert widths.count(n + m + k) == 1, index
@@ -952,9 +952,9 @@ class TestRunSuite:
         assert payload["cases"] == 5 and payload["passed"] == 5
 
     def test_derive_seed_is_stable(self):
-        assert derive_seed(1, 0) == derive_seed(1, 0)
-        assert derive_seed(1, 0) != derive_seed(1, 1)
-        assert derive_seed(1, 0) != derive_seed(2, 0)
+        assert _derive_seed(1, 0) == _derive_seed(1, 0)
+        assert _derive_seed(1, 0) != _derive_seed(1, 1)
+        assert _derive_seed(1, 0) != _derive_seed(2, 0)
 
 
 def test_generators_and_bridge_compute_on_integer_rows(monkeypatch):

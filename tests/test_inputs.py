@@ -1,5 +1,7 @@
 """Every library entry point that takes an integer argument rejects any other
 value with a ``ValueError`` that names the argument (``exact.require_int``),
+every vector argument rejects a ``str`` or a scalar with a ``TypeError`` and a
+wrong length with a ``ValueError``, both naming it (``exact.require_vector``),
 and every way to ask for a relation obeys the one coordinate cap
 (``files.check_ambient_limit``)."""
 
@@ -11,7 +13,20 @@ from functools import partial
 
 import pytest
 
-from linrel import LinearRelation, Matrix, RelationSpec, Subspace, harness, list_suites, run_suite, zero_times
+from linrel import (
+    LinearRelation,
+    Matrix,
+    RelationSpec,
+    Subspace,
+    exact,
+    harness,
+    list_suites,
+    oracle_product_membership,
+    run_suite,
+    solve_linear,
+    zero_times,
+)
+from linrel.exact import vector
 from linrel.files import MAX_AMBIENT_DIM
 from linrel.harness import (
     operator_graph_candidates,
@@ -92,6 +107,70 @@ ENTRY_POINTS = {
     "run_suite seed": ("seed", lambda v: run_suite(list_suites()[0], 1, v)),
     **{entry: (name, partial(draw, RNG)) for entry, (name, _, draw) in DRAWS.items()},
 }
+
+
+LINE = LinearRelation.identity(1)
+
+# every vector argument of the library, by entry: the name its messages give,
+# the length it must have (None for any), and a call that passes the value as
+# that argument, or as one generator or row among valid ones
+VECTORS = {
+    "Matrix.matvec v": ("v", 2, Matrix.identity(2).matvec),
+    "solve_linear b": ("b", 2, partial(solve_linear, Matrix.identity(2))),
+    "Subspace.contains_vector v": ("v", 2, PLANE.contains_vector),
+    "Subspace.point coefficients": ("coefficients", 2, PLANE.point),
+    "LinearRelation.membership x": ("x", 1, lambda v: LINE.membership(v, (0,))),
+    "LinearRelation.membership y": ("y", 1, lambda v: LINE.membership((0,), v)),
+    "oracle_product_membership x": ("x", 1, lambda v: oracle_product_membership(LINE, LINE, v, (0,))),
+    "oracle_product_membership z": ("z", 1, lambda v: oracle_product_membership(LINE, LINE, (0,), v)),
+    "exact.vector": ("vector", None, vector),
+    "Matrix.from_rows row": ("vector", 2, lambda v: Matrix.from_rows([(1, 0), v])),
+    "Matrix.from_cols col": ("vector", 2, lambda v: Matrix.from_cols([(1, 0), v])),
+    "Subspace.from_vectors": ("generator", 2, lambda v: Subspace.from_vectors(2, [(1, 0), v])),
+    "Subspace.split_span": ("generator", 2, lambda v: Subspace.split_span(2, [(1, 0), v], 1)),
+    "LinearRelation.from_generators": (
+        "generator", 2, lambda v: LinearRelation.from_generators(1, 1, [(1, 0), v])
+    ),
+}
+# the rows of a matrix are checked against each other, not against a length
+UNEQUAL_ROWS = {"Matrix.from_rows row", "Matrix.from_cols col"}
+
+
+@pytest.fixture
+def no_elimination(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("eliminated before the vector was checked")
+
+    monkeypatch.setattr(exact, "_eliminate", refuse)
+
+
+@pytest.mark.parametrize("entry", list(VECTORS))
+def test_vector_arguments_reject_a_str_a_scalar_and_a_wrong_length(entry, no_elimination):
+    """A ``str`` is one scalar, even one whose length is right, and never a
+    vector of its characters; each refusal names the argument and comes
+    before any elimination."""
+    name, length, call = VECTORS[entry]
+    for value in ("12", "0" * (length or 1), 5, None):
+        message = rf"^{name} must be an iterable of scalars, got {re.escape(repr(value))}\Z"
+        with pytest.raises(TypeError, match=message):
+            call(value)
+    if length is None:
+        return
+    if entry in UNEQUAL_ROWS:
+        message = r"^vectors of unequal length\Z"
+    else:
+        message = rf"^{name} length {length + 1} does not match {length}\Z"
+    with pytest.raises(ValueError, match=message):
+        call([0] * (length + 1))
+
+
+@pytest.mark.parametrize("entry", list(VECTORS))
+def test_vector_arguments_take_any_iterable_of_scalars(entry):
+    """Lists, iterators and generators are vectors as tuples are."""
+    name, length, call = VECTORS[entry]
+    n = length or 3
+    for value in ((0,) * n, [0] * n, iter([0] * n), (0 for _ in range(n))):
+        call(value)
 
 
 def _not_an_int(name, value):

@@ -176,7 +176,7 @@ class TestPoint:
         assert any(v) == any(c)
 
     def test_coefficient_count_must_match(self):
-        with pytest.raises(ValueError, match="2 coefficients"):
+        with pytest.raises(ValueError, match=r"^coefficients length 2 does not match 1\Z"):
             sp(3, (1, 0, 0)).point([1, 1])
 
 
