@@ -2,8 +2,9 @@
 
 Elimination runs on integer rows.  ``echelon_rows`` and ``split_echelon_rows``
 take integer rows and return canonical rows: the rows of the reduced row
-echelon form, each scaled to the primitive integer vector with a positive
-leading entry.  That form is unique per row space and pivoting is
+echelon form, each its own ``line``: primitive, with a positive first nonzero
+entry.  ``line`` is the one normal form of an integer row, and ``dot`` the
+one integer dot product.  That form is unique per row space and pivoting is
 deterministic, so subspace equality downstream is a genuine decision, and
 every canonical form is reproducible byte for byte.  Both share one forward
 elimination (``_eliminate``) and one finishing step (``_canonical_rows``),
@@ -25,6 +26,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 Rational = Fraction
@@ -111,6 +113,16 @@ def vector(values: Iterable[Scalar]) -> tuple[Fraction, ...]:
     return tuple(v if isinstance(v, Fraction) else Fraction(*_ratio(v)) for v in values)
 
 
+def _vectors(name: str, values: Iterable[Iterable[Scalar]], length: Optional[int]) -> tuple[list, int]:
+    """Each of ``values`` as Fractions, checked by ``require_vector`` as ``<name> i``
+    against ``length``, or else the first one's length; and that length, 0 if none."""
+    data = []
+    for i, v in enumerate(values):
+        data.append(vector(require_vector(f"{name} {i}", v, length)))
+        length = len(data[-1])
+    return data, length or 0
+
+
 @dataclass(frozen=True, slots=True)
 class Matrix:
     """Dense rational matrix, row-major.  Zero-extent shapes are legal."""
@@ -122,6 +134,8 @@ class Matrix:
     def __post_init__(self) -> None:
         require_int("rows", self.rows, 0)
         require_int("cols", self.cols, 0)
+        if type(self.entries) is not tuple:
+            raise TypeError(f"entries must be a tuple, not a {type(self.entries).__name__}")
         if len(self.entries) != self.rows * self.cols:
             raise ValueError(
                 f"expected {self.rows * self.cols} entries, got {len(self.entries)}"
@@ -134,23 +148,15 @@ class Matrix:
     def from_rows(cls, rows: Sequence[Sequence[Scalar]], cols: Optional[int] = None) -> "Matrix":
         if cols is not None:
             require_int("cols", cols, 0)
-        data = [vector(r) for r in rows]
-        if data:
-            width = len(data[0])
-            if any(len(r) != width for r in data):
-                raise ValueError("vectors of unequal length")
-            if cols is not None and cols != width:
-                raise ValueError("explicit length disagrees with the vectors' length")
-        else:
-            width = 0 if cols is None else cols
-        flat = tuple(x for r in data for x in r)
-        return cls(len(data), width, flat)
+        data, width = _vectors("row", rows, cols)
+        return cls(len(data), width, tuple(x for r in data for x in r))
 
     @classmethod
     def from_cols(cls, cols: Sequence[Sequence[Scalar]], rows: Optional[int] = None) -> "Matrix":
         if rows is not None:
             require_int("rows", rows, 0)
-        return cls.from_rows(cols, rows).transpose()
+        data, height = _vectors("column", cols, rows)
+        return cls(len(data), height, tuple(x for c in data for x in c)).transpose()
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
@@ -244,6 +250,27 @@ class EchelonForm(NamedTuple):
 
 
 _INT_ONLY = frozenset({int})
+
+
+def line(v: Sequence[int]) -> Optional[tuple[int, ...]]:
+    """The normal form of the integer row v: v divided by the gcd of its
+    entries, with the sign that makes its first nonzero entry positive; None
+    when v is 0.  Two nonzero rows are dependent exactly when their lines are
+    equal, and every canonical row is its own line."""
+    g = gcd(*v)
+    if not g:
+        return None
+    for lead in v:
+        if lead:
+            break
+    if lead < 0:
+        g = -g
+    return tuple(v) if g == 1 else tuple([x // g for x in v])
+
+
+def dot(u: Sequence[int], v: Sequence[int]) -> int:
+    """The dot product of two integer rows."""
+    return sum(map(mul, u, v))
 
 
 def integer_row(ratios: Sequence[tuple[int, int]]) -> list[int]:
@@ -347,20 +374,8 @@ ONE_PASS_RANK = 8
 
 def unit_rows(n: int) -> Rows:
     """The canonical rows of all of Q^n, e_0 to e_{n-1}, sliced from one row."""
-    line = (0,) * (n - 1) + (1,) + (0,) * (n - 1)
-    return tuple(line[n - 1 - i : 2 * n - 1 - i] for i in range(n))
-
-
-def primitive_rows(data: Sequence[Sequence[int]], pivots: Sequence[int]) -> Rows:
-    """Each row divided by the gcd of its entries, with the sign that makes
-    its entry in its pivot column positive."""
-    out = []
-    for row, p in zip(data, pivots):
-        g = gcd(*row)
-        if row[p] < 0:
-            g = -g
-        out.append(tuple(row) if g == 1 else tuple(x // g for x in row))
-    return tuple(out)
+    strip = (0,) * (n - 1) + (1,) + (0,) * (n - 1)
+    return tuple(strip[n - 1 - i : 2 * n - 1 - i] for i in range(n))
 
 
 def _one_pass_rows(data: Sequence[Sequence[int]], pivots: Sequence[int], cols: int) -> Rows:
@@ -373,8 +388,8 @@ def _one_pass_rows(data: Sequence[Sequence[int]], pivots: Sequence[int], cols: i
     built, lead with q_j and have free parts N_j; with s the lcm of the q_j
     where u_j ≠ 0, s·row − Σ u_j·(s/q_j)·(row j) is zero at every pivot but
     p_r, where it holds s·u_r, and its free part is s·F − Σ u_j·(s/q_j)·N_j.
-    One gcd and a sign make it primitive with a positive lead; a row that is
-    zero at every later pivot is only made primitive.
+    Its ``line`` is the canonical row; a row that is zero at every later
+    pivot is only taken to its ``line``.
     """
     rank = len(pivots)
     free = None
@@ -402,10 +417,7 @@ def _one_pass_rows(data: Sequence[Sequence[int]], pivots: Sequence[int], cols: i
             row[p] = lead
             for c, x in zip(free, part):
                 row[c] = x
-        g = gcd(*row)
-        if row[p] < 0:
-            g = -g
-        out[r] = row = tuple(row) if g == 1 else tuple([x // g for x in row])
+        out[r] = row = line(row)
         leads[r] = row[p]
     return tuple(out)
 
@@ -426,7 +438,8 @@ def _canonical_rows(data: list[Sequence[int]], pivots: Sequence[int], cols: int)
         return unit_rows(cols)
     if len(pivots) < ONE_PASS_RANK:
         _back_substitute(data, pivots)
-        return primitive_rows(data, pivots)
+        # the rows past the rank are zero
+        return tuple(map(line, data[: len(pivots)]))
     return _one_pass_rows(data, pivots, cols)
 
 
@@ -466,11 +479,13 @@ def split_echelon_rows(
 def complement_rows(rows: Sequence[Sequence[int]], pivots: Sequence[int], cols: int) -> Rows:
     """A basis of the orthogonal complement of the span of the reduced
     echelon ``rows`` (row j leads in column p_j = ``pivots[j]``), read off
-    without elimination and primitive, but not canonical itself.
+    without elimination, each its own ``line``, but not canonical as a whole.
 
     Row j leads with q_j and is zero in every other pivot column, so each
-    free column f gives e_f − Σ_j (row_j[f] / q_j)·e_{p_j}, orthogonal to
-    every row and positive at f: ``cols`` − rank independent vectors.
+    free column f gives the ``line`` of e_f − Σ_j (row_j[f] / q_j)·e_{p_j},
+    orthogonal to every row: ``cols`` − rank independent vectors, each
+    positive at its first nonzero entry, not at f: span{(1, 2, 3)} gives
+    (2, −1, 0) and (3, 0, −1).
     """
     free = sorted(set(range(cols)).difference(pivots))
     gens = []
@@ -482,14 +497,14 @@ def complement_rows(rows: Sequence[Sequence[int]], pivots: Sequence[int], cols: 
         for p, x, q in terms:
             g[p] = -x * (scale // q)
         gens.append(g)
-    return primitive_rows(gens, free)
+    return tuple(map(line, gens))
 
 
 def check_canonical(rows: Sequence[Sequence[int]], cols: int) -> None:
     """Raise ``ValueError`` naming the first of ``rows`` that is not in the
-    form ``echelon_rows`` returns: a tuple of ``cols`` ints, primitive, with
-    a positive leading entry right of the row above's, and zero in every
-    other row's leading column.  ``rows`` itself must be a tuple, since a
+    form ``echelon_rows`` returns: a tuple of ``cols`` ints that is its own
+    ``line``, leading right of the row above's, and zero in every other
+    row's leading column.  ``rows`` itself must be a tuple, since a
     ``Subspace`` hashes it.  Reads the rows; eliminates nothing."""
     if type(rows) is not tuple:
         raise ValueError(f"rows must be a tuple, not a {type(rows).__name__}: {rows!r}")
@@ -498,7 +513,7 @@ def check_canonical(rows: Sequence[Sequence[int]], cols: int) -> None:
         if type(row) is not tuple or len(row) != cols or not _INT_ONLY.issuperset(map(type, row)):
             raise ValueError(f"row {i} is not a tuple of {cols} ints: {row!r}")
         lead = next((j for j, x in enumerate(row) if x), cols)
-        if lead == cols or row[lead] < 0 or (leads and lead <= leads[-1]) or gcd(*row) > 1:
+        if line(row) != row or (leads and lead <= leads[-1]):
             raise ValueError(
                 f"row {i} {row!r} is zero, not primitive, or does not lead with a "
                 "positive entry right of the row above's"

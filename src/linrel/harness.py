@@ -28,12 +28,11 @@ import random
 from dataclasses import asdict, dataclass
 from functools import lru_cache
 from itertools import combinations, product as iter_product
-from math import gcd, lcm
-from operator import mul
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from math import lcm
+from typing import Callable, Iterable, Iterator, Optional
 
 from . import factor
-from .exact import Matrix, Rows, _eliminate, _reduce, require_int, require_vector
+from .exact import Matrix, Rows, _eliminate, _reduce, dot, line, require_int, require_vector
 from .files import check_ambient_limit, serialize_relation
 from .relation import (
     LinearRelation,
@@ -262,13 +261,14 @@ def operator_graph_candidates(dim_x: int, dim_y: int, bound: int = 2) -> tuple[R
     its rows' x-parts are independent: otherwise some combination of them is
     a nonzero (0, y), so mul is not 0, and the span is skipped unbuilt.  The
     canonical rows of the others are read off the lines' representatives,
-    with no elimination: a line's representative is already primitive with a
-    positive lead, and two representatives u, v, whose x-determinant
+    with no elimination: a line's representative is its ``exact.line``, a
+    canonical row, and two representatives u, v, whose x-determinant
     d = u₀v₁ − u₁v₀ is nonzero, give v₁·u − u₁·v and u₀·v − v₀·u, which are
-    d·e₀ and d·e₁ on the x-block and so, made primitive, the reduced echelon
-    rows.  Each span goes straight into one dict keyed on those rows, so no
-    list of every span is built, and each operator keeps the place of its
-    first span.  Equal rows are one tuple, shared by every candidate that
+    d·e₀ and d·e₁ on the x-block and so, taken to their ``line``s, the
+    canonical rows, by the one normal form ``exact.check_canonical`` tests.
+    Each span goes straight into one dict keyed on those rows, so no list
+    of every span is built, and each operator keeps the place of its first
+    span.  Equal rows are one tuple, shared by every candidate that
     holds it: the (2, 2) grid's 16 306 candidates hold 1 816 row objects.
     No relation is built: the search makes one only of the candidate that
     passes.  Gated to dim_x, dim_y <= 2 and bound <= 2: (2, 3) at bound 2
@@ -286,7 +286,7 @@ def _operator_graph_candidates(dim_x: int, dim_y: int, bound: int) -> tuple[Rows
     grid = [e for e in iter_product(range(-bound, bound + 1), repeat=dim_x + dim_y) if any(e)]
     # each grid line once, in the order of the lines' reduced echelon forms: a
     # lead is at most ``bound``, so a line times scale // lead is its form times scale
-    lines = set(map(_line, grid))
+    lines = set(map(line, grid))
     scale = lcm(*range(1, bound + 1))
     line_reps = sorted(lines, key=lambda row: tuple(x * (scale // next(filter(None, row))) for x in row))
     # first occurrence decides the order, since the search returns the first
@@ -299,14 +299,10 @@ def _operator_graph_candidates(dim_x: int, dim_y: int, bound: int) -> tuple[Rows
         shared = {rep: rep for rep in line_reps}
         for u, v in combinations(line_reps, 2):
             if u[0] * v[1] != u[1] * v[0]:
-                r0 = _line([v[1] * a - u[1] * b for a, b in zip(u, v)])
-                r1 = _line([u[0] * b - v[0] * a for a, b in zip(u, v)])
+                r0 = line([v[1] * a - u[1] * b for a, b in zip(u, v)])
+                r1 = line([u[0] * b - v[0] * a for a, b in zip(u, v)])
                 spans.setdefault((shared.setdefault(r0, r0), shared.setdefault(r1, r1)))
     return tuple(spans)
-
-
-def _dot(u: Sequence[int], v: Sequence[int]) -> int:
-    return sum(map(mul, u, v))
 
 
 def _product_test(a: LinearRelation, b: LinearRelation, side: str) -> Optional[Callable[[Rows], bool]]:
@@ -337,7 +333,7 @@ def _product_test(a: LinearRelation, b: LinearRelation, side: str) -> Optional[C
     B∘T = A then holds exactly when rank{u′_t} = rank{y′_t} and
     rank{w′_t} − rank{y′_t} = dim A − dim mul(B).  A grid candidate has at
     most two rows: with one, each rank is its zero flag; with two, each is
-    read off the rows' lines (``_line``), taken once per pair on first use
+    read off the rows' lines (``exact.line``), taken once per pair on first use
     and only for rows of two-row candidates.
     """
     n, k = a.dim_x, a.dim_y
@@ -348,7 +344,7 @@ def _product_test(a: LinearRelation, b: LinearRelation, side: str) -> Optional[C
     m = b.dim_x
     b_leads = []
     for g, lead in zip(b.graph.rows, b.graph._leads()):
-        if lead >= m and any(_dot(h[n:], g[m:]) for h in perp):
+        if lead >= m and any(dot(h[n:], g[m:]) for h in perp):
             return None
         b_leads.append(lead if lead < m else lead + n)
     b_rows = _stacked_rows(n, m, k, (), b.graph.rows)
@@ -364,13 +360,13 @@ def _product_test(a: LinearRelation, b: LinearRelation, side: str) -> Optional[C
         row = list(t[s:] + t[:s]) + pad
         w = _reduce(row, b_rows, b_leads)
         y = w[:m]
-        u = y + [_dot(h, w[m:]) for h in perp]
+        u = y + [dot(h, w[m:]) for h in perp]
         pulled[t] = entry = (any(w), any(y), any(u), w, y, u)
         return entry
 
     def key(t: tuple[int, ...]) -> tuple:
         """The lines of w′_t, y′_t and u′_t."""
-        keyed[t] = entry = tuple(map(_line, (pulled.get(t) or pull(t))[3:]))
+        keyed[t] = entry = tuple(map(line, (pulled.get(t) or pull(t))[3:]))
         return entry
 
     def admits(gens: Rows) -> bool:
@@ -388,18 +384,6 @@ def _product_test(a: LinearRelation, b: LinearRelation, side: str) -> Optional[C
         return u_nz == y_nz and w_nz - y_nz == c
 
     return admits
-
-
-def _line(v: Sequence[int]) -> Optional[tuple[int, ...]]:
-    """The line of the integer row v: v made primitive with a positive first
-    nonzero entry, or None when v is 0.  Two nonzero rows are dependent
-    exactly when their lines are equal."""
-    g = gcd(*v)
-    if not g:
-        return None
-    if next(filter(None, v)) < 0:
-        g = -g
-    return tuple(v) if g == 1 else tuple(x // g for x in v)
 
 
 def _line_rank(k1: Optional[tuple[int, ...]], k2: Optional[tuple[int, ...]]) -> int:

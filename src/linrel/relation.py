@@ -8,13 +8,12 @@ equality is decidable and representation independent.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from math import lcm
 from typing import Iterable, Sequence
 
-from .exact import Matrix, Scalar, integer_row, require_int, require_vector
+from .exact import Matrix, Scalar, dot, integer_row, require_int, require_vector
 from .subspace import Subspace
 
 
@@ -175,7 +174,7 @@ def compose(outer: LinearRelation, inner: LinearRelation) -> LinearRelation:
         # column j of the matrix s·outer, as the coefficients of y
         cols = [[(s // r[i]) * r[m + j] for i, r in enumerate(outer_rows)] for j in range(k)]
         image = [
-            tuple(s * v for v in r[:n]) + tuple(sum(map(operator.mul, r[n:], c)) for c in cols)
+            tuple(s * v for v in r[:n]) + tuple(dot(r[n:], c) for c in cols)
             for r in inner.graph.rows
         ]
         return LinearRelation(n, k, Subspace.from_vectors(n + k, image))

@@ -1,11 +1,10 @@
 """Canonical subspaces of Q^d: lattice and inner-product operations.
 
-A subspace is stored once, as its canonical integer rows (see ``exact``):
-row i leads in column p_i, the p_i increase, and every row is zero in the
-other rows' leading columns.  The form is unique per subspace, so dataclass
-equality is set equality and hashing works on ints.  Nothing is cached on
-a subspace: its class has slots for the dimension and the rows and no
-``__dict__``, so it cannot hold anything else.  The constructor
+A subspace is stored once, as its canonical integer rows, in the form the
+``exact`` module docstring states.  The form is unique per subspace, so
+dataclass equality is set equality and hashing works on ints.  Nothing is
+cached on a subspace: its class has slots for the dimension and the rows
+and no ``__dict__``, so it cannot hold anything else.  The constructor
 rejects rows in any other form (``exact.check_canonical``); code whose rows
 are canonical by construction builds through ``_make``, which skips the
 check.  ``basis``, the same rows divided by their leading entries as the
@@ -26,7 +25,6 @@ that must vanish on it: ``intersect`` and the operator witnesses use it.
 
 from __future__ import annotations
 
-import operator
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import compress, count
@@ -41,9 +39,10 @@ from .exact import (
     _reduce,
     check_canonical,
     complement_rows,
+    dot,
     echelon_rows,
     fraction_rows,
-    primitive_rows,
+    line,
     require_int,
     require_vector,
     split_echelon_rows,
@@ -157,7 +156,7 @@ class Subspace:
         U itself, with no elimination, when there are no rows."""
         if not rows:
             return self
-        stacked = [tuple(sum(map(operator.mul, r, u)) for r in rows) + u for u in self.rows]
+        stacked = [tuple(dot(r, u) for r in rows) + u for u in self.rows]
         return Subspace.split_span(len(rows) + self.ambient_dim, stacked, len(rows), head=False)[1]
 
     def ortho_complement(self) -> "Subspace":
@@ -170,7 +169,8 @@ class Subspace:
         return Subspace.from_vectors(self.ambient_dim, self.ortho_generators())
 
     def ortho_generators(self) -> Rows:
-        """A basis of U^⊥, not canonical: ``exact.complement_rows`` of the rows."""
+        """A basis of U^⊥, not canonical: ``exact.complement_rows`` of the rows,
+        so each row is its own ``line``."""
         return complement_rows(self.rows, self._leads(), self.ambient_dim)
 
     def _holds(self, v: Sequence[int], leads: Sequence[int]) -> bool:
@@ -201,7 +201,7 @@ class Subspace:
 
         The p rows that lead in the first ``n`` columns come first, and the
         rest are zero there.  So the first p rows cut to their first ``n``
-        entries are P's canonical rows once divided by their content, and
+        entries are P's canonical rows once taken to their ``line``, and
         the other rows cut to the rest are K's, read off without elimination.
         """
         d = self.ambient_dim
@@ -209,7 +209,7 @@ class Subspace:
             raise ValueError(f"split at {n} not within ambient dimension {d}")
         leads = self._leads()
         p = bisect_left(leads, n)
-        head = primitive_rows([row[:n] for row in self.rows[:p]], leads[:p])
+        head = tuple(line(row[:n]) for row in self.rows[:p])
         tail = tuple(row[n:] for row in self.rows[p:])
         return Subspace._make(n, head), Subspace._make(d - n, tail)
 

@@ -1,5 +1,7 @@
 import re
 from fractions import Fraction
+from functools import reduce
+from math import gcd
 
 import pytest
 from hypothesis import given
@@ -18,7 +20,8 @@ from linrel import (
 )
 
 from linrel import exact
-from linrel.exact import ONE_PASS_RANK, echelon_rows, fraction_rows, text_rows
+from linrel.exact import ONE_PASS_RANK, dot, echelon_rows, fraction_rows, line, text_rows
+from linrel.harness import operator_graph_candidates
 from strategies import matrices
 
 
@@ -271,6 +274,16 @@ class TestMatrixBasics:
         with pytest.raises(ValueError, match=r"^(rows|cols) must be (an int|at least 0)"):
             Matrix.from_rows([], cols=1.5)
 
+    @pytest.mark.parametrize("kind, entries", [
+        ("list", [F(1)]),
+        ("generator", (F(1) for _ in range(1))),
+    ])
+    def test_entries_must_be_a_tuple(self, kind, entries):
+        """A list or a generator of entries would build a matrix that cannot
+        be hashed and is unequal to the same entries in a tuple."""
+        with pytest.raises(TypeError, match=rf"^entries must be a tuple, not a {kind}\Z"):
+            Matrix(1, 1, entries)
+
     def test_rejects_float_entry(self):
         with pytest.raises(TypeError, match="0.1"):
             Matrix(1, 1, (0.1,))
@@ -287,9 +300,9 @@ class TestMatrixBasics:
         cols = [[1, "2/3"], [0, -4], [5, 6]]
         assert Matrix.from_cols(cols) == Matrix.from_rows(cols).transpose()
         assert Matrix.from_cols([], rows=3).shape == (3, 0)
-        with pytest.raises(ValueError, match="unequal length"):
+        with pytest.raises(ValueError, match=r"^column 1 length 1 does not match 2\Z"):
             Matrix.from_cols([[1, 2], [3]])
-        with pytest.raises(ValueError, match="explicit length"):
+        with pytest.raises(ValueError, match=r"^column 0 length 2 does not match 3\Z"):
             Matrix.from_cols([[1, 2]], rows=3)
 
 
@@ -307,3 +320,89 @@ class TestTextRows:
     def test_prints_what_the_fractions_print(self, gens):
         rows, _ = echelon_rows([list(g) for g in gens], 4)
         assert text_rows(rows) == [[str(x) for x in row] for row in fraction_rows(rows)]
+
+
+@st.composite
+def integer_rows(draw, max_rows=12, max_cols=12):
+    """Up to 12 rows of up to 12 small ints, so that ranks on both sides of
+    ``ONE_PASS_RANK`` are drawn."""
+    cols = draw(st.integers(0, max_cols))
+    row = st.lists(st.integers(-3, 3), min_size=cols, max_size=cols)
+    return cols, draw(st.lists(row, max_size=max_rows))
+
+
+def assert_own_lines(rows):
+    for row in rows:
+        assert line(row) == row, rows
+
+
+class TestLineAndDot:
+    """``line`` is the one normal form of an integer row, ``dot`` the one
+    dot product, and every row the kernel hands out is its own line."""
+
+    scalars = st.one_of(st.integers(-3, 3), st.integers(-10**30, 10**30))
+    vectors = st.lists(scalars, max_size=6)
+
+    @given(vectors, st.integers(-10**20, 10**20).filter(bool))
+    def test_line_is_primitive_with_a_positive_lead(self, v, c):
+        ln = line(v)
+        if not any(v):
+            assert ln is None and line([c * x for x in v]) is None
+            return
+        assert type(ln) is tuple and len(ln) == len(v)
+        assert next(filter(None, ln)) > 0
+        assert reduce(gcd, ln) == 1
+        assert line([c * x for x in v]) == ln == line(ln)
+        # v is a multiple of its line
+        lead = next(filter(None, v)) // next(filter(None, ln))
+        assert [lead * x for x in ln] == list(v)
+
+    @given(st.data())
+    def test_dot_agrees_with_a_loop(self, data):
+        n = data.draw(st.integers(0, 6))
+        u, v = (data.draw(st.lists(self.scalars, min_size=n, max_size=n)) for _ in "uv")
+        total = 0
+        for a, b in zip(u, v):
+            total += a * b
+        assert dot(u, v) == dot(tuple(u), v) == total
+
+    @given(integer_rows())
+    def test_echelon_and_complement_rows_are_their_own_lines(self, drawn):
+        cols, data = drawn
+        rows, pivots = echelon_rows([list(r) for r in data], cols)
+        assert_own_lines(rows)
+        gens = exact.complement_rows(rows, pivots, cols)
+        assert len(gens) == cols - len(rows)
+        assert_own_lines(gens)
+        assert all(dot(g, r) == 0 for g in gens for r in rows)
+
+    @given(integer_rows(), st.data())
+    def test_split_rows_are_their_own_lines(self, drawn, data):
+        cols, data_rows = drawn
+        cut = data.draw(st.integers(0, cols))
+        top, bottom = exact.split_echelon_rows([list(r) for r in data_rows], cols, cut)
+        assert_own_lines(top)
+        assert_own_lines(bottom)
+
+    def test_high_rank_rows_are_their_own_lines(self):
+        """Dense rows of rank past ``ONE_PASS_RANK``, finished in one pass."""
+        cols = 2 * ONE_PASS_RANK + 3
+        data = [[(7 * i + 3 * j * j + i * j) % 11 - 5 for j in range(cols)]
+                for i in range(ONE_PASS_RANK + 2)]
+        rows, pivots = echelon_rows([list(r) for r in data], cols)
+        assert len(rows) >= ONE_PASS_RANK
+        assert_own_lines(rows)
+        assert_own_lines(exact.complement_rows(rows, pivots, cols))
+        top, bottom = exact.split_echelon_rows([list(r) for r in data], cols, ONE_PASS_RANK + 1)
+        assert_own_lines(top + bottom)
+
+    def test_complement_rows_lead_positive(self):
+        """Each complement row is positive at its first nonzero entry, not at
+        its free column."""
+        assert exact.complement_rows(((1, 2, 3),), [0], 3) == ((2, -1, 0), (3, 0, -1))
+
+    @pytest.mark.parametrize("dims", [(x, y) for x in range(3) for y in range(3)])
+    def test_grid_rows_are_their_own_lines(self, dims):
+        for rows in operator_graph_candidates(*dims, 2):
+            assert_own_lines(rows)
+            exact.check_canonical(rows, sum(dims))

@@ -581,7 +581,7 @@ class TestBruteForceAgainstReference:
         reduced, lined, eliminated = Counter(), Counter(), []
         owner = {}
         shape = (2, 1)  # the grid's (dim_x, dim_y) = (n, m)
-        reduce, line, eliminate = harness._reduce, harness._line, exact._eliminate
+        reduce, line, eliminate = harness._reduce, exact.line, exact._eliminate
 
         def spy_reduce(row, echelon, leads):
             # the row (t_x, t_y) of T's graph comes in as (t_y, t_x, 0)
@@ -604,7 +604,7 @@ class TestBruteForceAgainstReference:
             return eliminate(data, cols)
 
         monkeypatch.setattr(harness, "_reduce", spy_reduce)
-        monkeypatch.setattr(harness, "_line", spy_line)
+        monkeypatch.setattr(harness, "line", spy_line)
         monkeypatch.setattr(exact, "_eliminate", spy_eliminate)
 
         candidates = operator_graph_candidates(2, 1, 2)
@@ -678,7 +678,7 @@ class TestPairRank:
     @staticmethod
     def assert_matches_elimination(a, b):
         rank = len(exact._eliminate([list(a), list(b)], len(a)))
-        assert harness._line_rank(harness._line(a), harness._line(b)) == rank, (a, b)
+        assert harness._line_rank(exact.line(a), exact.line(b)) == rank, (a, b)
         return rank
 
     @pytest.mark.parametrize("a, b", [
