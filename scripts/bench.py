@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Time the canonicalization kernel, ``exact.echelon_rows``, on dense rows,
-and weigh the entries of the profile memo.
+and ``LinearRelation.is_selfadjoint`` on self-adjoint relations, and weigh
+the entries of the profile memo.
 
     python3 scripts/bench.py --out BENCH_<n>.json [--tree LABEL=SRC ...]
                              [--dims 3,6,10,16,24] [--repeats 15]
@@ -8,9 +9,15 @@ and weigh the entries of the profile memo.
 For each d in ``--dims`` it draws ``INPUTS`` seeded d×2d integer matrices
 with entries in [-BOUND, BOUND] (the shape of the rows ``linrel`` parses for a d/d
 relation) and times one ``echelon_rows`` call on each, copying the rows
-outside the timed region.  Each of ``--repeats`` passes times every input
-once; the figure is the median over the passes of the mean time per call.
-It also records the largest bit length of an entry of the canonical rows.
+outside the timed region.  It also records the largest bit length of an
+entry of the canonical rows.  Under ``is_selfadjoint`` it times one call on
+each of ``INPUTS`` seeded ``harness.random_selfadjoint`` relations on Q^d,
+drawn by the tree's own ``harness``; each has graph dimension d, so every
+call gets past the dimension test to the pairing of the rows.  Each of
+``--repeats`` passes times every input once; the figures are the median
+over the passes of the mean time per call, ``median_ms``, with the first
+and third quartiles, ``q1_ms`` and ``q3_ms``, beside it (all three equal
+for one pass).
 
 Beside the timings, ``profile_memo`` gives the bytes that the memo of
 ``relation.profile`` retains per entry, as tracemalloc counts them: the
@@ -41,6 +48,7 @@ import statistics
 import sys
 import time
 import tracemalloc
+from functools import partial
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -89,32 +97,67 @@ def memo_bytes(package) -> dict:
     return {"relations": MEMO_RELATIONS, "entries": entries, "bytes_per_entry": round(retained / entries)}
 
 
-def measure(kernels: dict, d: int, repeats: int) -> dict:
-    """label -> the figures of d for each kernel, the passes interleaved."""
-    cases = [dense_rows(d, seed) for seed in range(INPUTS)]
-    passes: dict = {label: [] for label in kernels}
-    order = list(kernels)
+def alternate(jobs: dict, repeats: int) -> dict:
+    """label -> the mean seconds per input of each of ``repeats`` passes.  Each
+    job is ``(prepare, run)``: ``prepare()`` gives a pass's inputs, outside the
+    timed region, and the pass calls ``run`` on each.  The labels' passes
+    alternate, the order reversed on every other pass."""
+    times: dict = {label: [] for label in jobs}
+    order = list(jobs)
     for _ in range(repeats):
         for label in order:
-            copies = [[list(r) for r in rows] for rows in cases]
+            prepare, run = jobs[label]
+            inputs = prepare()
             start = time.perf_counter()
-            for rows in copies:
-                kernels[label](rows, 2 * d)
-            passes[label].append((time.perf_counter() - start) / INPUTS)
+            for item in inputs:
+                run(item)
+            times[label].append((time.perf_counter() - start) / len(inputs))
         order.reverse()
+    return times
+
+
+def spread(times: list) -> dict:
+    """The median of the pass times in ms, with the first and third quartiles
+    beside it; one pass has no quartiles, so all three are that pass."""
+    q1, _, q3 = statistics.quantiles(times, n=4, method="inclusive") if len(times) > 1 else times * 3
+    figures = {"q1_ms": q1, "median_ms": statistics.median(times), "q3_ms": q3}
+    return {key: round(t * 1e3, 4) for key, t in figures.items()}
+
+
+def time_kernel(packages: dict, d: int, repeats: int) -> dict:
+    """label -> the figures of ``echelon_rows`` at d."""
+    cases = [dense_rows(d, seed) for seed in range(INPUTS)]
+
+    def copies():
+        return [[list(r) for r in rows] for rows in cases]
+
+    kernels = {label: package.exact.echelon_rows for label, package in packages.items()}
+    times = alternate({label: (copies, partial(kernel, cols=2 * d)) for label, kernel in kernels.items()}, repeats)
     figures = {}
     for label, echelon_rows in kernels.items():
-        canonical = [echelon_rows([list(r) for r in rows], 2 * d)[0] for rows in cases]
+        canonical = [echelon_rows(rows, 2 * d)[0] for rows in copies()]
         figures[label] = {
             "d": d,
             "rows": d,
             "cols": 2 * d,
             "inputs": INPUTS,
             "repeats": repeats,
-            "median_ms": round(statistics.median(passes[label]) * 1e3, 4),
+            **spread(times[label]),
             "max_entry_bits": max(abs(x).bit_length() for rows in canonical for row in rows for x in row),
         }
     return figures
+
+
+def time_pairing(packages: dict, d: int, repeats: int) -> dict:
+    """label -> the figures of ``is_selfadjoint`` at d, each tree on its own
+    ``harness``'s draws from one seed."""
+    jobs = {}
+    for label, package in packages.items():
+        rng = random.Random(f"bench/selfadjoint/{d}")
+        relations = [package.harness.random_selfadjoint(rng, d) for _ in range(INPUTS)]
+        jobs[label] = (relations.copy, package.LinearRelation.is_selfadjoint)
+    times = alternate(jobs, repeats)
+    return {label: {"d": d, "inputs": INPUTS, "repeats": repeats, **spread(times[label])} for label in jobs}
 
 
 def main(argv=None) -> int:
@@ -131,21 +174,31 @@ def main(argv=None) -> int:
     if any(not label or not src for label, src in trees) or len({label for label, _ in trees}) < len(trees):
         parser.error("each --tree is LABEL=SRC, with a label of its own")
     packages = {label: load_tree(Path(src), i) for i, (label, src) in enumerate(trees)}
-    kernels = {label: package.exact.echelon_rows for label, package in packages.items()}
 
     runs = {
-        label: {"python": platform.python_version(), "machine": platform.machine(), "results": []}
-        for label in kernels
+        label: {
+            "python": platform.python_version(),
+            "machine": platform.machine(),
+            "results": [],
+            "is_selfadjoint": [],
+        }
+        for label in packages
     }
     for label, package in packages.items():
         runs[label]["profile_memo"] = memo = memo_bytes(package)
         print(f"{label} profile_memo entries={memo['entries']} bytes_per_entry={memo['bytes_per_entry']}")
     for d in dims:
-        for label, row in measure(kernels, d, args.repeats).items():
+        for label, row in time_kernel(packages, d, args.repeats).items():
             runs[label]["results"].append(row)
-            print(f"{label} d={d} median_ms={row['median_ms']} max_entry_bits={row['max_entry_bits']}")
+            print(f"{label} d={d} echelon_rows median_ms={row['median_ms']} "
+                  f"q1_ms={row['q1_ms']} q3_ms={row['q3_ms']} max_entry_bits={row['max_entry_bits']}")
+        for label, row in time_pairing(packages, d, args.repeats).items():
+            runs[label]["is_selfadjoint"].append(row)
+            print(f"{label} d={d} is_selfadjoint median_ms={row['median_ms']} "
+                  f"q1_ms={row['q1_ms']} q3_ms={row['q3_ms']}")
     report = {
         "benchmark": f"exact.echelon_rows on seeded dense d x 2d integer rows, entries in [-{BOUND}, {BOUND}]; "
+        "LinearRelation.is_selfadjoint on seeded harness.random_selfadjoint relations on Q^d; "
         f"bytes the relation.profile memo retains per entry over {MEMO_RELATIONS} seeded relations",
         "runs": runs,
     }

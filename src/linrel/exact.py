@@ -3,20 +3,21 @@
 Elimination runs on integer rows.  ``echelon_rows`` and ``split_echelon_rows``
 take integer rows and return canonical rows: the rows of the reduced row
 echelon form, each its own ``line``: primitive, with a positive first nonzero
-entry.  ``line`` is the one normal form of an integer row, and ``dot`` the
-one integer dot product.  That form is unique per row space and pivoting is
-deterministic, so subspace equality downstream is a genuine decision, and
-every canonical form is reproducible byte for byte.  Both share one forward
-elimination (``_eliminate``) and one finishing step (``_canonical_rows``),
-routed by rank alone: full rank gives ``unit_rows``, a rank below
-``ONE_PASS_RANK`` clears each pivot column above its pivot row against row
-(``_back_substitute``), and a higher rank builds each canonical row in one
-pass over the free columns (``_one_pass_rows``).  ``complement_rows`` reads
-a basis of the orthogonal complement off that form, and ``text_rows`` prints
-its reduced echelon rows from the integers alone.  ``Fraction``s exist only
-at the public ``Matrix`` API (``fraction_rows``).  Every vector argument goes
-through ``require_vector``, where a ``str`` is one scalar, never a vector of
-its characters.
+entry.  ``line`` is the one normal form of an integer row.  That form is
+unique per row space and pivoting is deterministic, so subspace equality
+downstream is a genuine decision, and every canonical form is reproducible
+byte for byte.  Both share one forward elimination (``_eliminate``) and one
+finishing step (``_canonical_rows``), routed by rank alone: full rank gives
+``unit_rows``, a rank below ``ONE_PASS_RANK`` clears each pivot column above
+its pivot row against row (``_back_substitute``), and a higher rank builds
+each canonical row in one pass over the free columns (``_one_pass_rows``).
+``complement_rows`` reads a basis of the orthogonal complement off that form,
+and ``text_rows`` prints its reduced echelon rows from the integers alone.
+``Fraction``s exist only at the public ``Matrix`` API (``fraction_rows``).
+``dot`` is the one sum of products, for integer rows and the ``Matrix``
+façade's ``Fraction`` rows alike.  Every vector argument goes through
+``require_vector``, where a ``str`` is one scalar, never a vector of its
+characters.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import re
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from math import gcd, lcm
 from operator import mul
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
@@ -211,29 +213,15 @@ class Matrix:
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise ValueError(f"cannot multiply {self.shape} by {other.shape}")
-        ocols = other.cols
-        flat = []
-        for i in range(self.rows):
-            lrow = self.row(i)
-            for j in range(ocols):
-                acc = _ZERO
-                for k in range(self.cols):
-                    a = lrow[k]
-                    if a:
-                        acc += a * other.entries[k * ocols + j]
-                flat.append(acc)
-        return Matrix(self.rows, ocols, tuple(flat))
+        return Matrix(self.rows, other.cols, self._dots(other.column_tuples()))
 
     def matvec(self, v: Sequence[Scalar]) -> tuple[Fraction, ...]:
-        x = vector(require_vector("v", v, self.cols))
-        out = []
-        for i in range(self.rows):
-            acc = _ZERO
-            for a, b in zip(self.row(i), x):
-                if a and b:
-                    acc += a * b
-            out.append(acc)
-        return tuple(out)
+        return self._dots([vector(require_vector("v", v, self.cols))])
+
+    def _dots(self, vectors: Sequence[Sequence[Fraction]]) -> tuple[Fraction, ...]:
+        """Each row's ``dot`` with each of ``vectors``, as Fractions, skipping the row's zeros."""
+        rows = map(self.row, range(self.rows))
+        return tuple(_ZERO + dot(compress(r, r), compress(v, r)) for r in rows for v in vectors)
 
     def is_zero(self) -> bool:
         return not any(self.entries)
@@ -268,8 +256,10 @@ def line(v: Sequence[int]) -> Optional[tuple[int, ...]]:
     return tuple(v) if g == 1 else tuple([x // g for x in v])
 
 
-def dot(u: Sequence[int], v: Sequence[int]) -> int:
-    """The dot product of two integer rows."""
+def dot(u: Sequence[int | Fraction], v: Sequence[int | Fraction]) -> int | Fraction:
+    """The dot product of two rows, the one sum of products in the package, for
+    integer rows and the ``Matrix`` façade's ``Fraction`` rows alike; an int
+    for int rows, and the int 0 for empty rows."""
     return sum(map(mul, u, v))
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 from math import lcm
 from typing import Iterable, Sequence
 
@@ -91,7 +92,13 @@ class LinearRelation:
         return LinearRelation(m, n, Subspace.from_vectors(m + n, turned))
 
     def is_selfadjoint(self) -> bool:
-        return self.dim_x == self.dim_y == self.graph.dim and self == self.adjoint()
+        """Whether A = A*, with no A* built.  With U and V the x- and y-parts of
+        the graph's rows, dim A = n and UVᵀ symmetric (⟨u, v′⟩ = ⟨u′, v⟩ for every
+        two rows) give A ⊆ A*, and dim A* = 2n − dim A makes that an equality."""
+        n = self.dim_x
+        if not self.dim_y == n == self.graph.dim:
+            return False
+        return all(dot(r[:n], t[n:]) == dot(t[:n], r[n:]) for r, t in combinations(self.graph.rows, 2))
 
     def membership(self, x: Sequence[Scalar], y: Sequence[Scalar]) -> bool:
         """Whether (x; y) lies in the graph (``Subspace.contains_vector``)."""

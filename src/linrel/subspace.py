@@ -88,10 +88,12 @@ class Subspace:
         entry, so with s = lcm(q_j) this is s·Σ_j c_j·b_j = Σ_j c_j·(s/q_j)·row_j."""
         coeffs = require_vector("coefficients", coefficients, self.dim)
         coeffs = [require_int("coefficient", c) for c in coeffs]
+        if not self.rows:
+            return (0,) * self.ambient_dim
         leads = [next(filter(None, row)) for row in self.rows]
         scale = lcm(*leads)
-        terms = [(c * (scale // q), row) for c, q, row in zip(coeffs, leads, self.rows) if c]
-        return tuple(sum(f * row[i] for f, row in terms) for i in range(self.ambient_dim))
+        weights = [c * (scale // q) for c, q in zip(coeffs, leads)]
+        return tuple(dot(weights, column) for column in zip(*self.rows))
 
     @classmethod
     def span(cls, ambient_dim: int, generators: Matrix) -> "Subspace":

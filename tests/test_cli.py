@@ -502,7 +502,9 @@ class TestRunAllSuitesScript:
 def test_bench_script_writes_its_figures(tmp_path):
     """A smoke run of ``scripts/bench.py`` at small d with one pass: two
     trees measured in one run land under their labels, each with the bytes
-    its profile memo retains per entry, equal for equal trees."""
+    its profile memo retains per entry, equal for equal trees, and with the
+    kernel's and ``is_selfadjoint``'s figures at each d, whose quartiles
+    bracket the median (one pass makes all three equal)."""
     out, src = tmp_path / "bench.json", str(ROOT / "src")
     done = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "bench.py"), "--out", str(out),
@@ -515,6 +517,9 @@ def test_bench_script_writes_its_figures(tmp_path):
     for run in report["runs"].values():
         assert [row["d"] for row in run["results"]] == [3, 6]
         assert all(row["median_ms"] > 0 and row["max_entry_bits"] > 0 for row in run["results"])
+        assert [row["d"] for row in run["is_selfadjoint"]] == [3, 6]
+        for row in run["results"] + run["is_selfadjoint"]:
+            assert 0 < row["q1_ms"] <= row["median_ms"] <= row["q3_ms"]
     memos = [run["profile_memo"] for run in report["runs"].values()]
     assert memos[0] == memos[1]
     assert 0 < memos[0]["entries"] <= memos[0]["relations"] and memos[0]["bytes_per_entry"] > 0

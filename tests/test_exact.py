@@ -4,7 +4,7 @@ from functools import reduce
 from math import gcd
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 import hypothesis.strategies as st
 
 from linrel import (
@@ -233,7 +233,49 @@ class TestSolveLinear:
             assert m.matvec(x) == tuple(Fraction(v) for v in b)
 
 
+@st.composite
+def product_operands(draw):
+    """(a, b, v) with a·b and a·v defined, up to 4×4: all entries ints, as
+    ``Matrix`` keeps them, or all ``Fraction``s, and any extent 0."""
+    n, k, m = (draw(st.integers(0, 4)) for _ in range(3))
+    entry = draw(st.sampled_from([st.integers(-3, 3), st.fractions(-3, 3, max_denominator=6)]))
+
+    def matrix(rows, cols):
+        return Matrix(rows, cols, tuple(draw(entry) for _ in range(rows * cols)))
+
+    return matrix(n, k), matrix(k, m), [draw(entry) for _ in range(k)]
+
+
+def loop_product(a, b):
+    """a·b by the plain triple loop over Fractions."""
+    out = []
+    for i in range(a.rows):
+        for j in range(b.cols):
+            total = Fraction(0)
+            for k in range(a.cols):
+                total += Fraction(a[i, k]) * Fraction(b[k, j])
+            out.append(total)
+    return tuple(out)
+
+
 class TestMatrixBasics:
+    @given(product_operands())
+    @example((Matrix(0, 3, ()), Matrix(3, 2, (1, 0, -2, 3, 0, 1)), [1, 2, 3]))
+    @example((Matrix(2, 3, (1, 0, -2, 3, 0, 1)), Matrix(3, 0, ()), [1, 2, 3]))
+    @example((Matrix(2, 0, ()), Matrix(0, 3, ()), []))
+    def test_products_agree_with_a_fraction_loop(self, operands):
+        """``a @ b`` and ``a.matvec(v)``, whose entries are each one ``dot``,
+        equal the triple loop over Fractions, and every entry is a ``Fraction``,
+        for int entries and for an empty inner extent, where ``dot`` gives the
+        int 0, alike."""
+        a, b, v = operands
+        product = a @ b
+        assert product.shape == (a.rows, b.cols)
+        assert product.entries == loop_product(a, b)
+        image = a.matvec(v)
+        assert image == loop_product(a, Matrix(len(v), 1, tuple(v)))
+        assert all(type(x) is Fraction for x in product.entries + image)
+
     def test_zero_extent_product(self):
         a = Matrix.zero(2, 0)
         b = Matrix.zero(0, 3)

@@ -377,6 +377,41 @@ class TestSelfAdjoint:
             assert not any(rel.is_selfadjoint() for rel in rels)
         assert counted.call_count == 0
 
+    def test_pairing_builds_no_adjoint(self):
+        """Past the dimension gate the answer is the pairing of the graph's
+        rows alone: no elimination and no A*, self-adjoint or not."""
+        rng = random.Random("pairing")
+        rels = [
+            graph([[1, 2], [2, 0]]),
+            graph([[0, 1], [0, 0]]),
+            LinearRelation.from_generators(2, 2, [(1, 0, 0, 1), (0, 0, 1, 0)]),
+            LinearRelation.from_generators(2, 2, [(1, 0, 0, 1), (0, 1, 0, 0)]),
+            LinearRelation.from_generators(2, 2, [(1, 0, 1, 0), (0, 0, 0, 1)]),
+        ] + [harness.random_selfadjoint(rng, d) for d in (1, 3, 5)]
+        expected = [True, False, False, False, True, True, True, True]
+        assert [rel == rel.adjoint() for rel in rels] == expected
+        with mock.patch.object(exact, "_eliminate", wraps=exact._eliminate) as eliminations, \
+                mock.patch.object(LinearRelation, "adjoint", autospec=True,
+                                  side_effect=LinearRelation.adjoint) as adjoints:
+            assert [rel.is_selfadjoint() for rel in rels] == expected
+        assert eliminations.call_count == adjoints.call_count == 0
+
+    @pytest.mark.parametrize("d", range(7))
+    def test_agrees_with_the_adjoint(self, d):
+        """``is_selfadjoint()`` is ``rel == rel.adjoint()`` on seeded
+        self-adjoint draws, on the same draws with one graph entry moved by ±1
+        (about half of them no longer self-adjoint, a few no longer of
+        dimension d), and on square mixed draws."""
+        rng = random.Random(f"selfadjoint/{d}")
+        for _ in range(12):
+            rel = harness.random_selfadjoint(rng, d)
+            rows = [list(row) for row in rel.graph.rows]
+            if rows:
+                rows[rng.randrange(len(rows))][rng.randrange(2 * d)] += rng.choice((-1, 1))
+            moved = LinearRelation.from_generators(d, d, rows)
+            for case in (rel, moved, harness.random_mixed_relation(rng, d, d)):
+                assert case.is_selfadjoint() == (case == case.adjoint()), case.graph
+
 
 class TestGraphMaps:
     def test_projection_on_identity_relation(self):

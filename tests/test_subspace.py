@@ -1,8 +1,8 @@
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 import hypothesis.strategies as st
 
 from linrel import LinearRelation, Matrix, Subspace, canonical_echelon, exact, profile
@@ -174,6 +174,27 @@ class TestPoint:
             s = Fraction(nonzero[0][0]) / nonzero[0][1]
             assert s > 0 and all(x == s * y for x, y in nonzero)
         assert any(v) == any(c)
+
+    @given(subspaces(max_dim=5).flatmap(
+        lambda u: st.tuples(st.just(u), st.lists(st.integers(-4, 4), min_size=u.dim, max_size=u.dim))
+    ))
+    @example((Subspace.zero(3), []))
+    @example((sp(3, (1, 2, 0), (0, 3, 1)), [0, 0]))
+    def test_point_is_the_weighted_sum_of_the_rows(self, case):
+        """``point`` is Σ_j c_j·(s/q_j)·row_j, s the lcm of the leading entries
+        q_j, summed entry by entry here: its ``dot`` of the weights with each
+        column reads the same integers, zeros for the zero subspace and for
+        all-zero coefficients."""
+        u, c = case
+        leads = [next(filter(None, row)) for row in u.rows]
+        s = lcm(*leads)
+        total = [0] * u.ambient_dim
+        for cj, qj, row in zip(c, leads, u.rows):
+            for i, x in enumerate(row):
+                total[i] += cj * (s // qj) * x
+        assert u.point(c) == tuple(total)
+        if not any(c):
+            assert u.point(c) == (0,) * u.ambient_dim
 
     def test_coefficient_count_must_match(self):
         with pytest.raises(ValueError, match=r"^coefficients length 2 does not match 1\Z"):
