@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Time the canonicalization kernel, ``exact.echelon_rows``, on dense rows,
-and ``LinearRelation.is_selfadjoint`` on self-adjoint relations, and weigh
-the entries of the profile memo.
+``LinearRelation.is_selfadjoint`` on self-adjoint relations and every
+invariant suite, and weigh the entries of the profile memo.
 
     python3 scripts/bench.py --out BENCH_<n>.json [--tree LABEL=SRC ...]
                              [--dims 3,6,10,16,24] [--repeats 15]
@@ -19,6 +19,11 @@ over the passes of the mean time per call, ``median_ms``, with the first
 and third quartiles, ``q1_ms`` and ``q3_ms``, beside it (all three equal
 for one pass).
 
+Under ``suites`` it times each suite that every tree lists, per case: each
+pass clears the tree's ``relation.profile`` memo outside the timed region
+and runs ``harness.run_suite(name, SUITE_CASES, 0)``.  A failing suite
+exits 1, naming the suite and the tree, before the file is written.
+
 Beside the timings, ``profile_memo`` gives the bytes that the memo of
 ``relation.profile`` retains per entry, as tracemalloc counts them: the
 tree's own ``harness.random_mixed_relation`` draws ``MEMO_RELATIONS`` seeded
@@ -32,7 +37,9 @@ measured (by default one tree, ``current``, the ``src`` beside this script).
 All trees are imported into one process and their passes alternate, the
 order reversed on every other pass, so a shared host that slows down for a
 while slows every tree alike.  The figures go under ``runs[<label>]`` in the
-JSON file ``--out``, which is written afresh.  Standard library only.
+JSON file ``--out``, which is written afresh, with the script's arguments
+under ``command``.  A bad argument exits 2 before any tree is imported.
+Standard library only.
 """
 
 from __future__ import annotations
@@ -54,6 +61,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 BOUND = 3
 INPUTS = 10
+SUITE_CASES = 20
 MEMO_RELATIONS = 500
 MEMO_DIM = 4
 
@@ -148,6 +156,30 @@ def time_kernel(packages: dict, d: int, repeats: int) -> dict:
     return figures
 
 
+def time_suites(packages: dict, repeats: int) -> list[dict]:
+    """For each suite that every tree lists, in the first tree's order,
+    label -> its figures per case; a failing suite exits."""
+    def job(label, package, name):
+        def prepare():
+            package.relation.profile.cache_clear()
+            return [name]
+
+        def run(name):
+            result = package.harness.run_suite(name, SUITE_CASES, 0)
+            if not result.ok:
+                raise SystemExit(f"suite {name} failed on tree {label}: {result.counterexample}")
+
+        return prepare, run
+
+    listed = [package.harness.list_suites() for package in packages.values()]
+    figures = []
+    for name in [name for name in listed[0] if all(name in other for other in listed)]:
+        times = alternate({label: job(label, package, name) for label, package in packages.items()}, repeats)
+        figures.append({label: {"suite": name, "cases": SUITE_CASES, "repeats": repeats,
+                                **spread([t / SUITE_CASES for t in passes])} for label, passes in times.items()})
+    return figures
+
+
 def time_pairing(packages: dict, d: int, repeats: int) -> dict:
     """label -> the figures of ``is_selfadjoint`` at d, each tree on its own
     ``harness``'s draws from one seed."""
@@ -160,46 +192,70 @@ def time_pairing(packages: dict, d: int, repeats: int) -> dict:
     return {label: {"d": d, "inputs": INPUTS, "repeats": repeats, **spread(times[label])} for label in jobs}
 
 
+def positive(text: str) -> int:
+    if int(text) < 1:
+        raise ValueError(text)
+    return int(text)
+
+
+def positives(text: str) -> list[int]:
+    return [positive(part) for part in text.split(",")]
+
+
+def tree(text: str) -> tuple[str, Path]:
+    label, _, src = text.partition("=")
+    if not label or not Path(src, "linrel", "__init__.py").is_file():
+        raise argparse.ArgumentTypeError(f"want LABEL=SRC with a SRC/linrel/__init__.py, got {text!r}")
+    return label, Path(src)
+
+
+def out_file(text: str) -> Path:
+    if not Path(text).parent.is_dir():
+        raise argparse.ArgumentTypeError(f"no directory {Path(text).parent}")
+    return Path(text)
+
+
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--out", type=Path, required=True, help="JSON file to write")
-    parser.add_argument("--tree", action="append", metavar="LABEL=SRC", help="a src directory to measure")
-    parser.add_argument("--dims", default="3,6,10,16,24", help="comma-separated values of d")
-    parser.add_argument("--repeats", type=int, default=15, help="timed passes per d and tree")
+    parser.add_argument("--out", type=out_file, required=True, help="JSON file to write")
+    parser.add_argument("--tree", type=tree, action="append", metavar="LABEL=SRC", help="a src directory to measure")
+    parser.add_argument("--dims", type=positives, default="3,6,10,16,24", help="comma-separated values of d")
+    parser.add_argument("--repeats", type=positive, default=15, help="timed passes per slice and tree")
     args = parser.parse_args(argv)
-    dims = [int(d) for d in args.dims.split(",")]
-    if min(dims) < 1 or args.repeats < 1:
-        parser.error("--dims and --repeats must be positive")
-    trees = [tree.partition("=")[::2] for tree in args.tree or [f"current={ROOT / 'src'}"]]
-    if any(not label or not src for label, src in trees) or len({label for label, _ in trees}) < len(trees):
-        parser.error("each --tree is LABEL=SRC, with a label of its own")
-    packages = {label: load_tree(Path(src), i) for i, (label, src) in enumerate(trees)}
+    trees = args.tree or [("current", ROOT / "src")]
+    if len({label for label, _ in trees}) < len(trees):
+        parser.error("argument --tree: each tree needs a label of its own")
+    packages = {label: load_tree(src, i) for i, (label, src) in enumerate(trees)}
 
     runs = {
         label: {
             "python": platform.python_version(),
             "machine": platform.machine(),
+            "profile_memo": memo_bytes(package),
+            "suites": [],
             "results": [],
             "is_selfadjoint": [],
         }
-        for label in packages
+        for label, package in packages.items()
     }
-    for label, package in packages.items():
-        runs[label]["profile_memo"] = memo = memo_bytes(package)
-        print(f"{label} profile_memo entries={memo['entries']} bytes_per_entry={memo['bytes_per_entry']}")
-    for d in dims:
-        for label, row in time_kernel(packages, d, args.repeats).items():
-            runs[label]["results"].append(row)
-            print(f"{label} d={d} echelon_rows median_ms={row['median_ms']} "
-                  f"q1_ms={row['q1_ms']} q3_ms={row['q3_ms']} max_entry_bits={row['max_entry_bits']}")
-        for label, row in time_pairing(packages, d, args.repeats).items():
-            runs[label]["is_selfadjoint"].append(row)
-            print(f"{label} d={d} is_selfadjoint median_ms={row['median_ms']} "
-                  f"q1_ms={row['q1_ms']} q3_ms={row['q3_ms']}")
+
+    def record(key: str, figures: dict) -> None:
+        for label, row in figures.items():
+            runs[label][key].append(row)
+            print(label, key, *(f"{k}={v}" for k, v in row.items()))
+
+    for figures in time_suites(packages, args.repeats):
+        record("suites", figures)
+    for d in args.dims:
+        record("results", time_kernel(packages, d, args.repeats))
+        record("is_selfadjoint", time_pairing(packages, d, args.repeats))
     report = {
         "benchmark": f"exact.echelon_rows on seeded dense d x 2d integer rows, entries in [-{BOUND}, {BOUND}]; "
         "LinearRelation.is_selfadjoint on seeded harness.random_selfadjoint relations on Q^d; "
+        f"every invariant suite on {SUITE_CASES} cases at seed 0, per case; "
         f"bytes the relation.profile memo retains per entry over {MEMO_RELATIONS} seeded relations",
+        "command": argv,
         "runs": runs,
     }
     args.out.write_text(json.dumps(report, indent=2) + "\n")

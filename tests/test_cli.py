@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import re
@@ -5,6 +6,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -461,65 +463,80 @@ class TestUsage:
         assert done.stderr == ""
 
 
-class TestRunAllSuitesScript:
-    @staticmethod
-    def run_script(env, *argv):
-        return subprocess.run(
-            [sys.executable, str(ROOT / "scripts" / "run_all_suites.py"), *argv],
-            capture_output=True,
-            text=True,
-            env=env,
-            timeout=60,
-        )
+BENCH = ROOT / "scripts" / "bench.py"
 
-    def test_json_output_is_json_lines(self, source_env):
-        # with --json stdout is one JSON object per suite, and without it
-        # each suite prints check's report; either way every suite passes and
-        # is timed on stderr
-        for json_flag in (["--json"], []):
-            done = self.run_script(source_env, "--cases", "1", *json_flag)
-            assert done.returncode == 0
-            if json_flag:
-                rows = [json.loads(line) for line in done.stdout.splitlines()]
-                suites, failed = [row["suite"] for row in rows], [row["failed"] for row in rows]
-            else:
-                suites = re.findall(r"^suite=(\w+)$", done.stdout, re.M)
-                failed = [int(n) for n in re.findall(r"^failed=(\d+)$", done.stdout, re.M)]
-            assert tuple(suites) == harness.list_suites()
-            assert failed == [0] * len(suites)
-            timings = done.stderr.splitlines()
-            assert len(timings) == len(suites)
-            assert all(re.fullmatch(r"seconds=\d+\.\d\d", line) for line in timings)
 
-    @pytest.mark.parametrize("cases", ["0", "-5"])
-    def test_cases_below_one_exits_one(self, source_env, cases):
-        done = self.run_script(source_env, "--cases", cases)
-        assert done.returncode == 1
-        assert done.stdout == ""
-        assert done.stderr == f"error: cases must be at least 1, got {cases}\n"
+def run_bench(*argv):
+    return subprocess.run([sys.executable, str(BENCH), *argv], capture_output=True, text=True, timeout=60)
+
+
+def load_bench():
+    spec = importlib.util.spec_from_file_location("bench", BENCH)
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    return bench
 
 
 def test_bench_script_writes_its_figures(tmp_path):
     """A smoke run of ``scripts/bench.py`` at small d with one pass: two
     trees measured in one run land under their labels, each with the bytes
     its profile memo retains per entry, equal for equal trees, and with the
-    kernel's and ``is_selfadjoint``'s figures at each d, whose quartiles
-    bracket the median (one pass makes all three equal)."""
+    kernel's and ``is_selfadjoint``'s figures at each d and every suite's
+    figures per case, on ``SUITE_CASES`` cases, whose quartiles bracket the
+    median (one pass makes all three equal); the file names its command."""
     out, src = tmp_path / "bench.json", str(ROOT / "src")
-    done = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "bench.py"), "--out", str(out),
-         "--tree", f"a={src}", "--tree", f"b={src}", "--dims", "3,6", "--repeats", "1"],
-        capture_output=True, text=True, timeout=60,
-    )
+    argv = ["--out", str(out), "--tree", f"a={src}", "--tree", f"b={src}", "--dims", "3,6", "--repeats", "1"]
+    done = run_bench(*argv)
     assert done.returncode == 0, done.stderr
-    report = json.loads(out.read_text())
+    report, cases = json.loads(out.read_text()), load_bench().SUITE_CASES
+    assert report["command"] == argv
     assert set(report["runs"]) == {"a", "b"}
     for run in report["runs"].values():
         assert [row["d"] for row in run["results"]] == [3, 6]
         assert all(row["median_ms"] > 0 and row["max_entry_bits"] > 0 for row in run["results"])
         assert [row["d"] for row in run["is_selfadjoint"]] == [3, 6]
-        for row in run["results"] + run["is_selfadjoint"]:
+        suites = [(row["suite"], row["cases"]) for row in run["suites"]]
+        assert suites == [(name, cases) for name in harness.list_suites()]
+        for row in run["results"] + run["is_selfadjoint"] + run["suites"]:
             assert 0 < row["q1_ms"] <= row["median_ms"] <= row["q3_ms"]
     memos = [run["profile_memo"] for run in report["runs"].values()]
     assert memos[0] == memos[1]
     assert 0 < memos[0]["entries"] <= memos[0]["relations"] and memos[0]["bytes_per_entry"] > 0
+
+
+def test_bench_times_shared_suites_from_an_empty_memo():
+    """``time_suites`` times only the suites that every tree lists, clearing
+    the tree's profile memo before each pass of ``SUITE_CASES`` cases at seed
+    0, and a failing suite stops it with a message that names the suite and
+    the tree."""
+    bench, calls = load_bench(), []
+
+    def tree(suites, failing=()):
+        def run_suite(name, cases, seed):
+            calls.append((name, cases, seed))
+            failed = cases if name in failing else 0
+            return harness.SuiteResult(name, cases, cases - failed, failed, "case 0: stub" if failed else None)
+
+        memo = SimpleNamespace(cache_clear=lambda: calls.append("clear"))
+        return SimpleNamespace(harness=SimpleNamespace(list_suites=lambda: suites, run_suite=run_suite),
+                               relation=SimpleNamespace(profile=memo))
+
+    figures = bench.time_suites({"a": tree(("first", "second")), "b": tree(("first",))}, 2)
+    assert [rows["a"]["suite"] for rows in figures] == ["first"]
+    assert calls == ["clear", ("first", bench.SUITE_CASES, 0)] * 4
+    with pytest.raises(SystemExit, match="suite second failed on tree a"):
+        bench.time_suites({"a": tree(("first", "second"), failing=("second",))}, 1)
+
+
+@pytest.mark.parametrize("argument, value", [("--dims", "3,x"), ("--tree", "a=/nonexistent"),
+                                             ("--out", "/nonexistent/dir/x.json")])
+def test_bench_rejects_a_bad_argument(tmp_path, argument, value):
+    """A bad ``--dims``, ``--tree`` or ``--out`` exits 2 with the usage line
+    and a message that names the argument, before anything is written."""
+    out = tmp_path / "bench.json"
+    argv = {"--out": str(out), "--dims": "3", "--repeats": "1", argument: value}
+    done = run_bench(*[x for pair in argv.items() for x in pair])
+    assert done.returncode == 2
+    assert done.stderr.startswith("usage: bench.py")
+    assert f"argument {argument}: " in done.stderr
+    assert not out.exists()
