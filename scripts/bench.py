@@ -210,6 +210,8 @@ def tree(text: str) -> tuple[str, Path]:
 
 
 def out_file(text: str) -> Path:
+    if Path(text).is_dir():
+        raise argparse.ArgumentTypeError(f"{text!r} is a directory, not a file")
     if not Path(text).parent.is_dir():
         raise argparse.ArgumentTypeError(f"no directory {Path(text).parent}")
     return Path(text)

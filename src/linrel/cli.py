@@ -86,6 +86,9 @@ def cmd_solve(args) -> int:
     a = parse_relation_file(args.file_a)
     b = parse_relation_file(args.file_b)
     report: FactorizationReport = _SOLVERS[(args.side, args.level)](a, b)
+    # before any output, so an --out that cannot be written leaves stdout empty
+    if args.out and report.solvable:
+        write_relation_file(args.out, report.witness)
     if args.json:
         # the object alone: its conditions already say which failed
         print(json.dumps(report.to_json_dict()))
@@ -93,11 +96,7 @@ def cmd_solve(args) -> int:
         sys.stdout.write(report.to_text())
         if not report.solvable:
             print("failed:", " ".join(report.failed_conditions()))
-    if not report.solvable:
-        return EXIT_UNSOLVABLE
-    if args.out:
-        write_relation_file(args.out, report.witness)
-    return EXIT_OK
+    return EXIT_OK if report.solvable else EXIT_UNSOLVABLE
 
 
 def cmd_verify(args) -> int:

@@ -304,6 +304,26 @@ class TestSolve:
         failed = [c["name"] for c in payload["conditions"] if not c["held"]]
         assert failed == ["ran_subset"]
 
+    @pytest.mark.parametrize("flags", [(), ("--json",)], ids=["text", "json"])
+    def test_unwritable_out_prints_no_report(self, tmp_path, capsys, flags):
+        # the witness is written before the report, so a report on stdout
+        # never announces a file that does not exist
+        code, out, err = run(
+            capsys, "solve", FIXTURES / "scaled_proj_A.rel", FIXTURES / "proj_B.rel",
+            "--side", "right", "--level", "operator", "--out", tmp_path, *flags,
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and str(tmp_path) in err
+
+    def test_unsolvable_pair_writes_no_witness(self, tmp_path, capsys):
+        witness = tmp_path / "T.rel"
+        code, out, _ = run(
+            capsys, "solve", FIXTURES / "ran_violation_A.rel", FIXTURES / "proj_B.rel",
+            "--side", "right", "--level", "operator", "--out", witness,
+        )
+        assert code == 2 and "failed: ran_subset" in out
+        assert not witness.exists()
+
 
 class TestUnaryCommands:
     def test_inverse_round_trip(self, tmp_path, capsys):
@@ -529,7 +549,8 @@ def test_bench_times_shared_suites_from_an_empty_memo():
 
 
 @pytest.mark.parametrize("argument, value", [("--dims", "3,x"), ("--tree", "a=/nonexistent"),
-                                             ("--out", "/nonexistent/dir/x.json")])
+                                             ("--out", "/nonexistent/dir/x.json"),
+                                             pytest.param("--out", str(ROOT), id="--out-a directory")])
 def test_bench_rejects_a_bad_argument(tmp_path, argument, value):
     """A bad ``--dims``, ``--tree`` or ``--out`` exits 2 with the usage line
     and a message that names the argument, before anything is written."""

@@ -16,12 +16,10 @@ and 351 bits.  A companion test pins ``repr`` of the same subspaces.
 The third pins the seeded generators of ``linrel.harness``, which feed
 ``linrel gen``, the invariant suites and the benchmark inputs; a companion
 test pins the benchmark's generator calls at the dimensions and bounds the
-third does not use.  The fourth pins
-the stdout of ``scripts/demo_factorization.py``, the README's worked
-example, and the fifth the text output of ``linrel check --suite full
---seed 0``.  That text holds only suite names and case counts, so the
-sixth pins what the suites checked on the same run: every check's label
-and outcome, and the relations each case shows.
+third does not use.  The fourth pins the text output of ``linrel check
+--suite full --seed 0``.  That text holds only suite names and case
+counts, so the fifth pins what the suites checked on the same run: every
+check's label and outcome, and the relations each case shows.
 
 That run is the session fixture ``full_check`` in ``conftest.py``, the one
 seed-0 sweep of all 18 suites.  It also puts the canonical-form check back
@@ -39,10 +37,7 @@ import hashlib
 import io
 import json
 import random
-import subprocess
-import sys
 from collections import Counter
-from pathlib import Path
 
 import pytest
 
@@ -81,8 +76,6 @@ EXPECTED_REPR_DIGEST = "efaff8ccff3fb124b30b857bdd66864be101138e9b45010a3c48847d
 EXPECTED_GENERATOR_DIGEST = "dc1210423cea32a82b136b9bfdc138cd5cb976bcef18c89ff4f99f053db22088"
 
 EXPECTED_BENCHMARK_INPUT_DIGEST = "26235f9004f6aae09bf8454f45f43261eb05da762c9da5e846679dd20775c97f"
-
-EXPECTED_DEMO_DIGEST = "11c3437acaba47a2ba6ad6c70e0ebda31fc1dfebc31cc9546bb9eac0960bfc1e"
 
 EXPECTED_CHECK_DIGEST = "88db865d2addf22dd538b87dc71a9b9f220fded6caa61ec55390854a2aba4b1a"
 
@@ -272,16 +265,6 @@ def test_benchmark_inputs_are_byte_identical():
         digest.update(serialize_relation(rel).encode("ascii"))
         digest.update(b"\0")
     assert digest.hexdigest() == EXPECTED_BENCHMARK_INPUT_DIGEST
-
-
-def test_demo_output_is_byte_identical(source_env):
-    root = Path(__file__).resolve().parents[1]
-    done = subprocess.run(
-        [sys.executable, str(root / "scripts" / "demo_factorization.py")],
-        capture_output=True, env=source_env, timeout=60,
-    )
-    assert done.returncode == 0, done.stderr.decode()
-    assert hashlib.sha256(done.stdout).hexdigest() == EXPECTED_DEMO_DIGEST
 
 
 def test_full_check_output_is_byte_identical(full_check):
