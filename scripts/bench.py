@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Time the canonicalization kernel, ``exact.echelon_rows``, on dense rows,
-``LinearRelation.is_selfadjoint`` on self-adjoint relations and every
-invariant suite, and weigh the entries of the profile memo.
+``LinearRelation.is_selfadjoint`` on self-adjoint relations, every
+invariant suite and the brute force's candidate grids, and weigh the
+entries of the profile memo.
 
     python3 scripts/bench.py --out BENCH_<n>.json [--tree LABEL=SRC ...]
                              [--dims 3,6,10,16,24] [--repeats 15]
@@ -23,6 +24,12 @@ Under ``suites`` it times each suite that every tree lists, per case: each
 pass clears the tree's ``relation.profile`` memo outside the timed region
 and runs ``harness.run_suite(name, SUITE_CASES, 0)``.  A failing suite
 exits 1, naming the suite and the tree, before the file is written.
+
+Under ``brute`` it times one build of the brute-force search's candidate
+grid, ``harness.operator_graph_candidates``, for each shape in
+``GRID_SHAPES`` at bound ``GRID_BOUND``: each pass clears the tree's grid
+cache outside the timed region, and each row gives the grid's candidate
+count.
 
 Beside the timings, ``profile_memo`` gives the bytes that the memo of
 ``relation.profile`` retains per entry, as tracemalloc counts them: the
@@ -64,6 +71,8 @@ INPUTS = 10
 SUITE_CASES = 20
 MEMO_RELATIONS = 500
 MEMO_DIM = 4
+GRID_SHAPES = ((1, 1), (1, 2), (2, 1), (2, 2))
+GRID_BOUND = 2
 
 
 def dense_rows(d: int, seed: int) -> list[list[int]]:
@@ -180,6 +189,25 @@ def time_suites(packages: dict, repeats: int) -> list[dict]:
     return figures
 
 
+def time_grids(packages: dict, shape: tuple, repeats: int) -> dict:
+    """label -> the figures of one build of the grid of ``shape`` at
+    ``GRID_BOUND``, from an empty grid cache."""
+    def job(harness):
+        def prepare():
+            harness._operator_graph_candidates.cache_clear()
+            return [shape]
+
+        return prepare, lambda dims: harness.operator_graph_candidates(*dims, GRID_BOUND)
+
+    harnesses = {label: package.harness for label, package in packages.items()}
+    times = alternate({label: job(harness) for label, harness in harnesses.items()}, repeats)
+    return {
+        label: {"shape": list(shape), "bound": GRID_BOUND, "repeats": repeats, **spread(times[label]),
+                "candidates": len(harness.operator_graph_candidates(*shape, GRID_BOUND))}
+        for label, harness in harnesses.items()
+    }
+
+
 def time_pairing(packages: dict, d: int, repeats: int) -> dict:
     """label -> the figures of ``is_selfadjoint`` at d, each tree on its own
     ``harness``'s draws from one seed."""
@@ -199,7 +227,10 @@ def positive(text: str) -> int:
 
 
 def positives(text: str) -> list[int]:
-    return [positive(part) for part in text.split(",")]
+    values = [positive(part) for part in text.split(",")]
+    if len(set(values)) < len(values):
+        raise argparse.ArgumentTypeError(f"each value once, got {text!r}")
+    return values
 
 
 def tree(text: str) -> tuple[str, Path]:
@@ -238,6 +269,7 @@ def main(argv=None) -> int:
             "suites": [],
             "results": [],
             "is_selfadjoint": [],
+            "brute": [],
         }
         for label, package in packages.items()
     }
@@ -252,10 +284,13 @@ def main(argv=None) -> int:
     for d in args.dims:
         record("results", time_kernel(packages, d, args.repeats))
         record("is_selfadjoint", time_pairing(packages, d, args.repeats))
+    for shape in GRID_SHAPES:
+        record("brute", time_grids(packages, shape, args.repeats))
     report = {
         "benchmark": f"exact.echelon_rows on seeded dense d x 2d integer rows, entries in [-{BOUND}, {BOUND}]; "
         "LinearRelation.is_selfadjoint on seeded harness.random_selfadjoint relations on Q^d; "
         f"every invariant suite on {SUITE_CASES} cases at seed 0, per case; "
+        f"harness.operator_graph_candidates at bound {GRID_BOUND} from an empty grid cache, per shape; "
         f"bytes the relation.profile memo retains per entry over {MEMO_RELATIONS} seeded relations",
         "command": argv,
         "runs": runs,

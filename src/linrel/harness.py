@@ -266,6 +266,14 @@ def operator_graph_candidates(dim_x: int, dim_y: int, bound: int = 2) -> tuple[R
     d = u₀v₁ − u₁v₀ is nonzero, give v₁·u − u₁·v and u₀·v − v₀·u, which are
     d·e₀ and d·e₁ on the x-block and so, taken to their ``line``s, the
     canonical rows, by the one normal form ``exact.check_canonical`` tests.
+    Many pairs give the same two points, so each point is named by one
+    integer key and taken to its ``line`` only on first use.  A
+    representative's entries lie in [-bound, bound], so every entry of the
+    two combinations lies within ±2·bound²: read in base b = 4·bound² + 1,
+    with digits shifted by 2·bound², their y-parts are v₁·[u] − u₁·[v] and
+    u₀·[v] − v₀·[u] with no carries, [u] being u's y-part so read, and d as
+    the top digit completes the key.  The two maps from keys to rows live
+    for one build, in which the (2, 2) grid takes 3 579 ``line`` calls.
     Each span goes straight into one dict keyed on those rows, so no list
     of every span is built, and each operator keeps the place of its first
     span.  Equal rows are one tuple, shared by every candidate that
@@ -297,11 +305,23 @@ def _operator_graph_candidates(dim_x: int, dim_y: int, bound: int) -> tuple[Rows
         spans.update(((rep,), None) for rep in line_reps if any(rep[:dim_x]))
     if dim_x >= 2:
         shared = {rep: rep for rep in line_reps}
-        for u, v in combinations(line_reps, 2):
-            if u[0] * v[1] != u[1] * v[0]:
-                r0 = line([v[1] * a - u[1] * b for a, b in zip(u, v)])
-                r1 = line([u[0] * b - v[0] * a for a, b in zip(u, v)])
-                spans.setdefault((shared.setdefault(r0, r0), shared.setdefault(r1, r1)))
+        base = 4 * bound * bound + 1
+        width = base**dim_y
+        packed = [(u[0], u[1], sum(y * base**i for i, y in enumerate(u[2:])), u) for u in line_reps]
+        rows0: dict[int, tuple[int, ...]] = {}
+        rows1: dict[int, tuple[int, ...]] = {}
+        for (u0, u1, pu, u), (v0, v1, pv, v) in combinations(packed, 2):
+            d = u0 * v1 - u1 * v0
+            if d:
+                k0, k1 = d * width + v1 * pu - u1 * pv, d * width + u0 * pv - v0 * pu
+                r0, r1 = rows0.get(k0), rows1.get(k1)
+                if r0 is None:
+                    r0 = line([v1 * a - u1 * b for a, b in zip(u, v)])
+                    r0 = rows0[k0] = shared.setdefault(r0, r0)
+                if r1 is None:
+                    r1 = line([u0 * b - v0 * a for a, b in zip(u, v)])
+                    r1 = rows1[k1] = shared.setdefault(r1, r1)
+                spans.setdefault((r0, r1))
     return tuple(spans)
 
 

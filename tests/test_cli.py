@@ -501,9 +501,10 @@ def test_bench_script_writes_its_figures(tmp_path):
     """A smoke run of ``scripts/bench.py`` at small d with one pass: two
     trees measured in one run land under their labels, each with the bytes
     its profile memo retains per entry, equal for equal trees, and with the
-    kernel's and ``is_selfadjoint``'s figures at each d and every suite's
-    figures per case, on ``SUITE_CASES`` cases, whose quartiles bracket the
-    median (one pass makes all three equal); the file names its command."""
+    kernel's and ``is_selfadjoint``'s figures at each d, every suite's
+    figures per case, on ``SUITE_CASES`` cases, and one grid build per
+    shape with its candidate count, whose quartiles bracket the median (one
+    pass makes all three equal); the file names its command."""
     out, src = tmp_path / "bench.json", str(ROOT / "src")
     argv = ["--out", str(out), "--tree", f"a={src}", "--tree", f"b={src}", "--dims", "3,6", "--repeats", "1"]
     done = run_bench(*argv)
@@ -517,7 +518,9 @@ def test_bench_script_writes_its_figures(tmp_path):
         assert [row["d"] for row in run["is_selfadjoint"]] == [3, 6]
         suites = [(row["suite"], row["cases"]) for row in run["suites"]]
         assert suites == [(name, cases) for name in harness.list_suites()]
-        for row in run["results"] + run["is_selfadjoint"] + run["suites"]:
+        grids = [(tuple(row["shape"]), row["bound"], row["candidates"]) for row in run["brute"]]
+        assert grids == [((1, 1), 2, 8), ((1, 2), 2, 42), ((2, 1), 2, 390), ((2, 2), 2, 16306)]
+        for row in run["results"] + run["is_selfadjoint"] + run["suites"] + run["brute"]:
             assert 0 < row["q1_ms"] <= row["median_ms"] <= row["q3_ms"]
     memos = [run["profile_memo"] for run in report["runs"].values()]
     assert memos[0] == memos[1]
@@ -548,12 +551,13 @@ def test_bench_times_shared_suites_from_an_empty_memo():
         bench.time_suites({"a": tree(("first", "second"), failing=("second",))}, 1)
 
 
-@pytest.mark.parametrize("argument, value", [("--dims", "3,x"), ("--tree", "a=/nonexistent"),
+@pytest.mark.parametrize("argument, value", [("--dims", "3,x"), ("--dims", "3,3"), ("--tree", "a=/nonexistent"),
                                              ("--out", "/nonexistent/dir/x.json"),
                                              pytest.param("--out", str(ROOT), id="--out-a directory")])
 def test_bench_rejects_a_bad_argument(tmp_path, argument, value):
-    """A bad ``--dims``, ``--tree`` or ``--out`` exits 2 with the usage line
-    and a message that names the argument, before anything is written."""
+    """A bad ``--dims`` (a repeated d included), ``--tree`` or ``--out``
+    exits 2 with the usage line and a message that names the argument,
+    before anything is written."""
     out = tmp_path / "bench.json"
     argv = {"--out": str(out), "--dims": "3", "--repeats": "1", argument: value}
     done = run_bench(*[x for pair in argv.items() for x in pair])

@@ -319,10 +319,11 @@ class TestBruteForce:
                         digest.update(f"{dim_x} {dim_y} {bound}: {rows}\n".encode())
         assert digest.hexdigest() == EXPECTED_CANDIDATE_DIGEST
 
-    @pytest.mark.parametrize("bound", [1, 2])
+    @pytest.mark.parametrize("bound", [0, 1, 2])
     @pytest.mark.parametrize("dim_x", range(3))
     @pytest.mark.parametrize("dim_y", range(3))
     def test_grid_matches_the_eliminated_spans(self, dim_x, dim_y, bound):
+        # at bound 0 the grid has no lines and the packing base is 1
         grid = operator_graph_candidates(dim_x, dim_y, bound)
         assert grid == reference_grid(dim_x, dim_y, bound)
         for rows in grid:
@@ -338,6 +339,20 @@ class TestBruteForce:
             monkeypatch.setattr(harness, name, refuse, raising=False)
         harness._operator_graph_candidates.cache_clear()
         assert len(operator_graph_candidates(2, 2, 2)) == 16306
+
+    def test_grid_normalizes_each_point_once(self, monkeypatch):
+        # one ``line`` per grid point and per distinct point of a pair takes
+        # 3 579 calls; one per point of every pair would take 61 096
+        calls = []
+
+        def counted(v):
+            calls.append(None)
+            return exact.line(v)
+
+        monkeypatch.setattr(harness, "line", counted)
+        harness._operator_graph_candidates.cache_clear()
+        assert len(operator_graph_candidates(2, 2, 2)) == 16306
+        assert len(calls) < 5000
 
     def test_grid_holds_shared_rows_not_relations(self):
         # built as 16 306 relations, the (2, 2) grid peaked near 10 MB
