@@ -23,7 +23,11 @@ for one pass).
 Under ``suites`` it times each suite that every tree lists, per case: each
 pass clears the tree's ``relation.profile`` memo outside the timed region
 and runs ``harness.run_suite(name, SUITE_CASES, 0)``.  A failing suite
-exits 1, naming the suite and the tree, before the file is written.
+exits 1, naming the suite and the tree, before the file is written.  Under
+``full_check`` it gives one full check's figures, the number a
+``check --suite full`` change cites: each suite's per-case median and
+quartiles, weighted by the suite's default case count in the tree's own
+``harness.SUITES`` and summed, with the cases they cover.
 
 Under ``brute`` it times one build of the brute-force search's candidate
 grid, ``harness.operator_graph_candidates``, for each shape in
@@ -189,6 +193,15 @@ def time_suites(packages: dict, repeats: int) -> list[dict]:
     return figures
 
 
+def full_check(suites: dict, rows: list[dict]) -> dict:
+    """One full check's figures from the per-case ``rows`` of ``time_suites``:
+    each weighted by its suite's default case count in ``suites``, a tree's
+    ``harness.SUITES``, and summed."""
+    weights = [suites[row["suite"]][1] for row in rows]
+    return {"cases": sum(weights), **{key: round(sum(w * row[key] for w, row in zip(weights, rows)), 4)
+                                      for key in ("q1_ms", "median_ms", "q3_ms")}}
+
+
 def time_grids(packages: dict, shape: tuple, repeats: int) -> dict:
     """label -> the figures of one build of the grid of ``shape`` at
     ``GRID_BOUND``, from an empty grid cache."""
@@ -267,6 +280,7 @@ def main(argv=None) -> int:
             "machine": platform.machine(),
             "profile_memo": memo_bytes(package),
             "suites": [],
+            "full_check": {},
             "results": [],
             "is_selfadjoint": [],
             "brute": [],
@@ -281,6 +295,9 @@ def main(argv=None) -> int:
 
     for figures in time_suites(packages, args.repeats):
         record("suites", figures)
+    for label, package in packages.items():
+        runs[label]["full_check"] = full_check(package.harness.SUITES, runs[label]["suites"])
+        print(label, "full_check", *(f"{k}={v}" for k, v in runs[label]["full_check"].items()))
     for d in args.dims:
         record("results", time_kernel(packages, d, args.repeats))
         record("is_selfadjoint", time_pairing(packages, d, args.repeats))
@@ -289,7 +306,8 @@ def main(argv=None) -> int:
     report = {
         "benchmark": f"exact.echelon_rows on seeded dense d x 2d integer rows, entries in [-{BOUND}, {BOUND}]; "
         "LinearRelation.is_selfadjoint on seeded harness.random_selfadjoint relations on Q^d; "
-        f"every invariant suite on {SUITE_CASES} cases at seed 0, per case; "
+        f"every invariant suite on {SUITE_CASES} cases at seed 0, per case, and weighted by its default cases "
+        "into one full check; "
         f"harness.operator_graph_candidates at bound {GRID_BOUND} from an empty grid cache, per shape; "
         f"bytes the relation.profile memo retains per entry over {MEMO_RELATIONS} seeded relations",
         "command": argv,

@@ -7,11 +7,17 @@ kind's violation in.  They still redraw an attempt whose B cannot carry it
 draws every number a kept one would, so the draws after it stay in place,
 and builds nothing past B and B's profile: T is built from its draws, and
 composed with B, only in the attempt that is kept.
-Determinism is per-implementation: the PRNG is Python's Mersenne Twister
-(``random.Random``) with documented sub-seed derivation, so equal (spec, seed)
-always reproduce identical canonical relations within this implementation.
-Generators and probes are integer points of canonical rows (``Subspace.point``),
-or, in ``random_selfadjoint``, read off them directly.  The oracle builds no
+Determinism: a seeded stream reads only ``random.Random(seed)``, through
+its ``getrandbits`` and its ``random()``, with sub-seeds from
+``_derive_seed``, so equal (spec, seed) reproduce identical canonical
+relations.  Every bounded integer is drawn by ``_randint`` or its two other
+forms, ``_choice`` and the vector form ``_entries``, which read
+``getrandbits`` as CPython's ``randint`` does; ``randint`` and ``choice``
+themselves, whose algorithm ``random`` does not promise to keep, are never
+called.  Generators and probes are integer points of canonical rows
+(``Subspace.point``).  A targeted relation's generators are its two parts'
+points at one scale (``_product_points``), with no product space built, and
+``random_selfadjoint`` reads its own off the rows directly.  The oracle builds no
 matrix: it tests one vector against a span.  Only the suites that test
 ``Matrix`` itself build matrices.  Every suite fails through
 ``_first_failure``, at the first of its checks that fails, and only the
@@ -27,9 +33,9 @@ from __future__ import annotations
 import random
 from dataclasses import asdict, dataclass
 from functools import lru_cache
-from itertools import combinations, product as iter_product
+from itertools import combinations, product as iter_product, repeat
 from math import lcm
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from . import factor
 from .exact import Matrix, Rows, _eliminate, _reduce, dot, line, require_int, require_vector
@@ -54,6 +60,52 @@ _MASK64 = (1 << 64) - 1
 def _derive_seed(seed: int, index: int) -> int:
     """Stable per-case sub-seed: a 64-bit LCG-style mix of seed and index."""
     return (seed * 6364136223846793005 + (index + 1) * 1442695040888963407) & _MASK64
+
+
+def _randint(rng: random.Random, low: int, high: int) -> int:
+    """The one bounded draw: an int in [low, high], read as CPython
+    3.10–3.13's ``rng.randint(low, high)`` reads it.  With n = high − low + 1
+    and k = n.bit_length(), it takes ``rng.getrandbits(k)`` and draws again
+    while that is ≥ n, so n = 1 still takes one bit.  The stream then rests
+    on ``getrandbits`` alone, not on how ``randrange`` handles its arguments.
+    One limit: a ``Random`` subclass that overrides ``random()`` but not
+    ``getrandbits()`` makes CPython's own ``randrange`` read ``random()``
+    instead, and this draw does not follow that switch.  No caller passes
+    such a subclass."""
+    n = high - low + 1
+    if n <= 0:
+        raise ValueError(f"empty range [{low}, {high}]")
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return low + r
+
+
+def _choice(rng: random.Random, seq: Sequence):
+    """The item of the non-empty ``seq`` that ``rng.choice(seq)`` picks, by ``_randint``."""
+    return seq[_randint(rng, 0, len(seq) - 1)]
+
+
+def _entries(rng: random.Random, count: int, bound: int) -> list[int]:
+    """``count`` draws of ``_randint(rng, -bound, bound)`` in one loop."""
+    n = 2 * bound + 1
+    k = n.bit_length()
+    getrandbits = rng.getrandbits
+    out = []
+    # map draws lazily, so a redraw comes before the next entry's bits
+    for r in map(getrandbits, repeat(k, count)):
+        while r >= n:
+            r = getrandbits(k)
+        out.append(r - bound)
+    return out
+
+
+def _entry_rows(rng: random.Random, rows: int, cols: int, bound: int) -> list[tuple[int, ...]]:
+    """``rows`` rows of ``cols`` entries in [-bound, bound], drawn row by row,
+    as tuples, which the kernel takes with no conversion."""
+    flat = tuple(_entries(rng, rows * cols, bound))
+    return [flat[i * cols : (i + 1) * cols] for i in range(rows)]
 
 
 @dataclass(frozen=True, slots=True)
@@ -103,7 +155,7 @@ class RelationSpec:
 
 def _random_matrix(rng: random.Random, rows: int, cols: int) -> Matrix:
     """Entries in [-3, 3] drawn row by row, kept as ints, which the kernel takes as they are."""
-    return Matrix(rows, cols, tuple(rng.randint(-3, 3) for _ in range(rows * cols)))
+    return Matrix(rows, cols, tuple(_entries(rng, rows * cols, 3)))
 
 
 def random_full_rank(rng: random.Random, rows: int, cols: int, bound: int = 3) -> list[tuple]:
@@ -116,7 +168,7 @@ def random_full_rank(rng: random.Random, rows: int, cols: int, bound: int = 3) -
     if cols == 0:
         return []
     for _ in range(1000):
-        data = [[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(rows)]
+        data = _entry_rows(rng, rows, cols, bound)
         if len(_eliminate(data[:], cols)) == cols:
             return list(zip(*data))
     raise RuntimeError("failed to sample a full-rank matrix")
@@ -132,7 +184,7 @@ def random_subspace(rng: random.Random, ambient: int, dim: int, bound: int = 3) 
     if dim == 0:
         return Subspace.zero(ambient)
     for _ in range(1000):
-        data = [[rng.randint(-bound, bound) for _ in range(dim)] for _ in range(ambient)]
+        data = _entry_rows(rng, ambient, dim, bound)
         sub = Subspace.from_vectors(ambient, zip(*data))
         if sub.dim == dim:
             return sub
@@ -140,9 +192,34 @@ def random_subspace(rng: random.Random, ambient: int, dim: int, bound: int = 3) 
 
 
 def _random_plain_relation(rng: random.Random, dim_x: int, dim_y: int, bound: int) -> LinearRelation:
-    count = rng.randint(0, dim_x + dim_y)
-    gens = [[rng.randint(-bound, bound) for _ in range(dim_x + dim_y)] for _ in range(count)]
+    count = _randint(rng, 0, dim_x + dim_y)
+    gens = _entry_rows(rng, count, dim_x + dim_y, bound)
     return LinearRelation.from_generators(dim_x, dim_y, gens)
+
+
+def _product_points(
+    u: Subspace | int, v: Subspace | int, coefficients: Iterable[tuple[Sequence[int], Sequence[int]]]
+) -> list[tuple[int, ...]]:
+    """For each (a, b), the point ``U.product(V).point(a + b)`` with no product
+    built: U's point at a beside V's at b, both at one scale s, the lcm of the
+    two parts' leading entries.  A part given as an int n is the full space
+    Q^n, which is not built either: its unit rows lead with 1, so it adds
+    nothing to s, and its point at c is s·c."""
+    def lead_entries(sub: Subspace | int) -> Optional[list[int]]:
+        return None if isinstance(sub, int) else [next(filter(None, row)) for row in sub.rows]
+
+    u_leads, v_leads = lead_entries(u), lead_entries(v)
+    s = lcm(*(u_leads or ()), *(v_leads or ()))
+
+    def point(sub: Subspace | int, leads: Optional[list[int]], c: Sequence[int]) -> tuple[int, ...]:
+        if leads is None:
+            return tuple([s * x for x in c])
+        if not leads:
+            return (0,) * sub.ambient_dim
+        weights = [x * (s // q) for x, q in zip(c, leads)]
+        return tuple([dot(weights, column) for column in zip(*sub.rows)])
+
+    return [point(u, u_leads, a) + point(v, v_leads, b) for a, b in coefficients]
 
 
 def _draw_targeted(
@@ -158,8 +235,9 @@ def _draw_targeted(
     image_coeffs += random_full_rank(rng, dim_y - dm, dd - dk, bound)
 
     def build() -> LinearRelation:
-        window = Subspace.full(dim_x).product(mul_space.ortho_complement())
-        gens = [window.point(x + c) for x, c in zip(dom_cols, image_coeffs)]
+        # with no multivalued part, its complement is all of Q^dim_y
+        complement = mul_space.ortho_complement() if dm else dim_y
+        gens = _product_points(dim_x, complement, zip(dom_cols, image_coeffs))
         gens += [(0,) * dim_x + r for r in mul_space.rows]
         return LinearRelation.from_generators(dim_x, dim_y, gens)
 
@@ -179,8 +257,8 @@ def random_relation(spec: RelationSpec) -> LinearRelation:
 
 def _draw_operator(rng: random.Random, dim_x: int, dim_y: int, bound: int) -> Callable[[], LinearRelation]:
     """An operator's draws; the returned function builds it."""
-    dd = rng.randint(0, dim_x)
-    rk = rng.randint(0, min(dd, dim_y))
+    dd = _randint(rng, 0, dim_x)
+    rk = _randint(rng, 0, min(dd, dim_y))
     return _draw_targeted(rng, dim_x, dim_y, dd, 0, dd - rk, bound)
 
 
@@ -191,9 +269,9 @@ def random_mixed_relation(
     require_int("bound", bound, 1)
     if rng.random() < 0.5:
         return _random_plain_relation(rng, dim_x, dim_y, bound)
-    dd = rng.randint(0, dim_x)
-    dm = rng.randint(0, dim_y)
-    rk = rng.randint(0, min(dd, dim_y - dm))
+    dd = _randint(rng, 0, dim_x)
+    dm = _randint(rng, 0, dim_y)
+    rk = _randint(rng, 0, min(dd, dim_y - dm))
     return _draw_targeted(rng, dim_x, dim_y, dd, dm, dd - rk, bound)()
 
 
@@ -209,9 +287,9 @@ def random_selfadjoint(rng: random.Random, dim: int) -> LinearRelation:
     D^⊥, span the relation, read off D's rows without solving anything.
     """
     check_ambient_limit({"2 * dim": 2 * require_int("dim", dim, 0)})
-    r = rng.randint(0, dim)
+    r = _randint(rng, 0, dim)
     dom = random_subspace(rng, dim, r)
-    raw = [[rng.randint(-3, 3) for _ in range(r)] for _ in range(r)]
+    raw = _entry_rows(rng, r, r, 3)
     leads = dom._leads()
     gens = []
     for j, row in enumerate(dom.rows):
@@ -466,7 +544,7 @@ def _vector_in_gap(rng: random.Random, big: Subspace, small: Subspace, bound: in
     """A nonzero point of ``big`` outside ``small``; on the full space its
     coefficients are its coordinates."""
     for _ in range(1000):
-        coeffs = [rng.randint(-bound, bound) for _ in range(big.dim)]
+        coeffs = _entries(rng, big.dim, bound)
         v = big.point(coeffs)
         if any(v) and not small.contains_vector(v):
             return v
@@ -487,7 +565,7 @@ def targeted_right_pair(
     _check_pair_args(max_dim, 1)
     require_int("bound", bound, 1)
     for _ in range(500):
-        nx, ny, nz = (rng.randint(1, max_dim) for _ in range(3))
+        nx, ny, nz = (_randint(rng, 1, max_dim) for _ in range(3))
         b = random_mixed_relation(rng, ny, nz, bound)
         pb = profile(b)
         if kind == "free":
@@ -502,7 +580,7 @@ def targeted_right_pair(
             return base, b
         if kind == "violate_ran":
             z0 = _vector_in_gap(rng, Subspace.full(nz), pb.ran, bound)
-            x0 = tuple(rng.randint(-bound, bound) for _ in range(nx))
+            x0 = tuple(_entries(rng, nx, bound))
             return LinearRelation.from_generators(nx, nz, base.graph.rows + (x0 + z0,)), b
         if kind == "violate_mul_gain":
             z0 = _vector_in_gap(rng, pb.ran, pb.mul, bound)
@@ -521,7 +599,7 @@ def targeted_left_pair(
     _check_pair_args(max_dim, 1)
     require_int("bound", bound, 1)
     for _ in range(500):
-        nx, ny, nz = (rng.randint(1, max_dim) for _ in range(3))
+        nx, ny, nz = (_randint(rng, 1, max_dim) for _ in range(3))
         b = random_mixed_relation(rng, nx, nz, bound)
         pb = profile(b)
         if kind == "free":
@@ -533,16 +611,17 @@ def targeted_left_pair(
             continue
         if kind == "violate_ker":  # builds no T: A is not a product
             # e_i ⊕ y_i joins basis vector i of dom(B) to the image y_i
-            window, r = pb.dom.product(Subspace.full(ny)), pb.dom.dim
+            r = pb.dom.dim
             images = random_full_rank(rng, ny, r, bound)
-            gens = [window.point([int(j == i) for j in range(r)] + list(y)) for i, y in enumerate(images)]
+            units = [[int(j == i) for j in range(r)] for i in range(r)]
+            gens = _product_points(pb.dom, ny, zip(units, images))
             return LinearRelation.from_generators(nx, ny, gens), b
         base = compose(build_t(), b)
         if kind == "satisfy":
             return base, b
         if kind == "violate_dom":
             x0 = _vector_in_gap(rng, Subspace.full(nx), pb.dom, bound)
-            y0 = tuple(rng.randint(-bound, bound) for _ in range(ny))
+            y0 = tuple(_entries(rng, ny, bound))
             return LinearRelation.from_generators(nx, ny, base.graph.rows + (x0 + y0,)), b
         if kind == "violate_mul_dim":
             extra = random_subspace(rng, ny, pb.mul.dim + 1, bound)
@@ -553,7 +632,7 @@ def targeted_left_pair(
 def random_square_pair(rng: random.Random, max_dim: int = 3) -> tuple[LinearRelation, LinearRelation]:
     """Two ``random_mixed_relation`` draws on Q^d, d in [0, max_dim], at coefficient bound 3."""
     _check_pair_args(max_dim, 0)
-    d = rng.randint(0, max_dim)
+    d = _randint(rng, 0, max_dim)
     return random_mixed_relation(rng, d, d), random_mixed_relation(rng, d, d)
 
 
@@ -615,8 +694,8 @@ def _report_checks(report: factor.FactorizationReport, conditions: bool, a: Line
 
 
 def _suite_relation_algebra(rng: random.Random) -> Optional[str]:
-    n = rng.randint(0, 6)
-    m = rng.randint(0, 6)
+    n = _randint(rng, 0, 6)
+    m = _randint(rng, 0, 6)
     rel = random_mixed_relation(rng, n, m, 3)
 
     def checks():
@@ -638,7 +717,7 @@ def _suite_relation_algebra(rng: random.Random) -> Optional[str]:
 
 
 def _suite_compose_oracle(rng: random.Random) -> Optional[str]:
-    n, m, k = rng.randint(0, 6), rng.randint(0, 6), rng.randint(0, 6)
+    n, m, k = _randint(rng, 0, 6), _randint(rng, 0, 6), _randint(rng, 0, 6)
     a = random_mixed_relation(rng, n, m, 3)
     b = random_mixed_relation(rng, m, k, 3)
     probes = []
@@ -647,7 +726,7 @@ def _suite_compose_oracle(rng: random.Random) -> Optional[str]:
     # the rows of A⁻¹ that lead in the y-block leaves (0, x, s·z) exactly
     # when y is in ran(A): then (x, s·y) lies in A, so (x, s·z) in B∘A.
     if b.graph.dim:
-        w = b.graph.point([rng.randint(-2, 2) for _ in range(b.graph.dim)])
+        w = b.graph.point(_entries(rng, b.graph.dim, 2))
         inv = a.inverse().graph
         leads = [p for p in inv._leads() if p < m]
         *rows, v = _stacked_rows(n, m, k, inv.rows[: len(leads)], [w])
@@ -655,8 +734,8 @@ def _suite_compose_oracle(rng: random.Random) -> Optional[str]:
         if not any(v[:m]):
             probes.append((tuple(v[m : m + n]), tuple(v[m + n :])))
     while len(probes) < 4:
-        x = tuple(rng.randint(-3, 3) for _ in range(n))
-        probes.append((x, tuple(rng.randint(-3, 3) for _ in range(k))))
+        x = tuple(_entries(rng, n, 3))
+        probes.append((x, tuple(_entries(rng, k, 3))))
 
     def checks():
         ba, oracle = compose(b, a), _product_oracle(a, b)
@@ -667,7 +746,7 @@ def _suite_compose_oracle(rng: random.Random) -> Optional[str]:
 
 
 def _suite_graph_compose(rng: random.Random) -> Optional[str]:
-    n, m, k = rng.randint(0, 4), rng.randint(0, 4), rng.randint(0, 4)
+    n, m, k = _randint(rng, 0, 4), _randint(rng, 0, 4), _randint(rng, 0, 4)
     ma = _random_matrix(rng, m, n)
     mb = _random_matrix(rng, k, m)
     a, b = LinearRelation.graph_of_matrix(ma), LinearRelation.graph_of_matrix(mb)
@@ -676,7 +755,7 @@ def _suite_graph_compose(rng: random.Random) -> Optional[str]:
 
 
 def _suite_compose_algebra(rng: random.Random) -> Optional[str]:
-    n, m, k, l = (rng.randint(0, 3) for _ in range(4))
+    n, m, k, l = (_randint(rng, 0, 3) for _ in range(4))
     a = random_mixed_relation(rng, n, m, 3)
     b = random_mixed_relation(rng, m, k, 3)
     c = random_mixed_relation(rng, k, l, 3)
@@ -689,7 +768,7 @@ def _suite_compose_algebra(rng: random.Random) -> Optional[str]:
 
 
 def _suite_adjoint_identities(rng: random.Random) -> Optional[str]:
-    d = rng.randint(0, 4)
+    d = _randint(rng, 0, 4)
     rel = random_mixed_relation(rng, d, d, 3)
 
     def checks():
@@ -709,8 +788,8 @@ def _suite_adjoint_identities(rng: random.Random) -> Optional[str]:
 
 
 def _suite_graph_maps(rng: random.Random) -> Optional[str]:
-    n = rng.randint(0, 4)
-    m = rng.randint(0, 4)
+    n = _randint(rng, 0, 4)
+    m = _randint(rng, 0, 4)
     rel = random_mixed_relation(rng, n, m, 3)
 
     def checks():
@@ -730,15 +809,15 @@ def _suite_graph_maps(rng: random.Random) -> Optional[str]:
 
 
 def _suite_membership(rng: random.Random) -> Optional[str]:
-    n = rng.randint(0, 5)
-    m = rng.randint(0, 5)
+    n = _randint(rng, 0, 5)
+    m = _randint(rng, 0, 5)
     rel = random_mixed_relation(rng, n, m, 3)
     probes = []
     if rel.graph.dim:
-        coeffs = [rng.randint(-2, 2) for _ in range(rel.graph.dim)]
+        coeffs = _entries(rng, rel.graph.dim, 2)
         probes.append(rel.graph.point(coeffs))
     for _ in range(3):
-        probes.append(tuple(rng.randint(-3, 3) for _ in range(n + m)))
+        probes.append(tuple(_entries(rng, n + m, 3)))
 
     def checks():
         for v in probes:
@@ -749,7 +828,7 @@ def _suite_membership(rng: random.Random) -> Optional[str]:
 
 
 def _suite_right_relation_iff(rng: random.Random) -> Optional[str]:
-    kind = rng.choice(RIGHT_KINDS)
+    kind = _choice(rng, RIGHT_KINDS)
     a, b = targeted_right_pair(rng, kind)
 
     def checks():
@@ -762,7 +841,7 @@ def _suite_right_relation_iff(rng: random.Random) -> Optional[str]:
 
 
 def _suite_left_relation_iff(rng: random.Random) -> Optional[str]:
-    kind = rng.choice(LEFT_KINDS)
+    kind = _choice(rng, LEFT_KINDS)
     a, b = targeted_left_pair(rng, kind)
 
     def checks():
@@ -775,7 +854,7 @@ def _suite_left_relation_iff(rng: random.Random) -> Optional[str]:
 
 
 def _suite_right_operator_iff(rng: random.Random) -> Optional[str]:
-    kind = rng.choice(RIGHT_KINDS)
+    kind = _choice(rng, RIGHT_KINDS)
     a, b = targeted_right_pair(rng, kind)
 
     def checks():
@@ -790,7 +869,7 @@ def _suite_right_operator_iff(rng: random.Random) -> Optional[str]:
 
 
 def _suite_left_operator_iff(rng: random.Random) -> Optional[str]:
-    kind = rng.choice(LEFT_KINDS)
+    kind = _choice(rng, LEFT_KINDS)
     a, b = targeted_left_pair(rng, kind)
 
     def checks():
@@ -802,7 +881,7 @@ def _suite_left_operator_iff(rng: random.Random) -> Optional[str]:
 
 
 def _suite_operator_criterion_right(rng: random.Random) -> Optional[str]:
-    kind = rng.choice(("satisfy", "violate_mul_gain", "violate_mul_loss"))
+    kind = _choice(rng, ("satisfy", "violate_mul_gain", "violate_mul_loss"))
     a, b = targeted_right_pair(rng, kind)
 
     def checks():
@@ -816,7 +895,7 @@ def _suite_operator_criterion_right(rng: random.Random) -> Optional[str]:
 
 
 def _suite_operator_criterion_left(rng: random.Random) -> Optional[str]:
-    kind = rng.choice(LEFT_KINDS)
+    kind = _choice(rng, LEFT_KINDS)
     a, b = targeted_left_pair(rng, kind)
 
     def checks():
@@ -861,7 +940,7 @@ def _suite_adjoint_left_iff(rng: random.Random) -> Optional[str]:
 
 
 def _suite_selfadjoint_duality(rng: random.Random) -> Optional[str]:
-    d = rng.randint(1, 4)
+    d = _randint(rng, 1, 4)
     a = random_selfadjoint(rng, d)
     b = random_selfadjoint(rng, d)
 
@@ -877,11 +956,11 @@ def _suite_selfadjoint_duality(rng: random.Random) -> Optional[str]:
 
 
 def _suite_generator_honesty(rng: random.Random) -> Optional[str]:
-    n = rng.randint(0, 5)
-    m = rng.randint(0, 5)
-    dd = rng.randint(0, n)
-    dm = rng.randint(0, m)
-    rk = rng.randint(0, min(dd, m - dm))
+    n = _randint(rng, 0, 5)
+    m = _randint(rng, 0, 5)
+    dd = _randint(rng, 0, n)
+    dm = _randint(rng, 0, m)
+    rk = _randint(rng, 0, min(dd, m - dm))
     spec = RelationSpec(n, m, dim_dom=dd, dim_mul=dm, dim_ker=dd - rk, seed=rng.getrandbits(32))
     rel = random_relation(spec)
     p = profile(rel)
@@ -890,8 +969,8 @@ def _suite_generator_honesty(rng: random.Random) -> Optional[str]:
 
 
 def _suite_determinism(rng: random.Random) -> Optional[str]:
-    n = rng.randint(0, 5)
-    m = rng.randint(0, 5)
+    n = _randint(rng, 0, 5)
+    m = _randint(rng, 0, 5)
     spec = RelationSpec(n, m, seed=rng.getrandbits(32))
     rel = random_relation(spec)
     same = serialize_relation(rel) == serialize_relation(random_relation(spec))

@@ -504,7 +504,8 @@ def test_bench_script_writes_its_figures(tmp_path):
     kernel's and ``is_selfadjoint``'s figures at each d, every suite's
     figures per case, on ``SUITE_CASES`` cases, and one grid build per
     shape with its candidate count, whose quartiles bracket the median (one
-    pass makes all three equal); the file names its command."""
+    pass makes all three equal), and one full check's figures over the
+    suites' default cases; the file names its command."""
     out, src = tmp_path / "bench.json", str(ROOT / "src")
     argv = ["--out", str(out), "--tree", f"a={src}", "--tree", f"b={src}", "--dims", "3,6", "--repeats", "1"]
     done = run_bench(*argv)
@@ -520,7 +521,11 @@ def test_bench_script_writes_its_figures(tmp_path):
         assert suites == [(name, cases) for name in harness.list_suites()]
         grids = [(tuple(row["shape"]), row["bound"], row["candidates"]) for row in run["brute"]]
         assert grids == [((1, 1), 2, 8), ((1, 2), 2, 42), ((2, 1), 2, 390), ((2, 2), 2, 16306)]
-        for row in run["results"] + run["is_selfadjoint"] + run["suites"] + run["brute"]:
+        full = run["full_check"]
+        assert full["cases"] == sum(default for _, default in harness.SUITES.values()) == 3650
+        weighted = sum(harness.SUITES[row["suite"]][1] * row["median_ms"] for row in run["suites"])
+        assert full["median_ms"] == pytest.approx(weighted, abs=1e-3)
+        for row in run["results"] + run["is_selfadjoint"] + run["suites"] + run["brute"] + [full]:
             assert 0 < row["q1_ms"] <= row["median_ms"] <= row["q3_ms"]
     memos = [run["profile_memo"] for run in report["runs"].values()]
     assert memos[0] == memos[1]

@@ -130,29 +130,27 @@ class TestRandomRelation:
     def test_random_subspace_eliminates_once_per_draw(self, monkeypatch):
         """The span it returns decides each redraw, with no separate rank
         check: one elimination per 2 x 2 draw, redrawn draws included."""
-        eliminated = []
-        eliminate = exact._eliminate
+        eliminated, entries = [], []
+        eliminate, draw_entries = exact._eliminate, harness._entries
 
         def spy_eliminate(data, cols):
             eliminated.append(len(data))
             return eliminate(data, cols)
 
-        class Counted(random.Random):
-            """Counts the entries drawn."""
-            entries = 0
-
-            def randint(self, a, b):
-                self.entries += 1
-                return super().randint(a, b)
+        def spy_entries(rng, count, bound):
+            """Counts the entries drawn, which all go through the vector form."""
+            entries.append(count)
+            return draw_entries(rng, count, bound)
 
         monkeypatch.setattr(exact, "_eliminate", spy_eliminate)
         monkeypatch.setattr(harness, "_eliminate", spy_eliminate)
+        monkeypatch.setattr(harness, "_entries", spy_entries)
         redrawn = 0
         for seed in range(20):
             eliminated.clear()
-            rng = Counted(seed)
-            assert harness.random_subspace(rng, 2, 2, bound=1) == Subspace.full(2)
-            draws, rest = divmod(rng.entries, 4)
+            entries.clear()
+            assert harness.random_subspace(random.Random(seed), 2, 2, bound=1) == Subspace.full(2)
+            draws, rest = divmod(sum(entries), 4)
             assert rest == 0 and len(eliminated) == draws, seed
             redrawn += draws > 1
         assert redrawn
@@ -177,6 +175,92 @@ class TestRandomRelation:
             assert harness.random_subspace(rng, 4, 0) == Subspace.zero(4)
         assert eliminated == []
         assert rng.random() == fresh.random()
+
+    def test_product_points_are_the_product_windows_points(self):
+        """A targeted relation's generators are U × V's points read off the
+        two parts at one scale, exactly what the product's own ``point``
+        gives: full, zero and proper parts, ambient 0 included, and a full
+        part given as its dimension."""
+        rng = random.Random(5)
+        for _ in range(200):
+            u, v = (harness.random_subspace(rng, d, rng.randint(0, d)) for d in (rng.randint(0, 4), rng.randint(0, 4)))
+            pairs = [(tuple(rng.randint(-3, 3) for _ in range(u.dim)), tuple(rng.randint(-3, 3) for _ in range(v.dim)))
+                     for _ in range(3)]
+            points = [u.product(v).point(a + b) for a, b in pairs]
+            assert harness._product_points(u, v, pairs) == points
+            # a full part given by its dimension alone
+            if u.dim == u.ambient_dim:
+                assert harness._product_points(u.ambient_dim, v, pairs) == points
+            if v.dim == v.ambient_dim:
+                assert harness._product_points(u, v.ambient_dim, pairs) == points
+
+
+# the first ten entries of ``_entries`` at seed 0 and bound 3: a ``getrandbits``
+# that read the generator differently would fail here, before any digest
+FIRST_ENTRIES_SEED_0 = [3, 0, 3, 0, -3, -1, 1, 0, 0, 3]
+
+
+class TestBoundedDraws:
+    """``harness`` draws every bounded integer through ``_randint``,
+    ``_choice`` or ``_entries``, which read ``getrandbits`` as CPython's
+    ``randint`` and ``choice`` do."""
+
+    @pytest.mark.parametrize("span", range(13))
+    def test_draws_take_the_stream_as_random_does(self, span):
+        """Each form returns what ``Random`` itself returns on a twin
+        generator, n = 1 included, and leaves both in one state."""
+        seq = tuple(range(10, 11 + span))
+        for seed in range(50):
+            rng, twin = random.Random(seed), random.Random(seed)
+            low = seed % 5 - 2
+            for _ in range(4):
+                assert harness._randint(rng, low, low + span) == twin.randint(low, low + span), seed
+                assert harness._choice(rng, seq) == twin.choice(seq), seed
+            if span % 2 == 0:
+                bound = span // 2
+                assert harness._entries(rng, 20, bound) == [twin.randint(-bound, bound) for _ in range(20)], seed
+            assert rng.getstate() == twin.getstate(), seed
+
+    def test_first_entries_at_seed_0(self):
+        assert harness._entries(random.Random(0), 10, 3) == FIRST_ENTRIES_SEED_0
+
+    def test_empty_range_is_refused(self):
+        with pytest.raises(ValueError, match="empty range"):
+            harness._randint(random.Random(0), 1, 0)
+
+    def test_harness_draws_no_bounded_integer_of_its_own(self):
+        """No ``.randint(``, ``.choice(`` or ``.randrange(`` call in
+        ``harness``: the three forms own every bounded draw."""
+        tree = ast.parse(Path(harness.__file__).read_text(encoding="utf-8"))
+        calls = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+                 and isinstance(node.func, ast.Attribute) and node.func.attr in ("randint", "choice", "randrange")]
+        assert calls == []
+
+    def test_public_draws_stay_in_bounds_on_system_random(self):
+        """On ``SystemRandom``, whose bits come from the OS, every public
+        draw on a generator keeps its shapes and bounds."""
+        rng = random.SystemRandom()
+        for _ in range(10):
+            assert -2 <= harness._randint(rng, -2, 5) <= 5
+            assert harness._choice(rng, "abc") in "abc"
+            assert all(-2 <= x <= 2 for x in harness._entries(rng, 12, 2))
+            cols = harness.random_full_rank(rng, 4, 3, bound=2)
+            assert len(cols) == 3 and all(len(c) == 4 and all(-2 <= x <= 2 for x in c) for c in cols)
+            assert Subspace.from_vectors(4, cols).dim == 3
+            sub = harness.random_subspace(rng, 4, 2, bound=2)
+            assert (sub.ambient_dim, sub.dim) == (4, 2)
+            rel = harness.random_mixed_relation(rng, 3, 2, bound=2)
+            assert (rel.dim_x, rel.dim_y) == (3, 2)
+            rel = random_selfadjoint(rng, 3)
+            assert (rel.dim_x, rel.dim_y) == (3, 3) and rel.is_selfadjoint()
+            for kind in RIGHT_KINDS:
+                a, b = targeted_right_pair(rng, kind)
+                assert a.dim_y == b.dim_y and all(1 <= d <= 3 for d in (a.dim_x, b.dim_x, b.dim_y)), kind
+            for kind in LEFT_KINDS:
+                a, b = targeted_left_pair(rng, kind)
+                assert a.dim_x == b.dim_x and all(1 <= d <= 3 for d in (a.dim_x, a.dim_y, b.dim_y)), kind
+            a, b = harness.random_square_pair(rng)
+            assert a.dim_x == a.dim_y == b.dim_x == b.dim_y <= 3
 
 
 class TestOracle:
